@@ -139,6 +139,7 @@ def cmd_bound(args) -> int:
         "alpha_lower_bound": result.alpha_low,
         "certificate": result.certificate,
         "iterations": result.iterations,
+        "power_iterations": result.power_iterations,
         "states": len(space),
         "forbidden_patterns": len(fset),
         "elapsed_seconds": round(time.time() - started, 3),

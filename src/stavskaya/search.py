@@ -6,6 +6,12 @@ every step, so the returned value is a true lower bound on the critical
 parameter no matter how the iteration behaved.  The outer search simply
 maximizes that bound over a coarse-then-refined grid in p (q stays at 1,
 where the maximum is attained).
+
+Each bisection step ends as soon as a Collatz–Wielandt ratio bound
+decides it (`check_subcritical`): a max ratio below one moves the lower
+endpoint, a min ratio above one moves the upper.  The fresh final
+re-certification of the returned endpoint stops the same way, so the
+reported certificate is the first max ratio below one, not the tightest.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from .errors import ConsistencyError
 from .patterns import Parameters, build_forbidden_set
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, check_subcritical
 from .statespace import TransitionTable, build_state_space, build_transitions
@@ -72,9 +79,11 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
 
     Midpoints that certify move the lower endpoint; anything else
     (including non-convergence) moves the upper endpoint, so the answer
-    errs low.  The iteration vector of each midpoint seeds the next, which
-    cuts the near-critical iteration count sharply without touching the
-    certificates.
+    errs low.  Each midpoint's solve stops as soon as a ratio bound
+    decides it, and its iteration vector seeds the next, which cuts the
+    near-critical iteration count sharply without touching the
+    certificates.  A returned endpoint that fails its fresh final
+    re-certification raises `ConsistencyError`.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -107,12 +116,12 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
             high = mid
         steps += 1
 
-    # final assertion: the returned endpoint is certified on a fresh run
+    # final check: the returned endpoint is certified on a fresh run
     ok, certificate, est = check_subcritical(table, Parameters(p, q, low),
                                              power_tol, max_iter)
     spent += est.iterations
     if not ok:
-        raise AssertionError(
+        raise ConsistencyError(
             f"bisection invariant violated: alpha={low} at p={p}, q={q} "
             "failed its final certification")
     return BisectionResult(p=p, q=q, alpha_low=low, alpha_high=high,

@@ -5,11 +5,16 @@ it to a vector of path weights advances every path by one step.  The
 total contour weight converges exactly when the spectral radius is
 below one, which is what the bisection in `search` certifies.
 
-The estimate comes from power iteration in gather form; the one-sided
-certificate is the classical bound for nonnegative matrices: for any
-strictly positive v, the spectral radius is at most max_i (Mv)_i/v_i.
-The certificate is what makes "radius < 1" decisions robust even when
-the matrix is reducible or the iteration is stopped early.
+The estimate comes from power iteration in gather form.  Both
+decisions rest on the Collatz–Wielandt bounds for nonnegative matrices:
+for any strictly positive v, min_i (Mv)_i/v_i <= rho <= max_i (Mv)_i/v_i.
+A max ratio below one proves the radius below one and a min ratio above
+one proves it above one, whatever the irreducibility of the matrix and
+however far the iteration has come.  So `check_subcritical` stops at the
+first step whose ratios decide "radius < 1" either way, while a direct
+`power_iteration` call keeps iterating until the ratio sandwich closes
+to `tol` (or the norm ratio stalls), for an estimate of the radius
+itself.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ class SpectralEstimate:
 
     @property
     def certified_subcritical(self) -> bool:
-        return self.converged and self.certified_upper < 1.0
+        # a max ratio below one is a proof on its own; no convergence needed
+        return self.certified_upper < 1.0
 
 
 def _target_weights(table: TransitionTable, params: Parameters) -> np.ndarray:
@@ -65,7 +71,10 @@ def apply_operator(table: TransitionTable, params: Parameters, v: np.ndarray) ->
     vp = np.empty(n + 1, dtype=np.float64)
     vp[:n] = v
     vp[n] = 0.0
-    out = vp[table.pred[0]] + vp[table.pred[1]] + vp[table.pred[2]]
+    # pred entries were checked to lie in [0, n] when the table was made
+    g0, g1, g2 = table.pred
+    out = (np.take(vp, g0, mode="clip") + np.take(vp, g1, mode="clip")
+           + np.take(vp, g2, mode="clip"))
     out *= _target_weights(table, params)
     return out
 
@@ -93,10 +102,19 @@ def power_iteration(table: TransitionTable, params: Parameters,
     that sandwich closes to `tol` relative.  For reducible operators
     (some step weight zero) the lower ratio never rises, so a stable norm
     ratio over many steps is accepted instead; the certificate, taken
-    from the final max ratio, stays a true upper bound either way.
-    Non-convergence is reported, never raised, so callers can treat it
-    as "not certified".
+    from the final max ratio, stays a true upper bound either way, so a
+    max ratio below one certifies whether or not the run converged.
+    Non-convergence is reported, never raised.
     """
+    return _iterate(table, params, tol, max_iter, v0, decide=False)
+
+
+def _iterate(table: TransitionTable, params: Parameters, tol: float,
+             max_iter: int, v0: np.ndarray | None,
+             decide: bool) -> SpectralEstimate:
+    """Power iteration as documented on `power_iteration`; with `decide`
+    it also stops at the first step whose max ratio is below one or whose
+    min ratio is above one, since either already settles "radius < 1"."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     n = table.n_states
@@ -128,10 +146,12 @@ def power_iteration(table: TransitionTable, params: Parameters,
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        np.take(vp, g0, out=t0)
-        np.take(vp, g1, out=t1)
+        # clip skips the bounds pass and the buffered copy that the
+        # default mode makes; the table's indices were checked once
+        np.take(vp, g0, out=t0, mode="clip")
+        np.take(vp, g1, out=t1, mode="clip")
         t0 += t1
-        np.take(vp, g2, out=t1)
+        np.take(vp, g2, out=t1, mode="clip")
         t0 += t1
         np.multiply(t0, wvec, out=out)
         np.divide(out, vp[:n], out=ratio)
@@ -149,6 +169,8 @@ def power_iteration(table: TransitionTable, params: Parameters,
         np.maximum(vp[:n], _POSITIVITY_FLOOR, out=vp[:n])
         if upper - lower <= tol * upper:
             converged = True
+            break
+        if decide and (upper < 1.0 or lower > 1.0):
             break
         stable = stable + 1 if abs(estimate - previous) <= tol * estimate else 0
         if stable >= _STABLE_ITERS:
@@ -199,9 +221,13 @@ def check_subcritical(table: TransitionTable, params: Parameters,
     """Certified subcriticality test: (certified, certificate, estimate).
 
     The certificate is a genuine upper bound on the spectral radius; it is
-    below one exactly when `certified` is True.
+    below one exactly when `certified` is True.  The power iteration ends
+    as soon as a ratio bound decides the question: a max ratio below one
+    certifies, a min ratio above one proves the radius above one.  Only
+    when neither happens does it run on to convergence, and then the
+    reducible-operator fallback may still certify.
     """
-    est = power_iteration(table, params, tol, max_iter, v0)
+    est = _iterate(table, params, tol, max_iter, v0, decide=True)
     if est.certified_subcritical:
         return True, est.certified_upper, est
     if est.converged and est.estimate < _FALLBACK_THRESHOLD:
@@ -217,7 +243,7 @@ def is_subcritical(table: TransitionTable, params: Parameters,
     """True iff the radius is certified below one.
 
     Only the True branch is load-bearing: it proves the radius is < 1.
-    Non-convergence is conservatively treated as False.
+    Anything short of a certificate, non-convergence included, is False.
     """
     return check_subcritical(table, params, tol, max_iter, v0)[0]
 

@@ -153,6 +153,13 @@ class TransitionTable:
     pred: np.ndarray        # (3, N) int32, N = empty slot
     last_digit: np.ndarray  # (N,) uint8 in 0..2
 
+    def __post_init__(self) -> None:
+        # checked once here so the operator's gathers can skip the check
+        n = self.n_states
+        if self.pred.size and (self.pred.min() < 0 or self.pred.max() > n):
+            raise ConsistencyError(
+                f"predecessor indices must lie in [0, {n}]")
+
     @property
     def n_states(self) -> int:
         return int(self.succ.shape[1])

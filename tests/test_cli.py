@@ -46,6 +46,7 @@ def test_bound_schema_and_value(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert SCHEMA_KEYS <= set(report)
+    assert report["power_iterations"] > 0
     assert report["certified"] is True
     assert report["certificate"] < 1.0
     assert report["alpha_lower_bound"] == pytest.approx(0.13101966, abs=1e-6)

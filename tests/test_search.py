@@ -2,9 +2,12 @@ import math
 
 import pytest
 
+import stavskaya.search as search
+from stavskaya.errors import ConsistencyError
 from stavskaya.patterns import Parameters
 from stavskaya.search import alpha_sup, optimize_p
-from stavskaya.spectral import is_subcritical
+from stavskaya.spectral import _source_certificate, is_subcritical, power_iteration
+from stavskaya.statespace import build_state_space, build_transitions
 
 
 def test_bisection_iteration_count(small_levels):
@@ -100,3 +103,75 @@ def test_level_monotonicity(small_levels):
         bounds.append(best.bound)
     for lo, hi in zip(bounds, bounds[1:]):
         assert hi >= lo - 1e-9
+
+
+def _converged_decision(table, params, v0=None):
+    """A trial point decided only after power iteration has converged,
+    with the reducible-operator fallback; (certified, certificate, est)."""
+    est = power_iteration(table, params, v0=v0)
+    if est.converged and est.certified_upper < 1.0:
+        return True, est.certified_upper, est
+    if est.converged and est.estimate < 0.99:
+        ratio = _source_certificate(table, params)
+        if ratio is not None:
+            return True, ratio, est
+    return False, est.certified_upper, est
+
+
+def _reference_alpha_sup(table, p, tol=1e-10):
+    """Bisection with every step run to convergence: same bracket, warm
+    starts and fresh final check as `alpha_sup`."""
+    ok, _, est = _converged_decision(table, Parameters(p, 1.0, 0.0))
+    spent = est.iterations
+    assert ok
+    low, high, warm = 0.0, 1.0, None
+    while high - low > tol:
+        mid = 0.5 * (low + high)
+        seed = warm if high - low <= 0.05 else None
+        ok, _, est = _converged_decision(table, Parameters(p, 1.0, mid), seed)
+        spent += est.iterations
+        warm = est.vector
+        low, high = (mid, high) if ok else (low, mid)
+    ok, certificate, est = _converged_decision(table, Parameters(p, 1.0, low))
+    assert ok
+    return low, high, certificate, spent + est.iterations
+
+
+REFERENCE_POINTS = {1: (1.44, 1.464, 1.5), 2: (1.42, 1.44, 1.47),
+                    3: (1.41, 1.43, 1.46), 4: (1.40, 1.424, 1.45)}
+
+
+@pytest.mark.parametrize("n", sorted(REFERENCE_POINTS))
+def test_early_decisions_match_converged_bisection(n, small_levels, fset5):
+    if n in small_levels:
+        _, table = small_levels[n]
+    else:
+        table = build_transitions(build_state_space(n, fset5.restrict(n - 1)),
+                                  fset5.restrict(n))
+    for p in REFERENCE_POINTS[n]:
+        low, high, certificate, spent = _reference_alpha_sup(table, p)
+        res = alpha_sup(table, p, 1.0, 1e-10)
+        assert (res.alpha_low, res.alpha_high) == (low, high)
+        # the final check stops at its first max ratio below one, earlier
+        # on the same fresh run, and the max ratio never rises along it
+        assert certificate <= res.certificate < 1.0
+        assert res.power_iterations < spent
+
+
+def test_failed_final_check_raises_consistency_error(small_levels, monkeypatch):
+    # re-certifying an alpha that already certified is made to fail
+    _, table = small_levels[1]
+    real = search.check_subcritical
+    certified = set()
+
+    def flaky(table, params, *args, **kwargs):
+        ok, certificate, est = real(table, params, *args, **kwargs)
+        if params.alpha in certified:
+            return False, 1.0, est
+        if ok:
+            certified.add(params.alpha)
+        return ok, certificate, est
+
+    monkeypatch.setattr(search, "check_subcritical", flaky)
+    with pytest.raises(ConsistencyError, match="bisection invariant"):
+        alpha_sup(table, 1.464, 1.0, 1e-4)

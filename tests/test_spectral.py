@@ -3,9 +3,10 @@ import pytest
 from conftest import make_table
 
 from stavskaya.patterns import Parameters
-from stavskaya.spectral import (apply_operator, certified_upper_bound,
-                                check_subcritical, is_subcritical,
-                                power_iteration, word_weight_vector)
+from stavskaya.spectral import (SpectralEstimate, apply_operator,
+                                certified_upper_bound, check_subcritical,
+                                is_subcritical, power_iteration,
+                                word_weight_vector)
 
 
 def test_apply_counts_predecessors(small_levels):
@@ -161,3 +162,42 @@ def test_sandwich_tight_at_reproduction_points(small_levels):
             est = power_iteration(table, Parameters(p, 1.0, alpha))
             assert est.converged
             assert 0.0 <= est.certified_upper - est.estimate < 1e-6
+
+
+def test_max_ratio_below_one_certifies_without_convergence(small_levels):
+    _, table = small_levels[2]
+    params = Parameters(1.44, 1.0, 0.12)
+    near = power_iteration(table, params).vector
+    # one step from a near-eigenvector, with a tolerance no sandwich meets
+    est = power_iteration(table, params, tol=1e-300, max_iter=1, v0=near)
+    assert not est.converged
+    assert est.certified_upper < 1.0 and est.certified_subcritical
+    ok, certificate, est = check_subcritical(table, params, tol=1e-300, v0=near)
+    assert ok and not est.converged and est.iterations == 1
+    assert certificate == pytest.approx(
+        certified_upper_bound(table, params, near), rel=1e-14)
+    assert SpectralEstimate(0.9, 0.95, 3, converged=False).certified_subcritical
+
+
+def test_min_ratio_above_one_stops_not_certified(small_levels):
+    _, table = small_levels[2]
+    params = Parameters(1.44, 1.0, 0.3)  # far above the level-2 bound 0.131
+    full = power_iteration(table, params)
+    assert full.converged and full.estimate > 1.0
+    ok, certificate, est = check_subcritical(table, params)
+    assert not ok and certificate > 1.0
+    assert not est.converged and est.iterations < full.iterations
+    # the returned iterate already proves the radius above one
+    v = est.vector
+    assert (apply_operator(table, params, v) / v).min() > 1.0
+
+
+def test_direct_power_iteration_runs_its_full_length(small_levels):
+    # subcritical, so a decided solve would stop early; a direct call
+    # with an unreachable tolerance must not
+    _, table = small_levels[3]
+    params = Parameters(1.43, 1.0, 0.132)
+    est = power_iteration(table, params, tol=1e-300, max_iter=50)
+    assert est.iterations == 50 and not est.converged
+    ok, _, decided = check_subcritical(table, params, tol=1e-300, max_iter=50)
+    assert ok and decided.iterations < 50

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from stavskaya.errors import ResourceLimitError
+from stavskaya.errors import ConsistencyError, ResourceLimitError
 from stavskaya.patterns import POW3, build_forbidden_set
-from stavskaya.statespace import (append_step, build_state_space,
-                                  build_transitions, decode_word, encode_word,
+from stavskaya.statespace import (TransitionTable, append_step,
+                                  build_state_space, build_transitions,
+                                  decode_word, encode_word,
                                   enumerate_valid_words, pred_from_succ,
                                   succ_from_pred, suffix_blocked, word_text)
 
@@ -156,3 +157,16 @@ def test_enumerate_valid_words_small():
 def test_codes_strictly_increasing(small_levels):
     for space, _ in small_levels.values():
         assert (space.codes[1:] > space.codes[:-1]).all()
+
+
+@pytest.mark.parametrize("bad", ["past_sentinel", "negative"])
+def test_out_of_range_predecessor_rejected(small_levels, bad):
+    # the operator's gathers clamp instead of checking, so a bad index
+    # must be refused when the table is made
+    _, table = small_levels[1]
+    n = table.n_states
+    pred = table.pred.copy()
+    pred[1, 2] = n + 1 if bad == "past_sentinel" else -1
+    with pytest.raises(ConsistencyError):
+        TransitionTable(n=table.n, succ=table.succ, pred=pred,
+                        last_digit=table.last_digit)
