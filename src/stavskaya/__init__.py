@@ -6,8 +6,8 @@ radius stays below one, and push the erasure parameter alpha as high as
 that certificate allows.
 """
 
-from .errors import CacheError, ConsistencyError, ResourceLimitError
-from .patterns import (ForbiddenSet, Parameters, Step, build_forbidden_set,
+from .errors import ConsistencyError, ResourceLimitError
+from .patterns import (ForbiddenSet, Parameters, build_forbidden_set,
                        enumerate_primitive_loops, step_weight)
 from .search import (BisectionResult, OptimizationResult, alpha_sup,
                      optimize_p)
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BisectionResult",
-    "CacheError",
     "ConsistencyError",
     "ForbiddenSet",
     "OptimizationResult",
@@ -29,7 +28,6 @@ __all__ = [
     "ResourceLimitError",
     "SpectralEstimate",
     "StateSpace",
-    "Step",
     "TransitionTable",
     "alpha_sup",
     "apply_operator",

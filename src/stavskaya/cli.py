@@ -1,5 +1,5 @@
-"""Command-line driver: build cached artifacts, compute certified bounds,
-and reproduce the full results table.
+"""Command-line driver: compute certified bounds and reproduce the full
+results table.  Every command builds its levels from their patterns.
 
 Commands
   loops   forbidden-pattern counts per order (optionally the patterns)
@@ -19,7 +19,6 @@ import sys
 import time
 
 from . import __version__
-from .cache import CacheError, cache_path, read_cache, write_cache
 from .errors import ResourceLimitError
 from .patterns import MAX_LEVEL, build_forbidden_set
 from .search import (DEFAULT_ALPHA_TOL, DEFAULT_COARSE_STEP, DEFAULT_P_MAX,
@@ -54,20 +53,11 @@ def _projected_bytes(n: int) -> int:
     return int(states * 2 * (8 + 3 * 4 + 3 * 4 + 4 * 8))
 
 
-def _load_level(n: int, cache_dir: str):
-    """(space, table, fset, cache_status) for one level, via the cache."""
-    path = cache_path(cache_dir, n)
-    if os.path.exists(path):
-        try:
-            space, table, fset = read_cache(path, n)
-            return space, table, fset, "hit"
-        except CacheError as exc:
-            print(f"warning: rebuilding cache: {exc}", file=sys.stderr)
+def _build_level(n: int):
+    """(space, table, fset) for one level, built from its patterns."""
     fset = build_forbidden_set(n)
     space = build_state_space(n, fset.restrict(n - 1))
-    table = build_transitions(space, fset)
-    write_cache(path, space, table, fset)
-    return space, table, fset, "built"
+    return space, build_transitions(space, fset), fset
 
 
 def _emit(report, fmt: str, columns=None) -> None:
@@ -124,14 +114,14 @@ def cmd_bound(args) -> int:
         return EXIT_RESOURCE
     started = time.time()
     try:
-        space, table, fset, cache_status = _load_level(args.n, args.cache_dir)
+        space, table, fset = _build_level(args.n)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     result = alpha_sup(table, args.p, args.q, args.alpha_tol,
                        max_iter=args.max_iter)
-    print(f"cache: {cache_status}; zero-out-degree states: "
-          f"{table.zero_out_degree_count()}", file=sys.stderr)
+    print(f"zero-out-degree states: {table.zero_out_degree_count()}",
+          file=sys.stderr)
     report = {
         "level": args.n,
         "p": args.p,
@@ -165,7 +155,7 @@ def cmd_table(args) -> int:
     for n in range(1, args.n_max + 1):
         started = time.time()
         try:
-            space, table, fset, _ = _load_level(n, args.cache_dir)
+            space, table, fset = _build_level(n)
         except ResourceLimitError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RESOURCE
@@ -195,8 +185,6 @@ def _add_common(sub, with_grid: bool) -> None:
                      help="bisection width tolerance (default 1e-10)")
     sub.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                      help="power-iteration cap per spectral solve")
-    sub.add_argument("--cache-dir", default="./cache",
-                     help="directory for binary level caches (default ./cache)")
     sub.add_argument("--format", choices=("json", "csv", "text"),
                      default="json", help="report format (default json)")
     sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,

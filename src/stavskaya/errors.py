@@ -7,7 +7,3 @@ class ResourceLimitError(RuntimeError):
 
 class ConsistencyError(RuntimeError):
     """An internal structural invariant was violated (a bug, not user error)."""
-
-
-class CacheError(ValueError):
-    """A cache file is missing, truncated, or fails header validation."""

@@ -26,8 +26,6 @@ MAX_LEVEL = 13
 
 STEP_KINDS = (1, 2, 3)
 
-_DISPLACEMENTS = {1: (-1, -1), 2: (2, 0), 3: (-1, 1)}
-
 POW3 = 3 ** np.arange(41, dtype=np.uint64)
 
 
@@ -52,24 +50,6 @@ class Parameters:
         return (1.0 / (self.p * self.q), self.alpha * self.p**2, self.q / self.p)
 
 
-@dataclass(frozen=True)
-class Step:
-    """One contour move; kind is 1, 2, or 3."""
-
-    kind: int
-
-    def __post_init__(self):
-        if self.kind not in STEP_KINDS:
-            raise ValueError(f"step kind must be 1, 2, or 3, got {self.kind}")
-
-    @property
-    def displacement(self) -> tuple[int, int]:
-        return _DISPLACEMENTS[self.kind]
-
-    def weight(self, params: Parameters) -> float:
-        return step_weight(self.kind, params)
-
-
 def step_weight(kind: int, params: Parameters) -> float:
     """Weight of a single step of the given kind under params."""
     if kind not in STEP_KINDS:
@@ -77,27 +57,23 @@ def step_weight(kind: int, params: Parameters) -> float:
     return params.step_weights()[kind - 1]
 
 
-def pattern_displacement(pattern: tuple[int, ...]) -> tuple[int, int]:
-    """Total (dx, dy) displacement of a step sequence."""
-    dx = sum(_DISPLACEMENTS[k][0] for k in pattern)
-    dy = sum(_DISPLACEMENTS[k][1] for k in pattern)
-    return (dx, dy)
-
-
 def swap_pattern(pattern: tuple[int, ...]) -> tuple[int, ...]:
     """Apply the 1<->3 kind swap elementwise (2 is fixed)."""
     return tuple(4 - k for k in pattern)
 
 
-def pattern_code(pattern: tuple[int, ...]) -> int:
+def pattern_code(pattern) -> int:
     """Base-3 integer code, oldest step in the most significant digit."""
     code = 0
     for k in pattern:
+        if k not in STEP_KINDS:
+            raise ValueError(f"step kind must be 1, 2, or 3, got {k}")
         code = code * 3 + (k - 1)
     return code
 
 
 def code_to_pattern(code: int, length: int) -> tuple[int, ...]:
+    """Inverse of `pattern_code` for a word of `length` steps."""
     digits = []
     for _ in range(length):
         digits.append(int(code % 3) + 1)
@@ -107,13 +83,6 @@ def code_to_pattern(code: int, length: int) -> tuple[int, ...]:
 
 def pattern_text(pattern: tuple[int, ...]) -> str:
     return "".join(str(k) for k in pattern)
-
-
-def text_to_pattern(text: str) -> tuple[int, ...]:
-    pattern = tuple(int(c) for c in text)
-    if any(k not in STEP_KINDS for k in pattern):
-        raise ValueError(f"pattern text must use digits 1-3 only: {text!r}")
-    return pattern
 
 
 class SuffixTrie:
@@ -184,7 +153,7 @@ class ForbiddenSet:
     """Forbidden patterns at a given level, in canonical order.
 
     Canonical order is by (length, base-3 code), which makes enumeration
-    output and cache files deterministic.
+    output deterministic.
     """
 
     def __init__(self, level: int, patterns):
@@ -192,8 +161,9 @@ class ForbiddenSet:
             raise ValueError(f"level must be >= 0, got {level}")
         pats = sorted(set(tuple(p) for p in patterns),
                       key=lambda p: (len(p), pattern_code(p)))
+        # the sort key has already checked every kind
         for p in pats:
-            if len(p) < 2 or any(k not in STEP_KINDS for k in p):
+            if len(p) < 2:
                 raise ValueError(f"invalid pattern {p}")
         self.level = level
         self.patterns = tuple(pats)
@@ -244,13 +214,6 @@ class ForbiddenSet:
         return [pattern_text(p) for p in self.patterns]
 
 
-def _decode_codes(codes: np.ndarray, length: int) -> list[tuple[int, ...]]:
-    digits = np.empty((codes.shape[0], length), dtype=np.uint8)
-    for i in range(length):
-        digits[:, length - 1 - i] = ((codes // POW3[i]) % np.uint64(3)).astype(np.uint8) + 1
-    return [tuple(int(d) for d in row) for row in digits]
-
-
 def enumerate_primitive_loops(k: int, lower: ForbiddenSet) -> tuple[tuple[int, ...], ...]:
     """All primitive loops of order k: length-3k sequences with exactly k
     steps of each kind and no factor in `lower` (the level k-1 set).
@@ -285,7 +248,7 @@ def enumerate_primitive_loops(k: int, lower: ForbiddenSet) -> tuple[tuple[int, .
         codes = codes[rows] * np.uint64(3) + cols.astype(np.uint64)
         counts = counts[rows] + unit[cols]
     # counts <= k per kind and total 3k force exact balance here
-    return tuple(_decode_codes(codes, target))
+    return tuple(code_to_pattern(int(c), target) for c in codes)
 
 
 def build_forbidden_set(n: int) -> ForbiddenSet:

@@ -42,7 +42,11 @@ _POSITIVITY_FLOOR = 1e-12
 
 @dataclass
 class SpectralEstimate:
-    """Power-iteration outcome plus the one-sided upper certificate."""
+    """Power-iteration outcome plus the one-sided upper certificate.
+
+    `certified_upper` is max_i (Mv)_i / v_i of `vector` itself, so
+    `certified_upper_bound(table, params, vector)` re-derives it exactly.
+    """
 
     estimate: float
     certified_upper: float
@@ -165,8 +169,8 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
             vp[:n] = 1.0
             break
         estimate = nrm
-        np.divide(out, nrm, out=vp[:n])
-        np.maximum(vp[:n], _POSITIVITY_FLOOR, out=vp[:n])
+        # every exit leaves in vp the iterate whose ratios were just taken,
+        # so the returned vector re-derives the returned certificate
         if upper - lower <= tol * upper:
             converged = True
             break
@@ -176,7 +180,11 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
         if stable >= _STABLE_ITERS:
             converged = True
             break
+        if iterations == max_iter:
+            break
         previous = estimate
+        np.divide(out, nrm, out=vp[:n])
+        np.maximum(vp[:n], _POSITIVITY_FLOOR, out=vp[:n])
 
     return SpectralEstimate(estimate=estimate, certified_upper=upper,
                             iterations=iterations, converged=converged,

@@ -15,12 +15,13 @@ oldest step in the most significant digit, so the shift-append is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyError, ResourceLimitError
-from .patterns import MAX_LEVEL, POW3, ForbiddenSet, SuffixTrie
+from .patterns import (MAX_LEVEL, POW3, ForbiddenSet, SuffixTrie,
+                       code_to_pattern, pattern_text)
 
 # Rough per-state footprint (code + successor/predecessor slots + a few
 # iteration vectors), used only for the construction memory guard.
@@ -29,32 +30,6 @@ _BYTES_PER_STATE = 64
 DEFAULT_MEMORY_BUDGET = 4 << 30
 
 _CHUNK = 1 << 22
-
-
-def encode_word(word) -> int:
-    code = 0
-    for k in word:
-        if k not in (1, 2, 3):
-            raise ValueError(f"step kind must be 1, 2, or 3, got {k}")
-        code = code * 3 + (k - 1)
-    return code
-
-
-def decode_word(code: int, length: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(length):
-        digits.append(int(code % 3) + 1)
-        code //= 3
-    return tuple(reversed(digits))
-
-
-def append_step(code: int, length: int, kind: int) -> int:
-    """Shift-append: drop the oldest digit, push `kind` at the newest end."""
-    return (code % int(POW3[length - 1])) * 3 + (kind - 1)
-
-
-def word_text(code: int, length: int) -> str:
-    return "".join(str(k) for k in decode_word(code, length))
 
 
 def suffix_blocked(code: int, length: int, fset: ForbiddenSet) -> bool:
@@ -88,10 +63,10 @@ class StateSpace:
         return i
 
     def word(self, state_id: int) -> tuple[int, ...]:
-        return decode_word(int(self.codes[state_id]), self.length)
+        return code_to_pattern(int(self.codes[state_id]), self.length)
 
     def word_texts(self) -> list[str]:
-        return [word_text(int(c), self.length) for c in self.codes]
+        return [pattern_text(self.word(i)) for i in range(len(self))]
 
 
 def enumerate_valid_words(length: int, fset: ForbiddenSet,

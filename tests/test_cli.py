@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -40,9 +39,8 @@ def test_loops_bad_level(capsys):
     assert run(capsys, "loops", "--n", "99")[0] == 3
 
 
-def test_bound_schema_and_value(capsys, tmp_path):
-    code, out = run(capsys, "bound", "--n", "2", "--p", "1.44",
-                    "--cache-dir", str(tmp_path))
+def test_bound_schema_and_value(capsys):
+    code, out = run(capsys, "bound", "--n", "2", "--p", "1.44")
     assert code == 0
     report = json.loads(out)
     assert SCHEMA_KEYS <= set(report)
@@ -54,42 +52,39 @@ def test_bound_schema_and_value(capsys, tmp_path):
     assert report["forbidden_patterns"] == 6
 
 
-def test_bound_uses_cache_on_second_run(capsys, tmp_path):
-    run(capsys, "bound", "--n", "1", "--p", "1.45", "--cache-dir", str(tmp_path))
-    assert os.path.exists(tmp_path / "level01.stvk")
-    code, out = run(capsys, "bound", "--n", "1", "--p", "1.45",
-                    "--cache-dir", str(tmp_path))
-    assert code == 0
+def test_commands_write_no_files(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "bound", "--n", "1", "--p", "1.45")[0] == 0
+    assert run(capsys, "table", "--n-max", "1")[0] == 0
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_bound_degenerate_exits_two(capsys, tmp_path):
-    code, out = run(capsys, "bound", "--n", "1", "--p", "1.0",
-                    "--cache-dir", str(tmp_path))
+def test_bound_degenerate_exits_two(capsys):
+    code, out = run(capsys, "bound", "--n", "1", "--p", "1.0")
     assert code == 2
     report = json.loads(out)
     assert report["certified"] is False
     assert report["alpha_lower_bound"] == 0.0
 
 
-def test_bound_deep_refusal(capsys, tmp_path):
-    code, _ = run(capsys, "bound", "--n", "7", "--p", "1.415",
-                  "--cache-dir", str(tmp_path))
+def test_bound_deep_refusal(capsys):
+    code, _ = run(capsys, "bound", "--n", "7", "--p", "1.415")
     assert code == 3
 
 
-def test_bound_csv_format(capsys, tmp_path):
+def test_bound_csv_format(capsys):
     code, out = run(capsys, "bound", "--n", "1", "--p", "1.46",
-                    "--cache-dir", str(tmp_path), "--format", "csv")
+                    "--format", "csv")
     assert code == 0
     header, row = out.strip().splitlines()
     assert header.split(",")[0] == "level"
     assert row.split(",")[0] == "1"
 
 
-def test_table_small(capsys, tmp_path):
-    code, out = run(capsys, "table", "--n-max", "2", "--cache-dir",
-                    str(tmp_path), "--p-min", "1.43", "--p-max", "1.47",
-                    "--p-step", "0.005", "--p-refine", "0.002")
+def test_table_small(capsys):
+    code, out = run(capsys, "table", "--n-max", "2", "--p-min", "1.43",
+                    "--p-max", "1.47", "--p-step", "0.005",
+                    "--p-refine", "0.002")
     assert code == 0
     rows = json.loads(out)
     assert [r["level"] for r in rows] == [1, 2]
@@ -101,14 +96,17 @@ def test_table_small(capsys, tmp_path):
     assert rows[1]["bound"] == pytest.approx(0.13101966, abs=1e-4)
 
 
-def test_table_deep_refusal(capsys, tmp_path):
-    code, _ = run(capsys, "table", "--n-max", "6", "--cache-dir", str(tmp_path))
+def test_table_deep_refusal(capsys):
+    code, _ = run(capsys, "table", "--n-max", "6")
     assert code == 3
 
 
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--n", "2"])  # missing --p
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--n", "1", "--p", "1.45", "--cache-dir", "x"])
     assert exc.value.code == 1
 
 

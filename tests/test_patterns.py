@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from stavskaya.errors import ResourceLimitError
-from stavskaya.patterns import (ForbiddenSet, Parameters, Step, SuffixTrie,
-                                build_forbidden_set, enumerate_primitive_loops,
-                                pattern_code, pattern_displacement,
-                                pattern_text, step_weight, swap_pattern,
-                                text_to_pattern)
+from stavskaya.patterns import (ForbiddenSet, Parameters, SuffixTrie,
+                                build_forbidden_set, code_to_pattern,
+                                enumerate_primitive_loops, pattern_code,
+                                pattern_text, step_weight, swap_pattern)
 
 
 def test_parameter_validation():
@@ -40,19 +39,9 @@ def test_step_weight_formulas():
         step_weight(4, params)
 
 
-def test_step_displacements():
-    assert Step(1).displacement == (-1, -1)
-    assert Step(2).displacement == (2, 0)
-    assert Step(3).displacement == (-1, 1)
-    with pytest.raises(ValueError):
-        Step(0)
-
-
 def test_pattern_text_roundtrip():
     assert pattern_text((1, 2, 3)) == "123"
-    assert text_to_pattern("321") == (3, 2, 1)
-    with pytest.raises(ValueError):
-        text_to_pattern("104")
+    assert pattern_text(code_to_pattern(pattern_code((3, 2, 1)), 3)) == "321"
 
 
 def test_order_one_loops():
@@ -98,13 +87,15 @@ def test_degenerate_pair_always_present(fset5):
 
 
 def test_loops_are_balanced_and_closed(fset5):
+    moves = {1: (-1, -1), 2: (2, 0), 3: (-1, 1)}  # (dx, dy) of each kind
     for pat in fset5:
         if len(pat) == 2:
             continue
         k = len(pat) // 3
         assert len(pat) == 3 * k
         assert all(pat.count(kind) == k for kind in (1, 2, 3))
-        assert pattern_displacement(pat) == (0, 0)
+        assert sum(moves[kind][0] for kind in pat) == 0
+        assert sum(moves[kind][1] for kind in pat) == 0
 
 
 def test_swap_and_reversal_closure(fset5):

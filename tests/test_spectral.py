@@ -201,3 +201,26 @@ def test_direct_power_iteration_runs_its_full_length(small_levels):
     assert est.iterations == 50 and not est.converged
     ok, _, decided = check_subcritical(table, params, tol=1e-300, max_iter=50)
     assert ok and decided.iterations < 50
+
+
+@pytest.mark.parametrize("case", ["certified", "supercritical", "direct"])
+def test_returned_vector_rederives_certificate(small_levels, case):
+    # the certificate is the max ratio of the vector that comes with it
+    if case == "certified":
+        _, table = small_levels[2]
+        params = Parameters(1.44, 1.0, 0.12)
+        ok, certificate, est = check_subcritical(table, params)
+        assert ok and not est.converged
+    elif case == "supercritical":
+        _, table = small_levels[2]
+        params = Parameters(1.44, 1.0, 0.3)
+        ok, certificate, est = check_subcritical(table, params)
+        assert not ok and not est.converged
+    else:
+        # stopped by max_iter, as in a fixed-length run
+        _, table = small_levels[3]
+        params = Parameters(1.43, 1.0, 0.132)
+        est = power_iteration(table, params, tol=1e-300, max_iter=50)
+        certificate = est.certified_upper
+        assert est.iterations == 50
+    assert certified_upper_bound(table, params, est.vector) == certificate

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from stavskaya.errors import ConsistencyError, ResourceLimitError
-from stavskaya.patterns import POW3, build_forbidden_set
-from stavskaya.statespace import (TransitionTable, append_step,
-                                  build_state_space, build_transitions,
-                                  decode_word, encode_word,
-                                  enumerate_valid_words, pred_from_succ,
-                                  succ_from_pred, suffix_blocked, word_text)
+from stavskaya.patterns import (POW3, build_forbidden_set, code_to_pattern,
+                                pattern_code, pattern_text)
+from stavskaya.statespace import (TransitionTable, build_state_space,
+                                  build_transitions, enumerate_valid_words,
+                                  pred_from_succ, succ_from_pred,
+                                  suffix_blocked)
 
 EXPECTED_SIZES = {1: 7, 2: 73, 3: 759, 4: 7859, 5: 81231}
 
@@ -17,17 +17,12 @@ def test_word_codec_roundtrip():
     for _ in range(50):
         length = rng.randint(1, 21)
         word = tuple(rng.randint(1, 4) for _ in range(length))
-        code = encode_word(word)
+        code = pattern_code(word)
         assert 0 <= code < int(POW3[length])
-        assert decode_word(code, length) == word
-
-
-def test_append_step_shifts():
-    # appending drops the oldest step and pushes the new one at the end
-    word = (2, 1, 3, 2)
-    code = encode_word(word)
-    for kind in (1, 2, 3):
-        assert decode_word(append_step(code, 4, kind), 4) == word[1:] + (kind,)
+        assert code_to_pattern(code, length) == word
+    for bad in ((1, 4), (0, 2), (2, 1.5)):
+        with pytest.raises(ValueError):
+            pattern_code(bad)
 
 
 @pytest.mark.parametrize("n,size", sorted(EXPECTED_SIZES.items()))
@@ -45,25 +40,25 @@ def test_index_inverts_codes(small_levels):
     for i in range(0, len(space), 7):
         assert space.index_of(int(space.codes[i])) == i
     with pytest.raises(KeyError):
-        space.index_of(encode_word((1, 3, 1, 1, 1)))
+        space.index_of(pattern_code((1, 3, 1, 1, 1)))
 
 
 def test_suffix_blocked_examples():
     f1 = build_forbidden_set(1)
-    assert suffix_blocked(encode_word((2, 2, 1, 3)), 4, f1)
-    assert not suffix_blocked(encode_word((2, 2, 1, 2)), 4, f1)
+    assert suffix_blocked(pattern_code((2, 2, 1, 3)), 4, f1)
+    assert not suffix_blocked(pattern_code((2, 2, 1, 2)), 4, f1)
     f2 = build_forbidden_set(2)
-    assert suffix_blocked(encode_word((1, 1, 2, 2, 3, 3)), 6, f2)
+    assert suffix_blocked(pattern_code((1, 1, 2, 2, 3, 3)), 6, f2)
 
 
 def test_level_one_transitions(small_levels):
     space, table = small_levels[1]
     assert table.edge_count == 15
     # "12" cannot take step 3 (would close the order-1 loop)
-    assert table.succ[2, space.index_of(encode_word((1, 2)))] == -1
+    assert table.succ[2, space.index_of(pattern_code((1, 2)))] == -1
     # "22" accepts all three steps
-    i22 = space.index_of(encode_word((2, 2)))
-    targets = [word_text(int(space.codes[table.succ[d, i22]]), 2) for d in range(3)]
+    i22 = space.index_of(pattern_code((2, 2)))
+    targets = [pattern_text(space.word(table.succ[d, i22])) for d in range(3)]
     assert targets == ["21", "22", "23"]
 
 
