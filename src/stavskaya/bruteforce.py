@@ -144,9 +144,10 @@ def dense_matrix(table: TransitionTable, params: Parameters) -> np.ndarray:
             f"dense oracle is limited to {MAX_DENSE_STATES} states, got {n}")
     w = _weights(params)
     mat = np.zeros((n, n), dtype=np.float64)
+    succ = table.succ
     for d in range(3):
-        src = np.nonzero(table.succ[d] >= 0)[0]
-        mat[table.succ[d][src], src] = w[d]
+        src = np.nonzero(succ[d] >= 0)[0]
+        mat[succ[d][src], src] = w[d]
     return mat
 
 

@@ -47,10 +47,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _projected_bytes(n: int) -> int:
-    # codes + successor/predecessor tables + iteration vectors, doubled
-    # for construction temporaries (measured ~1 GiB peak at level 7)
+    # codes (8) + predecessor table (3 * 4) + last digits (1) + six
+    # float64 iteration vectors (6 * 8), doubled for construction
+    # temporaries
     states = 7 * _GROWTH ** (n - 1)
-    return int(states * 2 * (8 + 3 * 4 + 3 * 4 + 4 * 8))
+    return int(states * 2 * (8 + 3 * 4 + 1 + 6 * 8))
 
 
 def _build_level(n: int):
@@ -109,7 +110,7 @@ def cmd_bound(args) -> int:
     if args.n >= _DEEP_LEVEL and not args.deep:
         print(f"error: level {args.n} needs roughly "
               f"{_projected_bytes(args.n) / 2**30:.1f} GiB "
-              "(states, successor/predecessor tables, iteration vectors); "
+              "(states, predecessor table, iteration vectors); "
               "pass --deep to confirm", file=sys.stderr)
         return EXIT_RESOURCE
     started = time.time()

@@ -191,10 +191,6 @@ class ForbiddenSet:
     def __repr__(self) -> str:
         return f"ForbiddenSet(level={self.level}, size={len(self)})"
 
-    @property
-    def max_length(self) -> int:
-        return max(self.by_length) if self.by_length else 0
-
     def count_of_order(self, k: int) -> int:
         """Number of primitive loops of order k (k >= 1) in this set."""
         if k < 1:

@@ -4,9 +4,11 @@ A state at level n is a valid history of the last L = 3n-1 steps: a
 word over {1,2,3} containing no level-(n-1) forbidden pattern as a
 factor.  Appending a step j to a state drops its oldest step; the move
 is allowed only when no level-n forbidden pattern is a suffix of the
-extended length-3n word.  Allowed moves of each kind form a 0/1 matrix
-with at most one nonzero per source column; every in-edge of a state
-carries the kind of that state's newest step.
+extended length-3n word.  The moves are stored once, in gather form:
+the sources of a state t are the up-to-three states that become t on
+dropping their oldest step, and each sits in the slot of that oldest
+step, so slot s holds s*3^(L-1) + code(t) // 3 when that move exists.
+Every in-edge of a state carries the kind of that state's newest step.
 
 Words are encoded in base 3 (digits 0,1,2 for steps 1,2,3) with the
 oldest step in the most significant digit, so the shift-append is
@@ -23,8 +25,8 @@ from .errors import ConsistencyError, ResourceLimitError
 from .patterns import (MAX_LEVEL, POW3, ForbiddenSet, SuffixTrie,
                        code_to_pattern, pattern_text)
 
-# Rough per-state footprint (code + successor/predecessor slots + a few
-# iteration vectors), used only for the construction memory guard.
+# Rough per-state footprint (code + predecessor slots + a few iteration
+# vectors), used only for the construction memory guard.
 _BYTES_PER_STATE = 64
 
 DEFAULT_MEMORY_BUDGET = 4 << 30
@@ -115,16 +117,15 @@ def build_state_space(n: int, lower: ForbiddenSet,
 
 @dataclass
 class TransitionTable:
-    """Allowed shift-append moves at level n, in scatter and gather form.
+    """Allowed shift-append moves at level n, in gather form.
 
-    succ[d, w] is the target of appending step d+1 to state w, or -1 when
-    the move is blocked.  pred[s, t] for s in 0..2 are the up-to-three
-    sources with an edge into t (sentinel = state count); every in-edge
-    of t carries the kind recorded in last_digit[t].
+    pred[s, t] is the state that becomes t on dropping its oldest step,
+    kind s+1, or the sentinel N (the state count) when that state does
+    not exist or its move into t is blocked.  Every in-edge of t carries
+    the kind recorded in last_digit[t].
     """
 
     n: int
-    succ: np.ndarray        # (3, N) int32, -1 = blocked
     pred: np.ndarray        # (3, N) int32, N = empty slot
     last_digit: np.ndarray  # (N,) uint8 in 0..2
 
@@ -137,55 +138,38 @@ class TransitionTable:
 
     @property
     def n_states(self) -> int:
-        return int(self.succ.shape[1])
+        return int(self.pred.shape[1])
+
+    @property
+    def succ(self) -> np.ndarray:
+        """Scatter form, built on each access: succ[d, w] is the target
+        of appending step d+1 to state w, or -1 when the move is blocked."""
+        n = self.n_states
+        succ = np.full((3, n), -1, dtype=np.int32)
+        targets = np.arange(n, dtype=np.int32)
+        for s in range(3):
+            real = self.pred[s] < n
+            succ[self.last_digit[real], self.pred[s][real]] = targets[real]
+        return succ
 
     @property
     def edge_count(self) -> int:
-        return int((self.succ >= 0).sum())
+        return int((self.pred < self.n_states).sum())
 
     def out_degrees(self) -> np.ndarray:
-        return (self.succ >= 0).sum(axis=0)
+        return np.bincount(self.pred.ravel(), minlength=self.n_states + 1)[:-1]
 
     def zero_out_degree_count(self) -> int:
         """States with no allowed move; kept for diagnostics, never pruned."""
         return int((self.out_degrees() == 0).sum())
 
 
-def pred_from_succ(succ: np.ndarray) -> np.ndarray:
-    """Gather-form inverse: per-target source slots (sentinel = N)."""
-    n = succ.shape[1]
-    pred = np.full((3, n), n, dtype=np.int32)
-    for d in range(3):
-        srcs = np.nonzero(succ[d] >= 0)[0]
-        tgts = succ[d][srcs]
-        order = np.argsort(tgts, kind="stable")
-        tgts = tgts[order]
-        srcs = srcs[order]
-        first = np.searchsorted(tgts, tgts, side="left")
-        slot = np.arange(tgts.shape[0]) - first
-        if slot.size and slot.max() > 2:
-            raise ConsistencyError("a state has more than three predecessors")
-        pred[slot, tgts] = srcs
-    return pred
-
-
-def succ_from_pred(pred: np.ndarray, last_digit: np.ndarray) -> np.ndarray:
-    """Rebuild scatter form from gather form (transpose round-trip)."""
-    n = pred.shape[1]
-    succ = np.full((3, n), -1, dtype=np.int32)
-    targets = np.arange(n, dtype=np.int32)
-    for s in range(3):
-        real = pred[s] < n
-        succ[last_digit[targets[real]], pred[s][real]] = targets[real]
-    return succ
-
-
 def build_transitions(states: StateSpace, fset: ForbiddenSet) -> TransitionTable:
-    """Allowed moves out of every state, checked against the level-n set.
+    """Allowed moves into every state, checked against the level-n set.
 
-    Appending d to w is blocked iff some pattern is a suffix of the
-    extended length-3n word.  Every allowed target is itself a state;
-    a missing target indicates a construction bug.
+    The source in slot s of target t is the state coded
+    s*3^(L-1) + code(t) // 3; its move appends t's newest step and is
+    blocked iff some pattern is a suffix of the extended length-3n word.
     """
     if fset.level != states.n:
         raise ValueError(f"need the level {states.n} forbidden set, got level {fset.level}")
@@ -193,23 +177,20 @@ def build_transitions(states: StateSpace, fset: ForbiddenSet) -> TransitionTable
     codes = states.codes
     n_states = len(states)
     length = states.length
-    succ = np.full((3, n_states), -1, dtype=np.int32)
+    last_digit = (codes % np.uint64(3)).astype(np.uint8)
+    pred = np.full((3, n_states), n_states, dtype=np.int32)
     for d in range(3):
-        blocked = np.empty(n_states, dtype=bool)
-        for lo in range(0, n_states, _CHUNK):
-            hi = min(lo + _CHUNK, n_states)
-            blocked[lo:hi] = trie.blocked_on_append(codes[lo:hi], length, d)
-        src = np.nonzero(~blocked)[0]
-        tgt_codes = (codes[src] % POW3[length - 1]) * np.uint64(3) + np.uint64(d)
-        idx = np.searchsorted(codes, tgt_codes)
-        ok = (idx < n_states) & (codes[np.minimum(idx, n_states - 1)] == tgt_codes)
-        if not ok.all():
-            raise ConsistencyError(
-                f"{int((~ok).sum())} shift-append targets are missing from the state space")
-        succ[d, src] = idx
-    return TransitionTable(
-        n=states.n,
-        succ=succ,
-        pred=pred_from_succ(succ),
-        last_digit=(codes % np.uint64(3)).astype(np.uint8),
-    )
+        # targets ending in d, all entered by appending d
+        tgt = np.nonzero(last_digit == d)[0]
+        tail = codes[tgt] // np.uint64(3)
+        for s in range(3):
+            src_codes = tail + np.uint64(s) * POW3[length - 1]
+            idx = np.searchsorted(codes, src_codes)
+            found = codes[np.minimum(idx, n_states - 1)] == src_codes
+            src_codes = src_codes[found]
+            blocked = np.empty(src_codes.shape[0], dtype=bool)
+            for lo in range(0, src_codes.shape[0], _CHUNK):
+                hi = min(lo + _CHUNK, src_codes.shape[0])
+                blocked[lo:hi] = trie.blocked_on_append(src_codes[lo:hi], length, d)
+            pred[s, tgt[found][~blocked]] = idx[found][~blocked]
+    return TransitionTable(n=states.n, pred=pred, last_digit=last_digit)

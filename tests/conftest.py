@@ -3,13 +3,13 @@ import pytest
 
 from stavskaya.patterns import build_forbidden_set
 from stavskaya.statespace import (TransitionTable, build_state_space,
-                                  build_transitions, pred_from_succ)
+                                  build_transitions)
 
 
-def make_table(succ_rows, last_digit, n=1):
-    """Hand-built transition table for toy operators in tests."""
-    succ = np.asarray(succ_rows, dtype=np.int32)
-    return TransitionTable(n=n, succ=succ, pred=pred_from_succ(succ),
+def make_table(pred_rows, last_digit, n=1):
+    """Hand-built transition table for toy operators in tests, given in
+    gather form (sentinel = state count)."""
+    return TransitionTable(n=n, pred=np.asarray(pred_rows, dtype=np.int32),
                            last_digit=np.asarray(last_digit, dtype=np.uint8))
 
 

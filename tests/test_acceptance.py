@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from stavskaya import bruteforce
-from stavskaya.patterns import Parameters, build_forbidden_set, swap_pattern
+from stavskaya.patterns import (POW3, Parameters, build_forbidden_set,
+                                swap_pattern)
 from stavskaya.search import alpha_sup, optimize_p
 from stavskaya.spectral import (apply_operator, is_subcritical,
                                 power_iteration, word_weight_vector)
 from stavskaya.statespace import (build_state_space, build_transitions,
-                                  enumerate_valid_words, succ_from_pred)
+                                  enumerate_valid_words)
 
 TABLE_COUNTS = {1: (4, 7), 2: (6, 73), 3: (12, 759), 4: (36, 7859),
                 5: (146, 81231), 6: (694, 839009), 7: (3584, 8663071)}
@@ -158,12 +159,16 @@ def test_criterion_7_property_suite(small_levels, fset5):
         _, table = small_levels[n]
         res = alpha_sup(table, 1.43, 1.0, 1e-8)
         ok_post &= is_subcritical(table, Parameters(1.43, 1.0, res.alpha_low))
-    # transpose round-trips
-    ok_transpose = all(
-        np.array_equal(succ_from_pred(t.pred, t.last_digit), t.succ)
-        for _, t in small_levels.values())
-    _report(7, ok_closure and ok_mono and ok_post and ok_transpose,
+    # every predecessor sits in the slot of its oldest step
+    ok_slots = True
+    for space, t in small_levels.values():
+        for s in range(3):
+            real = t.pred[s] < t.n_states
+            want = (space.codes[real] // np.uint64(3)
+                    + np.uint64(s) * POW3[space.length - 1])
+            ok_slots &= np.array_equal(space.codes[t.pred[s][real]], want)
+    _report(7, ok_closure and ok_mono and ok_post and ok_slots,
             f"closures {'ok' if ok_closure else 'BAD'}, monotone "
             f"{'ok' if ok_mono else 'BAD'}, post-assert "
-            f"{'ok' if ok_post else 'BAD'}, transpose "
-            f"{'ok' if ok_transpose else 'BAD'}")
+            f"{'ok' if ok_post else 'BAD'}, slots "
+            f"{'ok' if ok_slots else 'BAD'}")

@@ -38,7 +38,7 @@ def test_length_cap():
 
 
 def test_dense_growth_rate_single_state_loop():
-    table = make_table([[0], [-1], [-1]], [0])
+    table = make_table([[0], [1], [1]], [0])
     c = 1 / (1.7 * 1.2)
     got = bruteforce.dense_growth_rate(table, Parameters(1.7, 1.2, 0.5))
     assert got == pytest.approx(c, rel=1e-12)
@@ -53,7 +53,7 @@ def test_dense_growth_rate_halving_runs(small_levels):
 def test_dense_size_cap():
     # 1001 isolated states, just past the dense oracle's limit
     n = 1001
-    table = make_table([[-1] * n, [-1] * n, [-1] * n], [0] * n)
+    table = make_table([[n] * n, [n] * n, [n] * n], [0] * n)
     with pytest.raises(ResourceLimitError):
         bruteforce.dense_matrix(table, Parameters(1.4, 1, 0.1))
 

@@ -69,7 +69,7 @@ def test_certified_below_one_near_published_point(small_levels):
 
 def test_certificate_exact_on_eigenvector():
     # two-state swap with kind-1 weight c: radius is exactly c
-    table = make_table([[1, 0], [-1, -1], [-1, -1]], [0, 0])
+    table = make_table([[1, 0], [2, 2], [2, 2]], [0, 0])
     params = Parameters(2.5, 1.0, 0.3)
     c = 1 / 2.5
     assert certified_upper_bound(table, params, np.ones(2)) == pytest.approx(c, rel=1e-15)

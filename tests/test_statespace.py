@@ -6,7 +6,6 @@ from stavskaya.patterns import (POW3, build_forbidden_set, code_to_pattern,
                                 pattern_code, pattern_text)
 from stavskaya.statespace import (TransitionTable, build_state_space,
                                   build_transitions, enumerate_valid_words,
-                                  pred_from_succ, succ_from_pred,
                                   suffix_blocked)
 
 EXPECTED_SIZES = {1: 7, 2: 73, 3: 759, 4: 7859, 5: 81231}
@@ -54,34 +53,37 @@ def test_suffix_blocked_examples():
 def test_level_one_transitions(small_levels):
     space, table = small_levels[1]
     assert table.edge_count == 15
+    succ = table.succ
     # "12" cannot take step 3 (would close the order-1 loop)
-    assert table.succ[2, space.index_of(pattern_code((1, 2)))] == -1
+    assert succ[2, space.index_of(pattern_code((1, 2)))] == -1
     # "22" accepts all three steps
     i22 = space.index_of(pattern_code((2, 2)))
-    targets = [pattern_text(space.word(table.succ[d, i22])) for d in range(3)]
+    targets = [pattern_text(space.word(succ[d, i22])) for d in range(3)]
     assert targets == ["21", "22", "23"]
 
 
 def test_transitions_match_suffix_rule(small_levels, fset5):
-    # scatter table against the scalar suffix check, state by state
+    # scatter view against the scalar suffix check, state by state
     for n in (1, 2):
         space, table = small_levels[n]
+        succ = table.succ
         fset = fset5.restrict(n)
         for i in range(len(space)):
             code = int(space.codes[i])
             for kind in (1, 2, 3):
                 extended = code * 3 + (kind - 1)
                 blocked = suffix_blocked(extended, space.length + 1, fset)
-                assert (table.succ[kind - 1, i] == -1) == blocked
+                assert (succ[kind - 1, i] == -1) == blocked
 
 
 def test_closure_targets_are_states(small_levels):
     for n in (1, 2, 3):
         space, table = small_levels[n]
+        succ = table.succ
         for d in range(3):
-            src = np.nonzero(table.succ[d] >= 0)[0]
+            src = np.nonzero(succ[d] >= 0)[0]
             want = (space.codes[src] % POW3[space.length - 1]) * np.uint64(3) + np.uint64(d)
-            got = space.codes[table.succ[d][src]]
+            got = space.codes[succ[d][src]]
             assert np.array_equal(got, want)
 
 
@@ -89,6 +91,7 @@ def test_suffix_sufficiency_full_factor_scan(small_levels, fset5):
     # suffix-only validity equals full-factor validity of the extended word
     for n in (1, 2):
         space, table = small_levels[n]
+        succ = table.succ
         patterns = fset5.restrict(n).patterns
         for i in range(len(space)):
             word = space.word(i)
@@ -97,26 +100,31 @@ def test_suffix_sufficiency_full_factor_scan(small_levels, fset5):
                 full_hit = any(
                     ext[s:s + len(p)] == p
                     for p in patterns for s in range(len(ext) - len(p) + 1))
-                assert (table.succ[kind - 1, i] == -1) == full_hit
+                assert (succ[kind - 1, i] == -1) == full_hit
 
 
 def test_out_degree_structure(small_levels):
     for n in (1, 2, 3):
         space, table = small_levels[n]
+        succ = table.succ
         degrees = table.out_degrees()
         assert degrees.max() <= 3
         last = space.codes % np.uint64(3)
         # ...1 never takes step 3, ...3 never takes step 1
-        assert (table.succ[2][last == 0] == -1).all()
-        assert (table.succ[0][last == 2] == -1).all()
+        assert (succ[2][last == 0] == -1).all()
+        assert (succ[0][last == 2] == -1).all()
 
 
-def test_transpose_roundtrip(small_levels):
+def test_pred_slot_is_oldest_step(small_levels):
+    # slot s of target t holds the state that is t with its newest step
+    # dropped and kind s+1 prepended as the oldest
     for n in (1, 2, 3):
-        _, table = small_levels[n]
-        assert np.array_equal(succ_from_pred(table.pred, table.last_digit),
-                              table.succ)
-        assert np.array_equal(pred_from_succ(table.succ), table.pred)
+        space, table = small_levels[n]
+        top = POW3[space.length - 1]
+        for s in range(3):
+            real = np.nonzero(table.pred[s] < table.n_states)[0]
+            want = space.codes[real] // np.uint64(3) + np.uint64(s) * top
+            assert np.array_equal(space.codes[table.pred[s][real]], want)
 
 
 def test_swap_symmetry_of_state_space(small_levels):
@@ -163,5 +171,4 @@ def test_out_of_range_predecessor_rejected(small_levels, bad):
     pred = table.pred.copy()
     pred[1, 2] = n + 1 if bad == "past_sentinel" else -1
     with pytest.raises(ConsistencyError):
-        TransitionTable(n=table.n, succ=table.succ, pred=pred,
-                        last_digit=table.last_digit)
+        TransitionTable(n=table.n, pred=pred, last_digit=table.last_digit)
