@@ -47,11 +47,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _projected_bytes(n: int) -> int:
-    # codes (8) + predecessor table (3 * 4) + last digits (1) + six
-    # float64 iteration vectors (6 * 8), doubled for construction
-    # temporaries
+    # held during a solve: codes (8) + predecessor table (3 * 4) + last
+    # digits (1) + three full-length float64 vectors, the warm start, the
+    # iterate and its returned copy (3 * 8), + three work vectors that
+    # span half the states at q = 1 (3 * 4); a quarter more covers the
+    # interpreter and transients, as measured at level 7
     states = 7 * _GROWTH ** (n - 1)
-    return int(states * 2 * (8 + 3 * 4 + 1 + 6 * 8))
+    return int(states * 1.25 * (8 + 3 * 4 + 1 + 3 * 8 + 3 * 4))
 
 
 def _build_level(n: int):

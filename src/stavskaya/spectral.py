@@ -15,6 +15,21 @@ first step whose ratios decide "radius < 1" either way, while a direct
 `power_iteration` call keeps iterating until the ratio sandwich closes
 to `tol` (or the norm ratio stalls), for an estimate of the radius
 itself.
+
+At q = 1 the iteration computes only half of every iterate.  The 1<->3
+swap pairs state t with state N-1-t (see `statespace`); on a mirrored
+table pred[2-s, N-1-t] = N-1-pred[s, t] and last_digit[N-1-t] =
+2 - last_digit[t], and at q = 1 kinds 1 and 3 weigh exactly the same
+(1/(p*1.0) == 1.0/p).  So for a start vector equal to its reverse,
+target N-1-t gathers from slots 0, 1, 2 the values that target t
+gathers from slots 2, 1, 0.  Both operator codes add the slots as
+(slot0 + slot2) + slot1, and float addition is commutative, so the two
+targets get the same value bit for bit, and so do their ratios.  Every
+iterate therefore stays equal to its reverse: the targets past the
+middle are copies, and the max, min and norm over the first half are
+those over all of them.  The returned vector is full length, and
+`apply_operator` computes every target, so a certificate re-derived
+from it on the full operator is exactly the same number.
 """
 
 from __future__ import annotations
@@ -60,11 +75,6 @@ class SpectralEstimate:
         return self.certified_upper < 1.0
 
 
-def _target_weights(table: TransitionTable, params: Parameters) -> np.ndarray:
-    """Per-state weight of the (unique) kind of its incoming moves."""
-    return np.asarray(params.step_weights(), dtype=np.float64)[table.last_digit]
-
-
 def apply_operator(table: TransitionTable, params: Parameters, v: np.ndarray) -> np.ndarray:
     """One operator application: out[t] = weight(kind(t)) * sum of v over
     the predecessors of t."""
@@ -75,11 +85,14 @@ def apply_operator(table: TransitionTable, params: Parameters, v: np.ndarray) ->
     vp = np.empty(n + 1, dtype=np.float64)
     vp[:n] = v
     vp[n] = 0.0
-    # pred entries were checked to lie in [0, n] when the table was made
+    # pred entries were checked to lie in [0, n] when the table was made;
+    # the slots add in `_iterate`'s order, which the mirror argument of
+    # the module docstring needs
     g0, g1, g2 = table.pred
-    out = (np.take(vp, g0, mode="clip") + np.take(vp, g1, mode="clip")
-           + np.take(vp, g2, mode="clip"))
-    out *= _target_weights(table, params)
+    out = (np.take(vp, g0, mode="clip") + np.take(vp, g2, mode="clip")
+           + np.take(vp, g1, mode="clip"))
+    # every in-edge of t carries the kind of t's newest step
+    out *= np.asarray(params.step_weights(), dtype=np.float64)[table.last_digit]
     return out
 
 
@@ -118,30 +131,39 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
              decide: bool) -> SpectralEstimate:
     """Power iteration as documented on `power_iteration`; with `decide`
     it also stops at the first step whose max ratio is below one or whose
-    min ratio is above one, since either already settles "radius < 1"."""
+    min ratio is above one, since either already settles "radius < 1".
+
+    Only the first m targets are computed.  m = ceil(N/2) when the mirror
+    argument of the module docstring holds (a mirrored table, equal
+    weights for kinds 1 and 3, and a start vector equal to its reverse);
+    the rest of each iterate is then the first part reversed.  Otherwise
+    m = N.
+    """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     n = table.n_states
-    if v0 is None:
-        v = np.ones(n, dtype=np.float64)
-    else:
-        v = np.asarray(v0, dtype=np.float64)
-        if v.shape != (n,):
-            raise ValueError(f"v0 has shape {v.shape}, expected ({n},)")
-        top = v.max()
-        if not (top > 0.0) or (v < 0.0).any():
-            raise ValueError("v0 must be nonnegative and not all zero")
-        v = v / top
-
-    wvec = _target_weights(table, params)
-    g0, g1, g2 = table.pred
     vp = np.empty(n + 1, dtype=np.float64)
     vp[n] = 0.0
-    vp[:n] = np.maximum(v, _POSITIVITY_FLOOR)
-    t0 = np.empty(n, dtype=np.float64)
-    t1 = np.empty(n, dtype=np.float64)
-    out = np.empty(n, dtype=np.float64)
-    ratio = np.empty(n, dtype=np.float64)
+    v = vp[:n]
+    if v0 is None:
+        v[:] = 1.0
+    else:
+        v0 = np.asarray(v0, dtype=np.float64)
+        if v0.shape != (n,):
+            raise ValueError(f"v0 has shape {v0.shape}, expected ({n},)")
+        top = v0.max()
+        if not (top > 0.0) or (v0 < 0.0).any():
+            raise ValueError("v0 must be nonnegative and not all zero")
+        np.divide(v0, top, out=v)
+    np.maximum(v, _POSITIVITY_FLOOR, out=v)
+
+    w = np.asarray(params.step_weights(), dtype=np.float64)
+    half = table.mirrored and w[0] == w[2] and np.array_equal(v, v[::-1])
+    m = (n + 1) // 2 if half else n
+    wvec = w[table.last_digit[:m]]
+    g0, g1, g2 = table.pred[:, :m]
+    out = np.empty(m, dtype=np.float64)
+    work = np.empty(m, dtype=np.float64)
 
     estimate = 0.0
     upper = np.inf
@@ -152,21 +174,21 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
     for iterations in range(1, max_iter + 1):
         # clip skips the bounds pass and the buffered copy that the
         # default mode makes; the table's indices were checked once
-        np.take(vp, g0, out=t0, mode="clip")
-        np.take(vp, g1, out=t1, mode="clip")
-        t0 += t1
-        np.take(vp, g2, out=t1, mode="clip")
-        t0 += t1
-        np.multiply(t0, wvec, out=out)
-        np.divide(out, vp[:n], out=ratio)
-        upper = float(ratio.max())
-        lower = float(ratio.min())
+        np.take(vp, g0, out=out, mode="clip")
+        np.take(vp, g2, out=work, mode="clip")
+        out += work
+        np.take(vp, g1, out=work, mode="clip")
+        out += work
+        out *= wvec
+        np.divide(out, vp[:m], out=work)
+        upper = float(work.max())
+        lower = float(work.min())
         nrm = float(out.max())
         if nrm == 0.0:
             estimate = 0.0
             upper = 0.0
             converged = True
-            vp[:n] = 1.0
+            v[:] = 1.0
             break
         estimate = nrm
         # every exit leaves in vp the iterate whose ratios were just taken,
@@ -183,12 +205,13 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
         if iterations == max_iter:
             break
         previous = estimate
-        np.divide(out, nrm, out=vp[:n])
-        np.maximum(vp[:n], _POSITIVITY_FLOOR, out=vp[:n])
+        np.divide(out, nrm, out=vp[:m])
+        np.maximum(vp[:m], _POSITIVITY_FLOOR, out=vp[:m])
+        vp[m:n] = vp[:n - m][::-1]
 
     return SpectralEstimate(estimate=estimate, certified_upper=upper,
                             iterations=iterations, converged=converged,
-                            vector=vp[:n].copy())
+                            vector=v.copy())
 
 
 # The floored certificate can be loose when some step weight is exactly

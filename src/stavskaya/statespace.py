@@ -13,11 +13,18 @@ Every in-edge of a state carries the kind of that state's newest step.
 Words are encoded in base 3 (digits 0,1,2 for steps 1,2,3) with the
 oldest step in the most significant digit, so the shift-append is
 (code mod 3^(L-1)) * 3 + digit.
+
+The 1<->3 swap maps digit d to 2-d, so it maps code c to 3^L-1-c.  The
+forbidden sets are closed under the swap, so the state set is too, and
+since the codes are sorted the swap partner of state i is state N-1-i:
+no lookup table is needed.  `TransitionTable.mirrored` records whether
+the moves respect this pairing (pred[2-s, N-1-t] = N-1-pred[s, t], the
+sentinel mapping to itself, and last_digit reversed = 2 - last_digit).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,11 +130,17 @@ class TransitionTable:
     kind s+1, or the sentinel N (the state count) when that state does
     not exist or its move into t is blocked.  Every in-edge of t carries
     the kind recorded in last_digit[t].
+
+    `mirrored` is derived, never passed: it is True exactly when the 1<->3
+    swap, which pairs state t with state N-1-t, maps the table onto
+    itself.  Tables built from patterns are, since the forbidden sets are
+    closed under the swap; hand-built toy tables mostly are not.
     """
 
     n: int
     pred: np.ndarray        # (3, N) int32, N = empty slot
     last_digit: np.ndarray  # (N,) uint8 in 0..2
+    mirrored: bool = field(init=False)
 
     def __post_init__(self) -> None:
         # checked once here so the operator's gathers can skip the check
@@ -135,6 +148,14 @@ class TransitionTable:
         if self.pred.size and (self.pred.min() < 0 or self.pred.max() > n):
             raise ConsistencyError(
                 f"predecessor indices must lie in [0, {n}]")
+        # also checked once, for the spectral solver's half-state
+        # iteration; slot 1 pairs with itself and slot 2 with slot 0, so
+        # checking slots 0 and 1 covers all three
+        self.mirrored = (
+            np.array_equal(self.last_digit[::-1], 2 - self.last_digit)
+            and all(np.array_equal(self.pred[2 - s, ::-1],
+                                   np.where(self.pred[s] == n, n, n - 1 - self.pred[s]))
+                    for s in range(2)))
 
     @property
     def n_states(self) -> int:

@@ -13,9 +13,18 @@ def make_table(pred_rows, last_digit, n=1):
                            last_digit=np.asarray(last_digit, dtype=np.uint8))
 
 
+def unmirrored(table):
+    """Copy of a built table with its first real slot-0 predecessor
+    emptied, so the 1<->3 swap no longer maps it onto itself."""
+    pred = table.pred.copy()
+    t = int(np.nonzero(pred[0] < table.n_states)[0][0])
+    pred[0, t] = table.n_states
+    return TransitionTable(n=table.n, pred=pred, last_digit=table.last_digit)
+
+
 def pytest_addoption(parser):
     parser.addoption("--run-deep", action="store_true", default=False,
-                     help="run the hours-scale level-7 headline check")
+                     help="run the level-7 headline check (minutes)")
 
 
 def pytest_collection_modifyitems(config, items):

@@ -167,8 +167,11 @@ def test_criterion_7_property_suite(small_levels, fset5):
             want = (space.codes[real] // np.uint64(3)
                     + np.uint64(s) * POW3[space.length - 1])
             ok_slots &= np.array_equal(space.codes[t.pred[s][real]], want)
-    _report(7, ok_closure and ok_mono and ok_post and ok_slots,
+    # the 1<->3 swap, state i <-> state N-1-i, maps every table onto itself
+    ok_mirror = all(t.mirrored for _, t in small_levels.values())
+    _report(7, ok_closure and ok_mono and ok_post and ok_slots and ok_mirror,
             f"closures {'ok' if ok_closure else 'BAD'}, monotone "
             f"{'ok' if ok_mono else 'BAD'}, post-assert "
             f"{'ok' if ok_post else 'BAD'}, slots "
-            f"{'ok' if ok_slots else 'BAD'}")
+            f"{'ok' if ok_slots else 'BAD'}, mirror "
+            f"{'ok' if ok_mirror else 'BAD'}")

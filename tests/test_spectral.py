@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from conftest import make_table
+from conftest import make_table, unmirrored
 
+from stavskaya import spectral
 from stavskaya.patterns import Parameters
 from stavskaya.spectral import (SpectralEstimate, apply_operator,
                                 certified_upper_bound, check_subcritical,
                                 is_subcritical, power_iteration,
                                 word_weight_vector)
+from stavskaya.statespace import build_state_space, build_transitions
 
 
 def test_apply_counts_predecessors(small_levels):
@@ -224,3 +226,45 @@ def test_returned_vector_rederives_certificate(small_levels, case):
         certificate = est.certified_upper
         assert est.iterations == 50
     assert certified_upper_bound(table, params, est.vector) == certificate
+
+
+def _full_length_reference(table, params, v0, steps):
+    """`steps` full-length power steps from v0: apply the operator, take
+    the ratios, then normalise and floor.  Returns the last iterate with
+    its norm and max ratio."""
+    v = np.maximum(v0 / v0.max(), spectral._POSITIVITY_FLOOR)
+    for step in range(1, steps + 1):
+        out = apply_operator(table, params, v)
+        upper = float((out / v).max())
+        nrm = float(out.max())
+        if step == steps:
+            return v, nrm, upper
+        v = np.maximum(out / nrm, spectral._POSITIVITY_FLOOR)
+
+
+@pytest.mark.parametrize("k", [1, 7, 50])
+def test_iteration_matches_full_length_reference(small_levels, fset5, k):
+    # at q = 1 on a mirrored table from a symmetric start only half of
+    # each iterate is computed; every other case runs at full length;
+    # both must give the full-length result bit for bit
+    at_q1 = Parameters(1.43, 1.0, 0.13)
+    cases = []
+    for n in (1, 2, 3, 4):
+        if n in small_levels:
+            table = small_levels[n][1]
+        else:
+            space = build_state_space(n, fset5.restrict(n - 1))
+            table = build_transitions(space, fset5.restrict(n))
+        cases.append((table, at_q1, np.ones(table.n_states)))
+    table3 = small_levels[3][1]
+    ramp = 1.0 + np.linspace(0.0, 1.0, table3.n_states)
+    cases += [(table3, Parameters(1.43, 1.1, 0.13), np.ones(table3.n_states)),
+              (table3, at_q1, ramp),
+              (unmirrored(table3), at_q1, np.ones(table3.n_states))]
+    for table, params, v0 in cases:
+        est = power_iteration(table, params, tol=1e-300, max_iter=k, v0=v0)
+        assert est.iterations == k
+        v, estimate, upper = _full_length_reference(table, params, v0, k)
+        assert np.array_equal(est.vector, v)
+        assert est.estimate == estimate
+        assert est.certified_upper == upper

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import make_table, unmirrored
 
 from stavskaya.errors import ConsistencyError, ResourceLimitError
 from stavskaya.patterns import (POW3, build_forbidden_set, code_to_pattern,
@@ -127,13 +128,27 @@ def test_pred_slot_is_oldest_step(small_levels):
             assert np.array_equal(space.codes[table.pred[s][real]], want)
 
 
-def test_swap_symmetry_of_state_space(small_levels):
-    # the 1<->3 swap maps every state word to a state word
-    for n in (1, 2, 3):
-        space, _ = small_levels[n]
+def test_swap_symmetry_of_state_space(small_levels, fset5):
+    # the 1<->3 swap maps code c to 3^L-1-c, so it reverses the sorted
+    # codes (state i pairs with state N-1-i) and the moves follow
+    for n in range(1, 6):
+        if n in small_levels:
+            space, table = small_levels[n]
+        else:
+            space = build_state_space(n, fset5.restrict(n - 1))
+            table = build_transitions(space, fset5.restrict(n))
         top = POW3[space.length] - np.uint64(1)
-        swapped = np.sort(top - space.codes)
-        assert np.array_equal(swapped, space.codes)
+        assert np.array_equal(space.codes[::-1], top - space.codes)
+        assert table.mirrored
+
+
+def test_mirrored_only_when_it_holds(small_levels):
+    _, table = small_levels[3]
+    assert not unmirrored(table).mirrored
+    # toy two-state operator: both states end in kind 1, so no mirror
+    assert not make_table([[1, 0], [2, 2], [2, 2]], [0, 0]).mirrored
+    # a lone kind-2 state with no moves is its own swap partner
+    assert make_table([[1], [1], [1]], [1]).mirrored
 
 
 def test_memory_budget_guard(fset5):
