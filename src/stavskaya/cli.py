@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import __version__
 from .errors import ResourceLimitError
 from .patterns import MAX_LEVEL, build_forbidden_set
-from .search import (DEFAULT_ALPHA_TOL, DEFAULT_COARSE_STEP, DEFAULT_P_MAX,
-                     DEFAULT_P_MIN, DEFAULT_REFINE_STEP, alpha_sup, optimize_p)
+from .search import (DEFAULT_ALPHA_TOL, DEFAULT_P_MAX, DEFAULT_P_MIN,
+                     alpha_sup, optimize_p)
 from .spectral import DEFAULT_MAX_ITER
 from .statespace import build_state_space, build_transitions
 
@@ -35,7 +34,6 @@ EXIT_RESOURCE = 3
 # a footprint estimate when refusing a run that needs --deep.
 _GROWTH = 10.33
 _DEEP_LEVEL = 7
-_TABLE_SHALLOW_MAX = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,14 +44,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _projected_bytes(n: int) -> int:
+def _projected_bytes(n: int, q: float) -> int:
     # held during a solve: codes (8) + predecessor table (3 * 4) + last
     # digits (1) + three full-length float64 vectors, the warm start, the
     # iterate and its returned copy (3 * 8), + three work vectors that
-    # span half the states at q = 1 (3 * 4); a quarter more covers the
-    # interpreter and transients, as measured at level 7
+    # span half the states at q = 1 and all of them otherwise; a quarter
+    # more covers the interpreter and transients, as measured at level 7
     states = 7 * _GROWTH ** (n - 1)
-    return int(states * 1.25 * (8 + 3 * 4 + 1 + 3 * 8 + 3 * 4))
+    work = 3 * 4 if q == 1.0 else 3 * 8
+    return int(states * 1.25 * (8 + 3 * 4 + 1 + 3 * 8 + work))
+
+
+def _refused_without_deep(n: int, args) -> bool:
+    """True, after saying why, when level n needs --deep and lacks it."""
+    if n < _DEEP_LEVEL or args.deep:
+        return False
+    print(f"error: level {n} needs roughly "
+          f"{_projected_bytes(n, args.q) / 2**30:.1f} GiB "
+          "(states, predecessor table, iteration vectors); "
+          "pass --deep to confirm", file=sys.stderr)
+    return True
 
 
 def _build_level(n: int):
@@ -109,11 +119,7 @@ def cmd_bound(args) -> int:
     if args.n < 1 or args.n > MAX_LEVEL:
         print(f"error: --n must be in 1..{MAX_LEVEL}", file=sys.stderr)
         return EXIT_USAGE
-    if args.n >= _DEEP_LEVEL and not args.deep:
-        print(f"error: level {args.n} needs roughly "
-              f"{_projected_bytes(args.n) / 2**30:.1f} GiB "
-              "(states, predecessor table, iteration vectors); "
-              "pass --deep to confirm", file=sys.stderr)
+    if _refused_without_deep(args.n, args):
         return EXIT_RESOURCE
     started = time.time()
     try:
@@ -147,11 +153,7 @@ def cmd_table(args) -> int:
     if args.n_max < 1 or args.n_max > _DEEP_LEVEL:
         print(f"error: --n-max must be in 1..{_DEEP_LEVEL}", file=sys.stderr)
         return EXIT_USAGE
-    if args.n_max > _TABLE_SHALLOW_MAX and not args.deep:
-        print(f"error: levels above {_TABLE_SHALLOW_MAX} need --deep "
-              f"(level {args.n_max} is roughly "
-              f"{_projected_bytes(args.n_max) / 2**30:.1f} GiB and hours of "
-              "optimization)", file=sys.stderr)
+    if _refused_without_deep(args.n_max, args):
         return EXIT_RESOURCE
     rows = []
     all_certified = True
@@ -162,9 +164,8 @@ def cmd_table(args) -> int:
         except ResourceLimitError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RESOURCE
-        best = optimize_p(n, args.p_min, args.p_max, args.p_step,
-                          args.p_refine, args.q, tol=args.alpha_tol,
-                          max_iter=args.max_iter, threads=args.threads,
+        best = optimize_p(n, args.p_min, args.p_max, args.q,
+                          tol=args.alpha_tol, max_iter=args.max_iter,
                           table=table)
         all_certified &= not best.degenerate
         rows.append({
@@ -181,7 +182,7 @@ def cmd_table(args) -> int:
     return EXIT_OK if all_certified else EXIT_NOT_CERTIFIED
 
 
-def _add_common(sub, with_grid: bool) -> None:
+def _add_common(sub, with_p_range: bool) -> None:
     sub.add_argument("--q", type=float, default=1.0,
                      help="second auxiliary parameter (default 1)")
     sub.add_argument("--alpha-tol", type=float, default=DEFAULT_ALPHA_TOL,
@@ -190,17 +191,13 @@ def _add_common(sub, with_grid: bool) -> None:
                      help="power-iteration cap per spectral solve")
     sub.add_argument("--format", choices=("json", "csv", "text"),
                      default="json", help="report format (default json)")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="parallel p-grid evaluations (default: all cores)")
     sub.add_argument("--deep", action="store_true",
                      help="allow the large high-level runs")
-    if with_grid:
-        sub.add_argument("--p-min", type=float, default=DEFAULT_P_MIN)
-        sub.add_argument("--p-max", type=float, default=DEFAULT_P_MAX)
-        sub.add_argument("--p-step", type=float, default=DEFAULT_COARSE_STEP,
-                         help="coarse grid step (default 0.005)")
-        sub.add_argument("--p-refine", type=float, default=DEFAULT_REFINE_STEP,
-                         help="refined grid step (default 0.001)")
+    if with_p_range:
+        sub.add_argument("--p-min", type=float, default=DEFAULT_P_MIN,
+                         help="low end of the p search (default 1.30)")
+        sub.add_argument("--p-max", type=float, default=DEFAULT_P_MAX,
+                         help="high end of the p search (default 1.60)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,14 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
                             help="certified alpha bound at fixed (p, q)")
     bound.add_argument("--n", type=int, required=True, help="level (1..13)")
     bound.add_argument("--p", type=float, required=True)
-    _add_common(bound, with_grid=False)
+    _add_common(bound, with_p_range=False)
     bound.set_defaults(func=cmd_bound)
 
     table = subs.add_parser("table",
                             help="optimize p per level and print the table")
     table.add_argument("--n-max", type=int, required=True,
                        help="highest level to include")
-    _add_common(table, with_grid=True)
+    _add_common(table, with_p_range=True)
     table.set_defaults(func=cmd_table)
     return parser
 

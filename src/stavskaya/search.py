@@ -1,11 +1,17 @@
-"""Bisection over the erasure parameter and grid optimization over p.
+"""Bisection over the erasure parameter and golden-section search over p.
 
 For fixed (p, q) the certified-subcritical region of alpha is an
 interval starting at 0; bisection keeps its lower endpoint certified at
 every step, so the returned value is a true lower bound on the critical
-parameter no matter how the iteration behaved.  The outer search simply
-maximizes that bound over a coarse-then-refined grid in p (q stays at 1,
-where the maximum is attained).
+parameter no matter how the iteration behaved.  The outer search
+maximizes that bound over p (q stays at 1, where the maximum is
+attained) by golden-section search (Kiefer 1953): one new bisection per
+step until the p bracket is narrower than `P_TOL`, reporting the best
+probed point, so the bound is certified at the very p reported.  The
+search assumes the bound is unimodal in p and checks it: sorted by p,
+the probed bounds must rise and then fall, up to dips of the bisection
+tolerance, or `ConsistencyError` is raised.  `optimize_p` still accepts
+a `threads` keyword and ignores it; the search is sequential.
 
 Each bisection step ends as soon as a Collatz–Wielandt ratio bound
 decides it (`check_subcritical`): a max ratio below one moves the lower
@@ -17,7 +23,6 @@ reported certificate is the first max ratio below one, not the tightest.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import ConsistencyError
@@ -29,8 +34,9 @@ DEFAULT_ALPHA_TOL = 1e-10
 
 DEFAULT_P_MIN = 1.30
 DEFAULT_P_MAX = 1.60
-DEFAULT_COARSE_STEP = 0.005
-DEFAULT_REFINE_STEP = 0.001
+P_TOL = 1e-4
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -58,7 +64,8 @@ class BisectionResult:
 
 @dataclass
 class OptimizationResult:
-    """Best certified bound over a p grid at fixed q."""
+    """Best certified bound over p at fixed q; `grid` holds every
+    probed (p, bound), sorted by p."""
 
     n: int
     p_opt: float
@@ -73,7 +80,6 @@ class OptimizationResult:
 
 def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
               tol: float = DEFAULT_ALPHA_TOL, *,
-              power_tol: float = DEFAULT_TOL,
               max_iter: int = DEFAULT_MAX_ITER) -> BisectionResult:
     """Largest certified-subcritical alpha for fixed (p, q), by bisection.
 
@@ -90,7 +96,7 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
     spent = 0
 
     ok, certificate, est = check_subcritical(table, Parameters(p, q, 0.0),
-                                             power_tol, max_iter)
+                                             DEFAULT_TOL, max_iter)
     spent += est.iterations
     if not ok:
         return BisectionResult(p=p, q=q, alpha_low=0.0, alpha_high=1.0,
@@ -107,7 +113,7 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
         # are then close and the previous vector is a near-eigenvector
         seed = warm if high - low <= 0.05 else None
         ok, _, est = check_subcritical(table, Parameters(p, q, mid),
-                                       power_tol, max_iter, v0=seed)
+                                       DEFAULT_TOL, max_iter, v0=seed)
         spent += est.iterations
         warm = est.vector
         if ok:
@@ -118,7 +124,7 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
 
     # final check: the returned endpoint is certified on a fresh run
     ok, certificate, est = check_subcritical(table, Parameters(p, q, low),
-                                             power_tol, max_iter)
+                                             DEFAULT_TOL, max_iter)
     spent += est.iterations
     if not ok:
         raise ConsistencyError(
@@ -129,62 +135,56 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
                            power_iterations=spent)
 
 
-def _grid(lo: float, hi: float, step: float) -> list[float]:
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [round(lo + i * step, 12) for i in range(count)]
-
-
 def optimize_p(n: int,
                p_min: float = DEFAULT_P_MIN, p_max: float = DEFAULT_P_MAX,
-               coarse_step: float = DEFAULT_COARSE_STEP,
-               refine_step: float = DEFAULT_REFINE_STEP,
                q: float = 1.0, *,
                tol: float = DEFAULT_ALPHA_TOL,
-               power_tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER,
-               threads: int = 1,
+               threads: int | None = None,
                table: TransitionTable | None = None) -> OptimizationResult:
     """Maximize the certified alpha bound over p in [p_min, p_max].
 
-    Coarse pass first, then a refined grid around the best coarse point.
-    The reported bound is always a certified bisection endpoint, never an
-    interpolation.  Degenerate grid points contribute bound 0.
+    Both ends and the two golden interior points are probed; each step
+    then drops the side of the lower interior probe and probes one new
+    point.  Degenerate probes count as bound 0.  `threads` is ignored: the
+    benchmark worker still passes it.
     """
     if not (1.0 <= p_min < p_max):
         raise ValueError(f"need 1 <= p_min < p_max, got [{p_min}, {p_max}]")
-    if coarse_step <= 0.0 or refine_step <= 0.0:
-        raise ValueError("grid steps must be positive")
     if table is None:
         fset = build_forbidden_set(n)
         space = build_state_space(n, fset.restrict(n - 1))
         table = build_transitions(space, fset)
 
-    results: dict[float, BisectionResult] = {}
+    probed: dict[float, float] = {}
 
-    def evaluate(ps: list[float]) -> None:
-        todo = [p for p in ps if p not in results]
-        if threads > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                found = pool.map(
-                    lambda p: alpha_sup(table, p, q, tol,
-                                        power_tol=power_tol, max_iter=max_iter),
-                    todo)
-                for p, res in zip(todo, found):
-                    results[p] = res
+    def probe(p: float) -> float:
+        res = alpha_sup(table, p, q, tol, max_iter=max_iter)
+        probed[p] = 0.0 if res.degenerate else res.alpha_low
+        return probed[p]
+
+    lo, hi = p_min, p_max
+    probe(lo)
+    probe(hi)
+    a, b = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fa, fb = probe(a), probe(b)
+    while hi - lo >= P_TOL:
+        if fa < fb:
+            lo, a, fa = a, b, fb
+            b = lo + _INV_PHI * (hi - lo)
+            fb = probe(b)
         else:
-            for p in todo:
-                results[p] = alpha_sup(table, p, q, tol,
-                                       power_tol=power_tol, max_iter=max_iter)
+            hi, b, fb = b, a, fa
+            a = hi - _INV_PHI * (hi - lo)
+            fa = probe(a)
 
-    coarse = _grid(p_min, p_max, coarse_step)
-    evaluate(coarse)
-    best_p = max(coarse, key=lambda p: (0.0 if results[p].degenerate
-                                        else results[p].alpha_low))
-    fine = [p for p in _grid(max(p_min, best_p - coarse_step),
-                             min(p_max, best_p + coarse_step), refine_step)]
-    evaluate(fine)
-
-    grid = sorted((p, 0.0 if r.degenerate else r.alpha_low)
-                  for p, r in results.items())
+    grid = sorted(probed.items())
+    bounds = [bound for _, bound in grid]
+    for j, (p, bound) in enumerate(grid):
+        # rise then fall: no probe below the highest on both of its sides
+        if bound < min(max(bounds[:j + 1]), max(bounds[j:])) - tol:
+            raise ConsistencyError(
+                f"bound not unimodal in p on [{p_min}, {p_max}] at q={q}: "
+                f"{bound} at p={p} dips below probes on both sides")
     p_opt, bound = max(grid, key=lambda pb: pb[1])
     return OptimizationResult(n=n, p_opt=p_opt, q=q, bound=bound, grid=grid)

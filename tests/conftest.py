@@ -24,7 +24,7 @@ def unmirrored(table):
 
 def pytest_addoption(parser):
     parser.addoption("--run-deep", action="store_true", default=False,
-                     help="run the level-7 headline check (minutes)")
+                     help="run the deep checks, levels 6 and 7 (minutes)")
 
 
 def pytest_collection_modifyitems(config, items):

@@ -1,6 +1,6 @@
 """Acceptance suite: every criterion at its stated tolerance, one printed
-pass/fail line each.  Run with -s to see the lines; the deep level-7
-headline check needs --run-deep.
+pass/fail line each.  Run with -s to see the lines; the deep checks, the
+level-7 headline bound and the level-6 table row, need --run-deep.
 """
 
 import time
@@ -26,6 +26,10 @@ PINNED_BOUNDS = {2: (1.44, 0.13101966), 3: (1.43, 0.13358660),
 HEADLINE_LEVEL = 7
 HEADLINE_P = 1.415
 HEADLINE_BOUND = 0.1370721
+
+TABLE_ROW_LEVEL = 6
+TABLE_ROW_P = 1.417
+TABLE_ROW_BOUND = 0.13659747
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -93,7 +97,7 @@ def test_criterion_4_headline_deep():
 
 def test_criterion_5_optimizer_consistency(small_levels):
     _, table = small_levels[2]
-    best = optimize_p(2, 1.30, 1.60, 0.005, 0.001, table=table, threads=2)
+    best = optimize_p(2, 1.30, 1.60, table=table)
     pinned = alpha_sup(table, 1.44, 1.0, 1e-10)
     ok = (abs(best.p_opt - 1.44) <= 0.01
           and best.bound >= pinned.alpha_low - 1e-8)
@@ -175,3 +179,15 @@ def test_criterion_7_property_suite(small_levels, fset5):
             f"{'ok' if ok_post else 'BAD'}, slots "
             f"{'ok' if ok_slots else 'BAD'}, mirror "
             f"{'ok' if ok_mirror else 'BAD'}")
+
+
+@pytest.mark.deep
+def test_criterion_8_table_row_deep():
+    started = time.time()
+    best = optimize_p(TABLE_ROW_LEVEL)
+    elapsed = time.time() - started
+    ok = (abs(best.p_opt - TABLE_ROW_P) <= 0.01
+          and abs(best.bound - TABLE_ROW_BOUND) <= 1e-6)
+    _report(8, ok, f"n={TABLE_ROW_LEVEL} p_opt {best.p_opt:.5f} "
+                   f"({TABLE_ROW_P} +/- 0.01), bound {best.bound:.10f} "
+                   f"({TABLE_ROW_BOUND} +/- 1e-6), {elapsed:.0f}s")

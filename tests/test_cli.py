@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stavskaya.cli import main
+from stavskaya.cli import _GROWTH, _projected_bytes, main
 
 SCHEMA_KEYS = {"level", "p", "q", "alpha_lower_bound", "certificate",
                "iterations", "states", "forbidden_patterns",
@@ -83,8 +83,7 @@ def test_bound_csv_format(capsys):
 
 def test_table_small(capsys):
     code, out = run(capsys, "table", "--n-max", "2", "--p-min", "1.43",
-                    "--p-max", "1.47", "--p-step", "0.005",
-                    "--p-refine", "0.002")
+                    "--p-max", "1.47")
     assert code == 0
     rows = json.loads(out)
     assert [r["level"] for r in rows] == [1, 2]
@@ -97,8 +96,17 @@ def test_table_small(capsys):
 
 
 def test_table_deep_refusal(capsys):
-    code, _ = run(capsys, "table", "--n-max", "6")
-    assert code == 3
+    assert main(["table", "--n-max", "7"]) == 3
+    err = capsys.readouterr().err
+    assert "--deep" in err and "GiB" in err
+    assert "hours" not in err
+
+
+def test_projected_bytes_counts_full_work_vectors_off_q_one():
+    # at q != 1 the three work vectors span every state, not half of them
+    states = 7 * _GROWTH ** 6
+    extra = _projected_bytes(7, 1.1) - _projected_bytes(7, 1.0)
+    assert extra == pytest.approx(states * 1.25 * 3 * 4, abs=1)
 
 
 def test_usage_error_exits_one(capsys):

@@ -5,7 +5,7 @@ import pytest
 import stavskaya.search as search
 from stavskaya.errors import ConsistencyError
 from stavskaya.patterns import Parameters
-from stavskaya.search import alpha_sup, optimize_p
+from stavskaya.search import BisectionResult, alpha_sup, optimize_p
 from stavskaya.spectral import _source_certificate, is_subcritical, power_iteration
 from stavskaya.statespace import build_state_space, build_transitions
 
@@ -62,7 +62,7 @@ def test_bound_is_conservative(small_levels):
 
 def test_optimizer_level_two(small_levels):
     _, table = small_levels[2]
-    best = optimize_p(2, 1.40, 1.50, 0.005, 0.001, table=table)
+    best = optimize_p(2, 1.40, 1.50, table=table)
     pinned = alpha_sup(table, 1.44, 1.0, 1e-10)
     assert best.p_opt == pytest.approx(1.44, abs=0.01)
     assert best.bound >= pinned.alpha_low - 1e-8
@@ -70,28 +70,22 @@ def test_optimizer_level_two(small_levels):
     assert best.bound == max(b for _, b in best.grid)
 
 
-def test_optimizer_grid_is_deterministic(small_levels):
-    _, table = small_levels[1]
-    a = optimize_p(1, 1.44, 1.49, 0.01, 0.005, table=table, threads=1)
-    b = optimize_p(1, 1.44, 1.49, 0.01, 0.005, table=table, threads=2)
-    assert a.grid == b.grid
-    assert a.p_opt == b.p_opt and a.bound == b.bound
-
-
 def test_optimizer_handles_degenerate_points(small_levels):
-    # p = 1 is degenerate and must surface as a zero-bound grid point
+    # p = 1 is degenerate and must surface as a zero-bound probe; the
+    # bound rises over the whole bracket, so its far end is the optimum
     _, table = small_levels[1]
-    best = optimize_p(1, 1.0, 1.02, 0.01, 0.01, table=table)
+    best = optimize_p(1, 1.0, 1.02, table=table)
     assert (1.0, 0.0) in best.grid
     assert best.bound > 0.0
+    assert best.p_opt == 1.02
 
 
 def test_optimizer_validation(small_levels):
     _, table = small_levels[1]
     with pytest.raises(ValueError):
-        optimize_p(1, 1.5, 1.4, 0.01, 0.001, table=table)
+        optimize_p(1, 1.5, 1.4, table=table)
     with pytest.raises(ValueError):
-        optimize_p(1, 1.4, 1.5, -0.01, 0.001, table=table)
+        optimize_p(1, 1.4, 1.4, table=table)
 
 
 def test_level_monotonicity(small_levels):
@@ -99,10 +93,81 @@ def test_level_monotonicity(small_levels):
     bounds = []
     for n in (1, 2, 3):
         _, table = small_levels[n]
-        best = optimize_p(n, 1.40, 1.50, 0.01, 0.002, table=table)
+        best = optimize_p(n, 1.40, 1.50, table=table)
         bounds.append(best.bound)
     for lo, hi in zip(bounds, bounds[1:]):
         assert hi >= lo - 1e-9
+
+
+def _level_table(n, small_levels, fset5):
+    if n in small_levels:
+        return small_levels[n][1]
+    return build_transitions(build_state_space(n, fset5.restrict(n - 1)),
+                             fset5.restrict(n))
+
+
+def _reference_grid_optimum(table):
+    """The p grid the golden-section search replaced: steps of 0.005 over
+    [1.30, 1.60], then 0.001 around the best point; (p, bound)."""
+    def best_of(ps):
+        return max(((p, alpha_sup(table, p).alpha_low) for p in ps),
+                   key=lambda pb: pb[1])
+
+    p, _ = best_of([round(1.30 + 0.005 * i, 12) for i in range(61)])
+    return best_of([round(p + 0.001 * i, 12) for i in range(-5, 6)
+                    if 1.30 <= round(p + 0.001 * i, 12) <= 1.60])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_golden_section_matches_grid(n, small_levels, fset5, monkeypatch):
+    table = _level_table(n, small_levels, fset5)
+    grid_p, grid_bound = _reference_grid_optimum(table)
+    calls = []
+    real = search.alpha_sup
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "alpha_sup", counted)
+    best = optimize_p(n, table=table)
+    assert best.bound >= grid_bound - 1e-8
+    assert abs(best.p_opt - grid_p) <= 0.002
+    assert len(calls) <= 25
+    assert sorted(calls) == [p for p, _ in best.grid]
+
+
+def _fake_alpha_sup(bound_of):
+    def fake(table, p, q=1.0, tol=1e-10, **kwargs):
+        low = bound_of(p)
+        return BisectionResult(p=p, q=q, alpha_low=low, alpha_high=low + tol,
+                               iterations=0)
+    return fake
+
+
+def test_unimodality_guard(small_levels, monkeypatch):
+    _, table = small_levels[1]
+    tol = 1e-4
+
+    def two_peaks(p):
+        return (math.exp(-((p - 1.36) / 0.02) ** 2)
+                + 0.8 * math.exp(-((p - 1.55) / 0.02) ** 2))
+
+    monkeypatch.setattr(search, "alpha_sup", _fake_alpha_sup(two_peaks))
+    with pytest.raises(ConsistencyError, match="not unimodal"):
+        optimize_p(1, table=table, tol=tol)
+
+    # one peak, flat near the top, with dips up to `tol` (the resolution
+    # of a bisected bound) between neighbouring probes
+    def jitter(scale):
+        return lambda p: 0.1 - (p - 1.45) ** 2 - scale * ((p * 1e6) % 1.0)
+
+    monkeypatch.setattr(search, "alpha_sup", _fake_alpha_sup(jitter(tol)))
+    best = optimize_p(1, table=table, tol=tol)
+    assert best.p_opt == pytest.approx(1.45, abs=0.01)
+    monkeypatch.setattr(search, "alpha_sup", _fake_alpha_sup(jitter(3 * tol)))
+    with pytest.raises(ConsistencyError, match="not unimodal"):
+        optimize_p(1, table=table, tol=tol)
 
 
 def _converged_decision(table, params, v0=None):
@@ -143,11 +208,7 @@ REFERENCE_POINTS = {1: (1.44, 1.464, 1.5), 2: (1.42, 1.44, 1.47),
 
 @pytest.mark.parametrize("n", sorted(REFERENCE_POINTS))
 def test_early_decisions_match_converged_bisection(n, small_levels, fset5):
-    if n in small_levels:
-        _, table = small_levels[n]
-    else:
-        table = build_transitions(build_state_space(n, fset5.restrict(n - 1)),
-                                  fset5.restrict(n))
+    table = _level_table(n, small_levels, fset5)
     for p in REFERENCE_POINTS[n]:
         low, high, certificate, spent = _reference_alpha_sup(table, p)
         res = alpha_sup(table, p, 1.0, 1e-10)
