@@ -47,9 +47,10 @@ class _Parser(argparse.ArgumentParser):
 def _projected_bytes(n: int, q: float) -> int:
     # held during a solve: codes (8) + predecessor table (3 * 4) + last
     # digits (1) + three full-length float64 vectors, the warm start, the
-    # iterate and its returned copy (3 * 8), + three work vectors that
-    # span half the states at q = 1 and all of them otherwise; a quarter
-    # more covers the interpreter and transients, as measured at level 7
+    # last certified vector and the iterate (3 * 8), + three work vectors
+    # that span half the states at q = 1 and all of them otherwise; a
+    # quarter more covers the interpreter and transients, as measured at
+    # level 7
     states = 7 * _GROWTH ** (n - 1)
     work = 3 * 4 if q == 1.0 else 3 * 8
     return int(states * 1.25 * (8 + 3 * 4 + 1 + 3 * 8 + work))

@@ -15,9 +15,13 @@ a `threads` keyword and ignores it; the search is sequential.
 
 Each bisection step ends as soon as a Collatz–Wielandt ratio bound
 decides it (`check_subcritical`): a max ratio below one moves the lower
-endpoint, a min ratio above one moves the upper.  The fresh final
-re-certification of the returned endpoint stops the same way, so the
-reported certificate is the first max ratio below one, not the tightest.
+endpoint, a min ratio above one moves the upper.  Only the alpha = 0
+solve starts cold; every step warm-starts from the vector of the step
+before.  The reported certificate is the max ratio of the vector that
+certified the returned endpoint: the first max ratio below one on that
+step, not the tightest.  It is re-derived once, exactly, on the
+full-length operator (`certified_upper_bound`), a path independent of
+the half-state iteration.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from dataclasses import dataclass, field
 
 from .errors import ConsistencyError
 from .patterns import Parameters, build_forbidden_set
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, check_subcritical
+from .spectral import (DEFAULT_MAX_ITER, DEFAULT_TOL, certified_upper_bound,
+                       check_subcritical)
 from .statespace import TransitionTable, build_state_space, build_transitions
 
 DEFAULT_ALPHA_TOL = 1e-10
@@ -43,9 +48,10 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 class BisectionResult:
     """Certified bracket for the critical alpha at fixed (p, q).
 
-    alpha_low is certified subcritical (re-checked after the loop);
-    alpha_high is not certified.  A degenerate result means alpha = 0
-    itself could not be certified, so no positive bound exists here.
+    alpha_low is certified subcritical, with `certificate` the max ratio
+    of the vector that certified it; alpha_high is not certified.  A
+    degenerate result means alpha = 0 itself could not be certified, so
+    no positive bound exists here.
     """
 
     p: float
@@ -86,18 +92,18 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
     Midpoints that certify move the lower endpoint; anything else
     (including non-convergence) moves the upper endpoint, so the answer
     errs low.  Each midpoint's solve stops as soon as a ratio bound
-    decides it, and its iteration vector seeds the next, which cuts the
-    near-critical iteration count sharply without touching the
-    certificates.  A returned endpoint that fails its fresh final
-    re-certification raises `ConsistencyError`.
+    decides it, and its iteration vector seeds the next (the first is
+    seeded by the alpha = 0 solve), which cuts the near-critical
+    iteration count sharply without touching the certificates.  The
+    vector and certificate of the last step that certified travel with
+    the lower endpoint; if the full-length operator does not re-derive
+    that certificate bit for bit, `ConsistencyError` is raised.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    spent = 0
-
     ok, certificate, est = check_subcritical(table, Parameters(p, q, 0.0),
                                              DEFAULT_TOL, max_iter)
-    spent += est.iterations
+    spent = est.iterations
     if not ok:
         return BisectionResult(p=p, q=q, alpha_low=0.0, alpha_high=1.0,
                                iterations=0, degenerate=True,
@@ -105,31 +111,26 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
                                power_iterations=spent)
 
     low, high = 0.0, 1.0
-    warm = None
+    warm = certified = est.vector
     steps = 0
     while high - low > tol:
         mid = 0.5 * (low + high)
-        # warm starts only once the bracket is narrow: successive operators
-        # are then close and the previous vector is a near-eigenvector
-        seed = warm if high - low <= 0.05 else None
-        ok, _, est = check_subcritical(table, Parameters(p, q, mid),
-                                       DEFAULT_TOL, max_iter, v0=seed)
+        ok, bound, est = check_subcritical(table, Parameters(p, q, mid),
+                                           DEFAULT_TOL, max_iter, v0=warm)
         spent += est.iterations
         warm = est.vector
         if ok:
-            low = mid
+            low, certificate, certified = mid, bound, warm
         else:
             high = mid
         steps += 1
 
-    # final check: the returned endpoint is certified on a fresh run
-    ok, certificate, est = check_subcritical(table, Parameters(p, q, low),
-                                             DEFAULT_TOL, max_iter)
-    spent += est.iterations
-    if not ok:
+    # re-derived on the full-length operator, independent of the half-state loop
+    if certified_upper_bound(table, Parameters(p, q, low),
+                             certified) != certificate:
         raise ConsistencyError(
             f"bisection invariant violated: alpha={low} at p={p}, q={q} "
-            "failed its final certification")
+            f"does not re-derive its certificate {certificate!r}")
     return BisectionResult(p=p, q=q, alpha_low=low, alpha_high=high,
                            iterations=steps, certificate=certificate,
                            power_iterations=spent)

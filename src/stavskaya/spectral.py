@@ -141,6 +141,8 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     n = table.n_states
     vp = np.empty(n + 1, dtype=np.float64)
     vp[n] = 0.0
@@ -211,38 +213,7 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
 
     return SpectralEstimate(estimate=estimate, certified_upper=upper,
                             iterations=iterations, converged=converged,
-                            vector=v.copy())
-
-
-# The floored certificate can be loose when some step weight is exactly
-# zero (the matrix becomes reducible and transient states decay to the
-# floor).  That only arises far below criticality, where the estimate is
-# well under this threshold, so the slower fallback never runs near the
-# bisection boundary.
-_FALLBACK_THRESHOLD = 0.99
-_FALLBACK_MAX_ITER = 5_000
-
-
-def _source_certificate(table: TransitionTable, params: Parameters,
-                        max_iter: int = _FALLBACK_MAX_ITER) -> float | None:
-    """Certify radius < 1 via v <- Mv + 1, which converges exactly when the
-    operator is subcritical and keeps every entry >= 1.
-
-    Returns the achieved ratio max_i (Mv)_i/v_i as soon as it drops below
-    one (a valid upper bound for any positive v), or None if it never does.
-    """
-    n = table.n_states
-    v = np.ones(n, dtype=np.float64)
-    for _ in range(max_iter):
-        mv = apply_operator(table, params, v)
-        ratio = float((mv / v).max())
-        if ratio < 1.0:
-            return ratio
-        v = mv + 1.0
-        top = v.max()
-        if not np.isfinite(top) or top > 1e250:
-            return None
-    return None
+                            vector=v)
 
 
 def check_subcritical(table: TransitionTable, params: Parameters,
@@ -252,20 +223,14 @@ def check_subcritical(table: TransitionTable, params: Parameters,
     """Certified subcriticality test: (certified, certificate, estimate).
 
     The certificate is a genuine upper bound on the spectral radius; it is
-    below one exactly when `certified` is True.  The power iteration ends
-    as soon as a ratio bound decides the question: a max ratio below one
-    certifies, a min ratio above one proves the radius above one.  Only
-    when neither happens does it run on to convergence, and then the
-    reducible-operator fallback may still certify.
+    below one exactly when `certified` is True, and it is the max ratio
+    of the returned vector.  The power iteration ends as soon as a ratio
+    bound decides the question: a max ratio below one certifies, a min
+    ratio above one proves the radius above one.  Only when neither
+    happens does it run on to convergence or to `max_iter`.
     """
     est = _iterate(table, params, tol, max_iter, v0, decide=True)
-    if est.certified_subcritical:
-        return True, est.certified_upper, est
-    if est.converged and est.estimate < _FALLBACK_THRESHOLD:
-        ratio = _source_certificate(table, params)
-        if ratio is not None:
-            return True, ratio, est
-    return False, est.certified_upper, est
+    return est.certified_subcritical, est.certified_upper, est
 
 
 def is_subcritical(table: TransitionTable, params: Parameters,

@@ -116,6 +116,9 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--n", "1", "--p", "1.45", "--cache-dir", "x"])
     assert exc.value.code == 1
+    # no power iteration at all would certify nothing and report Infinity
+    assert main(["bound", "--n", "1", "--p", "1.45", "--max-iter", "0"]) == 1
+    assert "max_iter" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

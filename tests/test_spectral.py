@@ -131,12 +131,20 @@ def test_subcritical_examples(small_levels):
 
 
 def test_subcritical_at_alpha_zero(small_levels):
-    # reducible case: the fallback certificate must still decide correctly
+    # reducible case (kind 2 weighs 0): the ratio bound of the returned
+    # vector certifies on its own, across the search's p range and off q = 1
+    for n in (1, 2, 3):
+        _, table = small_levels[n]
+        for p in (1.30, 1.45, 1.60):
+            for q in (1.0, 1.1):
+                params = Parameters(p, q, 0.0)
+                ok, certificate, est = check_subcritical(table, params)
+                assert ok and certificate < 1.0
+                assert certificate == certified_upper_bound(table, params,
+                                                            est.vector)
     _, table = small_levels[1]
     assert is_subcritical(table, Parameters(1.464, 1.0, 0.0))
     assert not is_subcritical(table, Parameters(1, 1, 0.0))
-    ok, certificate, _ = check_subcritical(table, Parameters(1.464, 1.0, 0.0))
-    assert ok and certificate < 1.0
 
 
 def test_word_weight_vector(small_levels):
