@@ -47,12 +47,13 @@ class _Parser(argparse.ArgumentParser):
 def _projected_bytes(n: int, q: float) -> int:
     # held during a solve: codes (8) + predecessor table (3 * 4) + last
     # digits (1) + three full-length float64 vectors, the warm start, the
-    # last certified vector and the iterate (3 * 8), + three work vectors
-    # that span half the states at q = 1 and all of them otherwise; a
-    # quarter more covers the interpreter and transients, as measured at
-    # level 7
+    # last certified vector and the iterate (3 * 8), + two work vectors,
+    # the output and the weights, that span half the states at q = 1 and
+    # all of them otherwise; the operator's other buffers are one block
+    # long; a quarter more covers the interpreter and transients (level
+    # 7 at q = 1: 537 MiB projected, 511 MiB measured)
     states = 7 * _GROWTH ** (n - 1)
-    work = 3 * 4 if q == 1.0 else 3 * 8
+    work = 2 * 4 if q == 1.0 else 2 * 8
     return int(states * 1.25 * (8 + 3 * 4 + 1 + 3 * 8 + work))
 
 

@@ -19,9 +19,10 @@ endpoint, a min ratio above one moves the upper.  Only the alpha = 0
 solve starts cold; every step warm-starts from the vector of the step
 before.  The reported certificate is the max ratio of the vector that
 certified the returned endpoint: the first max ratio below one on that
-step, not the tightest.  It is re-derived once, exactly, on the
-full-length operator (`certified_upper_bound`), a path independent of
-the half-state iteration.
+step, not the tightest.  It is re-derived once, exactly, by
+`certified_upper_bound`, which computes every one of the N targets: it
+shares the iteration's blocked operator kernel but not the half-state
+mirror.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
     seeded by the alpha = 0 solve), which cuts the near-critical
     iteration count sharply without touching the certificates.  The
     vector and certificate of the last step that certified travel with
-    the lower endpoint; if the full-length operator does not re-derive
-    that certificate bit for bit, `ConsistencyError` is raised.
+    the lower endpoint; if `certified_upper_bound`, over all N targets
+    and without the half-state mirror, does not re-derive that
+    certificate bit for bit, `ConsistencyError` is raised.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -125,7 +127,7 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
             high = mid
         steps += 1
 
-    # re-derived on the full-length operator, independent of the half-state loop
+    # re-derived over all N targets, independent of the half-state mirror
     if certified_upper_bound(table, Parameters(p, q, low),
                              certified) != certificate:
         raise ConsistencyError(

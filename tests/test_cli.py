@@ -103,10 +103,10 @@ def test_table_deep_refusal(capsys):
 
 
 def test_projected_bytes_counts_full_work_vectors_off_q_one():
-    # at q != 1 the three work vectors span every state, not half of them
+    # at q != 1 the two work vectors span every state, not half of them
     states = 7 * _GROWTH ** 6
     extra = _projected_bytes(7, 1.1) - _projected_bytes(7, 1.0)
-    assert extra == pytest.approx(states * 1.25 * 3 * 4, abs=1)
+    assert extra == pytest.approx(states * 1.25 * 2 * 4, abs=1)
 
 
 def test_usage_error_exits_one(capsys):

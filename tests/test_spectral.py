@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import make_table, unmirrored
@@ -89,6 +91,87 @@ def test_certificate_requires_positive_vector(small_levels):
     v[3] = 0.0
     with pytest.raises(ValueError):
         certified_upper_bound(table, Parameters(1, 1, 0.5), v)
+
+
+def test_non_finite_vectors_are_rejected(small_levels):
+    # one +inf entry would normalise to a NaN iterate, which never
+    # converges, never decides and certifies nothing
+    _, table = small_levels[2]
+    params = Parameters(1.44, 1.0, 0.12)
+    for bad in (np.inf, np.nan):
+        v = np.ones(table.n_states)
+        v[5] = bad
+        with pytest.raises(ValueError, match="v0"):
+            check_subcritical(table, params, v0=v)
+        with pytest.raises(ValueError, match="v0"):
+            power_iteration(table, params, v0=v)
+        with pytest.raises(ValueError):
+            certified_upper_bound(table, params, v)
+
+
+@pytest.fixture(scope="module")
+def tables_to_5(small_levels, fset5):
+    """Transition tables for levels 1..5; level 5 (81,231 states) spans
+    more than one default block."""
+    tables = {n: small_levels[n][1] for n in (1, 2, 3)}
+    for n in (4, 5):
+        space = build_state_space(n, fset5.restrict(n - 1))
+        tables[n] = build_transitions(space, fset5.restrict(n))
+    return tables
+
+
+@pytest.mark.parametrize("block", [spectral._BLOCK, 7])
+def test_certificate_matches_full_length_reference(tables_to_5, block,
+                                                   monkeypatch):
+    # the blocked re-check against the whole-array operator, bit for bit
+    monkeypatch.setattr(spectral, "_BLOCK", block)
+    rng = np.random.default_rng(3)
+    for table in tables_to_5.values():
+        for q in (1.0, 1.1):
+            params = Parameters(1.43, q, 0.13)
+            v = 0.01 + rng.random(table.n_states)
+            v[-3:] *= 1e-3  # puts the max ratio in the last, ragged block
+            want = float((apply_operator(table, params, v) / v).max())
+            assert certified_upper_bound(table, params, v) == want
+
+
+def test_certificate_holds_no_full_length_temporary(tables_to_5, monkeypatch):
+    # numpy reports its buffers to tracemalloc.  Past the padded copy of
+    # v only block-sized buffers may be live; a block of 2**12 keeps them
+    # small against N = 81,231, so one full-length float64 or int32
+    # temporary would break the bound
+    monkeypatch.setattr(spectral, "_BLOCK", 1 << 12)
+    table = tables_to_5[5]
+    n = table.n_states
+    params = Parameters(1.42, 1.0, 0.13)
+    v = 0.5 + np.random.default_rng(0).random(n)
+    tracemalloc.start()
+    try:
+        certified_upper_bound(table, params, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n
+
+
+@pytest.mark.parametrize("out_entries", ["all", "block"])
+def test_sweep_keeps_a_nan_from_any_block(small_levels, monkeypatch,
+                                          out_entries):
+    # a NaN ratio in the second of twelve blocks: max() and min() over
+    # the blocks' floats would drop it; a whole-array reduction keeps it
+    monkeypatch.setattr(spectral, "_BLOCK", 64)
+    _, table = small_levels[3]
+    n = table.n_states
+    vp = np.ones(n + 1)
+    vp[n] = 0.0
+    # a state in block 1 with a move out, so a sum turns NaN too
+    t = 64 + int(np.nonzero(table.out_degrees()[64:128])[0][0])
+    vp[t] = np.nan
+    w = np.array([0.7, 0.1, 0.7])
+    out = np.empty(n if out_entries == "all" else 64)
+    blocks = spectral._blocks(vp, table, w, n, out, np.empty(64))
+    upper, lower, top = spectral._sweep(vp, blocks)
+    assert np.isnan(upper) and np.isnan(lower) and np.isnan(top)
 
 
 def test_certificate_dominates_estimate(small_levels):
@@ -251,10 +334,13 @@ def _full_length_reference(table, params, v0, steps):
 
 
 @pytest.mark.parametrize("k", [1, 7, 50])
-def test_iteration_matches_full_length_reference(small_levels, fset5, k):
+def test_iteration_matches_full_length_reference(small_levels, fset5, k,
+                                                 monkeypatch):
     # at q = 1 on a mirrored table from a symmetric start only half of
     # each iterate is computed; every other case runs at full length;
-    # both must give the full-length result bit for bit
+    # both must give the full-length result bit for bit, in one block
+    # or in many (blocks of 7 and 64 leave ragged last blocks, and one of
+    # them spans the middle state)
     at_q1 = Parameters(1.43, 1.0, 0.13)
     cases = []
     for n in (1, 2, 3, 4):
@@ -269,10 +355,13 @@ def test_iteration_matches_full_length_reference(small_levels, fset5, k):
     cases += [(table3, Parameters(1.43, 1.1, 0.13), np.ones(table3.n_states)),
               (table3, at_q1, ramp),
               (unmirrored(table3), at_q1, np.ones(table3.n_states))]
-    for table, params, v0 in cases:
-        est = power_iteration(table, params, tol=1e-300, max_iter=k, v0=v0)
-        assert est.iterations == k
-        v, estimate, upper = _full_length_reference(table, params, v0, k)
-        assert np.array_equal(est.vector, v)
-        assert est.estimate == estimate
-        assert est.certified_upper == upper
+    for block in (spectral._BLOCK, 7, 64):
+        monkeypatch.setattr(spectral, "_BLOCK", block)
+        for table, params, v0 in cases:
+            est = power_iteration(table, params, tol=1e-300, max_iter=k,
+                                  v0=v0)
+            assert est.iterations == k
+            v, estimate, upper = _full_length_reference(table, params, v0, k)
+            assert np.array_equal(est.vector, v)
+            assert est.estimate == estimate
+            assert est.certified_upper == upper
