@@ -124,11 +124,7 @@ def cmd_bound(args) -> int:
     if _refused_without_deep(args.n, args):
         return EXIT_RESOURCE
     started = time.time()
-    try:
-        space, table, fset = _build_level(args.n)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    space, table, fset = _build_level(args.n)
     result = alpha_sup(table, args.p, args.q, args.alpha_tol,
                        max_iter=args.max_iter)
     print(f"zero-out-degree states: {table.zero_out_degree_count()}",
@@ -161,11 +157,7 @@ def cmd_table(args) -> int:
     all_certified = True
     for n in range(1, args.n_max + 1):
         started = time.time()
-        try:
-            space, table, fset = _build_level(n)
-        except ResourceLimitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
+        space, table, fset = _build_level(n)
         best = optimize_p(n, args.p_min, args.p_max, args.q,
                           tol=args.alpha_tol, max_iter=args.max_iter,
                           table=table)

@@ -85,70 +85,6 @@ def pattern_text(pattern: tuple[int, ...]) -> str:
     return "".join(str(k) for k in pattern)
 
 
-class SuffixTrie:
-    """Trie over reversed patterns, for 'does any pattern end here' checks.
-
-    The trie is walked backward from the newest step of a word; landing on
-    a terminal node means some pattern is a suffix ending at that step.
-    Stored as flat arrays so large batches of words can be walked at once.
-    """
-
-    def __init__(self, patterns):
-        children = [[-1, -1, -1]]
-        terminal = [False]
-        for pat in patterns:
-            node = 0
-            for kind in reversed(pat):
-                d = kind - 1
-                nxt = children[node][d]
-                if nxt < 0:
-                    nxt = len(children)
-                    children[node][d] = nxt
-                    children.append([-1, -1, -1])
-                    terminal.append(False)
-                node = nxt
-            terminal[node] = True
-        self.children = np.asarray(children, dtype=np.int32)
-        self.terminal = np.asarray(terminal, dtype=bool)
-        self.max_depth = max((len(p) for p in patterns), default=0)
-
-    def blocked_on_append(self, codes: np.ndarray, length: int, digit: int) -> np.ndarray:
-        """Mask of prefixes (given as codes of `length` steps) for which
-        appending `digit` (0-2) creates a suffix ending in a pattern."""
-        n = codes.shape[0]
-        blocked = np.zeros(n, dtype=bool)
-        node0 = int(self.children[0, digit])
-        if node0 < 0 or n == 0:
-            return blocked
-        if self.terminal[node0]:
-            blocked[:] = True
-            return blocked
-        active = np.arange(n, dtype=np.intp)
-        tail = codes
-        node = np.full(n, node0, dtype=np.int32)
-        # depth t consumes t digits: the appended one, then length-1 more.
-        for t in range(2, min(self.max_depth, length + 1) + 1):
-            dig = ((tail // POW3[t - 2]) % np.uint64(3)).astype(np.int64)
-            node = self.children[node, dig]
-            alive = node >= 0
-            if not alive.all():
-                active = active[alive]
-                tail = tail[alive]
-                node = node[alive]
-                if active.size == 0:
-                    break
-            hit = self.terminal[node]
-            if hit.any():
-                blocked[active[hit]] = True
-                keep = ~hit
-                active = active[keep]
-                tail = tail[keep]
-                node = node[keep]
-                if active.size == 0:
-                    break
-        return blocked
-
-
 class ForbiddenSet:
     """Forbidden patterns at a given level, in canonical order.
 
@@ -210,6 +146,18 @@ class ForbiddenSet:
         return [pattern_text(p) for p in self.patterns]
 
 
+def _ends_in_pattern(codes: np.ndarray, length: int,
+                     fset: ForbiddenSet) -> np.ndarray:
+    """Mask of the length-`length` words whose suffix is some pattern."""
+    hit = np.zeros(codes.shape[0], dtype=bool)
+    for m, pats in fset.codes_by_length.items():
+        if m <= length:
+            tail = codes % POW3[m]
+            i = np.minimum(np.searchsorted(pats, tail), pats.shape[0] - 1)
+            hit |= pats[i] == tail
+    return hit
+
+
 def enumerate_primitive_loops(k: int, lower: ForbiddenSet) -> tuple[tuple[int, ...], ...]:
     """All primitive loops of order k: length-3k sequences with exactly k
     steps of each kind and no factor in `lower` (the level k-1 set).
@@ -225,7 +173,6 @@ def enumerate_primitive_loops(k: int, lower: ForbiddenSet) -> tuple[tuple[int, .
     if k > MAX_LEVEL:
         raise ResourceLimitError(f"order {k} exceeds the encoding limit {MAX_LEVEL}")
 
-    trie = SuffixTrie(lower.patterns)
     target = 3 * k
     codes = np.array([0, 1, 2], dtype=np.uint64)
     counts = np.eye(3, dtype=np.int16)
@@ -238,7 +185,8 @@ def enumerate_primitive_loops(k: int, lower: ForbiddenSet) -> tuple[tuple[int, .
             if floor > 0:
                 grown = counts + unit[d]
                 ok &= (grown >= floor).all(axis=1)
-            ok &= ~trie.blocked_on_append(codes, length, d)
+            ok &= ~_ends_in_pattern(codes * np.uint64(3) + np.uint64(d),
+                                    length + 1, lower)
             keep[:, d] = ok
         rows, cols = np.nonzero(keep)
         codes = codes[rows] * np.uint64(3) + cols.astype(np.uint64)

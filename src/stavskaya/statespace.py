@@ -2,13 +2,25 @@
 
 A state at level n is a valid history of the last L = 3n-1 steps: a
 word over {1,2,3} containing no level-(n-1) forbidden pattern as a
-factor.  Appending a step j to a state drops its oldest step; the move
-is allowed only when no level-n forbidden pattern is a suffix of the
-extended length-3n word.  The moves are stored once, in gather form:
-the sources of a state t are the up-to-three states that become t on
-dropping their oldest step, and each sits in the slot of that oldest
-step, so slot s holds s*3^(L-1) + code(t) // 3 when that move exists.
-Every in-edge of a state carries the kind of that state's newest step.
+factor.  Appending a step to a state drops its oldest step; the move is
+allowed only when the extended length-3n word contains no level-n
+pattern.
+
+Both the states and the moves come from one lemma.  A word avoids a
+pattern set F exactly when its prefix and its suffix, each one step
+shorter, avoid F and the word itself is not in F, since every shorter
+factor lies inside one of the two.  So the valid words one step longer
+are the moves between the valid words, less the patterns of that
+length (`_moves`), and the states are grown that way from single steps.
+Every level-n pattern shorter than 3n is in the level-(n-1) set, which
+no state contains, so a move between two states is rejected exactly
+when its 3n-step word is an order-n loop.
+
+The moves are stored once, in gather form: the sources of a state t are
+the up-to-three states that become t on dropping their oldest step, and
+each sits in the slot of that oldest step, so slot s holds
+s*3^(L-1) + code(t) // 3 when that move exists.  Every in-edge of a
+state carries the kind of that state's newest step.
 
 Words are encoded in base 3 (digits 0,1,2 for steps 1,2,3) with the
 oldest step in the most significant digit, so the shift-append is
@@ -29,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, ResourceLimitError
-from .patterns import (MAX_LEVEL, POW3, ForbiddenSet, SuffixTrie,
-                       code_to_pattern, pattern_text)
+from .patterns import (MAX_LEVEL, POW3, ForbiddenSet, code_to_pattern,
+                       pattern_text)
 
 # Rough per-state footprint (code + predecessor slots + a few iteration
 # vectors), used only for the construction memory guard.
@@ -38,7 +50,15 @@ _BYTES_PER_STATE = 64
 
 DEFAULT_MEMORY_BUDGET = 4 << 30
 
-_CHUNK = 1 << 22
+# Targets looked up per pass of the move rule.  Its temporaries are
+# about 40 bytes per target, so the chunk sets part of the build's peak
+# RSS: at 2^18 the whole build (patterns, states, transitions) peaks at
+# 56 MiB at level 6, below the solve's footprint, and 285 MiB at level
+# 7, where the table itself sets the peak; 2^20 takes level 6 to 72 MiB
+# and 2^22 takes level 7 to 335 MiB (2 cores, numpy 2.4).
+_CHUNK = 1 << 18
+
+_NO_PATTERNS = np.empty(0, dtype=np.uint64)
 
 
 def suffix_blocked(code: int, length: int, fset: ForbiddenSet) -> bool:
@@ -78,32 +98,57 @@ class StateSpace:
         return [pattern_text(self.word(i)) for i in range(len(self))]
 
 
+def _moves(codes: np.ndarray, length: int, patterns: np.ndarray) -> np.ndarray:
+    """The moves between the sorted length-`length` words `codes`, in
+    gather form: pred[s, t] is the index of the word
+    s*3^(length-1) + codes[t] // 3, or the sentinel N = len(codes) when
+    that word is missing or the joined word s*3^length + codes[t] is one
+    of `patterns` (codes of length length+1)."""
+    n = codes.shape[0]
+    pred = np.empty((3, n), dtype=np.int32)
+    if n == 0:
+        return pred
+    top = POW3[length - 1]
+    for lo in range(0, n, _CHUNK):
+        tail = codes[lo:lo + _CHUNK] // np.uint64(3)
+        for s in range(3):
+            src = tail + np.uint64(s) * top
+            idx = np.searchsorted(codes, src)
+            np.minimum(idx, n - 1, out=idx)
+            pred[s, lo:lo + tail.shape[0]] = np.where(codes[idx] == src, idx, n)
+    # each pattern blocks the one move that spells it: its last `length`
+    # digits name the target, its first digit the slot
+    tgt = patterns % POW3[length]
+    idx = np.minimum(np.searchsorted(codes, tgt), n - 1)
+    hit = codes[idx] == tgt
+    pred[(patterns[hit] // POW3[length]).astype(np.intp), idx[hit]] = n
+    return pred
+
+
 def enumerate_valid_words(length: int, fset: ForbiddenSet,
                           memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndarray:
     """Sorted codes of all length-`length` words avoiding `fset` as a factor.
 
-    Extends prefixes one step at a time; a prefix survives iff no pattern
-    is a suffix of it, which together with induction gives full factor
-    avoidance.  Output order is increasing because parents are processed
-    in order and the three children of a parent are emitted in order.
+    A word avoids `fset` exactly when its prefix and suffix one step
+    shorter do and it is not itself a pattern, so the words one step
+    longer are the allowed moves between the current words, less the
+    patterns of the new length.  Emitting them slot by slot (oldest step
+    0, 1, 2) keeps the codes in increasing order.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     max_states = max(memory_budget // _BYTES_PER_STATE, 1)
-    trie = SuffixTrie(fset.patterns)
     codes = np.array([0, 1, 2], dtype=np.uint64)
     for cur in range(1, length):
-        keep = np.empty((codes.shape[0], 3), dtype=bool)
-        for d in range(3):
-            for lo in range(0, codes.shape[0], _CHUNK):
-                hi = min(lo + _CHUNK, codes.shape[0])
-                keep[lo:hi, d] = ~trie.blocked_on_append(codes[lo:hi], cur, d)
-        rows, cols = np.nonzero(keep)
-        codes = codes[rows] * np.uint64(3) + cols.astype(np.uint64)
-        if codes.shape[0] > max_states:
+        patterns = fset.codes_by_length.get(cur + 1, _NO_PATTERNS)
+        kept = _moves(codes, cur, patterns) < codes.shape[0]
+        count = int(kept.sum())
+        if count > max_states:
             raise ResourceLimitError(
-                f"{codes.shape[0]} prefixes of length {cur + 1} exceed the "
+                f"{count} prefixes of length {cur + 1} exceed the "
                 f"memory budget of {memory_budget} bytes")
+        codes = np.concatenate([codes[kept[s]] + np.uint64(s) * POW3[cur]
+                                for s in range(3)])
     return codes
 
 
@@ -189,29 +234,16 @@ def build_transitions(states: StateSpace, fset: ForbiddenSet) -> TransitionTable
     """Allowed moves into every state, checked against the level-n set.
 
     The source in slot s of target t is the state coded
-    s*3^(L-1) + code(t) // 3; its move appends t's newest step and is
-    blocked iff some pattern is a suffix of the extended length-3n word.
+    s*3^(L-1) + code(t) // 3; its move appends t's newest step.  Every
+    factor of the joined length-3n word shorter than 3n lies in the
+    source or the target, and every level-n pattern that short is in the
+    level-(n-1) set that no state contains, so the move is rejected
+    exactly when the joined word is an order-n loop.
     """
     if fset.level != states.n:
         raise ValueError(f"need the level {states.n} forbidden set, got level {fset.level}")
-    trie = SuffixTrie(fset.patterns)
-    codes = states.codes
-    n_states = len(states)
-    length = states.length
-    last_digit = (codes % np.uint64(3)).astype(np.uint8)
-    pred = np.full((3, n_states), n_states, dtype=np.int32)
-    for d in range(3):
-        # targets ending in d, all entered by appending d
-        tgt = np.nonzero(last_digit == d)[0]
-        tail = codes[tgt] // np.uint64(3)
-        for s in range(3):
-            src_codes = tail + np.uint64(s) * POW3[length - 1]
-            idx = np.searchsorted(codes, src_codes)
-            found = codes[np.minimum(idx, n_states - 1)] == src_codes
-            src_codes = src_codes[found]
-            blocked = np.empty(src_codes.shape[0], dtype=bool)
-            for lo in range(0, src_codes.shape[0], _CHUNK):
-                hi = min(lo + _CHUNK, src_codes.shape[0])
-                blocked[lo:hi] = trie.blocked_on_append(src_codes[lo:hi], length, d)
-            pred[s, tgt[found][~blocked]] = idx[found][~blocked]
+    # the full-length remainder is a temporary, so take it before pred exists
+    last_digit = (states.codes % np.uint64(3)).astype(np.uint8)
+    loops = fset.codes_by_length.get(states.length + 1, _NO_PATTERNS)
+    pred = _moves(states.codes, states.length, loops)
     return TransitionTable(n=states.n, pred=pred, last_digit=last_digit)

@@ -86,7 +86,7 @@ def test_path_sums_match_operator_iteration(small_levels, fset5):
 def test_full_factor_filter_matches_incremental(fset5):
     # suffix-checked extension and exhaustive factor scans accept the
     # same words
-    for n in (1, 2):
+    for n in (1, 2, 3):
         fset = fset5.restrict(n)
         for k in range(1, 11):
             fast = enumerate_valid_words(k, fset)

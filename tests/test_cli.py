@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from stavskaya import cli
 from stavskaya.cli import _GROWTH, _projected_bytes, main
+from stavskaya.errors import ResourceLimitError
 
 SCHEMA_KEYS = {"level", "p", "q", "alpha_lower_bound", "certificate",
                "iterations", "states", "forbidden_patterns",
@@ -100,6 +102,18 @@ def test_table_deep_refusal(capsys):
     err = capsys.readouterr().err
     assert "--deep" in err and "GiB" in err
     assert "hours" not in err
+
+
+@pytest.mark.parametrize("argv", [("bound", "--n", "2", "--p", "1.44"),
+                                  ("table", "--n-max", "2")])
+def test_build_refusal_exits_three(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise ResourceLimitError("budget")
+    monkeypatch.setattr(cli, "build_state_space", refuse)
+    assert main(list(argv)) == 3
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "error: budget"
+    assert captured.out == ""
 
 
 def test_projected_bytes_counts_full_work_vectors_off_q_one():

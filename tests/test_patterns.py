@@ -1,11 +1,10 @@
-import numpy as np
 import pytest
 
 from stavskaya.errors import ResourceLimitError
-from stavskaya.patterns import (ForbiddenSet, Parameters, SuffixTrie,
-                                build_forbidden_set, code_to_pattern,
-                                enumerate_primitive_loops, pattern_code,
-                                pattern_text, step_weight, swap_pattern)
+from stavskaya.patterns import (ForbiddenSet, Parameters, build_forbidden_set,
+                                code_to_pattern, enumerate_primitive_loops,
+                                pattern_code, pattern_text, step_weight,
+                                swap_pattern)
 
 
 def test_parameter_validation():
@@ -140,16 +139,3 @@ def test_forbidden_set_validation():
         ForbiddenSet(0, [(1,)])
     with pytest.raises(ValueError):
         ForbiddenSet(0, [(1, 4)])
-
-
-def test_suffix_trie_blocks_known_suffixes():
-    trie = SuffixTrie(build_forbidden_set(1).patterns)
-    # prefix "22" + digit: appending 1 or 2 fine, pattern-free
-    codes = np.array([4], dtype=np.uint64)  # "22"
-    assert not trie.blocked_on_append(codes, 2, 0)[0]
-    # prefix "12" + step 3 completes "123"
-    codes = np.array([1], dtype=np.uint64)  # "12"
-    assert trie.blocked_on_append(codes, 2, 2)[0]
-    # prefix "21" + step 3 completes the degenerate "13"
-    codes = np.array([3], dtype=np.uint64)  # "21"
-    assert trie.blocked_on_append(codes, 2, 2)[0]

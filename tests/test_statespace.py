@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import make_table, unmirrored
 
+from stavskaya import statespace
 from stavskaya.errors import ConsistencyError, ResourceLimitError
 from stavskaya.patterns import (POW3, build_forbidden_set, code_to_pattern,
                                 pattern_code, pattern_text)
@@ -10,6 +11,10 @@ from stavskaya.statespace import (TransitionTable, build_state_space,
                                   suffix_blocked)
 
 EXPECTED_SIZES = {1: 7, 2: 73, 3: 759, 4: 7859, 5: 81231}
+
+# not from the paper: the counts this construction gives, as recorded
+# in CHANGES.md
+EXPECTED_EDGES = {1: 15, 2: 159, 3: 1653, 4: 17113, 5: 176873}
 
 
 def test_word_codec_roundtrip():
@@ -64,8 +69,9 @@ def test_level_one_transitions(small_levels):
 
 
 def test_transitions_match_suffix_rule(small_levels, fset5):
-    # scatter view against the scalar suffix check, state by state
-    for n in (1, 2):
+    # scatter view against the scalar suffix check over every pattern
+    # length, state by state
+    for n in (1, 2, 3):
         space, table = small_levels[n]
         succ = table.succ
         fset = fset5.restrict(n)
@@ -75,6 +81,30 @@ def test_transitions_match_suffix_rule(small_levels, fset5):
                 extended = code * 3 + (kind - 1)
                 blocked = suffix_blocked(extended, space.length + 1, fset)
                 assert (succ[kind - 1, i] == -1) == blocked
+
+
+@pytest.mark.parametrize("n,edges", sorted(EXPECTED_EDGES.items()))
+def test_edge_counts(n, edges, fset5):
+    space = build_state_space(n, fset5.restrict(n - 1))
+    table = build_transitions(space, fset5.restrict(n))
+    assert table.edge_count == edges
+    assert table.zero_out_degree_count() == 0
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_chunked_moves_match_one_chunk(fset5, monkeypatch, chunk):
+    # the move rule's lookups run in chunks of _CHUNK targets; chunk
+    # boundaries must not change a code or a predecessor
+    whole = {}
+    for n in range(1, 5):
+        space = build_state_space(n, fset5.restrict(n - 1))
+        whole[n] = (space.codes, build_transitions(space, fset5.restrict(n)).pred)
+    monkeypatch.setattr(statespace, "_CHUNK", chunk)
+    for n, (codes, pred) in whole.items():
+        space = build_state_space(n, fset5.restrict(n - 1))
+        assert np.array_equal(space.codes, codes)
+        got = build_transitions(space, fset5.restrict(n)).pred
+        assert got.dtype == pred.dtype and np.array_equal(got, pred)
 
 
 def test_closure_targets_are_states(small_levels):
@@ -90,7 +120,7 @@ def test_closure_targets_are_states(small_levels):
 
 def test_suffix_sufficiency_full_factor_scan(small_levels, fset5):
     # suffix-only validity equals full-factor validity of the extended word
-    for n in (1, 2):
+    for n in (1, 2, 3):
         space, table = small_levels[n]
         succ = table.succ
         patterns = fset5.restrict(n).patterns
