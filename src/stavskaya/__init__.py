@@ -12,8 +12,8 @@ from .patterns import (ForbiddenSet, Parameters, build_forbidden_set,
 from .search import (BisectionResult, OptimizationResult, alpha_sup,
                      optimize_p)
 from .spectral import (SpectralEstimate, apply_operator,
-                       certified_upper_bound, is_subcritical,
-                       power_iteration, word_weight_vector)
+                       certified_upper_bound, power_iteration,
+                       word_weight_vector)
 from .statespace import (StateSpace, TransitionTable, build_state_space,
                          build_transitions, suffix_blocked)
 
@@ -36,7 +36,6 @@ __all__ = [
     "build_transitions",
     "certified_upper_bound",
     "enumerate_primitive_loops",
-    "is_subcritical",
     "optimize_p",
     "power_iteration",
     "step_weight",

@@ -1,4 +1,4 @@
-"""Contour steps, forbidden patterns, and primitive-loop enumeration.
+"""Contour steps, forbidden patterns, and the move rule that grows words.
 
 A contour path is a sequence of steps over the three-letter alphabet
 {1, 2, 3}.  Certain step sequences can never occur in a valid contour:
@@ -8,8 +8,18 @@ kind; it is primitive when it contains no shorter forbidden pattern as
 a contiguous factor.  The forbidden set at level n collects the
 degenerate pair plus all primitive loops of orders 1..n.
 
-Patterns are plain tuples of step kinds.  Their text form is the
-comma-free digit string over {1,2,3}, e.g. "123".
+Words are encoded in base 3 (digits 0,1,2 for steps 1,2,3), oldest
+step in the most significant digit.  A `ForbiddenSet` stores only the
+sorted codes of each pattern length; the tuples of step kinds and their
+text forms ("123") are derived from them.
+
+One move rule grows every word set.  A word avoids a pattern set F
+exactly when its prefix and its suffix, each one step shorter, avoid F
+and the word itself is not in F, since every shorter factor lies inside
+one of the two.  So the valid words one step longer are the moves
+between the valid words (`_moves`), less the patterns of that length
+(`_grow`).  This holds for any set closed under taking factors: it
+grows the loops here and the states and transitions in `statespace`.
 """
 
 from __future__ import annotations
@@ -27,6 +37,17 @@ MAX_LEVEL = 13
 STEP_KINDS = (1, 2, 3)
 
 POW3 = 3 ** np.arange(41, dtype=np.uint64)
+
+# Targets looked up per pass of the move rule (and per pass of the
+# transition table's mirror check).  Its temporaries are about 40 bytes
+# per target, so the chunk sets part of the build's peak RSS: at 2^18
+# the whole build (patterns, states, transitions) peaks at 56 MiB at
+# level 6, below the solve's footprint, and 243 MiB at level 7, where
+# the table itself sets the peak; 2^20 takes level 6 to 74 MiB and 2^22
+# takes level 7 to 335 MiB (2 cores, numpy 2.4).
+_CHUNK = 1 << 18
+
+_NO_CODES = np.empty(0, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -86,43 +107,45 @@ def pattern_text(pattern: tuple[int, ...]) -> str:
 
 
 class ForbiddenSet:
-    """Forbidden patterns at a given level, in canonical order.
-
-    Canonical order is by (length, base-3 code), which makes enumeration
-    output deterministic.
+    """Forbidden patterns at a given level, stored once: `codes_by_length`
+    maps each pattern length to its sorted uint64 codes.  The tuples and
+    texts are derived in canonical order, by (length, code).
     """
 
     def __init__(self, level: int, patterns):
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
-        pats = sorted(set(tuple(p) for p in patterns),
-                      key=lambda p: (len(p), pattern_code(p)))
-        # the sort key has already checked every kind
-        for p in pats:
+        grouped: dict[int, list[int]] = {}
+        for p in map(tuple, patterns):
             if len(p) < 2:
                 raise ValueError(f"invalid pattern {p}")
+            # pattern_code checks every kind
+            grouped.setdefault(len(p), []).append(pattern_code(p))
         self.level = level
-        self.patterns = tuple(pats)
-        grouped: dict[int, list[tuple[int, ...]]] = {}
-        for p in self.patterns:
-            grouped.setdefault(len(p), []).append(p)
-        self.by_length: dict[int, tuple[tuple[int, ...], ...]] = {
-            m: tuple(ps) for m, ps in grouped.items()
-        }
-        self.codes_by_length = {
-            m: np.asarray([pattern_code(p) for p in ps], dtype=np.uint64)
-            for m, ps in self.by_length.items()
-        }
+        self.codes_by_length = {m: np.array(sorted(set(c)), dtype=np.uint64)
+                                for m, c in sorted(grouped.items())}
+
+    @classmethod
+    def _of_codes(cls, level: int, codes_by_length) -> "ForbiddenSet":
+        fset = cls(level, ())  # the codes are taken as they are
+        fset.codes_by_length = dict(sorted(codes_by_length.items()))
+        return fset
+
+    @property
+    def patterns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(code_to_pattern(int(c), m)
+                     for m, codes in self.codes_by_length.items() for c in codes)
 
     def __len__(self) -> int:
-        return len(self.patterns)
+        return sum(codes.shape[0] for codes in self.codes_by_length.values())
 
     def __iter__(self):
         return iter(self.patterns)
 
     def __contains__(self, pattern) -> bool:
         pattern = tuple(pattern)
-        return pattern in self.by_length.get(len(pattern), ())
+        return (set(pattern) <= set(STEP_KINDS) and pattern_code(pattern)
+                in self.codes_by_length.get(len(pattern), ()))
 
     def __repr__(self) -> str:
         return f"ForbiddenSet(level={self.level}, size={len(self)})"
@@ -131,7 +154,7 @@ class ForbiddenSet:
         """Number of primitive loops of order k (k >= 1) in this set."""
         if k < 1:
             raise ValueError("order must be >= 1")
-        return len(self.by_length.get(3 * k, ()))
+        return len(self.codes_by_length.get(3 * k, ()))
 
     def restrict(self, level: int) -> "ForbiddenSet":
         """The sub-set describing a lower level (drop loops above it)."""
@@ -139,32 +162,73 @@ class ForbiddenSet:
             raise ValueError(f"cannot restrict level {self.level} to {level}")
         if level == self.level:
             return self
-        keep = [p for p in self.patterns if len(p) == 2 or len(p) <= 3 * level]
-        return ForbiddenSet(level, keep)
+        return ForbiddenSet._of_codes(
+            level, {m: codes for m, codes in self.codes_by_length.items()
+                    if m == 2 or m <= 3 * level})
 
     def texts(self) -> list[str]:
         return [pattern_text(p) for p in self.patterns]
 
 
-def _ends_in_pattern(codes: np.ndarray, length: int,
-                     fset: ForbiddenSet) -> np.ndarray:
-    """Mask of the length-`length` words whose suffix is some pattern."""
-    hit = np.zeros(codes.shape[0], dtype=bool)
-    for m, pats in fset.codes_by_length.items():
-        if m <= length:
-            tail = codes % POW3[m]
-            i = np.minimum(np.searchsorted(pats, tail), pats.shape[0] - 1)
-            hit |= pats[i] == tail
-    return hit
+def _moves(codes: np.ndarray, length: int, fset: ForbiddenSet) -> np.ndarray:
+    """The moves between the sorted length-`length` words `codes`, in
+    gather form: pred[s, t] is the index of the word
+    s*3^(length-1) + codes[t] // 3, or the sentinel N = len(codes) when
+    that word is missing or the joined word s*3^length + codes[t] is a
+    pattern of `fset`."""
+    n = codes.shape[0]
+    pred = np.empty((3, n), dtype=np.int32)
+    if n == 0:
+        return pred
+    top = POW3[length - 1]
+    for lo in range(0, n, _CHUNK):
+        tail = codes[lo:lo + _CHUNK] // np.uint64(3)
+        for s in range(3):
+            src = tail + np.uint64(s) * top
+            idx = np.searchsorted(codes, src)
+            np.minimum(idx, n - 1, out=idx)
+            pred[s, lo:lo + tail.shape[0]] = np.where(codes[idx] == src, idx, n)
+    # each pattern blocks the one move that spells it: its last `length`
+    # digits name the target, its first digit the slot
+    patterns = fset.codes_by_length.get(length + 1, _NO_CODES)
+    tgt = patterns % POW3[length]
+    idx = np.minimum(np.searchsorted(codes, tgt), n - 1)
+    hit = codes[idx] == tgt
+    pred[(patterns[hit] // POW3[length]).astype(np.intp), idx[hit]] = n
+    return pred
 
 
-def enumerate_primitive_loops(k: int, lower: ForbiddenSet) -> tuple[tuple[int, ...], ...]:
-    """All primitive loops of order k: length-3k sequences with exactly k
-    steps of each kind and no factor in `lower` (the level k-1 set).
+def _grow(codes: np.ndarray, length: int, fset: ForbiddenSet,
+          allowed: np.ndarray | None = None,
+          max_words: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the move rule: (kept, longer).  kept[s, t] keeps the
+    word of oldest step s and suffix codes[t] when its prefix is among
+    the sorted words `codes`, it is no pattern of `fset`, and
+    allowed[s, t] (if given).  `longer` holds the kept codes, slot by
+    slot, so in increasing order.  More than `max_words` of them raise
+    `ResourceLimitError` before `longer` is allocated.
+    """
+    kept = _moves(codes, length, fset) < codes.shape[0]
+    if allowed is not None:
+        kept &= allowed
+    count = int(kept.sum())
+    if max_words is not None and count > max_words:
+        raise ResourceLimitError(
+            f"{count} words of length {length + 1} exceed the "
+            f"{max_words} that the memory budget allows")
+    longer = np.concatenate([codes[kept[s]] + np.uint64(s) * POW3[length]
+                             for s in range(3)])
+    return kept, longer
 
-    Grows prefixes one step at a time; a prefix dies as soon as a kind
-    budget is violated or a forbidden suffix appears, so only viable
-    balanced prefixes are ever materialized.
+
+def enumerate_primitive_loops(k: int, lower: ForbiddenSet) -> np.ndarray:
+    """Sorted codes of the primitive loops of order k: length-3k words
+    with exactly k steps of each kind and no factor in `lower` (the
+    level k-1 set).
+
+    The words with at most k steps of each kind and no factor in `lower`
+    are closed under taking factors, so they grow by the move rule, less
+    the words over the kind budget; at length 3k only balanced ones stay.
     """
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
@@ -172,27 +236,14 @@ def enumerate_primitive_loops(k: int, lower: ForbiddenSet) -> tuple[tuple[int, .
         raise ValueError(f"need the level {k - 1} forbidden set, got level {lower.level}")
     if k > MAX_LEVEL:
         raise ResourceLimitError(f"order {k} exceeds the encoding limit {MAX_LEVEL}")
-
-    target = 3 * k
     codes = np.array([0, 1, 2], dtype=np.uint64)
-    counts = np.eye(3, dtype=np.int16)
-    unit = np.eye(3, dtype=np.int16)
-    for length in range(1, target):
-        keep = np.empty((codes.shape[0], 3), dtype=bool)
-        for d in range(3):
-            ok = counts[:, d] + 1 <= k
-            floor = (length + 1) - 2 * k
-            if floor > 0:
-                grown = counts + unit[d]
-                ok &= (grown >= floor).all(axis=1)
-            ok &= ~_ends_in_pattern(codes * np.uint64(3) + np.uint64(d),
-                                    length + 1, lower)
-            keep[:, d] = ok
-        rows, cols = np.nonzero(keep)
-        codes = codes[rows] * np.uint64(3) + cols.astype(np.uint64)
-        counts = counts[rows] + unit[cols]
-    # counts <= k per kind and total 3k force exact balance here
-    return tuple(code_to_pattern(int(c), target) for c in codes)
+    unit = np.eye(3, dtype=np.uint8)
+    counts = unit  # steps of each kind, one row per word
+    for length in range(1, 3 * k):
+        # a word with oldest step s and suffix t has one more step s than t
+        kept, codes = _grow(codes, length, lower, (counts < k).T)
+        counts = np.concatenate([counts[kept[s]] + unit[s] for s in range(3)])
+    return codes
 
 
 def build_forbidden_set(n: int) -> ForbiddenSet:
@@ -205,5 +256,5 @@ def build_forbidden_set(n: int) -> ForbiddenSet:
     fset = ForbiddenSet(0, [(1, 3), (3, 1)])
     for k in range(1, n + 1):
         loops = enumerate_primitive_loops(k, fset)
-        fset = ForbiddenSet(k, fset.patterns + loops)
+        fset = ForbiddenSet._of_codes(k, {**fset.codes_by_length, 3 * k: loops})
     return fset

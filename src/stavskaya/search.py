@@ -101,12 +101,12 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
     and without the half-state mirror, does not re-derive that
     certificate bit for bit, `ConsistencyError` is raised.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    ok, certificate, est = check_subcritical(table, Parameters(p, q, 0.0),
-                                             DEFAULT_TOL, max_iter)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    est = check_subcritical(table, Parameters(p, q, 0.0), DEFAULT_TOL, max_iter)
     spent = est.iterations
-    if not ok:
+    certificate = est.certified_upper
+    if not est.certified_subcritical:
         return BisectionResult(p=p, q=q, alpha_low=0.0, alpha_high=1.0,
                                iterations=0, degenerate=True,
                                certificate=certificate,
@@ -117,12 +117,12 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
     steps = 0
     while high - low > tol:
         mid = 0.5 * (low + high)
-        ok, bound, est = check_subcritical(table, Parameters(p, q, mid),
-                                           DEFAULT_TOL, max_iter, v0=warm)
+        est = check_subcritical(table, Parameters(p, q, mid),
+                                DEFAULT_TOL, max_iter, v0=warm)
         spent += est.iterations
         warm = est.vector
-        if ok:
-            low, certificate, certified = mid, bound, warm
+        if est.certified_subcritical:
+            low, certificate, certified = mid, est.certified_upper, warm
         else:
             high = mid
         steps += 1

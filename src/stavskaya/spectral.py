@@ -206,8 +206,8 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
     the rest of each iterate is then the first part reversed.  Otherwise
     m = N.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = table.n_states
@@ -276,30 +276,18 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
 
 def check_subcritical(table: TransitionTable, params: Parameters,
                       tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                      v0: np.ndarray | None = None
-                      ) -> tuple[bool, float, SpectralEstimate]:
-    """Certified subcriticality test: (certified, certificate, estimate).
+                      v0: np.ndarray | None = None) -> SpectralEstimate:
+    """Certified subcriticality test.
 
-    The certificate is a genuine upper bound on the spectral radius; it is
-    below one exactly when `certified` is True, and it is the max ratio
-    of the returned vector.  The power iteration ends as soon as a ratio
-    bound decides the question: a max ratio below one certifies, a min
-    ratio above one proves the radius above one.  Only when neither
-    happens does it run on to convergence or to `max_iter`.
+    The estimate's `certified_upper` is a genuine upper bound on the
+    spectral radius and the max ratio of its vector; it is below one
+    exactly when `certified_subcritical` is True.  The power iteration
+    ends as soon as a ratio bound decides the question: a max ratio below
+    one certifies, a min ratio above one proves the radius above one.
+    Only when neither happens does it run on to convergence or to
+    `max_iter`.
     """
-    est = _iterate(table, params, tol, max_iter, v0, decide=True)
-    return est.certified_subcritical, est.certified_upper, est
-
-
-def is_subcritical(table: TransitionTable, params: Parameters,
-                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                   v0: np.ndarray | None = None) -> bool:
-    """True iff the radius is certified below one.
-
-    Only the True branch is load-bearing: it proves the radius is < 1.
-    Anything short of a certificate, non-convergence included, is False.
-    """
-    return check_subcritical(table, params, tol, max_iter, v0)[0]
+    return _iterate(table, params, tol, max_iter, v0, decide=True)
 
 
 def word_weight_vector(space: StateSpace, params: Parameters) -> np.ndarray:

@@ -6,15 +6,13 @@ factor.  Appending a step to a state drops its oldest step; the move is
 allowed only when the extended length-3n word contains no level-n
 pattern.
 
-Both the states and the moves come from one lemma.  A word avoids a
-pattern set F exactly when its prefix and its suffix, each one step
-shorter, avoid F and the word itself is not in F, since every shorter
-factor lies inside one of the two.  So the valid words one step longer
-are the moves between the valid words, less the patterns of that
-length (`_moves`), and the states are grown that way from single steps.
-Every level-n pattern shorter than 3n is in the level-(n-1) set, which
-no state contains, so a move between two states is rejected exactly
-when its 3n-step word is an order-n loop.
+The states and the moves come from the move rule of `patterns`, which
+also grows the loops: the valid words one step longer are the moves
+between the valid words, less the patterns of that length (`_grow`),
+and the states are grown that way from single steps.  Every level-n
+pattern shorter than 3n is in the level-(n-1) set, which no state
+contains, so a move between two states is rejected exactly when its
+3n-step word is an order-n loop (`_moves`).
 
 The moves are stored once, in gather form: the sources of a state t are
 the up-to-three states that become t on dropping their oldest step, and
@@ -22,8 +20,8 @@ each sits in the slot of that oldest step, so slot s holds
 s*3^(L-1) + code(t) // 3 when that move exists.  Every in-edge of a
 state carries the kind of that state's newest step.
 
-Words are encoded in base 3 (digits 0,1,2 for steps 1,2,3) with the
-oldest step in the most significant digit, so the shift-append is
+Words are encoded as in `patterns`, oldest step in the most
+significant base-3 digit, so the shift-append is
 (code mod 3^(L-1)) * 3 + digit.
 
 The 1<->3 swap maps digit d to 2-d, so it maps code c to 3^L-1-c.  The
@@ -41,24 +39,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, ResourceLimitError
-from .patterns import (MAX_LEVEL, POW3, ForbiddenSet, code_to_pattern,
-                       pattern_text)
+from .patterns import (_CHUNK, MAX_LEVEL, POW3, ForbiddenSet, _grow, _moves,
+                       code_to_pattern, pattern_text)
 
 # Rough per-state footprint (code + predecessor slots + a few iteration
 # vectors), used only for the construction memory guard.
 _BYTES_PER_STATE = 64
 
 DEFAULT_MEMORY_BUDGET = 4 << 30
-
-# Targets looked up per pass of the move rule.  Its temporaries are
-# about 40 bytes per target, so the chunk sets part of the build's peak
-# RSS: at 2^18 the whole build (patterns, states, transitions) peaks at
-# 56 MiB at level 6, below the solve's footprint, and 285 MiB at level
-# 7, where the table itself sets the peak; 2^20 takes level 6 to 72 MiB
-# and 2^22 takes level 7 to 335 MiB (2 cores, numpy 2.4).
-_CHUNK = 1 << 18
-
-_NO_PATTERNS = np.empty(0, dtype=np.uint64)
 
 
 def suffix_blocked(code: int, length: int, fset: ForbiddenSet) -> bool:
@@ -98,57 +86,20 @@ class StateSpace:
         return [pattern_text(self.word(i)) for i in range(len(self))]
 
 
-def _moves(codes: np.ndarray, length: int, patterns: np.ndarray) -> np.ndarray:
-    """The moves between the sorted length-`length` words `codes`, in
-    gather form: pred[s, t] is the index of the word
-    s*3^(length-1) + codes[t] // 3, or the sentinel N = len(codes) when
-    that word is missing or the joined word s*3^length + codes[t] is one
-    of `patterns` (codes of length length+1)."""
-    n = codes.shape[0]
-    pred = np.empty((3, n), dtype=np.int32)
-    if n == 0:
-        return pred
-    top = POW3[length - 1]
-    for lo in range(0, n, _CHUNK):
-        tail = codes[lo:lo + _CHUNK] // np.uint64(3)
-        for s in range(3):
-            src = tail + np.uint64(s) * top
-            idx = np.searchsorted(codes, src)
-            np.minimum(idx, n - 1, out=idx)
-            pred[s, lo:lo + tail.shape[0]] = np.where(codes[idx] == src, idx, n)
-    # each pattern blocks the one move that spells it: its last `length`
-    # digits name the target, its first digit the slot
-    tgt = patterns % POW3[length]
-    idx = np.minimum(np.searchsorted(codes, tgt), n - 1)
-    hit = codes[idx] == tgt
-    pred[(patterns[hit] // POW3[length]).astype(np.intp), idx[hit]] = n
-    return pred
-
-
 def enumerate_valid_words(length: int, fset: ForbiddenSet,
                           memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndarray:
     """Sorted codes of all length-`length` words avoiding `fset` as a factor.
 
-    A word avoids `fset` exactly when its prefix and suffix one step
-    shorter do and it is not itself a pattern, so the words one step
-    longer are the allowed moves between the current words, less the
-    patterns of the new length.  Emitting them slot by slot (oldest step
-    0, 1, 2) keeps the codes in increasing order.
+    The words grow from single steps by the move rule of `patterns`,
+    which refuses a length with more words than `memory_budget` holds
+    before it allocates them.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    max_states = max(memory_budget // _BYTES_PER_STATE, 1)
+    max_words = max(memory_budget // _BYTES_PER_STATE, 1)
     codes = np.array([0, 1, 2], dtype=np.uint64)
     for cur in range(1, length):
-        patterns = fset.codes_by_length.get(cur + 1, _NO_PATTERNS)
-        kept = _moves(codes, cur, patterns) < codes.shape[0]
-        count = int(kept.sum())
-        if count > max_states:
-            raise ResourceLimitError(
-                f"{count} prefixes of length {cur + 1} exceed the "
-                f"memory budget of {memory_budget} bytes")
-        codes = np.concatenate([codes[kept[s]] + np.uint64(s) * POW3[cur]
-                                for s in range(3)])
+        codes = _grow(codes, cur, fset, max_words=max_words)[1]
     return codes
 
 
@@ -193,14 +144,23 @@ class TransitionTable:
         if self.pred.size and (self.pred.min() < 0 or self.pred.max() > n):
             raise ConsistencyError(
                 f"predecessor indices must lie in [0, {n}]")
+        self.mirrored = self._is_mirrored()
+
+    def _is_mirrored(self) -> bool:
         # also checked once, for the spectral solver's half-state
-        # iteration; slot 1 pairs with itself and slot 2 with slot 0, so
-        # checking slots 0 and 1 covers all three
-        self.mirrored = (
-            np.array_equal(self.last_digit[::-1], 2 - self.last_digit)
-            and all(np.array_equal(self.pred[2 - s, ::-1],
-                                   np.where(self.pred[s] == n, n, n - 1 - self.pred[s]))
-                    for s in range(2)))
+        # iteration, in chunks to keep its temporaries small; slot 1
+        # pairs with itself and slot 2 with slot 0, so slots 0 and 1
+        # (their mirrors: slots 2 and 1, reversed) cover all three
+        n = self.n_states
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            src = self.pred[:2, lo:hi]
+            if not (np.array_equal(self.last_digit[n - hi:n - lo][::-1],
+                                   2 - self.last_digit[lo:hi])
+                    and np.array_equal(self.pred[[2, 1], n - hi:n - lo][:, ::-1],
+                                       np.where(src == n, n, n - 1 - src))):
+                return False
+        return True
 
     @property
     def n_states(self) -> int:
@@ -244,6 +204,5 @@ def build_transitions(states: StateSpace, fset: ForbiddenSet) -> TransitionTable
         raise ValueError(f"need the level {states.n} forbidden set, got level {fset.level}")
     # the full-length remainder is a temporary, so take it before pred exists
     last_digit = (states.codes % np.uint64(3)).astype(np.uint8)
-    loops = fset.codes_by_length.get(states.length + 1, _NO_PATTERNS)
-    pred = _moves(states.codes, states.length, loops)
+    pred = _moves(states.codes, states.length, fset)
     return TransitionTable(n=states.n, pred=pred, last_digit=last_digit)

@@ -12,7 +12,7 @@ from stavskaya import bruteforce
 from stavskaya.patterns import (POW3, Parameters, build_forbidden_set,
                                 swap_pattern)
 from stavskaya.search import alpha_sup, optimize_p
-from stavskaya.spectral import (apply_operator, is_subcritical,
+from stavskaya.spectral import (apply_operator, check_subcritical,
                                 power_iteration, word_weight_vector)
 from stavskaya.statespace import (build_state_space, build_transitions,
                                   enumerate_valid_words)
@@ -172,7 +172,8 @@ def test_criterion_7_property_suite(small_levels, fset5):
     for n in (1, 2, 3):
         _, table = small_levels[n]
         res = alpha_sup(table, 1.43, 1.0, 1e-8)
-        ok_post &= is_subcritical(table, Parameters(1.43, 1.0, res.alpha_low))
+        ok_post &= check_subcritical(
+            table, Parameters(1.43, 1.0, res.alpha_low)).certified_subcritical
     # every predecessor sits in the slot of its oldest step
     ok_slots = True
     for space, t in small_levels.values():

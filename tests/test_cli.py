@@ -25,6 +25,15 @@ def test_loops_counts(capsys):
     assert report["orders"][-1] == {"order": 3, "count": 6, "cumulative": 12}
 
 
+def test_loops_counts_through_order_eight(capsys):
+    code, out = run(capsys, "loops", "--n", "8")
+    assert code == 0
+    report = json.loads(out)
+    assert [row["count"] for row in report["orders"]] == [
+        2, 2, 2, 6, 24, 110, 548, 2890, 15882]
+    assert report["total"] == 19466
+
+
 def test_loops_level_zero(capsys):
     code, out = run(capsys, "loops", "--n", "0")
     assert code == 0
@@ -133,6 +142,16 @@ def test_usage_error_exits_one(capsys):
     # no power iteration at all would certify nothing and report Infinity
     assert main(["bound", "--n", "1", "--p", "1.45", "--max-iter", "0"]) == 1
     assert "max_iter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_alpha_tol_exits_one(capsys, tol):
+    # a tolerance no width can undercut (or exceed) would end the
+    # bisection after 0 steps and report alpha = 0 as certified
+    assert main(["bound", "--n", "2", "--p", "1.44", "--alpha-tol", tol]) == 1
+    assert "tol" in capsys.readouterr().err
+    assert main(["table", "--n-max", "1", "--alpha-tol", tol]) == 1
+    assert "tol" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from stavskaya.errors import ResourceLimitError
@@ -43,20 +44,29 @@ def test_pattern_text_roundtrip():
     assert pattern_text(code_to_pattern(pattern_code((3, 2, 1)), 3)) == "321"
 
 
+def loop_tuples(k):
+    codes = enumerate_primitive_loops(k, build_forbidden_set(k - 1))
+    return {code_to_pattern(int(c), 3 * k) for c in codes}
+
+
 def test_order_one_loops():
-    lower = build_forbidden_set(0)
-    assert set(enumerate_primitive_loops(1, lower)) == {(1, 2, 3), (3, 2, 1)}
+    assert loop_tuples(1) == {(1, 2, 3), (3, 2, 1)}
 
 
 def test_order_two_loops():
-    lower = build_forbidden_set(1)
-    assert set(enumerate_primitive_loops(2, lower)) == {
-        (1, 1, 2, 2, 3, 3), (3, 3, 2, 2, 1, 1)}
+    assert loop_tuples(2) == {(1, 1, 2, 2, 3, 3), (3, 3, 2, 2, 1, 1)}
 
 
 def test_order_three_count():
     lower = build_forbidden_set(2)
     assert len(enumerate_primitive_loops(3, lower)) == 6
+
+
+def test_loops_are_strictly_increasing_codes():
+    for k in range(1, 7):
+        codes = enumerate_primitive_loops(k, build_forbidden_set(k - 1))
+        assert codes.dtype == np.uint64
+        assert (codes[1:] > codes[:-1]).all()
 
 
 def test_primitivity_needs_matching_level():

@@ -6,7 +6,7 @@ import stavskaya.search as search
 from stavskaya.errors import ConsistencyError
 from stavskaya.patterns import Parameters
 from stavskaya.search import BisectionResult, alpha_sup, optimize_p
-from stavskaya.spectral import is_subcritical, power_iteration
+from stavskaya.spectral import check_subcritical, power_iteration
 from stavskaya.statespace import build_state_space, build_transitions
 
 
@@ -47,8 +47,16 @@ def test_returned_endpoint_recertifies(small_levels):
     for n in (1, 2):
         _, table = small_levels[n]
         res = alpha_sup(table, 1.45, 1.0, 1e-8)
-        assert is_subcritical(table, Parameters(1.45, 1.0, res.alpha_low))
-        assert not is_subcritical(table, Parameters(1.45, 1.0, res.alpha_high))
+        low = check_subcritical(table, Parameters(1.45, 1.0, res.alpha_low))
+        high = check_subcritical(table, Parameters(1.45, 1.0, res.alpha_high))
+        assert low.certified_subcritical and not high.certified_subcritical
+
+
+@pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+def test_alpha_tolerance_must_be_positive_and_finite(small_levels, tol):
+    _, table = small_levels[1]
+    with pytest.raises(ValueError, match="tol"):
+        alpha_sup(table, 1.464, 1.0, tol)
 
 
 def test_bound_is_conservative(small_levels):

@@ -8,8 +8,7 @@ from stavskaya import spectral
 from stavskaya.patterns import Parameters
 from stavskaya.spectral import (SpectralEstimate, apply_operator,
                                 certified_upper_bound, check_subcritical,
-                                is_subcritical, power_iteration,
-                                word_weight_vector)
+                                power_iteration, word_weight_vector)
 from stavskaya.statespace import build_state_space, build_transitions
 
 
@@ -205,12 +204,27 @@ def test_monotone_in_alpha(small_levels):
             assert lo <= hi + 1e-10
 
 
+def certifies(table, params):
+    return check_subcritical(table, params).certified_subcritical
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_tolerance_must_be_positive_and_finite(small_levels, tol):
+    # a NaN tolerance would never stop the iteration before max_iter
+    _, table = small_levels[1]
+    params = Parameters(1.464, 1.0, 0.1)
+    with pytest.raises(ValueError, match="tol"):
+        power_iteration(table, params, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        check_subcritical(table, params, tol=tol)
+
+
 def test_subcritical_examples(small_levels):
     _, table = small_levels[2]
-    assert is_subcritical(table, Parameters(1.44, 1.0, 0.13))
-    assert not is_subcritical(table, Parameters(1.44, 1.0, 0.14))
+    assert certifies(table, Parameters(1.44, 1.0, 0.13))
+    assert not certifies(table, Parameters(1.44, 1.0, 0.14))
     # total path weight never decays at p = q = 1, alpha = 1
-    assert not is_subcritical(table, Parameters(1, 1, 1.0))
+    assert not certifies(table, Parameters(1, 1, 1.0))
 
 
 def test_subcritical_at_alpha_zero(small_levels):
@@ -221,13 +235,13 @@ def test_subcritical_at_alpha_zero(small_levels):
         for p in (1.30, 1.45, 1.60):
             for q in (1.0, 1.1):
                 params = Parameters(p, q, 0.0)
-                ok, certificate, est = check_subcritical(table, params)
-                assert ok and certificate < 1.0
-                assert certificate == certified_upper_bound(table, params,
-                                                            est.vector)
+                est = check_subcritical(table, params)
+                assert est.certified_subcritical and est.certified_upper < 1.0
+                assert est.certified_upper == certified_upper_bound(
+                    table, params, est.vector)
     _, table = small_levels[1]
-    assert is_subcritical(table, Parameters(1.464, 1.0, 0.0))
-    assert not is_subcritical(table, Parameters(1, 1, 0.0))
+    assert certifies(table, Parameters(1.464, 1.0, 0.0))
+    assert not certifies(table, Parameters(1, 1, 0.0))
 
 
 def test_word_weight_vector(small_levels):
@@ -265,9 +279,10 @@ def test_max_ratio_below_one_certifies_without_convergence(small_levels):
     est = power_iteration(table, params, tol=1e-300, max_iter=1, v0=near)
     assert not est.converged
     assert est.certified_upper < 1.0 and est.certified_subcritical
-    ok, certificate, est = check_subcritical(table, params, tol=1e-300, v0=near)
-    assert ok and not est.converged and est.iterations == 1
-    assert certificate == pytest.approx(
+    est = check_subcritical(table, params, tol=1e-300, v0=near)
+    assert est.certified_subcritical
+    assert not est.converged and est.iterations == 1
+    assert est.certified_upper == pytest.approx(
         certified_upper_bound(table, params, near), rel=1e-14)
     assert SpectralEstimate(0.9, 0.95, 3, converged=False).certified_subcritical
 
@@ -277,8 +292,8 @@ def test_min_ratio_above_one_stops_not_certified(small_levels):
     params = Parameters(1.44, 1.0, 0.3)  # far above the level-2 bound 0.131
     full = power_iteration(table, params)
     assert full.converged and full.estimate > 1.0
-    ok, certificate, est = check_subcritical(table, params)
-    assert not ok and certificate > 1.0
+    est = check_subcritical(table, params)
+    assert not est.certified_subcritical and est.certified_upper > 1.0
     assert not est.converged and est.iterations < full.iterations
     # the returned iterate already proves the radius above one
     v = est.vector
@@ -292,8 +307,8 @@ def test_direct_power_iteration_runs_its_full_length(small_levels):
     params = Parameters(1.43, 1.0, 0.132)
     est = power_iteration(table, params, tol=1e-300, max_iter=50)
     assert est.iterations == 50 and not est.converged
-    ok, _, decided = check_subcritical(table, params, tol=1e-300, max_iter=50)
-    assert ok and decided.iterations < 50
+    decided = check_subcritical(table, params, tol=1e-300, max_iter=50)
+    assert decided.certified_subcritical and decided.iterations < 50
 
 
 @pytest.mark.parametrize("case", ["certified", "supercritical", "direct"])
@@ -302,21 +317,20 @@ def test_returned_vector_rederives_certificate(small_levels, case):
     if case == "certified":
         _, table = small_levels[2]
         params = Parameters(1.44, 1.0, 0.12)
-        ok, certificate, est = check_subcritical(table, params)
-        assert ok and not est.converged
+        est = check_subcritical(table, params)
+        assert est.certified_subcritical and not est.converged
     elif case == "supercritical":
         _, table = small_levels[2]
         params = Parameters(1.44, 1.0, 0.3)
-        ok, certificate, est = check_subcritical(table, params)
-        assert not ok and not est.converged
+        est = check_subcritical(table, params)
+        assert not est.certified_subcritical and not est.converged
     else:
         # stopped by max_iter, as in a fixed-length run
         _, table = small_levels[3]
         params = Parameters(1.43, 1.0, 0.132)
         est = power_iteration(table, params, tol=1e-300, max_iter=50)
-        certificate = est.certified_upper
         assert est.iterations == 50
-    assert certified_upper_bound(table, params, est.vector) == certificate
+    assert certified_upper_bound(table, params, est.vector) == est.certified_upper
 
 
 def _full_length_reference(table, params, v0, steps):

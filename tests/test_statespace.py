@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from conftest import make_table, unmirrored
 
-from stavskaya import statespace
+from stavskaya import patterns, statespace
 from stavskaya.errors import ConsistencyError, ResourceLimitError
 from stavskaya.patterns import (POW3, build_forbidden_set, code_to_pattern,
-                                pattern_code, pattern_text)
+                                enumerate_primitive_loops, pattern_code,
+                                pattern_text)
 from stavskaya.statespace import (TransitionTable, build_state_space,
                                   build_transitions, enumerate_valid_words,
                                   suffix_blocked)
@@ -93,18 +94,37 @@ def test_edge_counts(n, edges, fset5):
 
 @pytest.mark.parametrize("chunk", [7, 64])
 def test_chunked_moves_match_one_chunk(fset5, monkeypatch, chunk):
-    # the move rule's lookups run in chunks of _CHUNK targets; chunk
-    # boundaries must not change a code or a predecessor
-    whole = {}
-    for n in range(1, 5):
-        space = build_state_space(n, fset5.restrict(n - 1))
-        whole[n] = (space.codes, build_transitions(space, fset5.restrict(n)).pred)
+    # the move rule's lookups and the mirror check run in chunks of
+    # _CHUNK targets; chunk boundaries must not change a loop, a state
+    # code, a predecessor or the mirror flag
+    def build():
+        loops = [enumerate_primitive_loops(k, fset5.restrict(k - 1))
+                 for k in range(1, 6)]
+        levels = []
+        for n in range(1, 5):
+            space = build_state_space(n, fset5.restrict(n - 1))
+            levels.append((space.codes, build_transitions(space, fset5.restrict(n))))
+        return loops, levels
+
+    whole_loops, whole = build()
+    monkeypatch.setattr(patterns, "_CHUNK", chunk)
     monkeypatch.setattr(statespace, "_CHUNK", chunk)
-    for n, (codes, pred) in whole.items():
-        space = build_state_space(n, fset5.restrict(n - 1))
-        assert np.array_equal(space.codes, codes)
-        got = build_transitions(space, fset5.restrict(n)).pred
-        assert got.dtype == pred.dtype and np.array_equal(got, pred)
+    loops, levels = build()
+    for got, want in zip(loops, whole_loops):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for (codes, table), (want_codes, want) in zip(levels, whole):
+        assert np.array_equal(codes, want_codes)
+        assert table.pred.dtype == want.pred.dtype
+        assert np.array_equal(table.pred, want.pred)
+        assert table.mirrored and want.mirrored
+        # a break near the start, and breaks a third of the way in
+        assert not unmirrored(table).mirrored
+        size, third = table.n_states, table.n_states // 3
+        pred, digits = table.pred.copy(), table.last_digit.copy()
+        pred[1, third] = size if pred[1, third] < size else 0
+        digits[third] = (digits[third] + 1) % 3
+        for broken in ((pred, table.last_digit), (table.pred, digits)):
+            assert not TransitionTable(table.n, *broken).mirrored
 
 
 def test_closure_targets_are_states(small_levels):
