@@ -142,12 +142,14 @@ def dense_matrix(table: TransitionTable, params: Parameters) -> np.ndarray:
     if n > MAX_DENSE_STATES:
         raise ResourceLimitError(
             f"dense oracle is limited to {MAX_DENSE_STATES} states, got {n}")
-    w = _weights(params)
+    w = np.asarray(_weights(params))
     mat = np.zeros((n, n), dtype=np.float64)
-    succ = table.succ
-    for d in range(3):
-        src = np.nonzero(succ[d] >= 0)[0]
-        mat[succ[d][src], src] = w[d]
+    targets = np.arange(n)
+    # read off the gather table, so tables whose sources move twice on
+    # one step, such as a quotient's, count every move
+    for src in table.pred:
+        real = src < n
+        np.add.at(mat, (targets[real], src[real]), w[table.last_digit[real]])
     return mat
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -44,17 +45,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _projected_bytes(n: int, q: float) -> int:
+def _projected_bytes(n: int) -> int:
     # held during a solve: codes (8) + predecessor table (3 * 4) + last
-    # digits (1) + three full-length float64 vectors, the warm start, the
-    # last certified vector and the iterate (3 * 8), + two work vectors,
-    # the output and the weights, that span half the states at q = 1 and
-    # all of them otherwise; the operator's other buffers are one block
-    # long; a quarter more covers the interpreter and transients (level
-    # 7 at q = 1: 537 MiB projected, 511 MiB measured)
+    # digits (1), then, while the quotient is built, the successor form
+    # (3 * 4) and two int32 class vectors (2 * 4); the class map and the
+    # quotient's own solve are far smaller, and the refinement's other
+    # buffers are one chunk long; a quarter more covers the interpreter
+    # and transients (level 7: 424 MiB projected, 380 MiB measured)
     states = 7 * _GROWTH ** (n - 1)
-    work = 2 * 4 if q == 1.0 else 2 * 8
-    return int(states * 1.25 * (8 + 3 * 4 + 1 + 3 * 8 + work))
+    return int(states * 1.25 * (8 + 3 * 4 + 1 + 3 * 4 + 2 * 4))
 
 
 def _refused_without_deep(n: int, args) -> bool:
@@ -62,9 +61,20 @@ def _refused_without_deep(n: int, args) -> bool:
     if n < _DEEP_LEVEL or args.deep:
         return False
     print(f"error: level {n} needs roughly "
-          f"{_projected_bytes(n, args.q) / 2**30:.1f} GiB "
-          "(states, predecessor table, iteration vectors); "
+          f"{_projected_bytes(n) / 2**30:.1f} GiB "
+          "(states, predecessor table, successor form); "
           "pass --deep to confirm", file=sys.stderr)
+    return True
+
+
+def _refused_tolerances(args) -> bool:
+    """True, after saying why, when a solver setting is out of range;
+    checked before any level is built."""
+    if 0.0 < args.alpha_tol < math.inf and args.max_iter >= 1:
+        return False
+    print(f"error: need 0 < --alpha-tol < inf and --max-iter >= 1 "
+          f"(alpha_tol={args.alpha_tol}, max_iter={args.max_iter})",
+          file=sys.stderr)
     return True
 
 
@@ -121,6 +131,8 @@ def cmd_bound(args) -> int:
     if args.n < 1 or args.n > MAX_LEVEL:
         print(f"error: --n must be in 1..{MAX_LEVEL}", file=sys.stderr)
         return EXIT_USAGE
+    if _refused_tolerances(args):
+        return EXIT_USAGE
     if _refused_without_deep(args.n, args):
         return EXIT_RESOURCE
     started = time.time()
@@ -150,6 +162,8 @@ def cmd_bound(args) -> int:
 def cmd_table(args) -> int:
     if args.n_max < 1 or args.n_max > _DEEP_LEVEL:
         print(f"error: --n-max must be in 1..{_DEEP_LEVEL}", file=sys.stderr)
+        return EXIT_USAGE
+    if _refused_tolerances(args):
         return EXIT_USAGE
     if _refused_without_deep(args.n_max, args):
         return EXIT_RESOURCE

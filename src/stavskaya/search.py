@@ -13,16 +13,21 @@ the probed bounds must rise and then fall, up to dips of the bisection
 tolerance, or `ConsistencyError` is raised.  `optimize_p` still accepts
 a `threads` keyword and ignores it; the search is sequential.
 
+The bisection runs on the table's quotient (`TransitionTable.quotient`,
+442 classes for the 839,009 states of level 6), built and checked once
+per table, so the probes of `optimize_p` share it.  Its operator is the
+quotient B_q of the successor form B = W·S, and rho(W·S) = rho(W·Sᵀ),
+the radius of the paper's matrix; the lift check makes each ratio of
+B_q at u the ratio of B at the lifted vector u∘φ (see `statespace`).
+
 Each bisection step ends as soon as a Collatz–Wielandt ratio bound
 decides it (`check_subcritical`): a max ratio below one moves the lower
 endpoint, a min ratio above one moves the upper.  Only the alpha = 0
 solve starts cold; every step warm-starts from the vector of the step
 before.  The reported certificate is the max ratio of the vector that
 certified the returned endpoint: the first max ratio below one on that
-step, not the tightest.  It is re-derived once, exactly, by
-`certified_upper_bound`, which computes every one of the N targets: it
-shares the iteration's blocked operator kernel but not the half-state
-mirror.
+step, not the tightest.  One more solver step, capped at one
+iteration and started from that vector, must re-derive it bit for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +37,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConsistencyError
 from .patterns import Parameters, build_forbidden_set
-from .spectral import (DEFAULT_MAX_ITER, DEFAULT_TOL, certified_upper_bound,
-                       check_subcritical)
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, check_subcritical
 from .statespace import TransitionTable, build_state_space, build_transitions
 
 DEFAULT_ALPHA_TOL = 1e-10
@@ -97,13 +101,15 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
     seeded by the alpha = 0 solve), which cuts the near-critical
     iteration count sharply without touching the certificates.  The
     vector and certificate of the last step that certified travel with
-    the lower endpoint; if `certified_upper_bound`, over all N targets
-    and without the half-state mirror, does not re-derive that
-    certificate bit for bit, `ConsistencyError` is raised.
+    the lower endpoint; if one solver step from that vector does not
+    re-derive that certificate bit for bit, `ConsistencyError` is
+    raised.  Every solve runs on `table.quotient`, built on first use.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    est = check_subcritical(table, Parameters(p, q, 0.0), DEFAULT_TOL, max_iter)
+    quotient = table.quotient[0]
+    est = check_subcritical(quotient, Parameters(p, q, 0.0), DEFAULT_TOL,
+                            max_iter)
     spent = est.iterations
     certificate = est.certified_upper
     if not est.certified_subcritical:
@@ -117,7 +123,7 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
     steps = 0
     while high - low > tol:
         mid = 0.5 * (low + high)
-        est = check_subcritical(table, Parameters(p, q, mid),
+        est = check_subcritical(quotient, Parameters(p, q, mid),
                                 DEFAULT_TOL, max_iter, v0=warm)
         spent += est.iterations
         warm = est.vector
@@ -127,9 +133,11 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
             high = mid
         steps += 1
 
-    # re-derived over all N targets, independent of the half-state mirror
-    if certified_upper_bound(table, Parameters(p, q, low),
-                             certified) != certificate:
+    # one solver step from the certified vector re-derives its max ratio
+    est = check_subcritical(quotient, Parameters(p, q, low), DEFAULT_TOL, 1,
+                            v0=certified)
+    spent += est.iterations
+    if est.certified_upper != certificate:
         raise ConsistencyError(
             f"bisection invariant violated: alpha={low} at p={p}, q={q} "
             f"does not re-derive its certificate {certificate!r}")

@@ -22,20 +22,6 @@ def unmirrored(table):
     return TransitionTable(n=table.n, pred=pred, last_digit=table.last_digit)
 
 
-def pytest_addoption(parser):
-    parser.addoption("--run-deep", action="store_true", default=False,
-                     help="run the deep checks, levels 6 and 7 (minutes)")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--run-deep"):
-        return
-    skip = pytest.mark.skip(reason="needs --run-deep")
-    for item in items:
-        if "deep" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture(scope="session")
 def fset5():
     return build_forbidden_set(5)
@@ -50,3 +36,11 @@ def small_levels(fset5):
         table = build_transitions(space, fset5.restrict(n))
         levels[n] = (space, table)
     return levels
+
+
+def level_table(n, small_levels, fset5):
+    """The level-n table: shared for n <= 3, built afresh above."""
+    if n in small_levels:
+        return small_levels[n][1]
+    return build_transitions(build_state_space(n, fset5.restrict(n - 1)),
+                             fset5.restrict(n))

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion at its stated tolerance, one printed
-pass/fail line each.  Run with -s to see the lines; the deep checks, the
-level-7 headline bound and the level-6 table row, need --run-deep.
+pass/fail line each.  Run with -s to see the lines.  Bounds are certified
+on the table's quotient, so the level-7 headline and the level-6 and
+level-7 table rows take seconds.
 """
 
 import time
@@ -20,9 +21,10 @@ from stavskaya.statespace import (build_state_space, build_transitions,
 TABLE_COUNTS = {1: (4, 7), 2: (6, 73), 3: (12, 759), 4: (36, 7859),
                 5: (146, 81231), 6: (694, 839009), 7: (3584, 8663071)}
 
-# not from the paper: the edge counts this construction gives, as
-# recorded in CHANGES.md
+# not from the paper: the edge and quotient class counts this
+# construction gives, as recorded in CHANGES.md
 EDGE_COUNTS = {6: 1826825, 7: 18862473}
+CLASS_COUNTS = {6: 442, 7: 1046}
 
 PINNED_BOUNDS = {2: (1.44, 0.13101966), 3: (1.43, 0.13358660),
                  4: (1.424, 0.13502855), 5: (1.42, 0.13595342)}
@@ -34,6 +36,10 @@ HEADLINE_BOUND = 0.1370721
 TABLE_ROW_LEVEL = 6
 TABLE_ROW_P = 1.417
 TABLE_ROW_BOUND = 0.13659747
+
+# the paper's level-7 row: p_opt to 0.01, and a bound at least the
+# headline bound at the paper's p
+LEVEL7_ROW_P = 1.415
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -56,19 +62,31 @@ def test_criterion_1_combinatorics_fast():
             f"loop/state counts n=1..5 {got}, {elapsed:.1f}s (budget 10s)")
 
 
-def test_criterion_2_combinatorics_extended():
-    # the only tier-1 build of the transitions at a scale of many chunks
-    started = time.time()
-    got = {}
+@pytest.fixture(scope="module")
+def deep_levels():
+    """level -> (patterns, states, table, build seconds) for levels 6 and
+    7, each built once for the module."""
+    built = {}
     for n in (6, 7):
+        started = time.time()
         fset = build_forbidden_set(n)
         space = build_state_space(n, fset.restrict(n - 1))
-        edges = build_transitions(space, fset).edge_count
-        got[n] = (len(fset), len(space), edges)
-    elapsed = time.time() - started
-    exact = all(got[n] == TABLE_COUNTS[n] + (EDGE_COUNTS[n],) for n in (6, 7))
+        table = build_transitions(space, fset)
+        built[n] = (len(fset), len(space), table, time.time() - started)
+    return built
+
+
+def test_criterion_2_combinatorics_extended(deep_levels):
+    # the only tier-1 build of the transitions at a scale of many chunks
+    started = time.time()
+    got = {n: (patterns, states, table.edge_count, table.quotient[0].n_states)
+           for n, (patterns, states, table, _) in deep_levels.items()}
+    elapsed = time.time() - started + sum(b[3] for b in deep_levels.values())
+    exact = all(got[n] == TABLE_COUNTS[n] + (EDGE_COUNTS[n], CLASS_COUNTS[n])
+                for n in (6, 7))
     _report(2, exact and elapsed < 600.0,
-            f"loop/state/edge counts n=6,7 {got}, {elapsed:.1f}s (budget 600s)")
+            f"loop/state/edge/class counts n=6,7 {got}, {elapsed:.1f}s "
+            "(budget 600s)")
 
 
 def test_criterion_3_pinned_bounds(fset5):
@@ -94,11 +112,8 @@ def test_criterion_3_pinned_bounds(fset5):
     _report(3, ok, "; ".join(lines) + f"; total {time.time() - started:.1f}s")
 
 
-@pytest.mark.deep
-def test_criterion_4_headline_deep():
-    fset = build_forbidden_set(HEADLINE_LEVEL)
-    space = build_state_space(HEADLINE_LEVEL, fset.restrict(HEADLINE_LEVEL - 1))
-    table = build_transitions(space, fset)
+def test_criterion_4_headline(deep_levels):
+    table = deep_levels[HEADLINE_LEVEL][2]
     res = alpha_sup(table, HEADLINE_P, 1.0, 1e-10)
     ok = res.certified and res.alpha_low >= HEADLINE_BOUND and res.certificate < 1.0
     _report(4, ok, f"n=7 p={HEADLINE_P}: bound {res.alpha_low:.10f} "
@@ -192,8 +207,7 @@ def test_criterion_7_property_suite(small_levels, fset5):
             f"{'ok' if ok_mirror else 'BAD'}")
 
 
-@pytest.mark.deep
-def test_criterion_8_table_row_deep():
+def test_criterion_8_table_row():
     started = time.time()
     best = optimize_p(TABLE_ROW_LEVEL)
     elapsed = time.time() - started
@@ -202,3 +216,14 @@ def test_criterion_8_table_row_deep():
     _report(8, ok, f"n={TABLE_ROW_LEVEL} p_opt {best.p_opt:.5f} "
                    f"({TABLE_ROW_P} +/- 0.01), bound {best.bound:.10f} "
                    f"({TABLE_ROW_BOUND} +/- 1e-6), {elapsed:.0f}s")
+
+
+def test_criterion_9_level7_table_row(deep_levels):
+    started = time.time()
+    best = optimize_p(HEADLINE_LEVEL, table=deep_levels[HEADLINE_LEVEL][2])
+    elapsed = time.time() - started
+    ok = (abs(best.p_opt - LEVEL7_ROW_P) <= 0.01
+          and best.bound >= HEADLINE_BOUND)
+    _report(9, ok, f"n={HEADLINE_LEVEL} p_opt {best.p_opt:.5f} "
+                   f"({LEVEL7_ROW_P} +/- 0.01), bound {best.bound:.10f} "
+                   f"(>= {HEADLINE_BOUND}), {elapsed:.0f}s")

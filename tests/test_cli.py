@@ -125,11 +125,25 @@ def test_build_refusal_exits_three(capsys, monkeypatch, argv):
     assert captured.out == ""
 
 
-def test_projected_bytes_counts_full_work_vectors_off_q_one():
-    # at q != 1 the two work vectors span every state, not half of them
+def test_projected_bytes_covers_the_quotient_build():
+    # 41 bytes a state, a quarter more for transients: about 424 MiB at
+    # level 7, where the bound run peaks at 380 MiB
     states = 7 * _GROWTH ** 6
-    extra = _projected_bytes(7, 1.1) - _projected_bytes(7, 1.0)
-    assert extra == pytest.approx(states * 1.25 * 2 * 4, abs=1)
+    assert _projected_bytes(7) == int(states * 1.25 * 41)
+    assert 380 < _projected_bytes(7) / 2**20 < 1.25 * 380
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--n", "7", "--p", "1.415", "--deep", "--alpha-tol", "nan"),
+    ("bound", "--n", "7", "--p", "1.415", "--deep", "--max-iter", "0"),
+    ("table", "--n-max", "7", "--deep", "--alpha-tol", "0"),
+    ("table", "--n-max", "7", "--deep", "--max-iter", "-1")])
+def test_bad_solver_settings_refused_before_the_build(capsys, monkeypatch, argv):
+    def no_build(n):
+        raise AssertionError(f"level {n} built before the settings were checked")
+    monkeypatch.setattr(cli, "_build_level", no_build)
+    assert main(list(argv)) == 1
+    assert "alpha_tol" in capsys.readouterr().err
 
 
 def test_usage_error_exits_one(capsys):

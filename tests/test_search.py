@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import pytest
+from conftest import level_table
 
 import stavskaya.search as search
 from stavskaya.errors import ConsistencyError
 from stavskaya.patterns import Parameters
 from stavskaya.search import BisectionResult, alpha_sup, optimize_p
 from stavskaya.spectral import check_subcritical, power_iteration
-from stavskaya.statespace import build_state_space, build_transitions
 
 
 def test_bisection_iteration_count(small_levels):
@@ -107,13 +108,6 @@ def test_level_monotonicity(small_levels):
         assert hi >= lo - 1e-9
 
 
-def _level_table(n, small_levels, fset5):
-    if n in small_levels:
-        return small_levels[n][1]
-    return build_transitions(build_state_space(n, fset5.restrict(n - 1)),
-                             fset5.restrict(n))
-
-
 def _reference_grid_optimum(table):
     """The p grid the golden-section search replaced: steps of 0.005 over
     [1.30, 1.60], then 0.001 around the best point; (p, bound)."""
@@ -128,7 +122,7 @@ def _reference_grid_optimum(table):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_golden_section_matches_grid(n, small_levels, fset5, monkeypatch):
-    table = _level_table(n, small_levels, fset5)
+    table = level_table(n, small_levels, fset5)
     grid_p, grid_bound = _reference_grid_optimum(table)
     calls = []
     real = search.alpha_sup
@@ -213,7 +207,7 @@ REFERENCE_POINTS = {1: (1.44, 1.464, 1.5), 2: (1.42, 1.44, 1.47),
 
 @pytest.mark.parametrize("n", sorted(REFERENCE_POINTS))
 def test_early_decisions_match_converged_bisection(n, small_levels, fset5):
-    table = _level_table(n, small_levels, fset5)
+    table = level_table(n, small_levels, fset5)
     for p in REFERENCE_POINTS[n]:
         low, high, certificate, spent = _reference_alpha_sup(table, p)
         res = alpha_sup(table, p, 1.0, 1e-10)
@@ -226,14 +220,19 @@ def test_early_decisions_match_converged_bisection(n, small_levels, fset5):
 
 
 def test_failed_final_check_raises_consistency_error(small_levels, monkeypatch):
-    # the full-length re-derivation of the certificate is made to disagree
+    # the final one-step re-derivation of the certificate, the only solve
+    # capped at one iteration, is made to return one ulp more
     _, table = small_levels[1]
-    real = search.certified_upper_bound
+    real = search.check_subcritical
 
-    def off_by_one_ulp(*args):
-        return math.nextafter(real(*args), 1.0)
+    def off_by_one_ulp(table, params, tol, max_iter, v0=None):
+        est = real(table, params, tol, max_iter, v0=v0)
+        if max_iter == 1:
+            est = replace(est, certified_upper=math.nextafter(
+                est.certified_upper, 1.0))
+        return est
 
-    monkeypatch.setattr(search, "certified_upper_bound", off_by_one_ulp)
+    monkeypatch.setattr(search, "check_subcritical", off_by_one_ulp)
     with pytest.raises(ConsistencyError, match="bisection invariant"):
         alpha_sup(table, 1.464, 1.0, 1e-4)
 

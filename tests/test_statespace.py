@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from conftest import make_table, unmirrored
+from conftest import level_table, make_table, unmirrored
 
-from stavskaya import patterns, statespace
+from stavskaya import bruteforce, patterns, statespace
 from stavskaya.errors import ConsistencyError, ResourceLimitError
-from stavskaya.patterns import (POW3, build_forbidden_set, code_to_pattern,
-                                enumerate_primitive_loops, pattern_code,
-                                pattern_text)
+from stavskaya.patterns import (POW3, Parameters, build_forbidden_set,
+                                code_to_pattern, enumerate_primitive_loops,
+                                pattern_code, pattern_text)
+from stavskaya.spectral import certified_upper_bound, power_iteration
 from stavskaya.statespace import (TransitionTable, build_state_space,
                                   build_transitions, enumerate_valid_words,
                                   suffix_blocked)
@@ -16,6 +17,15 @@ EXPECTED_SIZES = {1: 7, 2: 73, 3: 759, 4: 7859, 5: 81231}
 # not from the paper: the counts this construction gives, as recorded
 # in CHANGES.md
 EXPECTED_EDGES = {1: 15, 2: 159, 3: 1653, 4: 17113, 5: 176873}
+
+# classes of the coarsest forward bisimulation of the successor form
+EXPECTED_CLASSES = {1: 5, 2: 13, 3: 33, 4: 79, 5: 187}
+
+
+def _successor_table(table):
+    """The full successor form B as a table whose gather operator it is."""
+    return TransitionTable(n=table.n, pred=table._successors(),
+                           last_digit=table.last_digit)
 
 
 def test_word_codec_roundtrip():
@@ -92,6 +102,13 @@ def test_edge_counts(n, edges, fset5):
     assert table.zero_out_degree_count() == 0
 
 
+def test_zero_out_degree_count_matches_out_degrees():
+    # state 0 is no state's source, so it has no move
+    table = make_table([[1, 2, 3], [3, 3, 3], [3, 3, 3]], [0, 0, 0])
+    assert table.zero_out_degree_count() == 1
+    assert list(table.out_degrees()) == [0, 1, 1]
+
+
 @pytest.mark.parametrize("chunk", [7, 64])
 def test_chunked_moves_match_one_chunk(fset5, monkeypatch, chunk):
     # the move rule's lookups and the mirror check run in chunks of
@@ -107,15 +124,22 @@ def test_chunked_moves_match_one_chunk(fset5, monkeypatch, chunk):
         return loops, levels
 
     whole_loops, whole = build()
+    whole_quotients = [table.quotient for _, table in whole]
     monkeypatch.setattr(patterns, "_CHUNK", chunk)
     monkeypatch.setattr(statespace, "_CHUNK", chunk)
     loops, levels = build()
     for got, want in zip(loops, whole_loops):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    for (codes, table), (want_codes, want) in zip(levels, whole):
+    for (codes, table), (want_codes, want), want_quotient in zip(
+            levels, whole, whole_quotients):
         assert np.array_equal(codes, want_codes)
         assert table.pred.dtype == want.pred.dtype
         assert np.array_equal(table.pred, want.pred)
+        # the refinement, its relabelling and the lift check run in chunks
+        (got_q, got_phi), (want_q, want_phi) = table.quotient, want_quotient
+        assert np.array_equal(got_q.pred, want_q.pred)
+        assert np.array_equal(got_q.last_digit, want_q.last_digit)
+        assert np.array_equal(got_phi, want_phi)
         assert table.mirrored and want.mirrored
         # a break near the start, and breaks a third of the way in
         assert not unmirrored(table).mirrored
@@ -237,3 +261,82 @@ def test_out_of_range_predecessor_rejected(small_levels, bad):
     pred[1, 2] = n + 1 if bad == "past_sentinel" else -1
     with pytest.raises(ConsistencyError):
         TransitionTable(n=table.n, pred=pred, last_digit=table.last_digit)
+
+
+@pytest.mark.parametrize("n,classes", sorted(EXPECTED_CLASSES.items()))
+def test_quotient_class_counts(n, classes, small_levels, fset5):
+    table = level_table(n, small_levels, fset5)
+    quotient, phi = table.quotient
+    assert quotient.n_states == classes
+    assert phi.shape == (table.n_states,) and phi.dtype == np.uint8
+    assert np.array_equal(np.unique(phi), np.arange(classes))
+    assert table.quotient[0] is quotient  # built once per table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quotient_lifts_every_ratio(n, small_levels, fset5):
+    # B(u∘φ) = (B_q u)∘φ, so the max ratios agree bit for bit
+    table = level_table(n, small_levels, fset5)
+    quotient, phi = table.quotient
+    full = _successor_table(table)
+    rng = np.random.RandomState(n)
+    for q in (1.0, 1.1):
+        for _ in range(3):
+            params = Parameters(1 + rng.rand(), q, rng.rand())
+            u = rng.rand(quotient.n_states) + 1e-3
+            assert (certified_upper_bound(full, params, u[phi])
+                    == certified_upper_bound(quotient, params, u))
+
+
+def test_quotient_keeps_the_spectral_radius(small_levels):
+    rng = np.random.RandomState(7)
+    for n in (1, 2, 3):
+        _, table = small_levels[n]
+        quotient = table.quotient[0]
+        for _ in range(3):
+            params = Parameters(1 + rng.rand(), 1 + rng.rand(), rng.rand())
+            dense = bruteforce.dense_growth_rate(table, params)
+            assert bruteforce.dense_growth_rate(quotient, params) == pytest.approx(
+                dense, abs=1e-10)
+            est = power_iteration(quotient, params)
+            assert est.converged
+            assert est.estimate == pytest.approx(dense, abs=1e-8)
+
+
+def test_lift_check_rejects_a_corrupted_class_map(small_levels):
+    _, table = small_levels[3]
+    quotient, phi = table.quotient
+    statespace._check_lift(table, quotient, phi)
+    # a state that some move enters: its class is pinned by that move
+    s = int(np.nonzero((table.pred < table.n_states).any(axis=0))[0][0])
+    bad = phi.copy()
+    bad[s] = (bad[s] + 1) % quotient.n_states
+    with pytest.raises(ConsistencyError):
+        statespace._check_lift(table, quotient, bad)
+
+
+@pytest.mark.parametrize("fault", ["dropped move", "added move", "relabelled class"])
+def test_lift_check_rejects_a_corrupted_quotient(small_levels, fault):
+    _, table = small_levels[3]
+    quotient, phi = table.quotient
+    k = quotient.n_states
+    pred, digits = quotient.pred.copy(), quotient.last_digit.copy()
+    if fault == "dropped move":
+        d, c = (int(i[0]) for i in np.nonzero(pred < k))
+        pred[d, c] = k
+    elif fault == "added move":
+        # a move on step d must enter a class whose states end in step d
+        d, c = (int(i[0]) for i in np.nonzero(pred == k))
+        pred[d, c] = int(np.nonzero(digits == d)[0][0])
+    else:
+        digits[0] = (digits[0] + 1) % 3
+    corrupted = TransitionTable(n=quotient.n, pred=pred, last_digit=digits)
+    with pytest.raises(ConsistencyError):
+        statespace._check_lift(table, corrupted, phi)
+
+
+def test_two_moves_on_one_step_refused():
+    # state 0 enters both states, each ending in step 1
+    table = make_table([[0, 0], [2, 2], [2, 2]], [0, 0])
+    with pytest.raises(ConsistencyError, match="share a source and a step"):
+        table.quotient
