@@ -15,7 +15,7 @@ from .spectral import (SpectralEstimate, apply_operator,
                        certified_upper_bound, power_iteration,
                        word_weight_vector)
 from .statespace import (StateSpace, TransitionTable, build_state_space,
-                         build_transitions, suffix_blocked)
+                         build_transitions)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "optimize_p",
     "power_iteration",
     "step_weight",
-    "suffix_blocked",
     "word_weight_vector",
     "__version__",
 ]

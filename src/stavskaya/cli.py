@@ -7,7 +7,9 @@ Commands
   table   per-level optimization over p, one row per level
 
 Exit codes: 0 success, 1 usage or configuration error, 2 result not
-certified, 3 resource limit refused.
+certified, 3 resource limit refused: a `bound` level above
+MAX_HISTORY_LEVEL (7), the largest whose history table is built, or a
+`loops` level above MAX_LEVEL (13).
 """
 
 from __future__ import annotations
@@ -20,21 +22,17 @@ import time
 
 from . import __version__
 from .errors import ResourceLimitError
-from .patterns import MAX_LEVEL, build_forbidden_set
+from .patterns import MAX_LEVEL, Parameters, build_forbidden_set
 from .search import (DEFAULT_ALPHA_TOL, DEFAULT_P_MAX, DEFAULT_P_MIN,
-                     alpha_sup, optimize_p)
+                     _check_p_range, alpha_sup, optimize_p)
 from .spectral import DEFAULT_MAX_ITER
-from .statespace import build_state_space, build_transitions
+from .statespace import (MAX_HISTORY_LEVEL, _check_history_level,
+                         build_state_space, build_transitions)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CERTIFIED = 2
 EXIT_RESOURCE = 3
-
-# Table rows show roughly 10.3x more states per level; used only to print
-# a footprint estimate when refusing a run that needs --deep.
-_GROWTH = 10.33
-_DEEP_LEVEL = 7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,37 +43,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _projected_bytes(n: int) -> int:
-    # held during a solve: codes (8) + predecessor table (3 * 4) + last
-    # digits (1), then, while the quotient is built, the successor form
-    # (3 * 4) and two int32 class vectors (2 * 4); the class map and the
-    # quotient's own solve are far smaller, and the refinement's other
-    # buffers are one chunk long; a quarter more covers the interpreter
-    # and transients (level 7: 424 MiB projected, 380 MiB measured)
-    states = 7 * _GROWTH ** (n - 1)
-    return int(states * 1.25 * (8 + 3 * 4 + 1 + 3 * 4 + 2 * 4))
-
-
-def _refused_without_deep(n: int, args) -> bool:
-    """True, after saying why, when level n needs --deep and lacks it."""
-    if n < _DEEP_LEVEL or args.deep:
-        return False
-    print(f"error: level {n} needs roughly "
-          f"{_projected_bytes(n) / 2**30:.1f} GiB "
-          "(states, predecessor table, successor form); "
-          "pass --deep to confirm", file=sys.stderr)
-    return True
-
-
-def _refused_tolerances(args) -> bool:
-    """True, after saying why, when a solver setting is out of range;
-    checked before any level is built."""
-    if 0.0 < args.alpha_tol < math.inf and args.max_iter >= 1:
-        return False
-    print(f"error: need 0 < --alpha-tol < inf and --max-iter >= 1 "
-          f"(alpha_tol={args.alpha_tol}, max_iter={args.max_iter})",
-          file=sys.stderr)
-    return True
+def _check_settings(args, *ps: float) -> None:
+    """Raise ValueError when a solver setting, q or one of the p values
+    `ps` is out of range; called before any level is built."""
+    if not (0.0 < args.alpha_tol < math.inf and args.max_iter >= 1):
+        raise ValueError(
+            f"need 0 < --alpha-tol < inf and --max-iter >= 1 "
+            f"(alpha_tol={args.alpha_tol}, max_iter={args.max_iter})")
+    for p in ps:
+        Parameters(p, args.q, 0.0)
 
 
 def _build_level(n: int):
@@ -131,11 +107,9 @@ def cmd_bound(args) -> int:
     if args.n < 1 or args.n > MAX_LEVEL:
         print(f"error: --n must be in 1..{MAX_LEVEL}", file=sys.stderr)
         return EXIT_USAGE
-    if _refused_tolerances(args):
-        return EXIT_USAGE
-    if _refused_without_deep(args.n, args):
-        return EXIT_RESOURCE
-    started = time.time()
+    _check_settings(args, args.p)
+    _check_history_level(args.n)
+    started = time.perf_counter()
     space, table, fset = _build_level(args.n)
     result = alpha_sup(table, args.p, args.q, args.alpha_tol,
                        max_iter=args.max_iter)
@@ -151,7 +125,7 @@ def cmd_bound(args) -> int:
         "power_iterations": result.power_iterations,
         "states": len(space),
         "forbidden_patterns": len(fset),
-        "elapsed_seconds": round(time.time() - started, 3),
+        "elapsed_seconds": round(time.perf_counter() - started, 3),
         "version": __version__,
         "certified": result.certified,
     }
@@ -160,17 +134,16 @@ def cmd_bound(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.n_max < 1 or args.n_max > _DEEP_LEVEL:
-        print(f"error: --n-max must be in 1..{_DEEP_LEVEL}", file=sys.stderr)
+    if args.n_max < 1 or args.n_max > MAX_HISTORY_LEVEL:
+        print(f"error: --n-max must be in 1..{MAX_HISTORY_LEVEL}",
+              file=sys.stderr)
         return EXIT_USAGE
-    if _refused_tolerances(args):
-        return EXIT_USAGE
-    if _refused_without_deep(args.n_max, args):
-        return EXIT_RESOURCE
+    _check_settings(args, args.p_min, args.p_max)
+    _check_p_range(args.p_min, args.p_max)
     rows = []
     all_certified = True
     for n in range(1, args.n_max + 1):
-        started = time.time()
+        started = time.perf_counter()
         space, table, fset = _build_level(n)
         best = optimize_p(n, args.p_min, args.p_max, args.q,
                           tol=args.alpha_tol, max_iter=args.max_iter,
@@ -182,7 +155,7 @@ def cmd_table(args) -> int:
             "states": len(space),
             "p_opt": best.p_opt,
             "bound": best.bound,
-            "elapsed_seconds": round(time.time() - started, 3),
+            "elapsed_seconds": round(time.perf_counter() - started, 3),
         })
         print(f"level {n}: bound {best.bound:.8f} at p = {best.p_opt}",
               file=sys.stderr)
@@ -199,8 +172,6 @@ def _add_common(sub, with_p_range: bool) -> None:
                      help="power-iteration cap per spectral solve")
     sub.add_argument("--format", choices=("json", "csv", "text"),
                      default="json", help="report format (default json)")
-    sub.add_argument("--deep", action="store_true",
-                     help="allow the large high-level runs")
     if with_p_range:
         sub.add_argument("--p-min", type=float, default=DEFAULT_P_MIN,
                          help="low end of the p search (default 1.30)")
@@ -225,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bound = subs.add_parser("bound",
                             help="certified alpha bound at fixed (p, q)")
-    bound.add_argument("--n", type=int, required=True, help="level (1..13)")
+    bound.add_argument("--n", type=int, required=True,
+                       help=f"level (1..{MAX_HISTORY_LEVEL})")
     bound.add_argument("--p", type=float, required=True)
     _add_common(bound, with_p_range=False)
     bound.set_defaults(func=cmd_bound)
@@ -233,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = subs.add_parser("table",
                             help="optimize p per level and print the table")
     table.add_argument("--n-max", type=int, required=True,
-                       help="highest level to include")
+                       help=f"highest level (1..{MAX_HISTORY_LEVEL})")
     _add_common(table, with_p_range=True)
     table.set_defaults(func=cmd_table)
     return parser

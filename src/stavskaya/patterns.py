@@ -38,8 +38,10 @@ STEP_KINDS = (1, 2, 3)
 
 POW3 = 3 ** np.arange(41, dtype=np.uint64)
 
-# Targets looked up per pass of the move rule (and per pass of the
-# transition table's mirror check).  Its temporaries are about 40 bytes
+# States handled per pass of every full-length sweep: the move rule's
+# lookups, and in `statespace` the mirror check, the successor scatter,
+# the quotient's refinement, relabelling and lift check, and the
+# zero-out-degree mark.  The move rule's temporaries are about 40 bytes
 # per target, so the chunk sets part of the build's peak RSS: at 2^18
 # the whole build (patterns, states, transitions) peaks at 56 MiB at
 # level 6, below the solve's footprint, and 243 MiB at level 7, where
@@ -199,23 +201,16 @@ def _moves(codes: np.ndarray, length: int, fset: ForbiddenSet) -> np.ndarray:
 
 
 def _grow(codes: np.ndarray, length: int, fset: ForbiddenSet,
-          allowed: np.ndarray | None = None,
-          max_words: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+          allowed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One step of the move rule: (kept, longer).  kept[s, t] keeps the
     word of oldest step s and suffix codes[t] when its prefix is among
     the sorted words `codes`, it is no pattern of `fset`, and
     allowed[s, t] (if given).  `longer` holds the kept codes, slot by
-    slot, so in increasing order.  More than `max_words` of them raise
-    `ResourceLimitError` before `longer` is allocated.
+    slot, so in increasing order.
     """
     kept = _moves(codes, length, fset) < codes.shape[0]
     if allowed is not None:
         kept &= allowed
-    count = int(kept.sum())
-    if max_words is not None and count > max_words:
-        raise ResourceLimitError(
-            f"{count} words of length {length + 1} exceed the "
-            f"{max_words} that the memory budget allows")
     longer = np.concatenate([codes[kept[s]] + np.uint64(s) * POW3[length]
                              for s in range(3)])
     return kept, longer

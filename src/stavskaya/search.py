@@ -146,6 +146,11 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
                            power_iterations=spent)
 
 
+def _check_p_range(p_min: float, p_max: float) -> None:
+    if not (1.0 <= p_min < p_max):
+        raise ValueError(f"need 1 <= p_min < p_max, got [{p_min}, {p_max}]")
+
+
 def optimize_p(n: int,
                p_min: float = DEFAULT_P_MIN, p_max: float = DEFAULT_P_MAX,
                q: float = 1.0, *,
@@ -160,8 +165,7 @@ def optimize_p(n: int,
     point.  Degenerate probes count as bound 0.  `threads` is ignored: the
     benchmark worker still passes it.
     """
-    if not (1.0 <= p_min < p_max):
-        raise ValueError(f"need 1 <= p_min < p_max, got [{p_min}, {p_max}]")
+    _check_p_range(p_min, p_max)
     if table is None:
         fset = build_forbidden_set(n)
         space = build_state_space(n, fset.restrict(n - 1))

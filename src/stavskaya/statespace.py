@@ -58,26 +58,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, ResourceLimitError
-from .patterns import (_CHUNK, MAX_LEVEL, POW3, ForbiddenSet, _grow, _moves,
-                       code_to_pattern, pattern_text)
+from .patterns import (_CHUNK, ForbiddenSet, _grow, _moves, code_to_pattern,
+                       pattern_text)
 
-# Rough per-state footprint (code + predecessor slots + a few iteration
-# vectors), used only for the construction memory guard.
-_BYTES_PER_STATE = 64
-
-DEFAULT_MEMORY_BUDGET = 4 << 30
-
-
-def suffix_blocked(code: int, length: int, fset: ForbiddenSet) -> bool:
-    """True iff some forbidden pattern equals a suffix of the given word."""
-    for m, codes_m in fset.codes_by_length.items():
-        if m > length:
-            continue
-        tail = np.uint64(code % int(POW3[m]))
-        i = int(np.searchsorted(codes_m, tail))
-        if i < codes_m.shape[0] and codes_m[i] == tail:
-            return True
-    return False
+# The largest level whose history table is built: level 7, the paper's
+# headline, has 8,663,071 states and its `bound` run peaks at 380 MiB.
+# Level 8 has 89,435,873 states (the length-23 words avoiding the level-7
+# set), and every level above it grows those same words on the way.
+MAX_HISTORY_LEVEL = 7
 
 
 @dataclass
@@ -105,35 +93,35 @@ class StateSpace:
         return [pattern_text(self.word(i)) for i in range(len(self))]
 
 
-def enumerate_valid_words(length: int, fset: ForbiddenSet,
-                          memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndarray:
-    """Sorted codes of all length-`length` words avoiding `fset` as a factor.
+def _check_history_level(n: int) -> None:
+    if n > MAX_HISTORY_LEVEL:
+        raise ResourceLimitError(
+            f"level {n} is above {MAX_HISTORY_LEVEL}, the largest level "
+            "whose history table is built")
 
-    The words grow from single steps by the move rule of `patterns`,
-    which refuses a length with more words than `memory_budget` holds
-    before it allocates them.
-    """
+
+def enumerate_valid_words(length: int, fset: ForbiddenSet) -> np.ndarray:
+    """Sorted codes of all length-`length` words avoiding `fset` as a factor,
+    grown from single steps by the move rule of `patterns`."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    max_words = max(memory_budget // _BYTES_PER_STATE, 1)
     codes = np.array([0, 1, 2], dtype=np.uint64)
     for cur in range(1, length):
-        codes = _grow(codes, cur, fset, max_words=max_words)[1]
+        codes = _grow(codes, cur, fset)[1]
     return codes
 
 
-def build_state_space(n: int, lower: ForbiddenSet,
-                      memory_budget: int = DEFAULT_MEMORY_BUDGET) -> StateSpace:
+def build_state_space(n: int, lower: ForbiddenSet) -> StateSpace:
     """The level-n state space: length-(3n-1) words avoiding the level-(n-1)
-    forbidden set."""
+    forbidden set.  Levels above `MAX_HISTORY_LEVEL` are refused before
+    any word is grown."""
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    if n > MAX_LEVEL:
-        raise ResourceLimitError(f"level {n} exceeds the encoding limit {MAX_LEVEL}")
+    _check_history_level(n)
     if lower.level != n - 1:
         raise ValueError(f"need the level {n - 1} forbidden set, got level {lower.level}")
     length = 3 * n - 1
-    codes = enumerate_valid_words(length, lower, memory_budget)
+    codes = enumerate_valid_words(length, lower)
     return StateSpace(n=n, length=length, codes=codes)
 
 

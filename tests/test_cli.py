@@ -3,7 +3,7 @@ import json
 import pytest
 
 from stavskaya import cli
-from stavskaya.cli import _GROWTH, _projected_bytes, main
+from stavskaya.cli import main
 from stavskaya.errors import ResourceLimitError
 
 SCHEMA_KEYS = {"level", "p", "q", "alpha_lower_bound", "certificate",
@@ -78,9 +78,35 @@ def test_bound_degenerate_exits_two(capsys):
     assert report["alpha_lower_bound"] == 0.0
 
 
-def test_bound_deep_refusal(capsys):
-    code, _ = run(capsys, "bound", "--n", "7", "--p", "1.415")
-    assert code == 3
+def _no_build(monkeypatch):
+    def no_build(n):
+        raise AssertionError(f"level {n} built")
+    monkeypatch.setattr(cli, "_build_level", no_build)
+    monkeypatch.setattr(cli, "build_forbidden_set", no_build)
+
+
+@pytest.mark.parametrize("n", ["8", "13"])
+def test_bound_above_history_cap_refused_before_build(capsys, monkeypatch, n):
+    _no_build(monkeypatch)
+    assert main(["bound", "--n", n, "--p", "1.413"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"level {n} is above 7" in captured.err
+
+
+def test_bound_level_seven_runs_without_a_flag(capsys, monkeypatch):
+    built = []
+
+    class Reached(Exception):
+        pass
+
+    def stub(n):
+        built.append(n)
+        raise Reached
+    monkeypatch.setattr(cli, "_build_level", stub)
+    with pytest.raises(Reached):
+        main(["bound", "--n", "7", "--p", "1.415"])
+    assert built == [7]
 
 
 def test_bound_csv_format(capsys):
@@ -106,11 +132,10 @@ def test_table_small(capsys):
     assert rows[1]["bound"] == pytest.approx(0.13101966, abs=1e-4)
 
 
-def test_table_deep_refusal(capsys):
-    assert main(["table", "--n-max", "7"]) == 3
-    err = capsys.readouterr().err
-    assert "--deep" in err and "GiB" in err
-    assert "hours" not in err
+def test_table_above_history_cap_exits_one(capsys, monkeypatch):
+    _no_build(monkeypatch)
+    assert main(["table", "--n-max", "8"]) == 1
+    assert "1..7" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [("bound", "--n", "2", "--p", "1.44"),
@@ -125,33 +150,39 @@ def test_build_refusal_exits_three(capsys, monkeypatch, argv):
     assert captured.out == ""
 
 
-def test_projected_bytes_covers_the_quotient_build():
-    # 41 bytes a state, a quarter more for transients: about 424 MiB at
-    # level 7, where the bound run peaks at 380 MiB
-    states = 7 * _GROWTH ** 6
-    assert _projected_bytes(7) == int(states * 1.25 * 41)
-    assert 380 < _projected_bytes(7) / 2**20 < 1.25 * 380
+BAD_SETTINGS = [
+    (("bound", "--n", "7", "--p", "1.415", "--alpha-tol", "nan"), "alpha_tol"),
+    (("bound", "--n", "7", "--p", "1.415", "--max-iter", "0"), "alpha_tol"),
+    (("table", "--n-max", "7", "--alpha-tol", "0"), "alpha_tol"),
+    (("table", "--n-max", "7", "--max-iter", "-1"), "alpha_tol"),
+    (("bound", "--n", "7", "--p", "0.9"), "p must be"),
+    (("bound", "--n", "7", "--p", "1.415", "--q", "0.5"), "q must be"),
+    (("table", "--n-max", "7", "--p-min", "0.9"), "p must be"),
+    (("table", "--n-max", "7", "--p-max", "inf"), "p must be"),
+    (("table", "--n-max", "7", "--q", "0.5"), "q must be"),
+    (("table", "--n-max", "7", "--p-min", "1.5", "--p-max", "1.4"),
+     "p_min < p_max")]
 
 
-@pytest.mark.parametrize("argv", [
-    ("bound", "--n", "7", "--p", "1.415", "--deep", "--alpha-tol", "nan"),
-    ("bound", "--n", "7", "--p", "1.415", "--deep", "--max-iter", "0"),
-    ("table", "--n-max", "7", "--deep", "--alpha-tol", "0"),
-    ("table", "--n-max", "7", "--deep", "--max-iter", "-1")])
-def test_bad_solver_settings_refused_before_the_build(capsys, monkeypatch, argv):
-    def no_build(n):
-        raise AssertionError(f"level {n} built before the settings were checked")
-    monkeypatch.setattr(cli, "_build_level", no_build)
+@pytest.mark.parametrize("argv,named", BAD_SETTINGS,
+                         ids=[f"argv{i}" for i in range(len(BAD_SETTINGS))])
+def test_bad_solver_settings_refused_before_the_build(capsys, monkeypatch,
+                                                       argv, named):
+    _no_build(monkeypatch)
     assert main(list(argv)) == 1
-    assert "alpha_tol" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
 
 
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--n", "2"])  # missing --p
     assert exc.value.code == 1
+    for retired in (["--cache-dir", "x"], ["--deep"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--n", "1", "--p", "1.45", *retired])
+        assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
-        main(["bound", "--n", "1", "--p", "1.45", "--cache-dir", "x"])
+        main(["table", "--n-max", "1", "--deep"])
     assert exc.value.code == 1
     # no power iteration at all would certify nothing and report Infinity
     assert main(["bound", "--n", "1", "--p", "1.45", "--max-iter", "0"]) == 1

@@ -9,8 +9,7 @@ from stavskaya.patterns import (POW3, Parameters, build_forbidden_set,
                                 pattern_code, pattern_text)
 from stavskaya.spectral import certified_upper_bound, power_iteration
 from stavskaya.statespace import (TransitionTable, build_state_space,
-                                  build_transitions, enumerate_valid_words,
-                                  suffix_blocked)
+                                  build_transitions, enumerate_valid_words)
 
 EXPECTED_SIZES = {1: 7, 2: 73, 3: 759, 4: 7859, 5: 81231}
 
@@ -59,14 +58,6 @@ def test_index_inverts_codes(small_levels):
         space.index_of(pattern_code((1, 3, 1, 1, 1)))
 
 
-def test_suffix_blocked_examples():
-    f1 = build_forbidden_set(1)
-    assert suffix_blocked(pattern_code((2, 2, 1, 3)), 4, f1)
-    assert not suffix_blocked(pattern_code((2, 2, 1, 2)), 4, f1)
-    f2 = build_forbidden_set(2)
-    assert suffix_blocked(pattern_code((1, 1, 2, 2, 3, 3)), 6, f2)
-
-
 def test_level_one_transitions(small_levels):
     space, table = small_levels[1]
     assert table.edge_count == 15
@@ -77,21 +68,6 @@ def test_level_one_transitions(small_levels):
     i22 = space.index_of(pattern_code((2, 2)))
     targets = [pattern_text(space.word(succ[d, i22])) for d in range(3)]
     assert targets == ["21", "22", "23"]
-
-
-def test_transitions_match_suffix_rule(small_levels, fset5):
-    # scatter view against the scalar suffix check over every pattern
-    # length, state by state
-    for n in (1, 2, 3):
-        space, table = small_levels[n]
-        succ = table.succ
-        fset = fset5.restrict(n)
-        for i in range(len(space)):
-            code = int(space.codes[i])
-            for kind in (1, 2, 3):
-                extended = code * 3 + (kind - 1)
-                blocked = suffix_blocked(extended, space.length + 1, fset)
-                assert (succ[kind - 1, i] == -1) == blocked
 
 
 @pytest.mark.parametrize("n,edges", sorted(EXPECTED_EDGES.items()))
@@ -225,9 +201,12 @@ def test_mirrored_only_when_it_holds(small_levels):
     assert make_table([[1], [1], [1]], [1]).mirrored
 
 
-def test_memory_budget_guard(fset5):
+def test_history_cap_refused_before_growing(monkeypatch):
+    def no_grow(*args):
+        raise AssertionError("a word was grown above the history cap")
+    monkeypatch.setattr(statespace, "_grow", no_grow)
     with pytest.raises(ResourceLimitError):
-        build_state_space(5, fset5.restrict(4), memory_budget=1 << 10)
+        build_state_space(8, build_forbidden_set(7))
 
 
 def test_level_validation(fset5):
