@@ -8,7 +8,7 @@ that certificate allows.
 
 from .errors import ConsistencyError, ResourceLimitError
 from .patterns import (ForbiddenSet, Parameters, build_forbidden_set,
-                       enumerate_primitive_loops, step_weight)
+                       enumerate_primitive_loops)
 from .search import (BisectionResult, OptimizationResult, alpha_sup,
                      optimize_p)
 from .spectral import (SpectralEstimate, apply_operator,
@@ -38,7 +38,6 @@ __all__ = [
     "enumerate_primitive_loops",
     "optimize_p",
     "power_iteration",
-    "step_weight",
     "word_weight_vector",
     "__version__",
 ]

@@ -37,7 +37,7 @@ class PathSum:
 
 
 def _weights(params: Parameters) -> tuple[float, float, float]:
-    # deliberately independent of patterns.step_weight
+    # deliberately independent of Parameters.step_weights
     return (1.0 / (params.p * params.q),
             params.alpha * params.p * params.p,
             params.q / params.p)

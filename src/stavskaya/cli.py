@@ -138,8 +138,8 @@ def cmd_table(args) -> int:
         print(f"error: --n-max must be in 1..{MAX_HISTORY_LEVEL}",
               file=sys.stderr)
         return EXIT_USAGE
-    _check_settings(args, args.p_min, args.p_max)
-    _check_p_range(args.p_min, args.p_max)
+    _check_settings(args)
+    _check_p_range(args.p_min, args.p_max, args.q)
     rows = []
     all_certified = True
     for n in range(1, args.n_max + 1):

@@ -39,7 +39,7 @@ STEP_KINDS = (1, 2, 3)
 POW3 = 3 ** np.arange(41, dtype=np.uint64)
 
 # States handled per pass of every full-length sweep: the move rule's
-# lookups, and in `statespace` the mirror check, the successor scatter,
+# lookups, and in `statespace` the mirror check, the scatter `succ`,
 # the quotient's refinement, relabelling and lift check, and the
 # zero-out-degree mark.  The move rule's temporaries are about 40 bytes
 # per target, so the chunk sets part of the build's peak RSS: at 2^18
@@ -71,13 +71,6 @@ class Parameters:
     def step_weights(self) -> tuple[float, float, float]:
         """Weights of step kinds 1, 2, 3: 1/(pq), alpha*p^2, q/p."""
         return (1.0 / (self.p * self.q), self.alpha * self.p**2, self.q / self.p)
-
-
-def step_weight(kind: int, params: Parameters) -> float:
-    """Weight of a single step of the given kind under params."""
-    if kind not in STEP_KINDS:
-        raise ValueError(f"step kind must be 1, 2, or 3, got {kind}")
-    return params.step_weights()[kind - 1]
 
 
 def swap_pattern(pattern: tuple[int, ...]) -> tuple[int, ...]:

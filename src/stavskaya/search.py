@@ -17,8 +17,9 @@ The bisection runs on the table's quotient (`TransitionTable.quotient`,
 442 classes for the 839,009 states of level 6), built and checked once
 per table, so the probes of `optimize_p` share it.  Its operator is the
 quotient B_q of the successor form B = W·S, and rho(W·S) = rho(W·Sᵀ),
-the radius of the paper's matrix; the lift check makes each ratio of
-B_q at u the ratio of B at the lifted vector u∘φ (see `statespace`).
+the radius of the paper's matrix; the lift check, slot by slot on the
+scatter `succ`, makes each ratio of B_q at u the ratio of B at the
+lifted vector u∘φ (see `statespace`).
 
 Each bisection step ends as soon as a Collatz–Wielandt ratio bound
 decides it (`check_subcritical`): a max ratio below one moves the lower
@@ -36,9 +37,9 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConsistencyError
-from .patterns import Parameters, build_forbidden_set
+from .patterns import Parameters
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, check_subcritical
-from .statespace import TransitionTable, build_state_space, build_transitions
+from .statespace import TransitionTable
 
 DEFAULT_ALPHA_TOL = 1e-10
 
@@ -103,13 +104,16 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
     vector and certificate of the last step that certified travel with
     the lower endpoint; if one solver step from that vector does not
     re-derive that certificate bit for bit, `ConsistencyError` is
-    raised.  Every solve runs on `table.quotient`, built on first use.
+    raised.  Every solve runs on `table.quotient`, built on first use,
+    after p, q, `tol` and `max_iter` are checked.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    start = Parameters(p, q, 0.0)
     quotient = table.quotient[0]
-    est = check_subcritical(quotient, Parameters(p, q, 0.0), DEFAULT_TOL,
-                            max_iter)
+    est = check_subcritical(quotient, start, DEFAULT_TOL, max_iter)
     spent = est.iterations
     certificate = est.certified_upper
     if not est.certified_subcritical:
@@ -146,8 +150,10 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
                            power_iterations=spent)
 
 
-def _check_p_range(p_min: float, p_max: float) -> None:
-    if not (1.0 <= p_min < p_max):
+def _check_p_range(p_min: float, p_max: float, q: float) -> None:
+    Parameters(p_min, q, 0.0)
+    Parameters(p_max, q, 0.0)
+    if not p_min < p_max:
         raise ValueError(f"need 1 <= p_min < p_max, got [{p_min}, {p_max}]")
 
 
@@ -157,19 +163,16 @@ def optimize_p(n: int,
                tol: float = DEFAULT_ALPHA_TOL,
                max_iter: int = DEFAULT_MAX_ITER,
                threads: int | None = None,
-               table: TransitionTable | None = None) -> OptimizationResult:
+               table: TransitionTable) -> OptimizationResult:
     """Maximize the certified alpha bound over p in [p_min, p_max].
 
     Both ends and the two golden interior points are probed; each step
     then drops the side of the lower interior probe and probes one new
     point.  Degenerate probes count as bound 0.  `threads` is ignored: the
-    benchmark worker still passes it.
+    benchmark worker still passes it.  Both ends of the p range are
+    checked, with q, before the first probe.
     """
-    _check_p_range(p_min, p_max)
-    if table is None:
-        fset = build_forbidden_set(n)
-        space = build_state_space(n, fset.restrict(n - 1))
-        table = build_transitions(space, fset)
+    _check_p_range(p_min, p_max, q)
 
     probed: dict[float, float] = {}
 

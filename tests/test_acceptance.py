@@ -207,9 +207,9 @@ def test_criterion_7_property_suite(small_levels, fset5):
             f"{'ok' if ok_mirror else 'BAD'}")
 
 
-def test_criterion_8_table_row():
+def test_criterion_8_table_row(deep_levels):
     started = time.time()
-    best = optimize_p(TABLE_ROW_LEVEL)
+    best = optimize_p(TABLE_ROW_LEVEL, table=deep_levels[TABLE_ROW_LEVEL][2])
     elapsed = time.time() - started
     ok = (abs(best.p_opt - TABLE_ROW_P) <= 0.01
           and abs(best.bound - TABLE_ROW_BOUND) <= 1e-6)

@@ -4,8 +4,7 @@ import pytest
 from stavskaya.errors import ResourceLimitError
 from stavskaya.patterns import (ForbiddenSet, Parameters, build_forbidden_set,
                                 code_to_pattern, enumerate_primitive_loops,
-                                pattern_code, pattern_text, step_weight,
-                                swap_pattern)
+                                pattern_code, pattern_text, swap_pattern)
 
 
 def test_parameter_validation():
@@ -27,16 +26,15 @@ def test_parameter_validation():
     (3, Parameters(2, 3, 0.2), 1.5),
 ])
 def test_step_weight_examples(kind, params, want):
-    assert step_weight(kind, params) == pytest.approx(want, abs=1e-15)
+    assert params.step_weights()[kind - 1] == pytest.approx(want, abs=1e-15)
 
 
 def test_step_weight_formulas():
     params = Parameters(1.7, 1.3, 0.42)
-    assert step_weight(1, params) == pytest.approx(1 / (1.7 * 1.3), rel=1e-15)
-    assert step_weight(2, params) == pytest.approx(0.42 * 1.7**2, rel=1e-15)
-    assert step_weight(3, params) == pytest.approx(1.3 / 1.7, rel=1e-15)
-    with pytest.raises(ValueError):
-        step_weight(4, params)
+    w1, w2, w3 = params.step_weights()
+    assert w1 == pytest.approx(1 / (1.7 * 1.3), rel=1e-15)
+    assert w2 == pytest.approx(0.42 * 1.7**2, rel=1e-15)
+    assert w3 == pytest.approx(1.3 / 1.7, rel=1e-15)
 
 
 def test_pattern_text_roundtrip():

@@ -97,6 +97,30 @@ def test_optimizer_validation(small_levels):
         optimize_p(1, 1.4, 1.4, table=table)
 
 
+@pytest.mark.parametrize("p,q,max_iter", [
+    (0.9, 1.0, 100), (1.417, 0.5, 100), (math.inf, 1.0, 100), (1.417, 1.0, 0),
+])
+def test_alpha_sup_refuses_before_the_quotient(small_levels, fset5, p, q,
+                                               max_iter):
+    table = level_table(4, small_levels, fset5)
+    with pytest.raises(ValueError):
+        alpha_sup(table, p, q, max_iter=max_iter)
+    assert "quotient" not in table.__dict__
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((1, 1.3, math.inf), {}), ((1,), {"q": 0.5}),
+])
+def test_optimizer_refuses_before_any_probe(small_levels, monkeypatch,
+                                            args, kwargs):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("a p was probed before the range was checked")
+    monkeypatch.setattr(search, "alpha_sup", no_probe)
+    _, table = small_levels[1]
+    with pytest.raises(ValueError):
+        optimize_p(*args, table=table, **kwargs)
+
+
 def test_level_monotonicity(small_levels):
     # deeper memory never weakens the bound at its own optimum
     bounds = []

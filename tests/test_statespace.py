@@ -23,7 +23,7 @@ EXPECTED_CLASSES = {1: 5, 2: 13, 3: 33, 4: 79, 5: 187}
 
 def _successor_table(table):
     """The full successor form B as a table whose gather operator it is."""
-    return TransitionTable(n=table.n, pred=table._successors(),
+    return TransitionTable(n=table.n, pred=table.succ,
                            last_digit=table.last_digit)
 
 
@@ -63,7 +63,7 @@ def test_level_one_transitions(small_levels):
     assert table.edge_count == 15
     succ = table.succ
     # "12" cannot take step 3 (would close the order-1 loop)
-    assert succ[2, space.index_of(pattern_code((1, 2)))] == -1
+    assert succ[2, space.index_of(pattern_code((1, 2)))] == table.n_states
     # "22" accepts all three steps
     i22 = space.index_of(pattern_code((2, 2)))
     targets = [pattern_text(space.word(succ[d, i22])) for d in range(3)]
@@ -132,7 +132,7 @@ def test_closure_targets_are_states(small_levels):
         space, table = small_levels[n]
         succ = table.succ
         for d in range(3):
-            src = np.nonzero(succ[d] >= 0)[0]
+            src = np.nonzero(succ[d] < table.n_states)[0]
             want = (space.codes[src] % POW3[space.length - 1]) * np.uint64(3) + np.uint64(d)
             got = space.codes[succ[d][src]]
             assert np.array_equal(got, want)
@@ -151,7 +151,7 @@ def test_suffix_sufficiency_full_factor_scan(small_levels, fset5):
                 full_hit = any(
                     ext[s:s + len(p)] == p
                     for p in patterns for s in range(len(ext) - len(p) + 1))
-                assert (succ[kind - 1, i] == -1) == full_hit
+                assert (succ[kind - 1, i] == table.n_states) == full_hit
 
 
 def test_out_degree_structure(small_levels):
@@ -162,8 +162,8 @@ def test_out_degree_structure(small_levels):
         assert degrees.max() <= 3
         last = space.codes % np.uint64(3)
         # ...1 never takes step 3, ...3 never takes step 1
-        assert (succ[2][last == 0] == -1).all()
-        assert (succ[0][last == 2] == -1).all()
+        assert (succ[2][last == 0] == table.n_states).all()
+        assert (succ[0][last == 2] == table.n_states).all()
 
 
 def test_pred_slot_is_oldest_step(small_levels):
@@ -285,13 +285,13 @@ def test_quotient_keeps_the_spectral_radius(small_levels):
 def test_lift_check_rejects_a_corrupted_class_map(small_levels):
     _, table = small_levels[3]
     quotient, phi = table.quotient
-    statespace._check_lift(table, quotient, phi)
+    statespace._check_lift(table.succ, table.last_digit, quotient, phi)
     # a state that some move enters: its class is pinned by that move
     s = int(np.nonzero((table.pred < table.n_states).any(axis=0))[0][0])
     bad = phi.copy()
     bad[s] = (bad[s] + 1) % quotient.n_states
     with pytest.raises(ConsistencyError):
-        statespace._check_lift(table, quotient, bad)
+        statespace._check_lift(table.succ, table.last_digit, quotient, bad)
 
 
 @pytest.mark.parametrize("fault", ["dropped move", "added move", "relabelled class"])
@@ -311,7 +311,7 @@ def test_lift_check_rejects_a_corrupted_quotient(small_levels, fault):
         digits[0] = (digits[0] + 1) % 3
     corrupted = TransitionTable(n=quotient.n, pred=pred, last_digit=digits)
     with pytest.raises(ConsistencyError):
-        statespace._check_lift(table, corrupted, phi)
+        statespace._check_lift(table.succ, table.last_digit, corrupted, phi)
 
 
 def test_two_moves_on_one_step_refused():
