@@ -3,8 +3,12 @@ results table.  Every command builds its levels from their patterns.
 
 Commands
   loops   forbidden-pattern counts per order (optionally the patterns)
-  bound   certified alpha lower bound at fixed (p, q) for one level
+  bound   certified alpha lower bound at fixed p for one level
   table   per-level optimization over p, one row per level
+
+Both certify at q = 1, where the bound is largest (see `search`), with
+the bisection tolerance `DEFAULT_ALPHA_TOL` and the power-iteration cap
+`DEFAULT_MAX_ITER`; none of the three is a flag.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 result not
 certified, 3 resource limit refused: a `bound` level above
@@ -16,16 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
 from . import __version__
 from .errors import ResourceLimitError
 from .patterns import MAX_LEVEL, Parameters, build_forbidden_set
-from .search import (DEFAULT_ALPHA_TOL, DEFAULT_P_MAX, DEFAULT_P_MIN,
-                     _check_p_range, alpha_sup, optimize_p)
-from .spectral import DEFAULT_MAX_ITER
+from .search import (DEFAULT_P_MAX, DEFAULT_P_MIN, _check_p_range, alpha_sup,
+                     optimize_p)
 from .statespace import (MAX_HISTORY_LEVEL, _check_history_level,
                          build_state_space, build_transitions)
 
@@ -41,17 +43,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _check_settings(args, *ps: float) -> None:
-    """Raise ValueError when a solver setting, q or one of the p values
-    `ps` is out of range; called before any level is built."""
-    if not (0.0 < args.alpha_tol < math.inf and args.max_iter >= 1):
-        raise ValueError(
-            f"need 0 < --alpha-tol < inf and --max-iter >= 1 "
-            f"(alpha_tol={args.alpha_tol}, max_iter={args.max_iter})")
-    for p in ps:
-        Parameters(p, args.q, 0.0)
 
 
 def _build_level(n: int):
@@ -107,18 +98,17 @@ def cmd_bound(args) -> int:
     if args.n < 1 or args.n > MAX_LEVEL:
         print(f"error: --n must be in 1..{MAX_LEVEL}", file=sys.stderr)
         return EXIT_USAGE
-    _check_settings(args, args.p)
+    Parameters(args.p, 1.0, 0.0)
     _check_history_level(args.n)
     started = time.perf_counter()
     space, table, fset = _build_level(args.n)
-    result = alpha_sup(table, args.p, args.q, args.alpha_tol,
-                       max_iter=args.max_iter)
+    result = alpha_sup(table, args.p)
     print(f"zero-out-degree states: {table.zero_out_degree_count()}",
           file=sys.stderr)
     report = {
         "level": args.n,
         "p": args.p,
-        "q": args.q,
+        "q": result.q,
         "alpha_lower_bound": result.alpha_low,
         "certificate": result.certificate,
         "iterations": result.iterations,
@@ -138,16 +128,13 @@ def cmd_table(args) -> int:
         print(f"error: --n-max must be in 1..{MAX_HISTORY_LEVEL}",
               file=sys.stderr)
         return EXIT_USAGE
-    _check_settings(args)
-    _check_p_range(args.p_min, args.p_max, args.q)
+    _check_p_range(args.p_min, args.p_max)
     rows = []
     all_certified = True
     for n in range(1, args.n_max + 1):
         started = time.perf_counter()
         space, table, fset = _build_level(n)
-        best = optimize_p(n, args.p_min, args.p_max, args.q,
-                          tol=args.alpha_tol, max_iter=args.max_iter,
-                          table=table)
+        best = optimize_p(n, args.p_min, args.p_max, table=table)
         all_certified &= not best.degenerate
         rows.append({
             "level": n,
@@ -163,20 +150,9 @@ def cmd_table(args) -> int:
     return EXIT_OK if all_certified else EXIT_NOT_CERTIFIED
 
 
-def _add_common(sub, with_p_range: bool) -> None:
-    sub.add_argument("--q", type=float, default=1.0,
-                     help="second auxiliary parameter (default 1)")
-    sub.add_argument("--alpha-tol", type=float, default=DEFAULT_ALPHA_TOL,
-                     help="bisection width tolerance (default 1e-10)")
-    sub.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
-                     help="power-iteration cap per spectral solve")
+def _add_format(sub) -> None:
     sub.add_argument("--format", choices=("json", "csv", "text"),
                      default="json", help="report format (default json)")
-    if with_p_range:
-        sub.add_argument("--p-min", type=float, default=DEFAULT_P_MIN,
-                         help="low end of the p search (default 1.30)")
-        sub.add_argument("--p-max", type=float, default=DEFAULT_P_MAX,
-                         help="high end of the p search (default 1.60)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,23 +166,26 @@ def build_parser() -> argparse.ArgumentParser:
     loops.add_argument("--n", type=int, required=True, help="level (0..13)")
     loops.add_argument("--dump", action="store_true",
                        help="also list the patterns as digit strings")
-    loops.add_argument("--format", choices=("json", "csv", "text"),
-                       default="json")
+    _add_format(loops)
     loops.set_defaults(func=cmd_loops)
 
     bound = subs.add_parser("bound",
-                            help="certified alpha bound at fixed (p, q)")
+                            help="certified alpha bound at fixed p")
     bound.add_argument("--n", type=int, required=True,
                        help=f"level (1..{MAX_HISTORY_LEVEL})")
     bound.add_argument("--p", type=float, required=True)
-    _add_common(bound, with_p_range=False)
+    _add_format(bound)
     bound.set_defaults(func=cmd_bound)
 
     table = subs.add_parser("table",
                             help="optimize p per level and print the table")
     table.add_argument("--n-max", type=int, required=True,
                        help=f"highest level (1..{MAX_HISTORY_LEVEL})")
-    _add_common(table, with_p_range=True)
+    table.add_argument("--p-min", type=float, default=DEFAULT_P_MIN,
+                       help="low end of the p search (default 1.30)")
+    table.add_argument("--p-max", type=float, default=DEFAULT_P_MAX,
+                       help="high end of the p search (default 1.60)")
+    _add_format(table)
     table.set_defaults(func=cmd_table)
     return parser
 

@@ -4,22 +4,33 @@ For fixed (p, q) the certified-subcritical region of alpha is an
 interval starting at 0; bisection keeps its lower endpoint certified at
 every step, so the returned value is a true lower bound on the critical
 parameter no matter how the iteration behaved.  The outer search
-maximizes that bound over p (q stays at 1, where the maximum is
-attained) by golden-section search (Kiefer 1953): one new bisection per
-step until the p bracket is narrower than `P_TOL`, reporting the best
-probed point, so the bound is certified at the very p reported.  The
-search assumes the bound is unimodal in p and checks it: sorted by p,
-the probed bounds must rise and then fall, up to dips of the bisection
-tolerance, or `ConsistencyError` is raised.  `optimize_p` still accepts
-a `threads` keyword and ignores it; the search is sequential.
+maximizes that bound over p at q = 1 by golden-section search (Kiefer
+1953): one new bisection per step until the p bracket is narrower than
+`P_TOL`, reporting the best probed point, so the bound is certified at
+the very p reported.  The search assumes the bound is unimodal in p and
+checks it: sorted by p, the probed bounds must rise and then fall, up
+to dips of the bisection tolerance, or `ConsistencyError` is raised.
+`optimize_p` still accepts a `threads` keyword and ignores it; the
+search is sequential.
+
+q = 1 is where the bound is largest, for every p and alpha.  The 1<->3
+swap is a permutation of the states that exchanges the kind-1 and
+kind-3 weights 1/(pq) and q/p, so rho(p, q) = rho(p, 1/q).  Every entry
+of the operator is 0 or a weight times exp(k·log q) with k in
+{-1, 0, 1}, a log-convex function of log q, so rho is log-convex in
+log q (Kingman, "A convexity property of positive matrices", 1961).
+A convex function that is even in log q is smallest at log q = 0 and
+nondecreasing for log q >= 0.  So for the q >= 1 that `Parameters`
+admits, rho(p, q) >= rho(p, 1) at every alpha: each alpha subcritical
+at q is subcritical at q = 1.  Hence `optimize_p` and the CLI certify at
+q = 1 only, with the bisection tolerance `DEFAULT_ALPHA_TOL`, and every
+solve is capped at `spectral.DEFAULT_MAX_ITER` power iterations.
 
 The bisection runs on the table's quotient (`TransitionTable.quotient`,
 442 classes for the 839,009 states of level 6), built and checked once
-per table, so the probes of `optimize_p` share it.  Its operator is the
-quotient B_q of the successor form B = W·S, and rho(W·S) = rho(W·Sᵀ),
-the radius of the paper's matrix; the lift check, slot by slot on the
-scatter `succ`, makes each ratio of B_q at u the ratio of B at the
-lifted vector u∘φ (see `statespace`).
+per table, so the probes of `optimize_p` share it.  Why a ratio bound
+on the quotient is one on the paper's matrix is set out once, in
+`statespace`.
 
 Each bisection step ends as soon as a Collatz–Wielandt ratio bound
 decides it (`check_subcritical`): a max ratio below one moves the lower
@@ -76,12 +87,11 @@ class BisectionResult:
 
 @dataclass
 class OptimizationResult:
-    """Best certified bound over p at fixed q; `grid` holds every
-    probed (p, bound), sorted by p."""
+    """Best certified bound over p at q = 1; `grid` holds every probed
+    (p, bound), sorted by p."""
 
     n: int
     p_opt: float
-    q: float
     bound: float
     grid: list[tuple[float, float]] = field(default_factory=list)
 
@@ -91,8 +101,7 @@ class OptimizationResult:
 
 
 def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
-              tol: float = DEFAULT_ALPHA_TOL, *,
-              max_iter: int = DEFAULT_MAX_ITER) -> BisectionResult:
+              tol: float = DEFAULT_ALPHA_TOL) -> BisectionResult:
     """Largest certified-subcritical alpha for fixed (p, q), by bisection.
 
     Midpoints that certify move the lower endpoint; anything else
@@ -104,16 +113,16 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
     vector and certificate of the last step that certified travel with
     the lower endpoint; if one solver step from that vector does not
     re-derive that certificate bit for bit, `ConsistencyError` is
-    raised.  Every solve runs on `table.quotient`, built on first use,
-    after p, q, `tol` and `max_iter` are checked.
+    raised.  Each solve is capped at `DEFAULT_MAX_ITER` power
+    iterations and runs on `table.quotient`, built on first use, after
+    p, q and `tol` are checked.  q = 1, the default, gives the largest
+    bound (see the module docstring).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     start = Parameters(p, q, 0.0)
     quotient = table.quotient[0]
-    est = check_subcritical(quotient, start, DEFAULT_TOL, max_iter)
+    est = check_subcritical(quotient, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
     spent = est.iterations
     certificate = est.certified_upper
     if not est.certified_subcritical:
@@ -128,7 +137,7 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
     while high - low > tol:
         mid = 0.5 * (low + high)
         est = check_subcritical(quotient, Parameters(p, q, mid),
-                                DEFAULT_TOL, max_iter, v0=warm)
+                                DEFAULT_TOL, DEFAULT_MAX_ITER, v0=warm)
         spent += est.iterations
         warm = est.vector
         if est.certified_subcritical:
@@ -150,34 +159,33 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
                            power_iterations=spent)
 
 
-def _check_p_range(p_min: float, p_max: float, q: float) -> None:
-    Parameters(p_min, q, 0.0)
-    Parameters(p_max, q, 0.0)
+def _check_p_range(p_min: float, p_max: float) -> None:
+    Parameters(p_min, 1.0, 0.0)
+    Parameters(p_max, 1.0, 0.0)
     if not p_min < p_max:
         raise ValueError(f"need 1 <= p_min < p_max, got [{p_min}, {p_max}]")
 
 
 def optimize_p(n: int,
                p_min: float = DEFAULT_P_MIN, p_max: float = DEFAULT_P_MAX,
-               q: float = 1.0, *,
-               tol: float = DEFAULT_ALPHA_TOL,
-               max_iter: int = DEFAULT_MAX_ITER,
-               threads: int | None = None,
+               *, threads: int | None = None,
                table: TransitionTable) -> OptimizationResult:
-    """Maximize the certified alpha bound over p in [p_min, p_max].
+    """Maximize the certified alpha bound at q = 1 over p in
+    [p_min, p_max], bisecting each probe to `DEFAULT_ALPHA_TOL`.
 
     Both ends and the two golden interior points are probed; each step
     then drops the side of the lower interior probe and probes one new
     point.  Degenerate probes count as bound 0.  `threads` is ignored: the
     benchmark worker still passes it.  Both ends of the p range are
-    checked, with q, before the first probe.
+    checked before the first probe.
     """
-    _check_p_range(p_min, p_max, q)
+    _check_p_range(p_min, p_max)
+    tol = DEFAULT_ALPHA_TOL
 
     probed: dict[float, float] = {}
 
     def probe(p: float) -> float:
-        res = alpha_sup(table, p, q, tol, max_iter=max_iter)
+        res = alpha_sup(table, p, 1.0, tol)
         probed[p] = 0.0 if res.degenerate else res.alpha_low
         return probed[p]
 
@@ -202,7 +210,7 @@ def optimize_p(n: int,
         # rise then fall: no probe below the highest on both of its sides
         if bound < min(max(bounds[:j + 1]), max(bounds[j:])) - tol:
             raise ConsistencyError(
-                f"bound not unimodal in p on [{p_min}, {p_max}] at q={q}: "
+                f"bound not unimodal in p on [{p_min}, {p_max}]: "
                 f"{bound} at p={p} dips below probes on both sides")
     p_opt, bound = max(grid, key=lambda pb: pb[1])
-    return OptimizationResult(n=n, p_opt=p_opt, q=q, bound=bound, grid=grid)
+    return OptimizationResult(n=n, p_opt=p_opt, bound=bound, grid=grid)

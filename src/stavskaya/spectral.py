@@ -17,12 +17,9 @@ to `tol` (or the norm ratio stalls), for an estimate of the radius
 itself.
 
 Everything here applies the gather operator of whatever table it is
-given.  `search` gives it the quotient of `TransitionTable.quotient`,
-whose gather operator is B_q, the quotient of the successor form
-B = W·S of the paper's M = W·Sᵀ.  Since rho(W·S) = rho(S·W) = rho(W·Sᵀ),
-and the lift check on the successor scatter `succ` makes
-B(u∘φ) = (B_q u)∘φ, each ratio bound on B_q is one on M (see
-`statespace`).
+given.  `search` gives it the quotient of `TransitionTable.quotient`;
+why each ratio bound there is one on the paper's matrix is set out in
+`statespace`.
 
 At q = 1 the iteration computes only half of every iterate.  The 1<->3
 swap pairs state t with state N-1-t (see `statespace`); on a mirrored

@@ -83,11 +83,13 @@ class StateSpace:
         return int(self.codes.shape[0])
 
     def index_of(self, code: int) -> int:
-        """Dense 0-based id of a word code; raises KeyError if absent."""
-        i = int(np.searchsorted(self.codes, np.uint64(code)))
-        if i >= len(self) or self.codes[i] != np.uint64(code):
-            raise KeyError(f"word code {code} is not a state")
-        return i
+        """Dense 0-based id of a word code; raises KeyError if absent,
+        also for a code outside [0, 3**length)."""
+        if 0 <= code < 3 ** self.length:
+            i = int(np.searchsorted(self.codes, np.uint64(code)))
+            if i < len(self) and self.codes[i] == np.uint64(code):
+                return i
+        raise KeyError(f"word code {code} is not a state")
 
     def word(self, state_id: int) -> tuple[int, ...]:
         return code_to_pattern(int(self.codes[state_id]), self.length)
@@ -154,6 +156,12 @@ class TransitionTable:
         if self.pred.size and (self.pred.min() < 0 or self.pred.max() > n):
             raise ConsistencyError(
                 f"predecessor indices must lie in [0, {n}]")
+        digits = self.last_digit
+        if digits.shape != (n,) or (n and (digits.min() < 0
+                                           or digits.max() > 2)):
+            raise ConsistencyError(
+                f"last_digit must hold one digit in 0..2 for each of "
+                f"the {n} states")
         self.mirrored = self._is_mirrored()
 
     def _is_mirrored(self) -> bool:

@@ -97,19 +97,20 @@ def test_optimizer_validation(small_levels):
         optimize_p(1, 1.4, 1.4, table=table)
 
 
-@pytest.mark.parametrize("p,q,max_iter", [
+# tol = 100 is a valid tolerance (it ends the bisection at once), so
+# those rows are refused for p or q alone
+@pytest.mark.parametrize("p,q,tol", [
     (0.9, 1.0, 100), (1.417, 0.5, 100), (math.inf, 1.0, 100), (1.417, 1.0, 0),
 ])
-def test_alpha_sup_refuses_before_the_quotient(small_levels, fset5, p, q,
-                                               max_iter):
+def test_alpha_sup_refuses_before_the_quotient(small_levels, fset5, p, q, tol):
     table = level_table(4, small_levels, fset5)
     with pytest.raises(ValueError):
-        alpha_sup(table, p, q, max_iter=max_iter)
+        alpha_sup(table, p, q, tol)
     assert "quotient" not in table.__dict__
 
 
 @pytest.mark.parametrize("args,kwargs", [
-    ((1, 1.3, math.inf), {}), ((1,), {"q": 0.5}),
+    ((1, 1.3, math.inf), {}), ((1,), {"p_min": 0.9}),
 ])
 def test_optimizer_refuses_before_any_probe(small_levels, monkeypatch,
                                             args, kwargs):
@@ -119,6 +120,20 @@ def test_optimizer_refuses_before_any_probe(small_levels, monkeypatch,
     _, table = small_levels[1]
     with pytest.raises(ValueError):
         optimize_p(*args, table=table, **kwargs)
+
+
+PAPER_P = {1: 1.464, 2: 1.44, 3: 1.43, 4: 1.424}
+
+
+@pytest.mark.parametrize("n", sorted(PAPER_P))
+def test_q_one_gives_the_largest_bound(n, small_levels, fset5):
+    # rho is even and log-convex in log q, so nondecreasing for q >= 1
+    # (see `stavskaya.search`): no q above 1 certifies a larger alpha
+    table = level_table(n, small_levels, fset5)
+    lows = [alpha_sup(table, PAPER_P[n], q).alpha_low
+            for q in (1.0, 1.0001, 1.01, 1.1, 1.5)]
+    assert lows[0] > 0.0
+    assert all(b <= a for a, b in zip(lows, lows[1:]))
 
 
 def test_level_monotonicity(small_levels):
@@ -164,7 +179,7 @@ def test_golden_section_matches_grid(n, small_levels, fset5, monkeypatch):
 
 
 def _fake_alpha_sup(bound_of):
-    def fake(table, p, q=1.0, tol=1e-10, **kwargs):
+    def fake(table, p, q=1.0, tol=1e-10):
         low = bound_of(p)
         return BisectionResult(p=p, q=q, alpha_low=low, alpha_high=low + tol,
                                iterations=0)
@@ -174,6 +189,7 @@ def _fake_alpha_sup(bound_of):
 def test_unimodality_guard(small_levels, monkeypatch):
     _, table = small_levels[1]
     tol = 1e-4
+    monkeypatch.setattr(search, "DEFAULT_ALPHA_TOL", tol)
 
     def two_peaks(p):
         return (math.exp(-((p - 1.36) / 0.02) ** 2)
@@ -181,7 +197,7 @@ def test_unimodality_guard(small_levels, monkeypatch):
 
     monkeypatch.setattr(search, "alpha_sup", _fake_alpha_sup(two_peaks))
     with pytest.raises(ConsistencyError, match="not unimodal"):
-        optimize_p(1, table=table, tol=tol)
+        optimize_p(1, table=table)
 
     # one peak, flat near the top, with dips up to `tol` (the resolution
     # of a bisected bound) between neighbouring probes
@@ -189,11 +205,11 @@ def test_unimodality_guard(small_levels, monkeypatch):
         return lambda p: 0.1 - (p - 1.45) ** 2 - scale * ((p * 1e6) % 1.0)
 
     monkeypatch.setattr(search, "alpha_sup", _fake_alpha_sup(jitter(tol)))
-    best = optimize_p(1, table=table, tol=tol)
+    best = optimize_p(1, table=table)
     assert best.p_opt == pytest.approx(1.45, abs=0.01)
     monkeypatch.setattr(search, "alpha_sup", _fake_alpha_sup(jitter(3 * tol)))
     with pytest.raises(ConsistencyError, match="not unimodal"):
-        optimize_p(1, table=table, tol=tol)
+        optimize_p(1, table=table)
 
 
 def _converged_decision(table, params, v0=None):

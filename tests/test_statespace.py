@@ -56,6 +56,10 @@ def test_index_inverts_codes(small_levels):
         assert space.index_of(int(space.codes[i])) == i
     with pytest.raises(KeyError):
         space.index_of(pattern_code((1, 3, 1, 1, 1)))
+    # outside the uint64 range of the codes, and so of any word
+    for code in (-1, 2**64):
+        with pytest.raises(KeyError):
+            space.index_of(code)
 
 
 def test_level_one_transitions(small_levels):
@@ -230,16 +234,27 @@ def test_codes_strictly_increasing(small_levels):
         assert (space.codes[1:] > space.codes[:-1]).all()
 
 
-@pytest.mark.parametrize("bad", ["past_sentinel", "negative"])
+@pytest.mark.parametrize("bad", ["past_sentinel", "negative", "long_digits",
+                                 "short_digits", "digit_3"])
 def test_out_of_range_predecessor_rejected(small_levels, bad):
     # the operator's gathers clamp instead of checking, so a bad index
-    # must be refused when the table is made
+    # or a last digit that is not one step per state must be refused
+    # when the table is made
     _, table = small_levels[1]
     n = table.n_states
-    pred = table.pred.copy()
-    pred[1, 2] = n + 1 if bad == "past_sentinel" else -1
+    pred, digits = table.pred.copy(), table.last_digit.copy()
+    if bad == "past_sentinel":
+        pred[1, 2] = n + 1
+    elif bad == "negative":
+        pred[1, 2] = -1
+    elif bad == "long_digits":
+        digits = np.append(digits, [0, 2]).astype(np.uint8)
+    elif bad == "short_digits":
+        digits = digits[:-1]
+    else:
+        digits[2] = 3
     with pytest.raises(ConsistencyError):
-        TransitionTable(n=table.n, pred=pred, last_digit=table.last_digit)
+        TransitionTable(n=table.n, pred=pred, last_digit=digits)
 
 
 @pytest.mark.parametrize("n,classes", sorted(EXPECTED_CLASSES.items()))
