@@ -12,8 +12,7 @@ from .patterns import (ForbiddenSet, Parameters, build_forbidden_set,
 from .search import (BisectionResult, OptimizationResult, alpha_sup,
                      optimize_p)
 from .spectral import (SpectralEstimate, apply_operator,
-                       certified_upper_bound, power_iteration,
-                       word_weight_vector)
+                       certified_upper_bound, power_iteration)
 from .statespace import (StateSpace, TransitionTable, build_state_space,
                          build_transitions)
 
@@ -38,6 +37,5 @@ __all__ = [
     "enumerate_primitive_loops",
     "optimize_p",
     "power_iteration",
-    "word_weight_vector",
     "__version__",
 ]

@@ -13,13 +13,15 @@ the bisection tolerance `DEFAULT_ALPHA_TOL` and the power-iteration cap
 Exit codes: 0 success, 1 usage or configuration error, 2 result not
 certified, 3 resource limit refused: a `bound` level above
 MAX_HISTORY_LEVEL (7), the largest whose history table is built, or a
-`loops` level above MAX_LEVEL (13).
+`loops` level above MAX_LEVEL (13).  A closed stdout ends a run by
+SIGPIPE, with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import time
 
@@ -103,8 +105,6 @@ def cmd_bound(args) -> int:
     started = time.perf_counter()
     space, table, fset = _build_level(args.n)
     result = alpha_sup(table, args.p)
-    print(f"zero-out-degree states: {table.zero_out_degree_count()}",
-          file=sys.stderr)
     report = {
         "level": args.n,
         "p": args.p,
@@ -203,6 +203,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # a reader that closes the pipe early (`| head`) ends the run by
+    # SIGPIPE, as it ends other Unix filters, not by a traceback
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -39,14 +39,14 @@ STEP_KINDS = (1, 2, 3)
 POW3 = 3 ** np.arange(41, dtype=np.uint64)
 
 # States handled per pass of every full-length sweep: the move rule's
-# lookups, and in `statespace` the mirror check, the scatter `succ`,
-# the quotient's refinement, relabelling and lift check, and the
-# zero-out-degree mark.  The move rule's temporaries are about 40 bytes
-# per target, so the chunk sets part of the build's peak RSS: at 2^18
-# the whole build (patterns, states, transitions) peaks at 56 MiB at
-# level 6, below the solve's footprint, and 243 MiB at level 7, where
-# the table itself sets the peak; 2^20 takes level 6 to 74 MiB and 2^22
-# takes level 7 to 335 MiB (2 cores, numpy 2.4).
+# lookups, and in `statespace` the mirror check, the scatter `succ` and
+# the quotient's refinement, relabelling and lift check.  The move
+# rule's temporaries are about 40 bytes per target, so the chunk sets
+# part of the build's peak RSS: at 2^18 the whole build (patterns,
+# states, transitions) peaks at 56 MiB at level 6, below the solve's
+# footprint, and 243 MiB at level 7, where the table itself sets the
+# peak; 2^20 takes level 6 to 74 MiB and 2^22 takes level 7 to 335 MiB
+# (2 cores, numpy 2.4).
 _CHUNK = 1 << 18
 
 _NO_CODES = np.empty(0, dtype=np.uint64)
@@ -71,11 +71,6 @@ class Parameters:
     def step_weights(self) -> tuple[float, float, float]:
         """Weights of step kinds 1, 2, 3: 1/(pq), alpha*p^2, q/p."""
         return (1.0 / (self.p * self.q), self.alpha * self.p**2, self.q / self.p)
-
-
-def swap_pattern(pattern: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply the 1<->3 kind swap elementwise (2 is fixed)."""
-    return tuple(4 - k for k in pattern)
 
 
 def pattern_code(pattern) -> int:
@@ -133,14 +128,6 @@ class ForbiddenSet:
 
     def __len__(self) -> int:
         return sum(codes.shape[0] for codes in self.codes_by_length.values())
-
-    def __iter__(self):
-        return iter(self.patterns)
-
-    def __contains__(self, pattern) -> bool:
-        pattern = tuple(pattern)
-        return (set(pattern) <= set(STEP_KINDS) and pattern_code(pattern)
-                in self.codes_by_length.get(len(pattern), ()))
 
     def __repr__(self) -> str:
         return f"ForbiddenSet(level={self.level}, size={len(self)})"

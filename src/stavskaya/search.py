@@ -114,14 +114,15 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
     the lower endpoint; if one solver step from that vector does not
     re-derive that certificate bit for bit, `ConsistencyError` is
     raised.  Each solve is capped at `DEFAULT_MAX_ITER` power
-    iterations and runs on `table.quotient`, built on first use, after
-    p, q and `tol` are checked.  q = 1, the default, gives the largest
-    bound (see the module docstring).
+    iterations and runs on the quotient table `table.quotient`, built
+    and lift-checked on first use, after p, q and `tol` are checked.
+    q = 1, the default, gives the largest bound (see the module
+    docstring).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     start = Parameters(p, q, 0.0)
-    quotient = table.quotient[0]
+    quotient = table.quotient
     est = check_subcritical(quotient, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
     spent = est.iterations
     certificate = est.certified_upper
@@ -176,10 +177,13 @@ def optimize_p(n: int,
     Both ends and the two golden interior points are probed; each step
     then drops the side of the lower interior probe and probes one new
     point.  Degenerate probes count as bound 0.  `threads` is ignored: the
-    benchmark worker still passes it.  Both ends of the p range are
-    checked before the first probe.
+    benchmark worker still passes it.  Both ends of the p range, and
+    that `table` is the level-n table, are checked before the first
+    probe.
     """
     _check_p_range(p_min, p_max)
+    if n != table.n:
+        raise ValueError(f"level {n} given with a level {table.n} table")
     tol = DEFAULT_ALPHA_TOL
 
     probed: dict[float, float] = {}

@@ -53,8 +53,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .patterns import POW3, Parameters
-from .statespace import StateSpace, TransitionTable
+from .patterns import Parameters
+from .statespace import TransitionTable
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200_000
@@ -294,21 +294,3 @@ def check_subcritical(table: TransitionTable, params: Parameters,
     """
     return _iterate(table, params, tol, max_iter, v0, decide=True)
 
-
-def word_weight_vector(space: StateSpace, params: Parameters) -> np.ndarray:
-    """Per-state product of step weights over the state's full history.
-
-    Used to seed path-sum computations: iterating the operator m times on
-    this vector and summing gives the total weight of all valid paths of
-    length L + m.
-    """
-    counts = np.zeros((len(space), 3), dtype=np.int64)
-    for i in range(space.length):
-        digit = ((space.codes // POW3[i]) % np.uint64(3)).astype(np.int64)
-        for d in range(3):
-            counts[:, d] += digit == d
-    w = params.step_weights()
-    out = np.ones(len(space), dtype=np.float64)
-    for d in range(3):
-        out *= np.asarray(w[d], dtype=np.float64) ** counts[:, d]
-    return out

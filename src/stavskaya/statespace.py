@@ -48,8 +48,8 @@ rho(M) < 1 for the full table, and a min ratio above one proves
 rho(M) > 1.  This is not taken on trust from the refinement.  It rests
 on three facts: (a) the successor scatter `succ` loses no move, which
 it checks as it is built; (b) the identity holds slot by slot, which
-`_check_lift` checks on that scatter once per table; (c) rho(W·S) =
-rho(W·Sᵀ), shown above.
+`_check_lift` checks on that scatter once per table, after which φ is
+dropped and only B_q is kept; (c) rho(W·S) = rho(W·Sᵀ), shown above.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, ResourceLimitError
-from .patterns import (_CHUNK, ForbiddenSet, _grow, _moves, code_to_pattern,
-                       pattern_text)
+from .patterns import _CHUNK, ForbiddenSet, _grow, _moves
 
 # The largest level whose history table is built: level 7, the paper's
 # headline, has 8,663,071 states and its `bound` run peaks at 380 MiB.
@@ -81,21 +80,6 @@ class StateSpace:
 
     def __len__(self) -> int:
         return int(self.codes.shape[0])
-
-    def index_of(self, code: int) -> int:
-        """Dense 0-based id of a word code; raises KeyError if absent,
-        also for a code outside [0, 3**length)."""
-        if 0 <= code < 3 ** self.length:
-            i = int(np.searchsorted(self.codes, np.uint64(code)))
-            if i < len(self) and self.codes[i] == np.uint64(code):
-                return i
-        raise KeyError(f"word code {code} is not a state")
-
-    def word(self, state_id: int) -> tuple[int, ...]:
-        return code_to_pattern(int(self.codes[state_id]), self.length)
-
-    def word_texts(self) -> list[str]:
-        return [pattern_text(self.word(i)) for i in range(len(self))]
 
 
 def _check_history_level(n: int) -> None:
@@ -152,8 +136,14 @@ class TransitionTable:
 
     def __post_init__(self) -> None:
         # checked once here so the operator's gathers can skip the check
+        pred = self.pred
+        if not (pred.ndim == 2 and pred.shape[0] == 3
+                and np.issubdtype(pred.dtype, np.integer)):
+            raise ConsistencyError(
+                f"pred must be a 2-D integer array with 3 rows, got "
+                f"{pred.dtype} of shape {pred.shape}")
         n = self.n_states
-        if self.pred.size and (self.pred.min() < 0 or self.pred.max() > n):
+        if pred.size and (pred.min() < 0 or pred.max() > n):
             raise ConsistencyError(
                 f"predecessor indices must lie in [0, {n}]")
         digits = self.last_digit
@@ -210,16 +200,16 @@ class TransitionTable:
         return succ
 
     @cached_property
-    def quotient(self) -> tuple["TransitionTable", np.ndarray]:
-        """(quotient table, class map φ), built once per table: the
-        coarsest forward bisimulation of the successor form (see the
-        module docstring).  Slot d of class c holds the class that c
-        moves to on step d+1, or the sentinel K (the class count), and
-        class c carries the step weight of its members' newest step, so
-        the quotient's gather operator is B_q.  φ[s] is the class of
-        state s, stored in the smallest unsigned type that holds K.
-        It is refined, built and lift-checked on one scatter, `succ`:
-        B(u∘φ) = (B_q u)∘φ is checked slot by slot before it is returned.
+    def quotient(self) -> "TransitionTable":
+        """The quotient table, built once per table: the coarsest
+        forward bisimulation of the successor form (see the module
+        docstring).  Slot d of class c holds the class that c moves to
+        on step d+1, or the sentinel K (the class count), and class c
+        carries the step weight of its members' newest step, so the
+        quotient's gather operator is B_q.  It is refined, built and
+        lift-checked on one scatter, `succ`: with φ[s] the class of
+        state s, B(u∘φ) = (B_q u)∘φ is checked slot by slot before the
+        table is returned, and φ is then dropped.
         """
         n = self.n_states
         succ = self.succ
@@ -236,24 +226,11 @@ class TransitionTable:
         phi = classes.astype(np.min_scalar_type(k))
         del classes
         _check_lift(succ, self.last_digit, quotient, phi)
-        return quotient, phi
+        return quotient
 
     @property
     def edge_count(self) -> int:
         return int((self.pred < self.n_states).sum())
-
-    def out_degrees(self) -> np.ndarray:
-        return np.bincount(self.pred.ravel(), minlength=self.n_states + 1)[:-1]
-
-    def zero_out_degree_count(self) -> int:
-        """States with no allowed move; kept for diagnostics, never pruned.
-        A mark of the sources, a chunk at a time, is a byte per state,
-        where `out_degrees` takes a machine word per slot."""
-        n = self.n_states
-        source = np.zeros(n + 1, dtype=bool)
-        for lo in range(0, n, _CHUNK):
-            source[self.pred[:, lo:lo + _CHUNK]] = True
-        return n - int(source[:n].sum())
 
 
 def _relabel(keys: np.ndarray, mark: np.ndarray) -> int:

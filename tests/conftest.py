@@ -13,6 +13,19 @@ def make_table(pred_rows, last_digit, n=1):
                            last_digit=np.asarray(last_digit, dtype=np.uint8))
 
 
+def word_weights(space, params):
+    """Per-state product of the step weights over the state's whole
+    history: m operator applications to it sum to the total weight of
+    the valid paths of length L + m."""
+    w = np.asarray(params.step_weights(), dtype=np.float64)
+    out = np.ones(len(space))
+    codes = space.codes.copy()
+    for _ in range(space.length):
+        out *= w[(codes % np.uint64(3)).astype(np.intp)]
+        codes //= np.uint64(3)
+    return out
+
+
 def unmirrored(table):
     """Copy of a built table with its first real slot-0 predecessor
     emptied, so the 1<->3 swap no longer maps it onto itself."""

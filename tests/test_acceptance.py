@@ -8,13 +8,12 @@ import time
 
 import numpy as np
 import pytest
+from conftest import word_weights
 
 from stavskaya import bruteforce
-from stavskaya.patterns import (POW3, Parameters, build_forbidden_set,
-                                swap_pattern)
+from stavskaya.patterns import POW3, Parameters, build_forbidden_set
 from stavskaya.search import alpha_sup, optimize_p
-from stavskaya.spectral import (apply_operator, check_subcritical,
-                                power_iteration, word_weight_vector)
+from stavskaya.spectral import apply_operator, check_subcritical, power_iteration
 from stavskaya.statespace import (build_state_space, build_transitions,
                                   enumerate_valid_words)
 
@@ -79,7 +78,7 @@ def deep_levels():
 def test_criterion_2_combinatorics_extended(deep_levels):
     # the only tier-1 build of the transitions at a scale of many chunks
     started = time.time()
-    got = {n: (patterns, states, table.edge_count, table.quotient[0].n_states)
+    got = {n: (patterns, states, table.edge_count, table.quotient.n_states)
            for n, (patterns, states, table, _) in deep_levels.items()}
     elapsed = time.time() - started + sum(b[3] for b in deep_levels.values())
     exact = all(got[n] == TABLE_COUNTS[n] + (EDGE_COUNTS[n], CLASS_COUNTS[n])
@@ -138,7 +137,7 @@ def test_criterion_6_oracle_equivalence(small_levels, fset5):
         space, table = small_levels[n]
         for _ in range(5):
             params = Parameters(1 + rng.rand(), 1 + rng.rand(), rng.rand())
-            v = word_weight_vector(space, params)
+            v = word_weights(space, params)
             for m in range(0, 9):
                 want = bruteforce.total_weight_bruteforce(
                     n, space.length + m, params).total
@@ -173,7 +172,7 @@ def test_criterion_7_property_suite(small_levels, fset5):
     ok_closure = True
     for n in range(0, 6):
         pats = set(fset5.restrict(n).patterns)
-        ok_closure &= {swap_pattern(p) for p in pats} == pats
+        ok_closure &= {tuple(4 - k for k in p) for p in pats} == pats
         ok_closure &= {tuple(reversed(p)) for p in pats} == pats
     # alpha-monotone certificates, 10 ladder points
     ok_mono = True

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from conftest import make_table
+from conftest import make_table, word_weights
 
 from stavskaya import bruteforce
 from stavskaya.errors import ResourceLimitError
 from stavskaya.patterns import Parameters, build_forbidden_set
-from stavskaya.spectral import apply_operator, power_iteration, word_weight_vector
+from stavskaya.spectral import apply_operator, power_iteration
 from stavskaya.statespace import enumerate_valid_words
 
 
@@ -76,7 +76,7 @@ def test_path_sums_match_operator_iteration(small_levels, fset5):
         space, table = small_levels[n]
         for _ in range(3):
             params = Parameters(1 + rng.rand(), 1 + rng.rand(), rng.rand())
-            v = word_weight_vector(space, params)
+            v = word_weights(space, params)
             for m in range(0, 9):
                 want = bruteforce.total_weight_bruteforce(n, space.length + m, params).total
                 assert v.sum() == pytest.approx(want, rel=1e-12)

@@ -1,5 +1,9 @@
 import json
+import os
 import shlex
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -206,6 +210,24 @@ def test_readme_cli_lines_parse():
     assert len(lines) >= 5
     for line in lines:
         cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_closed_stdout_ends_quietly():
+    # `loops --n 8 --dump --format text | head -1`: the reader leaves
+    # after one line, long before the 470 kB of patterns are written
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stavskaya", "loops", "--n", "8", "--dump",
+         "--format", "text"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().split() == [b"order", b"count", b"cumulative"]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
 
 
 def test_version_flag(capsys):

@@ -25,3 +25,39 @@ def test_patterns_imports_no_later_layer():
             names.update(alias.name for alias in node.names)
     for layer in ("statespace", "spectral", "search"):
         assert not any(layer in name.split(".") for name in names), layer
+
+
+def _references(tree):
+    """Names read in `tree`, as names or attributes, each outside the
+    function or class that defines it."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_public_names_have_a_caller():
+    # a public name that only its own tests call is surface to delete;
+    # apply_operator stays as the whole-array reference the tests
+    # compare the solver's blocked sweep against
+    package = Path(stavskaya.__file__).parent
+    worker = package.parents[1] / "perfbench" / "worker.py"
+    used = set()
+    for path in [*package.glob("*.py"), worker]:
+        used |= _references(ast.parse(path.read_text()))
+    uncalled = set(stavskaya.__all__) - used - {"apply_operator"}
+    assert not uncalled, sorted(uncalled)

@@ -4,7 +4,7 @@ import pytest
 from stavskaya.errors import ResourceLimitError
 from stavskaya.patterns import (ForbiddenSet, Parameters, build_forbidden_set,
                                 code_to_pattern, enumerate_primitive_loops,
-                                pattern_code, pattern_text, swap_pattern)
+                                pattern_code, pattern_text)
 
 
 def test_parameter_validation():
@@ -89,13 +89,13 @@ def test_per_order_counts(fset5):
 def test_degenerate_pair_always_present(fset5):
     for n in range(0, 6):
         fset = fset5.restrict(n)
-        assert (1, 3) in fset
-        assert (3, 1) in fset
+        assert (1, 3) in fset.patterns
+        assert (3, 1) in fset.patterns
 
 
 def test_loops_are_balanced_and_closed(fset5):
     moves = {1: (-1, -1), 2: (2, 0), 3: (-1, 1)}  # (dx, dy) of each kind
-    for pat in fset5:
+    for pat in fset5.patterns:
         if len(pat) == 2:
             continue
         k = len(pat) // 3
@@ -108,7 +108,7 @@ def test_loops_are_balanced_and_closed(fset5):
 def test_swap_and_reversal_closure(fset5):
     for n in range(0, 6):
         patterns = set(fset5.restrict(n).patterns)
-        assert {swap_pattern(p) for p in patterns} == patterns
+        assert {tuple(4 - k for k in p) for p in patterns} == patterns
         assert {tuple(reversed(p)) for p in patterns} == patterns
 
 

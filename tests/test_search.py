@@ -111,11 +111,13 @@ def test_alpha_sup_refuses_before_the_quotient(small_levels, fset5, p, q, tol):
 
 @pytest.mark.parametrize("args,kwargs", [
     ((1, 1.3, math.inf), {}), ((1,), {"p_min": 0.9}),
+    # the level-1 table passed as level 2's
+    ((2,), {}),
 ])
 def test_optimizer_refuses_before_any_probe(small_levels, monkeypatch,
                                             args, kwargs):
     def no_probe(*args, **kwargs):
-        raise AssertionError("a p was probed before the range was checked")
+        raise AssertionError("a p was probed before the arguments were checked")
     monkeypatch.setattr(search, "alpha_sup", no_probe)
     _, table = small_levels[1]
     with pytest.raises(ValueError):

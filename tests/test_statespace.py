@@ -27,6 +27,23 @@ def _successor_table(table):
                            last_digit=table.last_digit)
 
 
+def _class_map(table):
+    """φ: the class of each state in `table.quotient`."""
+    return statespace._refine(table.succ, table.last_digit)[0]
+
+
+def _index(space, word):
+    """State id of a word, looked up in the sorted codes."""
+    code = np.uint64(pattern_code(word))
+    i = int(np.searchsorted(space.codes, code))
+    assert space.codes[i] == code, word
+    return i
+
+
+def _word(space, i):
+    return code_to_pattern(int(space.codes[i]), space.length)
+
+
 def test_word_codec_roundtrip():
     rng = np.random.RandomState(3)
     for _ in range(50):
@@ -47,19 +64,8 @@ def test_state_space_sizes(n, size, fset5):
 
 def test_level_one_words(small_levels):
     space, _ = small_levels[1]
-    assert space.word_texts() == ["11", "12", "21", "22", "23", "32", "33"]
-
-
-def test_index_inverts_codes(small_levels):
-    space, _ = small_levels[2]
-    for i in range(0, len(space), 7):
-        assert space.index_of(int(space.codes[i])) == i
-    with pytest.raises(KeyError):
-        space.index_of(pattern_code((1, 3, 1, 1, 1)))
-    # outside the uint64 range of the codes, and so of any word
-    for code in (-1, 2**64):
-        with pytest.raises(KeyError):
-            space.index_of(code)
+    texts = [pattern_text(_word(space, i)) for i in range(len(space))]
+    assert texts == ["11", "12", "21", "22", "23", "32", "33"]
 
 
 def test_level_one_transitions(small_levels):
@@ -67,10 +73,10 @@ def test_level_one_transitions(small_levels):
     assert table.edge_count == 15
     succ = table.succ
     # "12" cannot take step 3 (would close the order-1 loop)
-    assert succ[2, space.index_of(pattern_code((1, 2)))] == table.n_states
+    assert succ[2, _index(space, (1, 2))] == table.n_states
     # "22" accepts all three steps
-    i22 = space.index_of(pattern_code((2, 2)))
-    targets = [pattern_text(space.word(succ[d, i22])) for d in range(3)]
+    i22 = _index(space, (2, 2))
+    targets = [pattern_text(_word(space, succ[d, i22])) for d in range(3)]
     assert targets == ["21", "22", "23"]
 
 
@@ -79,14 +85,8 @@ def test_edge_counts(n, edges, fset5):
     space = build_state_space(n, fset5.restrict(n - 1))
     table = build_transitions(space, fset5.restrict(n))
     assert table.edge_count == edges
-    assert table.zero_out_degree_count() == 0
-
-
-def test_zero_out_degree_count_matches_out_degrees():
-    # state 0 is no state's source, so it has no move
-    table = make_table([[1, 2, 3], [3, 3, 3], [3, 3, 3]], [0, 0, 0])
-    assert table.zero_out_degree_count() == 1
-    assert list(table.out_degrees()) == [0, 1, 1]
+    # every state has a move
+    assert (table.succ < table.n_states).any(axis=0).all()
 
 
 @pytest.mark.parametrize("chunk", [7, 64])
@@ -104,7 +104,8 @@ def test_chunked_moves_match_one_chunk(fset5, monkeypatch, chunk):
         return loops, levels
 
     whole_loops, whole = build()
-    whole_quotients = [table.quotient for _, table in whole]
+    whole_quotients = [(table.quotient, _class_map(table))
+                       for _, table in whole]
     monkeypatch.setattr(patterns, "_CHUNK", chunk)
     monkeypatch.setattr(statespace, "_CHUNK", chunk)
     loops, levels = build()
@@ -116,7 +117,8 @@ def test_chunked_moves_match_one_chunk(fset5, monkeypatch, chunk):
         assert table.pred.dtype == want.pred.dtype
         assert np.array_equal(table.pred, want.pred)
         # the refinement, its relabelling and the lift check run in chunks
-        (got_q, got_phi), (want_q, want_phi) = table.quotient, want_quotient
+        got_q, got_phi = table.quotient, _class_map(table)
+        want_q, want_phi = want_quotient
         assert np.array_equal(got_q.pred, want_q.pred)
         assert np.array_equal(got_q.last_digit, want_q.last_digit)
         assert np.array_equal(got_phi, want_phi)
@@ -149,7 +151,7 @@ def test_suffix_sufficiency_full_factor_scan(small_levels, fset5):
         succ = table.succ
         patterns = fset5.restrict(n).patterns
         for i in range(len(space)):
-            word = space.word(i)
+            word = _word(space, i)
             for kind in (1, 2, 3):
                 ext = word + (kind,)
                 full_hit = any(
@@ -162,7 +164,10 @@ def test_out_degree_structure(small_levels):
     for n in (1, 2, 3):
         space, table = small_levels[n]
         succ = table.succ
-        degrees = table.out_degrees()
+        degrees = (succ < table.n_states).sum(axis=0)
+        # the scatter keeps every move: each state is a source as often
+        assert np.array_equal(degrees, np.bincount(
+            table.pred.ravel(), minlength=table.n_states + 1)[:-1])
         assert degrees.max() <= 3
         last = space.codes % np.uint64(3)
         # ...1 never takes step 3, ...3 never takes step 1
@@ -235,11 +240,12 @@ def test_codes_strictly_increasing(small_levels):
 
 
 @pytest.mark.parametrize("bad", ["past_sentinel", "negative", "long_digits",
-                                 "short_digits", "digit_3"])
+                                 "short_digits", "digit_3", "four_rows",
+                                 "two_rows", "one_row", "float_pred"])
 def test_out_of_range_predecessor_rejected(small_levels, bad):
-    # the operator's gathers clamp instead of checking, so a bad index
-    # or a last digit that is not one step per state must be refused
-    # when the table is made
+    # the operator's gathers clamp instead of checking, so a bad index,
+    # a pred that is not three rows of integers, or a last digit that is
+    # not one step per state must be refused when the table is made
     _, table = small_levels[1]
     n = table.n_states
     pred, digits = table.pred.copy(), table.last_digit.copy()
@@ -251,8 +257,16 @@ def test_out_of_range_predecessor_rejected(small_levels, bad):
         digits = np.append(digits, [0, 2]).astype(np.uint8)
     elif bad == "short_digits":
         digits = digits[:-1]
-    else:
+    elif bad == "digit_3":
         digits[2] = 3
+    elif bad == "four_rows":
+        pred = np.vstack([pred, pred[:1]])
+    elif bad == "two_rows":
+        pred = pred[:2]
+    elif bad == "one_row":
+        pred = pred[0]
+    else:
+        pred = pred.astype(np.float64)
     with pytest.raises(ConsistencyError):
         TransitionTable(n=table.n, pred=pred, last_digit=digits)
 
@@ -260,18 +274,18 @@ def test_out_of_range_predecessor_rejected(small_levels, bad):
 @pytest.mark.parametrize("n,classes", sorted(EXPECTED_CLASSES.items()))
 def test_quotient_class_counts(n, classes, small_levels, fset5):
     table = level_table(n, small_levels, fset5)
-    quotient, phi = table.quotient
+    quotient, phi = table.quotient, _class_map(table)
     assert quotient.n_states == classes
-    assert phi.shape == (table.n_states,) and phi.dtype == np.uint8
+    assert phi.shape == (table.n_states,)
     assert np.array_equal(np.unique(phi), np.arange(classes))
-    assert table.quotient[0] is quotient  # built once per table
+    assert table.quotient is quotient  # built once per table
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quotient_lifts_every_ratio(n, small_levels, fset5):
     # B(u∘φ) = (B_q u)∘φ, so the max ratios agree bit for bit
     table = level_table(n, small_levels, fset5)
-    quotient, phi = table.quotient
+    quotient, phi = table.quotient, _class_map(table)
     full = _successor_table(table)
     rng = np.random.RandomState(n)
     for q in (1.0, 1.1):
@@ -286,7 +300,7 @@ def test_quotient_keeps_the_spectral_radius(small_levels):
     rng = np.random.RandomState(7)
     for n in (1, 2, 3):
         _, table = small_levels[n]
-        quotient = table.quotient[0]
+        quotient = table.quotient
         for _ in range(3):
             params = Parameters(1 + rng.rand(), 1 + rng.rand(), rng.rand())
             dense = bruteforce.dense_growth_rate(table, params)
@@ -299,7 +313,7 @@ def test_quotient_keeps_the_spectral_radius(small_levels):
 
 def test_lift_check_rejects_a_corrupted_class_map(small_levels):
     _, table = small_levels[3]
-    quotient, phi = table.quotient
+    quotient, phi = table.quotient, _class_map(table)
     statespace._check_lift(table.succ, table.last_digit, quotient, phi)
     # a state that some move enters: its class is pinned by that move
     s = int(np.nonzero((table.pred < table.n_states).any(axis=0))[0][0])
@@ -312,7 +326,7 @@ def test_lift_check_rejects_a_corrupted_class_map(small_levels):
 @pytest.mark.parametrize("fault", ["dropped move", "added move", "relabelled class"])
 def test_lift_check_rejects_a_corrupted_quotient(small_levels, fault):
     _, table = small_levels[3]
-    quotient, phi = table.quotient
+    quotient, phi = table.quotient, _class_map(table)
     k = quotient.n_states
     pred, digits = quotient.pred.copy(), quotient.last_digit.copy()
     if fault == "dropped move":
