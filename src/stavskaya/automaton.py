@@ -1,0 +1,175 @@
+"""The patterns' Aho–Corasick automaton, and Moore refinement on it.
+
+The Aho–Corasick automaton of a forbidden set F (Aho & Corasick, CACM
+1975) has a node for every prefix of a pattern; δ(u, d) is the node of
+the longest suffix of u·d that is one, and reading a word from the root
+lands on the node of its longest suffix that is one.  A node is dead
+when its word ends in a pattern.  Whether w can follow a word x without
+completing a pattern depends only on x's node: a pattern that ends
+inside w and starts inside x meets x in a suffix that is a pattern
+prefix, so a suffix of the node's word.  So the node of a history fixes
+its future, and the histories' successor form factors through the nodes
+they reach (see `statespace`).
+
+The automaton is built one depth at a time from `codes_by_length`: the
+depth-m nodes are the sorted, distinct length-m prefixes of the
+patterns, the children of a node are found by `searchsorted`, and
+fail(u·d) = δ(fail(u), d), so each depth reads only shallower rows.
+A node is dead when it is a pattern or its failure target is dead.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from .errors import ConsistencyError
+from .patterns import _CHUNK, POW3, ForbiddenSet
+
+
+_NO_CODES = np.empty(0, dtype=np.uint64)
+_STEPS = np.arange(3, dtype=np.uint64)
+_PAST_EVERY_CODE = np.array([np.iinfo(np.uint64).max], dtype=np.uint64)
+
+
+def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, found) of each code in the sorted codes."""
+    padded = np.concatenate([sorted_codes, _PAST_EVERY_CODE])
+    idx = np.searchsorted(padded, codes)
+    return idx, padded[idx] == codes
+
+
+def _automaton(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray]:
+    """(delta, dead): delta[u, d] is δ(u, d) for step d+1, as an int32
+    node index with the root at 0, and dead[u] flags the nodes whose
+    word ends in a pattern.  Nodes are numbered by (depth, code)."""
+    by_length = fset.codes_by_length
+    depth_codes = [np.zeros(1, dtype=np.uint64)]  # the root
+    for m in range(1, max(by_length, default=0) + 1):
+        # sorted, then each code that differs from its neighbour:
+        # np.unique would import numpy.ma on first use
+        prefixes = np.sort(np.concatenate(
+            [codes // POW3[length - m]
+             for length, codes in by_length.items() if length >= m]))
+        distinct = np.ones(prefixes.shape[0], dtype=bool)
+        distinct[1:] = prefixes[1:] != prefixes[:-1]
+        depth_codes.append(prefixes[distinct])
+    starts = np.cumsum([0] + [codes.shape[0] for codes in depth_codes])
+    delta = np.zeros((int(starts[-1]), 3), dtype=np.int32)
+    fail = np.zeros_like(delta[:, 0])
+    dead = np.zeros(delta.shape[0], dtype=bool)
+    for m, parents in enumerate(depth_codes):
+        ids = np.arange(starts[m], starts[m + 1])
+        children = (depth_codes[m + 1] if m + 1 < len(depth_codes)
+                    else _NO_CODES)
+        idx, hit = _find(children, parents[:, None] * np.uint64(3) + _STEPS)
+        delta[ids] = np.where(hit, starts[m + 1] + idx, delta[fail[ids]])
+        new = np.arange(starts[m + 1], starts[m + 1] + children.shape[0])
+        if m > 0:  # depth-1 nodes fail to the root
+            parent = starts[m] + _find(parents, children // np.uint64(3))[0]
+            fail[new] = delta[fail[parent],
+                              (children % np.uint64(3)).astype(np.intp)]
+        dead[new] = (dead[fail[new]]
+                     | _find(by_length.get(m + 1, _NO_CODES), children)[1])
+    return delta, dead
+
+
+def _class_map(pred: np.ndarray, last_digit: np.ndarray,
+               fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(φ, quotient pred, quotient last digits) of the level-n history
+    table (`pred`, `last_digit`) whose moves avoid `fset`.
+
+    Each state's node is found by 3n-2 gather passes along one real
+    predecessor p(t) per state: node(t) = δ(node(p(t)), last digit of t),
+    from δ(root, last digit of t), so after the passes every state has
+    read at least its own L = 3n-1 steps.  A pass may read a predecessor
+    it has already moved on, which reads more: any walk word into t of
+    at least L steps leads to t's node, since its longest suffix that is
+    a pattern prefix is no longer than L (the longer ones are patterns
+    of length 3n, which no walk contains).  The reached nodes, with the
+    moves δ gives them into live nodes, are refined by `_refine`, and φ
+    composes the node map with the node classes.  A reached node must
+    reach exactly the live nodes among its targets, or `ConsistencyError`
+    is raised: the moves would not be those of the patterns.  Each node
+    takes the newest step of the histories that reach it, the last step
+    of its word for every node but the root, and `_check_lift` checks
+    every history's step against its class's.
+    """
+    n = pred.shape[1]
+    first = np.empty(n, dtype=np.int32)  # the sentinel N sorts last
+    for lo in range(0, n, _CHUNK):
+        np.min(pred[:, lo:lo + _CHUNK], axis=0, out=first[lo:lo + _CHUNK])
+        if (first[lo:lo + _CHUNK] == n).any():
+            raise ConsistencyError(
+                f"a state in {lo}..{min(lo + _CHUNK, n) - 1} has no move into it")
+    delta, dead = _automaton(fset)
+    flat = delta.ravel()
+    node = delta[0, last_digit]
+    for _ in range(3 * fset.level - 2):
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            step = np.take(node, first[lo:hi])
+            step *= 3
+            step += last_digit[lo:hi]
+            np.take(flat, step, out=node[lo:hi], mode="clip")
+    del first
+    reached = np.zeros(delta.shape[0], dtype=bool)
+    node_digit = np.zeros(delta.shape[0], dtype=np.uint8)
+    for lo in range(0, n, _CHUNK):
+        reached[node[lo:lo + _CHUNK]] = True
+        node_digit[node[lo:lo + _CHUNK]] = last_digit[lo:lo + _CHUNK]
+    ids = np.flatnonzero(reached)
+    targets = np.ascontiguousarray(delta[ids].T)
+    if (reached[targets] == dead[targets]).any():
+        raise ConsistencyError(
+            f"the moves are not those of the level-{fset.level} patterns")
+    label = np.cumsum(reached, dtype=np.int32) - 1
+    moves = np.where(reached[targets], label[targets], np.int32(ids.shape[0]))
+    classes, k = _refine(moves, node_digit[ids])
+    node_class = np.zeros(delta.shape[0], dtype=np.min_scalar_type(k))
+    node_class[ids] = classes
+    phi = np.empty(n, dtype=node_class.dtype)
+    for lo in range(0, n, _CHUNK):
+        np.take(node_class, node[lo:lo + _CHUNK], out=phi[lo:lo + _CHUNK],
+                mode="clip")
+    members = np.empty(k, dtype=np.intp)  # any member node of each class
+    members[classes] = np.arange(ids.shape[0])
+    padded = np.append(classes, np.int32(k))
+    return phi, padded[moves[:, members]], node_digit[ids][members]
+
+
+def _relabel(keys: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+    """(labels, count): the int32 keys, which lie in [0, size), replaced
+    by dense labels in key order.  The running count of a mark of the
+    keys that occur replaces a sort."""
+    mark = np.zeros(size, dtype=bool)
+    mark[keys] = True
+    label = np.cumsum(mark, dtype=np.int32) - 1
+    return label[keys], int(label[-1]) + 1
+
+
+def _refine(succ: np.ndarray, last_digit: np.ndarray) -> tuple[np.ndarray, int]:
+    """(classes, K): Moore refinement (Moore 1956) of the last-digit
+    partition of a successor table until every class sends each step
+    into one class, or nowhere.
+
+    Each pass splits the classes by the class of one slot's target, the
+    sentinel N counting as a class of its own.  Only states that some
+    step tells apart are split, so no partition along the way is finer
+    than the final one, and a key (class, target class) takes one of
+    K·(K+1) values: it fits in int32 up to K = 46,340, far past the
+    1,046 classes of level 7, and `_relabel` needs no sort.  The
+    refinement ends after three passes in a row, one per slot, that
+    split nothing.
+    """
+    classes, k = _relabel(last_digit.astype(np.int32), 3)
+    quiet = 0
+    for slot in itertools.cycle(succ):
+        if quiet == 3:
+            break
+        before = k
+        target = np.append(classes, np.int32(k))[slot]
+        classes, k = _relabel(classes * np.int32(k + 1) + target, k * (k + 1))
+        quiet = quiet + 1 if k == before else 0
+    return classes, k

@@ -39,8 +39,9 @@ STEP_KINDS = (1, 2, 3)
 POW3 = 3 ** np.arange(41, dtype=np.uint64)
 
 # States handled per pass of every full-length sweep: the move rule's
-# lookups, and in `statespace` the mirror check, the scatter `succ` and
-# the quotient's refinement, relabelling and lift check.  The move
+# lookups, in `statespace` the mirror check, the scatter `succ` and the
+# lift check, and in `automaton` the node passes and the class map of
+# the histories.  The move
 # rule's temporaries are about 40 bytes per target, so the chunk sets
 # part of the build's peak RSS: at 2^18 the whole build (patterns,
 # states, transitions) peaks at 56 MiB at level 6, below the solve's

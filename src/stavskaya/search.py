@@ -119,8 +119,10 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
     q = 1, the default, gives the largest bound (see the module
     docstring).
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not 0.0 < tol < 0.5:
+        # from 0.5 on the bisection stops after at most one step, and
+        # its alpha_low of 0 would read as a certified bound
+        raise ValueError(f"tol must lie in (0, 0.5), got {tol}")
     start = Parameters(p, q, 0.0)
     quotient = table.quotient
     est = check_subcritical(quotient, start, DEFAULT_TOL, DEFAULT_MAX_ITER)

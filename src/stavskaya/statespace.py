@@ -36,30 +36,39 @@ the targets' step weights) has the spectral radius of its successor
 form B = W·S, in which state s is weighted by its own newest step:
 rho(B) = rho(S·W) = rho((S·W)ᵀ) = rho(M).  B counts weighted words that
 avoid the patterns, so it factors through a much smaller automaton.
-`TransitionTable.quotient` refines the last-digit partition by Moore's
-algorithm (Moore 1956) until every class sends each step into one class,
-the coarsest forward bisimulation of B: 5, 13, 33, 79, 187, 442 and
-1,046 classes at n = 1..7.  Its quotient B_q is stored as a table whose
-slot d of class c holds the class c moves to on step d+1, so its
-gather operator is B_q itself.  With φ the class map, B(u∘φ) = (B_q u)∘φ
-for every u: each history has the same Collatz–Wielandt ratio under u∘φ
-as its class has under u, so a max ratio below one on B_q proves
-rho(M) < 1 for the full table, and a min ratio above one proves
-rho(M) > 1.  This is not taken on trust from the refinement.  It rests
-on three facts: (a) the successor scatter `succ` loses no move, which
-it checks as it is built; (b) the identity holds slot by slot, which
-`_check_lift` checks on that scatter once per table, after which φ is
-dropped and only B_q is kept; (c) rho(W·S) = rho(W·Sᵀ), shown above.
+`TransitionTable.quotient` finds the coarsest forward bisimulation of B
+(5, 13, 33, 79, 187, 442 and 1,046 classes at n = 1..7) in four steps:
+(1) the Aho–Corasick automaton of the level-n set (`automaton`); (2) the
+node of each history, the node its word leads to from the root, read
+along one real predecessor per state; (3) Moore refinement (Moore 1956)
+of the nodes the histories reach, a few thousand, into classes, which
+φ, the class of each history's node, carries back to the histories;
+(4) the lift check below.  The node map is a bisimulation onto those
+nodes: a history and its node have the same newest step, the move on
+step d exists exactly when δ(node, d) is live, and it enters a history
+whose node is δ(node, d).  So the histories' coarsest bisimulation is
+the nodes' pulled back along the map, with the same class labels.
+The quotient B_q is stored as a table whose slot d of class c holds the
+class c moves to on step d+1, so its gather operator is B_q itself.
+With φ the class map, B(u∘φ) = (B_q u)∘φ for every u: each history has
+the same Collatz–Wielandt ratio under u∘φ as its class has under u, so
+a max ratio below one on B_q proves rho(M) < 1 for the full table, and
+a min ratio above one proves rho(M) > 1.  This is not taken on trust
+from the automaton.  It rests on three facts: (a) the successor scatter
+`succ` loses no move, which it checks as it is built; (b) the identity
+holds slot by slot, which `_check_lift` checks on that scatter for
+every history, once per table, after which φ is dropped and only B_q
+is kept; (c) rho(W·S) = rho(W·Sᵀ), shown above.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from .automaton import _class_map
 from .errors import ConsistencyError, ResourceLimitError
 from .patterns import _CHUNK, ForbiddenSet, _grow, _moves
 
@@ -132,6 +141,7 @@ class TransitionTable:
     n: int
     pred: np.ndarray        # (3, N) int32, N = empty slot
     last_digit: np.ndarray  # (N,) uint8 in 0..2
+    fset: ForbiddenSet | None = None  # the level-n set the moves avoid
     mirrored: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -206,83 +216,24 @@ class TransitionTable:
         docstring).  Slot d of class c holds the class that c moves to
         on step d+1, or the sentinel K (the class count), and class c
         carries the step weight of its members' newest step, so the
-        quotient's gather operator is B_q.  It is refined, built and
-        lift-checked on one scatter, `succ`: with φ[s] the class of
-        state s, B(u∘φ) = (B_q u)∘φ is checked slot by slot before the
-        table is returned, and φ is then dropped.
+        quotient's gather operator is B_q.  The classes come from the
+        patterns' automaton (`automaton._class_map`); with φ[s] the
+        class of state s, B(u∘φ) = (B_q u)∘φ is then checked slot by
+        slot on `succ` before the table is returned, and φ is dropped.
+        A table made without its forbidden set raises `ValueError`.
         """
-        n = self.n_states
-        succ = self.succ
-        classes, k = _refine(succ, self.last_digit)
-        members = np.empty(k, dtype=np.intp)  # any member of each class
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            members[classes[lo:hi]] = np.arange(lo, hi)
-        padded = np.append(classes, np.int32(k))
-        quotient = TransitionTable(n=self.n, pred=padded[succ[:, members]],
-                                   last_digit=self.last_digit[members])
-        # free each full-length array but succ, which the lift check reads
-        del padded
-        phi = classes.astype(np.min_scalar_type(k))
-        del classes
-        _check_lift(succ, self.last_digit, quotient, phi)
+        if self.fset is None:
+            raise ValueError("a table made without its forbidden set "
+                             "has no quotient")
+        phi, pred, last_digit = _class_map(self.pred, self.last_digit,
+                                           self.fset)
+        quotient = TransitionTable(n=self.n, pred=pred, last_digit=last_digit)
+        _check_lift(self.succ, self.last_digit, quotient, phi)
         return quotient
 
     @property
     def edge_count(self) -> int:
         return int((self.pred < self.n_states).sum())
-
-
-def _relabel(keys: np.ndarray, mark: np.ndarray) -> int:
-    """Replace the int32 keys by dense labels in key order, in place,
-    where mark[key] flags each key that occurs; returns the label count.
-    The running count of the mark replaces a sort."""
-    label = np.cumsum(mark, dtype=np.int32)
-    label -= 1
-    buf = np.empty(min(_CHUNK, keys.shape[0]), dtype=np.int32)
-    for lo in range(0, keys.shape[0], _CHUNK):
-        chunk = keys[lo:lo + _CHUNK]
-        np.take(label, chunk, out=buf[:chunk.shape[0]], mode="clip")
-        chunk[:] = buf[:chunk.shape[0]]
-    return int(label[-1]) + 1 if label.size else 0
-
-
-def _refine(succ: np.ndarray, last_digit: np.ndarray) -> tuple[np.ndarray, int]:
-    """(classes, K): Moore refinement of the last-digit partition until
-    every class sends each step into one class, or nowhere.
-
-    Each pass splits the classes by the class of one slot's target, the
-    sentinel N counting as a class of its own.  Only states that some
-    step tells apart are split, so no partition along the way is finer
-    than the final one, and a key (class, target class) takes one of
-    K·(K+1) values: it fits in int32 up to K = 46,340, far past the
-    1,046 classes of level 7, and `_relabel` needs no sort.  The
-    keys are made and marked a chunk at a time, while the chunk is in
-    cache.  The refinement ends after three passes in a row, one per
-    slot, that split nothing.
-    """
-    n = succ.shape[1]
-    classes = last_digit.astype(np.int32)
-    mark = np.zeros(3, dtype=bool)
-    mark[last_digit] = True
-    k = _relabel(classes, mark)
-    padded = np.empty(n + 1, dtype=np.int32)
-    quiet = 0
-    for slot in itertools.cycle(succ):
-        if quiet == 3:
-            break
-        padded[:n] = classes
-        padded[n] = before = k
-        mark = np.zeros(k * (k + 1), dtype=bool)
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            keys = classes[lo:hi]
-            np.take(padded, slot[lo:hi], out=keys, mode="clip")
-            keys += padded[lo:hi] * np.int32(k + 1)
-            mark[keys] = True
-        k = _relabel(classes, mark)
-        quiet = quiet + 1 if k == before else 0
-    return classes, k
 
 
 def _check_lift(succ: np.ndarray, last_digit: np.ndarray,
@@ -325,4 +276,5 @@ def build_transitions(states: StateSpace, fset: ForbiddenSet) -> TransitionTable
     # the full-length remainder is a temporary, so take it before pred exists
     last_digit = (states.codes % np.uint64(3)).astype(np.uint8)
     pred = _moves(states.codes, states.length, fset)
-    return TransitionTable(n=states.n, pred=pred, last_digit=last_digit)
+    return TransitionTable(n=states.n, pred=pred, last_digit=last_digit,
+                           fset=fset)

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import stavskaya
@@ -13,8 +16,9 @@ def test_public_names_resolve():
 
 
 def test_patterns_imports_no_later_layer():
-    # the layers run patterns -> statespace -> spectral -> search, and the
-    # move rule lives in patterns, so it must not reach up the stack
+    # the layers run patterns -> automaton -> statespace -> spectral ->
+    # search, and the move rule lives in patterns, so it must not reach
+    # up the stack
     tree = ast.parse(Path(stavskaya.patterns.__file__).read_text())
     names = set()
     for node in ast.walk(tree):
@@ -23,7 +27,7 @@ def test_patterns_imports_no_later_layer():
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
-    for layer in ("statespace", "spectral", "search"):
+    for layer in ("automaton", "statespace", "spectral", "search"):
         assert not any(layer in name.split(".") for name in names), layer
 
 
@@ -61,3 +65,24 @@ def test_public_names_have_a_caller():
         used |= _references(ast.parse(path.read_text()))
     uncalled = set(stavskaya.__all__) - used - {"apply_operator"}
     assert not uncalled, sorted(uncalled)
+
+
+def test_cold_start_leaves_numpy_ma_unimported():
+    # numpy.ma costs a fresh process tens of milliseconds and about
+    # 1 MiB on first use (np.unique imports it), so the package and the
+    # small levels' quotients must not pull it in
+    code = """
+import sys
+from stavskaya import build_forbidden_set, build_state_space, build_transitions
+fset = build_forbidden_set(3)
+for n in (1, 2, 3):
+    space = build_state_space(n, fset.restrict(n - 1))
+    build_transitions(space, fset.restrict(n)).quotient
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(stavskaya.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["False"]

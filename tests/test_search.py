@@ -97,10 +97,11 @@ def test_optimizer_validation(small_levels):
         optimize_p(1, 1.4, 1.4, table=table)
 
 
-# tol = 100 is a valid tolerance (it ends the bisection at once), so
-# those rows are refused for p or q alone
+# the p and q rows have a valid tolerance, so they are refused for p
+# or q alone; from 0.5 on a tolerance allows at most one step
 @pytest.mark.parametrize("p,q,tol", [
-    (0.9, 1.0, 100), (1.417, 0.5, 100), (math.inf, 1.0, 100), (1.417, 1.0, 0),
+    (0.9, 1.0, 1e-10), (1.417, 0.5, 1e-10), (math.inf, 1.0, 1e-10),
+    (1.417, 1.0, 0), (1.417, 1.0, 0.5), (1.417, 1.0, 100),
 ])
 def test_alpha_sup_refuses_before_the_quotient(small_levels, fset5, p, q, tol):
     table = level_table(4, small_levels, fset5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import level_table, make_table, unmirrored
 
-from stavskaya import bruteforce, patterns, statespace
+from stavskaya import automaton, bruteforce, patterns, statespace
 from stavskaya.errors import ConsistencyError, ResourceLimitError
 from stavskaya.patterns import (POW3, Parameters, build_forbidden_set,
                                 code_to_pattern, enumerate_primitive_loops,
@@ -29,7 +29,7 @@ def _successor_table(table):
 
 def _class_map(table):
     """φ: the class of each state in `table.quotient`."""
-    return statespace._refine(table.succ, table.last_digit)[0]
+    return automaton._class_map(table.pred, table.last_digit, table.fset)[0]
 
 
 def _index(space, word):
@@ -108,6 +108,7 @@ def test_chunked_moves_match_one_chunk(fset5, monkeypatch, chunk):
                        for _, table in whole]
     monkeypatch.setattr(patterns, "_CHUNK", chunk)
     monkeypatch.setattr(statespace, "_CHUNK", chunk)
+    monkeypatch.setattr(automaton, "_CHUNK", chunk)
     loops, levels = build()
     for got, want in zip(loops, whole_loops):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -116,7 +117,7 @@ def test_chunked_moves_match_one_chunk(fset5, monkeypatch, chunk):
         assert np.array_equal(codes, want_codes)
         assert table.pred.dtype == want.pred.dtype
         assert np.array_equal(table.pred, want.pred)
-        # the refinement, its relabelling and the lift check run in chunks
+        # the node passes, the class map and the lift check run in chunks
         got_q, got_phi = table.quotient, _class_map(table)
         want_q, want_phi = want_quotient
         assert np.array_equal(got_q.pred, want_q.pred)
@@ -347,4 +348,49 @@ def test_two_moves_on_one_step_refused():
     # state 0 enters both states, each ending in step 1
     table = make_table([[0, 0], [2, 2], [2, 2]], [0, 0])
     with pytest.raises(ConsistencyError, match="share a source and a step"):
-        table.quotient
+        table.succ
+
+
+def test_hand_built_table_has_no_quotient(small_levels):
+    # the classes come from the patterns, which a hand-built table lacks
+    _, table = small_levels[2]
+    bare = TransitionTable(n=table.n, pred=table.pred,
+                           last_digit=table.last_digit)
+    with pytest.raises(ValueError, match="forbidden set"):
+        bare.quotient
+
+
+@pytest.mark.parametrize("fault,match", [
+    ("no move into a state", "no move into it"),
+    # its target keeps another move, so every state still has a
+    # predecessor to read its node along
+    ("dropped move", "do not lift"),
+], ids=["no move into a state", "dropped move"])
+def test_quotient_refuses_moves_not_from_the_patterns(small_levels, fault,
+                                                      match):
+    _, table = small_levels[2]
+    n = table.n_states
+    pred = table.pred.copy()
+    if fault == "no move into a state":
+        pred[:, 40] = n
+    else:
+        t = int(np.nonzero((pred < n).sum(axis=0) > 1)[0][0])
+        pred[int(np.argmax(pred[:, t] < n)), t] = n
+    broken = TransitionTable(n=table.n, pred=pred,
+                             last_digit=table.last_digit, fset=table.fset)
+    with pytest.raises(ConsistencyError, match=match):
+        broken.quotient
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_moore_refinement_of_the_histories_matches(n, small_levels, fset5):
+    # the oracle: Moore refinement of the full successor form induces
+    # exactly the partition that the automaton route finds
+    table = level_table(n, small_levels, fset5)
+    moore, k = automaton._refine(table.succ, table.last_digit)
+    phi = _class_map(table)
+    assert k == table.quotient.n_states == EXPECTED_CLASSES[n]
+    pairs = np.unique(moore.astype(np.int64) * k + phi)
+    assert pairs.shape == (k,)
+    assert np.array_equal(np.unique(pairs // k), np.arange(k))
+    assert np.array_equal(np.unique(pairs % k), np.arange(k))
