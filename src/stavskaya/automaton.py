@@ -1,4 +1,4 @@
-"""The patterns' Aho–Corasick automaton, and Moore refinement on it.
+"""The minimal automaton of a forbidden set, built from its patterns.
 
 The Aho–Corasick automaton of a forbidden set F (Aho & Corasick, CACM
 1975) has a node for every prefix of a pattern; δ(u, d) is the node of
@@ -9,13 +9,15 @@ completing a pattern depends only on x's node: a pattern that ends
 inside w and starts inside x meets x in a suffix that is a pattern
 prefix, so a suffix of the node's word.  So the node of a history fixes
 its future, and the histories' successor form factors through the nodes
-they reach (see `statespace`).
+(see `statespace`).
 
 The automaton is built one depth at a time from `codes_by_length`: the
 depth-m nodes are the sorted, distinct length-m prefixes of the
-patterns, the children of a node are found by `searchsorted`, and
+patterns, the children of a node are found by `_find`, and
 fail(u·d) = δ(fail(u), d), so each depth reads only shallower rows.
 A node is dead when it is a pattern or its failure target is dead.
+`minimal` refines the live nodes by Moore's algorithm (Moore 1956);
+nothing here reads a history.
 """
 
 from __future__ import annotations
@@ -25,19 +27,11 @@ import itertools
 import numpy as np
 
 from .errors import ConsistencyError
-from .patterns import _CHUNK, POW3, ForbiddenSet
+from .patterns import POW3, ForbiddenSet, _find
 
 
 _NO_CODES = np.empty(0, dtype=np.uint64)
 _STEPS = np.arange(3, dtype=np.uint64)
-_PAST_EVERY_CODE = np.array([np.iinfo(np.uint64).max], dtype=np.uint64)
-
-
-def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(index, found) of each code in the sorted codes."""
-    padded = np.concatenate([sorted_codes, _PAST_EVERY_CODE])
-    idx = np.searchsorted(padded, codes)
-    return idx, padded[idx] == codes
 
 
 def _automaton(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray]:
@@ -75,68 +69,33 @@ def _automaton(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray]:
     return delta, dead
 
 
-def _class_map(pred: np.ndarray, last_digit: np.ndarray,
-               fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(φ, quotient pred, quotient last digits) of the level-n history
-    table (`pred`, `last_digit`) whose moves avoid `fset`.
-
-    Each state's node is found by 3n-2 gather passes along one real
-    predecessor p(t) per state: node(t) = δ(node(p(t)), last digit of t),
-    from δ(root, last digit of t), so after the passes every state has
-    read at least its own L = 3n-1 steps.  A pass may read a predecessor
-    it has already moved on, which reads more: any walk word into t of
-    at least L steps leads to t's node, since its longest suffix that is
-    a pattern prefix is no longer than L (the longer ones are patterns
-    of length 3n, which no walk contains).  The reached nodes, with the
-    moves δ gives them into live nodes, are refined by `_refine`, and φ
-    composes the node map with the node classes.  A reached node must
-    reach exactly the live nodes among its targets, or `ConsistencyError`
-    is raised: the moves would not be those of the patterns.  Each node
-    takes the newest step of the histories that reach it, the last step
-    of its word for every node but the root, and `_check_lift` checks
-    every history's step against its class's.
-    """
-    n = pred.shape[1]
-    first = np.empty(n, dtype=np.int32)  # the sentinel N sorts last
-    for lo in range(0, n, _CHUNK):
-        np.min(pred[:, lo:lo + _CHUNK], axis=0, out=first[lo:lo + _CHUNK])
-        if (first[lo:lo + _CHUNK] == n).any():
-            raise ConsistencyError(
-                f"a state in {lo}..{min(lo + _CHUNK, n) - 1} has no move into it")
+def minimal(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray, int]:
+    """(pred, last_digit, start): the minimal automaton of the words
+    that avoid `fset`, in the form of the quotient `TransitionTable`,
+    and the root's class.  The live nodes and their live moves are
+    refined by `_refine` from the step that enters each node; a live
+    node entered on no step or on two has no one step weight, and raises
+    `ConsistencyError`."""
     delta, dead = _automaton(fset)
-    flat = delta.ravel()
-    node = delta[0, last_digit]
-    for _ in range(3 * fset.level - 2):
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            step = np.take(node, first[lo:hi])
-            step *= 3
-            step += last_digit[lo:hi]
-            np.take(flat, step, out=node[lo:hi], mode="clip")
-    del first
-    reached = np.zeros(delta.shape[0], dtype=bool)
-    node_digit = np.zeros(delta.shape[0], dtype=np.uint8)
-    for lo in range(0, n, _CHUNK):
-        reached[node[lo:lo + _CHUNK]] = True
-        node_digit[node[lo:lo + _CHUNK]] = last_digit[lo:lo + _CHUNK]
-    ids = np.flatnonzero(reached)
+    live = ~dead
+    ids = np.flatnonzero(live)
     targets = np.ascontiguousarray(delta[ids].T)
-    if (reached[targets] == dead[targets]).any():
+    entered = np.zeros((3, delta.shape[0]), dtype=bool)
+    for d, row in enumerate(targets):
+        entered[d, row] = True
+    steps = entered[:, ids]  # only moves into live nodes count
+    if (steps.sum(axis=0) != 1).any():
         raise ConsistencyError(
-            f"the moves are not those of the level-{fset.level} patterns")
-    label = np.cumsum(reached, dtype=np.int32) - 1
-    moves = np.where(reached[targets], label[targets], np.int32(ids.shape[0]))
-    classes, k = _refine(moves, node_digit[ids])
-    node_class = np.zeros(delta.shape[0], dtype=np.min_scalar_type(k))
-    node_class[ids] = classes
-    phi = np.empty(n, dtype=node_class.dtype)
-    for lo in range(0, n, _CHUNK):
-        np.take(node_class, node[lo:lo + _CHUNK], out=phi[lo:lo + _CHUNK],
-                mode="clip")
+            f"a live node of the level-{fset.level} automaton is not "
+            "entered by exactly one step")
+    last_digit = np.argmax(steps, axis=0).astype(np.uint8)
+    label = np.cumsum(live, dtype=np.int32) - 1
+    moves = np.where(live[targets], label[targets], np.int32(ids.shape[0]))
+    classes, k = _refine(moves, last_digit)
     members = np.empty(k, dtype=np.intp)  # any member node of each class
     members[classes] = np.arange(ids.shape[0])
     padded = np.append(classes, np.int32(k))
-    return phi, padded[moves[:, members]], node_digit[ids][members]
+    return padded[moves[:, members]], last_digit[members], int(classes[0])
 
 
 def _relabel(keys: np.ndarray, size: int) -> tuple[np.ndarray, int]:

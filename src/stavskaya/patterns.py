@@ -39,15 +39,13 @@ STEP_KINDS = (1, 2, 3)
 POW3 = 3 ** np.arange(41, dtype=np.uint64)
 
 # States handled per pass of every full-length sweep: the move rule's
-# lookups, in `statespace` the mirror check, the scatter `succ` and the
-# lift check, and in `automaton` the node passes and the class map of
-# the histories.  The move
-# rule's temporaries are about 40 bytes per target, so the chunk sets
-# part of the build's peak RSS: at 2^18 the whole build (patterns,
-# states, transitions) peaks at 56 MiB at level 6, below the solve's
-# footprint, and 243 MiB at level 7, where the table itself sets the
-# peak; 2^20 takes level 6 to 74 MiB and 2^22 takes level 7 to 335 MiB
-# (2 cores, numpy 2.4).
+# lookups, and in `statespace` the mirror check, the scatter `succ`, the
+# class map's passes and the lift check.  The move rule's temporaries
+# are about 40 bytes per target, so the chunk sets part of the build's
+# peak RSS: at 2^18 the whole build (patterns, states, transitions) peaks
+# at 56 MiB at level 6, below the solve's footprint, and 243 MiB at
+# level 7, where the table itself sets the peak; 2^20 takes level 6 to
+# 74 MiB and 2^22 takes level 7 to 335 MiB (2 cores, numpy 2.4).
 _CHUNK = 1 << 18
 
 _NO_CODES = np.empty(0, dtype=np.uint64)
@@ -153,6 +151,16 @@ class ForbiddenSet:
         return [pattern_text(p) for p in self.patterns]
 
 
+def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, found) of each code in the sorted codes, the index
+    clamped into range (0 when there are none)."""
+    if sorted_codes.shape[0] == 0:
+        return np.zeros(codes.shape, np.intp), np.zeros(codes.shape, bool)
+    idx = np.searchsorted(sorted_codes, codes)
+    np.minimum(idx, sorted_codes.shape[0] - 1, out=idx)
+    return idx, sorted_codes[idx] == codes
+
+
 def _moves(codes: np.ndarray, length: int, fset: ForbiddenSet) -> np.ndarray:
     """The moves between the sorted length-`length` words `codes`, in
     gather form: pred[s, t] is the index of the word
@@ -161,22 +169,17 @@ def _moves(codes: np.ndarray, length: int, fset: ForbiddenSet) -> np.ndarray:
     pattern of `fset`."""
     n = codes.shape[0]
     pred = np.empty((3, n), dtype=np.int32)
-    if n == 0:
-        return pred
     top = POW3[length - 1]
     for lo in range(0, n, _CHUNK):
         tail = codes[lo:lo + _CHUNK] // np.uint64(3)
         for s in range(3):
-            src = tail + np.uint64(s) * top
-            idx = np.searchsorted(codes, src)
-            np.minimum(idx, n - 1, out=idx)
-            pred[s, lo:lo + tail.shape[0]] = np.where(codes[idx] == src, idx, n)
+            idx, found = _find(codes, tail + np.uint64(s) * top)
+            pred[s, lo:lo + tail.shape[0]] = np.where(found, idx, n)
+            del idx, found  # else held through the next lookup's peak
     # each pattern blocks the one move that spells it: its last `length`
     # digits name the target, its first digit the slot
     patterns = fset.codes_by_length.get(length + 1, _NO_CODES)
-    tgt = patterns % POW3[length]
-    idx = np.minimum(np.searchsorted(codes, tgt), n - 1)
-    hit = codes[idx] == tgt
+    idx, hit = _find(codes, patterns % POW3[length])
     pred[(patterns[hit] // POW3[length]).astype(np.intp), idx[hit]] = n
     return pred
 

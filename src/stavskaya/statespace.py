@@ -37,17 +37,16 @@ form B = W·S, in which state s is weighted by its own newest step:
 rho(B) = rho(S·W) = rho((S·W)ᵀ) = rho(M).  B counts weighted words that
 avoid the patterns, so it factors through a much smaller automaton.
 `TransitionTable.quotient` finds the coarsest forward bisimulation of B
-(5, 13, 33, 79, 187, 442 and 1,046 classes at n = 1..7) in four steps:
-(1) the Aho–Corasick automaton of the level-n set (`automaton`); (2) the
-node of each history, the node its word leads to from the root, read
-along one real predecessor per state; (3) Moore refinement (Moore 1956)
-of the nodes the histories reach, a few thousand, into classes, which
-φ, the class of each history's node, carries back to the histories;
-(4) the lift check below.  The node map is a bisimulation onto those
-nodes: a history and its node have the same newest step, the move on
-step d exists exactly when δ(node, d) is live, and it enters a history
-whose node is δ(node, d).  So the histories' coarsest bisimulation is
-the nodes' pulled back along the map, with the same class labels.
+(5, 13, 33, 79, 187, 442 and 1,046 classes at n = 1..7) in three steps:
+(1) the minimal automaton, built from the level-n patterns alone
+(`automaton.minimal`); (2) φ, each history's class, read on it
+(`_class_map`); (3) the lift check below.  The map from a history to
+the Aho–Corasick node its word leads to is a bisimulation onto the live
+nodes (see `automaton`): a history and its node have the same newest
+step, the move on step d exists exactly when δ(node, d) is live, and it
+enters a history whose node is δ(node, d).  So the histories' coarsest
+bisimulation is the nodes' pulled back along the map, with the same
+class labels.
 The quotient B_q is stored as a table whose slot d of class c holds the
 class c moves to on step d+1, so its gather operator is B_q itself.
 With φ the class map, B(u∘φ) = (B_q u)∘φ for every u: each history has
@@ -68,12 +67,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .automaton import _class_map
+from .automaton import minimal
 from .errors import ConsistencyError, ResourceLimitError
 from .patterns import _CHUNK, ForbiddenSet, _grow, _moves
 
 # The largest level whose history table is built: level 7, the paper's
-# headline, has 8,663,071 states and its `bound` run peaks at 380 MiB.
+# headline, has 8,663,071 states and its `bound` run peaks at 276 MiB.
 # Level 8 has 89,435,873 states (the length-23 words avoiding the level-7
 # set), and every level above it grows those same words on the way.
 MAX_HISTORY_LEVEL = 7
@@ -162,6 +161,9 @@ class TransitionTable:
             raise ConsistencyError(
                 f"last_digit must hold one digit in 0..2 for each of "
                 f"the {n} states")
+        if self.fset is not None and self.fset.level != self.n:
+            raise ValueError(f"a level-{self.n} table given the level "
+                             f"{self.fset.level} forbidden set")
         self.mirrored = self._is_mirrored()
 
     def _is_mirrored(self) -> bool:
@@ -217,23 +219,57 @@ class TransitionTable:
         on step d+1, or the sentinel K (the class count), and class c
         carries the step weight of its members' newest step, so the
         quotient's gather operator is B_q.  The classes come from the
-        patterns' automaton (`automaton._class_map`); with φ[s] the
-        class of state s, B(u∘φ) = (B_q u)∘φ is then checked slot by
-        slot on `succ` before the table is returned, and φ is dropped.
-        A table made without its forbidden set raises `ValueError`.
+        patterns alone (`automaton.minimal`); with φ[s] the class of
+        state s, B(u∘φ) = (B_q u)∘φ is then checked slot by slot on
+        `succ` before the table is returned, and φ is dropped.  A table
+        made without its forbidden set raises `ValueError`.
         """
         if self.fset is None:
             raise ValueError("a table made without its forbidden set "
                              "has no quotient")
-        phi, pred, last_digit = _class_map(self.pred, self.last_digit,
-                                           self.fset)
+        pred, last_digit, start = minimal(self.fset)
         quotient = TransitionTable(n=self.n, pred=pred, last_digit=last_digit)
+        phi = _class_map(self.pred, self.last_digit, quotient, start)
         _check_lift(self.succ, self.last_digit, quotient, phi)
         return quotient
 
     @property
     def edge_count(self) -> int:
         return int((self.pred < self.n_states).sum())
+
+
+def _class_map(pred: np.ndarray, last_digit: np.ndarray,
+               quotient: TransitionTable, start: int) -> np.ndarray:
+    """φ: each history's class in `quotient`, read from the root's class
+    `start` by 3n-1 gather passes φ(t) = B_q(φ(p(t)), last digit of t)
+    along one real predecessor p(t).  Every state reads at least its own
+    L = 3n-1 steps, more when a pass reads a predecessor it has already
+    moved on; any walk word of at least L steps into t leads to the class
+    of t's node, whose word is at most L long.  `ConsistencyError` is
+    raised when a state has no move into it or lands on the sentinel;
+    whether φ is right is left to `_check_lift`.
+    """
+    n, k = pred.shape[1], quotient.n_states
+    # one dtype for φ and the flat index 3φ + d, the sentinel K's included
+    phi = np.full(n, start, dtype=np.min_scalar_type(3 * k + 2))
+    first = np.empty(n, dtype=np.int32)  # the sentinel N sorts last
+    for lo in range(0, n, _CHUNK):
+        np.min(pred[:, lo:lo + _CHUNK], axis=0, out=first[lo:lo + _CHUNK])
+        if (first[lo:lo + _CHUNK] == n).any():
+            raise ConsistencyError(
+                f"a state in {lo}..{min(lo + _CHUNK, n) - 1} has no move into it")
+    # flat[3c + d] is c's move on step d+1; the sentinel K stays put
+    flat = np.append(quotient.pred.T, np.full(3, k)).astype(phi.dtype)
+    for _ in range(3 * quotient.n - 1):
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            step = np.take(phi, first[lo:hi])
+            step *= 3
+            step += last_digit[lo:hi]
+            np.take(flat, step, out=phi[lo:hi], mode="clip")
+    if (phi == k).any():
+        raise ConsistencyError("a state's walk leaves the quotient")
+    return phi
 
 
 def _check_lift(succ: np.ndarray, last_digit: np.ndarray,

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shlex
@@ -11,6 +12,7 @@ import pytest
 from stavskaya import cli
 from stavskaya.cli import main
 from stavskaya.errors import ResourceLimitError
+from stavskaya.statespace import StateSpace
 
 SCHEMA_KEYS = {"level", "p", "q", "alpha_lower_bound", "certificate",
                "iterations", "states", "forbidden_patterns",
@@ -113,6 +115,30 @@ def test_bound_level_seven_runs_without_a_flag(capsys, monkeypatch):
     with pytest.raises(Reached):
         main(["bound", "--n", "7", "--p", "1.415"])
     assert built == [7]
+
+
+@pytest.mark.parametrize("solver,argv", [
+    ("alpha_sup", ["bound", "--n", "2", "--p", "1.44"]),
+    ("optimize_p", ["table", "--n-max", "2", "--p-min", "1.43",
+                    "--p-max", "1.47"]),
+], ids=["bound", "table"])
+def test_no_state_space_alive_through_the_solve(capsys, monkeypatch, solver,
+                                                argv):
+    # the report needs only the state count; the codes (66 MiB at
+    # level 7) must be gone before the solve sets the peak
+    def states():
+        return [id(o) for o in gc.get_objects() if isinstance(o, StateSpace)]
+    before = set(states())
+    alive = []
+    solve = getattr(cli, solver)
+
+    def wrapped(*args, **kwargs):
+        alive.extend(i for i in states() if i not in before)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(cli, solver, wrapped)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert alive == []
 
 
 def test_bound_csv_format(capsys):

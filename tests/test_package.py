@@ -31,6 +31,22 @@ def test_patterns_imports_no_later_layer():
         assert not any(layer in name.split(".") for name in names), layer
 
 
+def test_automaton_imports_only_patterns_and_errors():
+    # the minimal automaton is a function of the patterns alone, so it
+    # reads nothing of the history tables or the solver
+    tree = ast.parse(Path(stavskaya.automaton.__file__).read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith("stavskaya"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("stavskaya")
+                           for a in node.names)
+    assert package == {"patterns", "errors"}
+
+
 def _references(tree):
     """Names read in `tree`, as names or attributes, each outside the
     function or class that defines it."""

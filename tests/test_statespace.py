@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import level_table, make_table, unmirrored
 
 from stavskaya import automaton, bruteforce, patterns, statespace
 from stavskaya.errors import ConsistencyError, ResourceLimitError
-from stavskaya.patterns import (POW3, Parameters, build_forbidden_set,
-                                code_to_pattern, enumerate_primitive_loops,
-                                pattern_code, pattern_text)
+from stavskaya.patterns import (POW3, ForbiddenSet, Parameters,
+                                build_forbidden_set, code_to_pattern,
+                                enumerate_primitive_loops, pattern_code,
+                                pattern_text)
 from stavskaya.spectral import certified_upper_bound, power_iteration
 from stavskaya.statespace import (TransitionTable, build_state_space,
                                   build_transitions, enumerate_valid_words)
@@ -29,7 +32,9 @@ def _successor_table(table):
 
 def _class_map(table):
     """φ: the class of each state in `table.quotient`."""
-    return automaton._class_map(table.pred, table.last_digit, table.fset)[0]
+    start = automaton.minimal(table.fset)[2]
+    return statespace._class_map(table.pred, table.last_digit,
+                                 table.quotient, start)
 
 
 def _index(space, word):
@@ -108,7 +113,6 @@ def test_chunked_moves_match_one_chunk(fset5, monkeypatch, chunk):
                        for _, table in whole]
     monkeypatch.setattr(patterns, "_CHUNK", chunk)
     monkeypatch.setattr(statespace, "_CHUNK", chunk)
-    monkeypatch.setattr(automaton, "_CHUNK", chunk)
     loops, levels = build()
     for got, want in zip(loops, whole_loops):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -117,7 +121,7 @@ def test_chunked_moves_match_one_chunk(fset5, monkeypatch, chunk):
         assert np.array_equal(codes, want_codes)
         assert table.pred.dtype == want.pred.dtype
         assert np.array_equal(table.pred, want.pred)
-        # the node passes, the class map and the lift check run in chunks
+        # the class map's passes and the lift check run in chunks
         got_q, got_phi = table.quotient, _class_map(table)
         want_q, want_phi = want_quotient
         assert np.array_equal(got_q.pred, want_q.pred)
@@ -363,23 +367,72 @@ def test_hand_built_table_has_no_quotient(small_levels):
 @pytest.mark.parametrize("fault,match", [
     ("no move into a state", "no move into it"),
     # its target keeps another move, so every state still has a
-    # predecessor to read its node along
+    # predecessor to read its class along
     ("dropped move", "do not lift"),
-], ids=["no move into a state", "dropped move"])
+    # a move that spells a pattern: its target reads only its own word,
+    # so its source fails the lift check ...
+    ("pattern move", "do not lift"),
+    # ... unless a pass reads further, here one state at a time
+    ("pattern move, one-state chunks", "leaves the quotient"),
+], ids=["no move into a state", "dropped move", "pattern move",
+        "pattern move, one-state chunks"])
 def test_quotient_refuses_moves_not_from_the_patterns(small_levels, fault,
-                                                      match):
-    _, table = small_levels[2]
+                                                      match, monkeypatch):
+    space, table = small_levels[2]
     n = table.n_states
     pred = table.pred.copy()
     if fault == "no move into a state":
         pred[:, 40] = n
-    else:
+    elif fault == "dropped move":
         t = int(np.nonzero((pred < n).sum(axis=0) > 1)[0][0])
         pred[int(np.argmax(pred[:, t] < n)), t] = n
+    else:
+        # put back a blocked move whose source is its target's first
+        top = POW3[space.length - 1]
+        for t, s in itertools.product(range(n), range(3)):
+            code = np.uint64(s) * top + space.codes[t] // np.uint64(3)
+            src = int(np.searchsorted(space.codes, code))
+            if (pred[s, t] == n and src < pred[:, t].min()
+                    and space.codes[src] == code):
+                pred[s, t] = src
+                break
+        if fault.endswith("chunks"):
+            monkeypatch.setattr(statespace, "_CHUNK", 1)
     broken = TransitionTable(n=table.n, pred=pred,
                              last_digit=table.last_digit, fset=table.fset)
     with pytest.raises(ConsistencyError, match=match):
         broken.quotient
+
+
+@pytest.mark.parametrize("n,classes", sorted(EXPECTED_CLASSES.items()))
+def test_minimal_automaton_from_the_patterns_alone(n, classes, fset5,
+                                                   monkeypatch):
+    def no_histories(*args):
+        raise AssertionError("a history table was built")
+    for name in ("_grow", "_moves", "build_state_space", "build_transitions"):
+        monkeypatch.setattr(statespace, name, no_histories)
+    pred, last_digit, start = automaton.minimal(fset5.restrict(n))
+    assert pred.shape == (3, classes)
+    assert last_digit.shape == (classes,)
+    assert 0 <= start < classes
+
+
+def test_node_entered_on_two_steps_refused():
+    # avoiding {11}, the root (no pattern prefix at the end) is entered
+    # by steps 2 and 3, so it has no one weight
+    lower, fset = ForbiddenSet(0, [(1, 1)]), ForbiddenSet(1, [(1, 1)])
+    table = build_transitions(build_state_space(1, lower), fset)
+    with pytest.raises(ConsistencyError, match="exactly one step"):
+        table.quotient
+
+
+def test_table_level_must_match_its_forbidden_set(small_levels):
+    # a level-2 table labelled level 3 would pass optimize_p(3, ...)'s
+    # level check and report the level-2 row as level 3
+    _, table = small_levels[2]
+    with pytest.raises(ValueError, match="level 2 forbidden set"):
+        TransitionTable(n=3, pred=table.pred, last_digit=table.last_digit,
+                        fset=table.fset)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
