@@ -17,8 +17,12 @@ One move rule grows every word set.  A word avoids a pattern set F
 exactly when its prefix and its suffix, each one step shorter, avoid F
 and the word itself is not in F, since every shorter factor lies inside
 one of the two.  So the valid words one step longer are the moves
-between the valid words (`_moves`), less the patterns of that length
-(`_grow`).  This holds for any set closed under taking factors: it
+between the valid words, less the patterns of that length.  `_grow`
+carries each word set together with its moves from length to length,
+and finds the moves with no search: the prefix of a longer word is the
+move of its suffix, so the longer words' moves are read off the ranks
+of the moves kept.  Only the few moves that spell a pattern are looked
+up (`_block`).  This holds for any set closed under taking factors: it
 grows the loops here and the states and transitions in `statespace`.
 """
 
@@ -38,14 +42,14 @@ STEP_KINDS = (1, 2, 3)
 
 POW3 = 3 ** np.arange(41, dtype=np.uint64)
 
-# States handled per pass of every full-length sweep: the move rule's
-# lookups, and in `statespace` the mirror check, the scatter `succ`, the
-# class map's passes and the lift check.  The move rule's temporaries
-# are about 40 bytes per target, so the chunk sets part of the build's
-# peak RSS: at 2^18 the whole build (patterns, states, transitions) peaks
-# at 56 MiB at level 6, below the solve's footprint, and 243 MiB at
-# level 7, where the table itself sets the peak; 2^20 takes level 6 to
-# 74 MiB and 2^22 takes level 7 to 335 MiB (2 cores, numpy 2.4).
+# Words handled per pass of every full-length sweep: the move rule's
+# running counts, gathers and code copies, and in `statespace` the last
+# digits, the mirror check, the scatter `succ`, the class map's passes
+# and the lift check.  The chunk sets part of the build's peak RSS: at
+# 2^18 the whole build (patterns, states, transitions) peaks at 55 MiB
+# at level 6, below the solve's footprint, and 247 MiB at level 7, where
+# the table itself sets the peak; 2^20 takes them to 68 and 268 MiB, and
+# 2^22 takes level 7 to 323 MiB (2 cores, numpy 2.4).
 _CHUNK = 1 << 18
 
 _NO_CODES = np.empty(0, dtype=np.uint64)
@@ -161,43 +165,86 @@ def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.n
     return idx, sorted_codes[idx] == codes
 
 
-def _moves(codes: np.ndarray, length: int, fset: ForbiddenSet) -> np.ndarray:
-    """The moves between the sorted length-`length` words `codes`, in
-    gather form: pred[s, t] is the index of the word
-    s*3^(length-1) + codes[t] // 3, or the sentinel N = len(codes) when
-    that word is missing or the joined word s*3^length + codes[t] is a
-    pattern of `fset`."""
-    n = codes.shape[0]
-    pred = np.empty((3, n), dtype=np.int32)
-    top = POW3[length - 1]
-    for lo in range(0, n, _CHUNK):
-        tail = codes[lo:lo + _CHUNK] // np.uint64(3)
-        for s in range(3):
-            idx, found = _find(codes, tail + np.uint64(s) * top)
-            pred[s, lo:lo + tail.shape[0]] = np.where(found, idx, n)
-            del idx, found  # else held through the next lookup's peak
-    # each pattern blocks the one move that spells it: its last `length`
-    # digits name the target, its first digit the slot
+def _block(moves: np.ndarray, codes: np.ndarray, length: int,
+           fset: ForbiddenSet) -> None:
+    """Block in `moves`, the moves between the sorted length-`length`
+    words `codes`, each move whose joined word is a pattern of `fset`:
+    the pattern's last `length` digits name the target, its first digit
+    the slot."""
     patterns = fset.codes_by_length.get(length + 1, _NO_CODES)
     idx, hit = _find(codes, patterns % POW3[length])
-    pred[(patterns[hit] // POW3[length]).astype(np.intp), idx[hit]] = n
-    return pred
+    moves[(patterns[hit] // POW3[length]).astype(np.intp), idx[hit]] = codes.shape[0]
 
 
-def _grow(codes: np.ndarray, length: int, fset: ForbiddenSet,
-          allowed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One step of the move rule: (kept, longer).  kept[s, t] keeps the
-    word of oldest step s and suffix codes[t] when its prefix is among
-    the sorted words `codes`, it is no pattern of `fset`, and
-    allowed[s, t] (if given).  `longer` holds the kept codes, slot by
-    slot, so in increasing order.
+def _runs(kept: np.ndarray):
+    """(s, columns, keep, at) for each `_CHUNK` of each row s of the
+    (3, N) mask `kept`: the chunk's columns and mask, and the rank of
+    its first kept pair among all kept pairs in (s, t) order."""
+    at = 0
+    for s, row in enumerate(kept):
+        for lo in range(0, row.shape[0], _CHUNK):
+            cols = slice(lo, lo + _CHUNK)
+            yield s, cols, row[cols], at
+            at += int(np.count_nonzero(row[cols]))
+
+
+def _grow(length: int, fset: ForbiddenSet,
+          budget: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, moves): the sorted codes of the length-`length` words that
+    avoid `fset`, with at most `budget` steps of each kind if given, and
+    their moves.  moves[s, t] is the index of the word
+    s*3^(length-1) + codes[t] // 3, or the sentinel N = len(codes) when
+    that word is missing or the joined word s*3^length + codes[t] is a
+    pattern of `fset`.
+
+    One step of the move rule keeps the pairs (s, t) whose move is real
+    (and within the budget); the longer words are those pairs in (s, t)
+    order, so their codes come out sorted.  The prefix of a longer word
+    s.t is the move of t, so its move on a new oldest step s' is the
+    rank of the kept pair (s', moves[s, t]): one running count and one
+    gather per length, with no search.  Every full-length array is
+    walked in `_CHUNK` pieces, and each is freed as soon as the next
+    one is built.
     """
-    kept = _moves(codes, length, fset) < codes.shape[0]
-    if allowed is not None:
-        kept &= allowed
-    longer = np.concatenate([codes[kept[s]] + np.uint64(s) * POW3[length]
-                             for s in range(3)])
-    return kept, longer
+    codes = np.arange(3, dtype=np.uint64)
+    # every two-step word's prefix is its oldest step
+    moves = np.repeat(np.arange(3, dtype=np.int32), 3).reshape(3, 3)
+    _block(moves, codes, 1, fset)
+    unit = np.eye(3, dtype=np.uint8)
+    counts = unit  # steps of each kind, one row per word
+    for cur in range(1, length):
+        n = codes.shape[0]
+        kept = moves < n
+        if budget is not None:
+            # a word with oldest step s and suffix t has one more step s
+            kept &= (counts < budget).T
+            counts = np.concatenate([counts[kept[s]] + unit[s] for s in range(3)])
+        size = int(np.count_nonzero(kept))
+        longer = np.empty((3, size), dtype=np.int32)
+        # each longer word's prefix goes to row 0, and each kept pair's
+        # move is replaced by the pair's rank (the sentinel `size` if
+        # it is not kept)
+        for s, cols, keep, at in _runs(kept):
+            rank = np.cumsum(keep, dtype=np.int32)
+            longer[0, at:at + int(rank[-1])] = moves[s, cols][keep]
+            rank += np.int32(at - 1)
+            moves[s, cols] = np.where(keep, rank, np.int32(size))
+        for lo in range(0, size, _CHUNK):
+            prefix = longer[0, lo:lo + _CHUNK].copy()
+            for s in range(3):
+                # the prefixes are real moves, so in range: clip skips
+                # the bounds pass and the buffered copy
+                np.take(moves[s], prefix, out=longer[s, lo:lo + _CHUNK],
+                        mode="clip")
+        moves = longer
+        grown = np.empty(size, dtype=np.uint64)
+        for s, cols, keep, at in _runs(kept):
+            part = codes[cols][keep]
+            part += np.uint64(s) * POW3[cur]
+            grown[at:at + part.shape[0]] = part
+        codes = grown
+        _block(moves, codes, cur + 1, fset)
+    return codes, moves
 
 
 def enumerate_primitive_loops(k: int, lower: ForbiddenSet) -> np.ndarray:
@@ -215,14 +262,7 @@ def enumerate_primitive_loops(k: int, lower: ForbiddenSet) -> np.ndarray:
         raise ValueError(f"need the level {k - 1} forbidden set, got level {lower.level}")
     if k > MAX_LEVEL:
         raise ResourceLimitError(f"order {k} exceeds the encoding limit {MAX_LEVEL}")
-    codes = np.array([0, 1, 2], dtype=np.uint64)
-    unit = np.eye(3, dtype=np.uint8)
-    counts = unit  # steps of each kind, one row per word
-    for length in range(1, 3 * k):
-        # a word with oldest step s and suffix t has one more step s than t
-        kept, codes = _grow(codes, length, lower, (counts < k).T)
-        counts = np.concatenate([counts[kept[s]] + unit[s] for s in range(3)])
-    return codes
+    return _grow(3 * k, lower, k)[0]
 
 
 def build_forbidden_set(n: int) -> ForbiddenSet:

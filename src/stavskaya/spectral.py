@@ -125,9 +125,11 @@ def certified_upper_bound(table: TransitionTable, params: Parameters,
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (table.n_states,):
         raise ValueError(f"vector has shape {v.shape}, expected ({table.n_states},)")
-    if not (v > 0.0).all():
+    # reductions, not elementwise tests, so no N-length mask is made; a
+    # NaN makes the min NaN, so it fails the positivity test
+    if not v.min() > 0.0:
         raise ValueError("certification requires a strictly positive vector")
-    if not np.isfinite(v).all():
+    if not np.isfinite(v.max()):
         raise ValueError("certification requires a finite vector")
     n = table.n_states
     vp = np.empty(n + 1, dtype=np.float64)
@@ -142,17 +144,22 @@ def certified_upper_bound(table: TransitionTable, params: Parameters,
 
 
 def _blocks(vp: np.ndarray, table: TransitionTable, w: np.ndarray, m: int,
-            out: np.ndarray, work: np.ndarray) -> Iterator[tuple]:
+            out: np.ndarray, work: np.ndarray,
+            weights: np.ndarray | None = None) -> Iterator[tuple]:
     """Per block of `_BLOCK` targets in 0..m-1, the views `_sweep` needs:
     slots 0, 1, 2 of pred, the output, scratch, the weights and v (`vp`
     is v padded with 0.0 for the empty slot).  An `out` of m entries is
-    sliced; a block-sized one is shared, as `work` always is."""
+    sliced; a block-sized one is shared, as `work` always is.  Each
+    block's weights are a view of `weights`, the weights of targets
+    0..m-1, when it is given, and are gathered from the step weights `w`
+    otherwise."""
     for lo in range(0, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
         g = table.pred[:, lo:hi]
         o = out[lo:hi] if out.shape[0] == m else out[:hi - lo]
-        yield (g[0], g[1], g[2], o, work[:hi - lo],
-               w[table.last_digit[lo:hi]], vp[lo:hi])
+        wb = (w[table.last_digit[lo:hi]] if weights is None
+              else weights[lo:hi])
+        yield g[0], g[1], g[2], o, work[:hi - lo], wb, vp[lo:hi]
 
 
 def _sweep(vp: np.ndarray, blocks: Iterable[tuple]) -> tuple[float, float, float]:
@@ -236,8 +243,10 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
     m = (n + 1) // 2 if half else n
     out = np.empty(m, dtype=np.float64)
     work = np.empty(min(_BLOCK, m), dtype=np.float64)
-    # the views are made once per solve, not once per step
-    blocks = list(_blocks(vp, table, w, m, out, work))
+    # the views are made once per solve, not once per step, and the
+    # blocks' weights are views of one array
+    blocks = list(_blocks(vp, table, w, m, out, work,
+                          w[table.last_digit[:m]]))
     head = vp[:m]
     tail, tail_source = vp[m:n], vp[:n - m][::-1]
 

@@ -7,12 +7,14 @@ allowed only when the extended length-3n word contains no level-n
 pattern.
 
 The states and the moves come from the move rule of `patterns`, which
-also grows the loops: the valid words one step longer are the moves
-between the valid words, less the patterns of that length (`_grow`),
-and the states are grown that way from single steps.  Every level-n
-pattern shorter than 3n is in the level-(n-1) set, which no state
-contains, so a move between two states is rejected exactly when its
-3n-step word is an order-n loop (`_moves`).
+also grows the loops: `_grow` carries the valid words and their moves
+from length to length, starting from single steps, and a `StateSpace`
+keeps the moves of its last growth step.  Every level-n pattern shorter
+than 3n is in the level-(n-1) set, which no state contains, so a move
+between two states is rejected exactly when its source is no state,
+which the growth has already recorded, or its 3n-step word is an
+order-n loop, which `build_transitions` blocks (`_block`) in the same
+array before the table takes it over.
 
 The moves are stored once, in gather form: the sources of a state t are
 the up-to-three states that become t on dropping their oldest step, and
@@ -69,10 +71,10 @@ import numpy as np
 
 from .automaton import minimal
 from .errors import ConsistencyError, ResourceLimitError
-from .patterns import _CHUNK, ForbiddenSet, _grow, _moves
+from .patterns import _CHUNK, ForbiddenSet, _block, _grow
 
 # The largest level whose history table is built: level 7, the paper's
-# headline, has 8,663,071 states and its `bound` run peaks at 276 MiB.
+# headline, has 8,663,071 states and its `bound` run peaks at 262 MiB.
 # Level 8 has 89,435,873 states (the length-23 words avoiding the level-7
 # set), and every level above it grows those same words on the way.
 MAX_HISTORY_LEVEL = 7
@@ -80,11 +82,14 @@ MAX_HISTORY_LEVEL = 7
 
 @dataclass
 class StateSpace:
-    """All valid length-L histories at level n, in increasing code order."""
+    """All valid length-L histories at level n, in increasing code order,
+    and the moves between them that avoid the level-(n-1) set, which
+    `build_transitions` takes over (None once it has)."""
 
     n: int
     length: int
     codes: np.ndarray  # uint64, strictly increasing
+    moves: np.ndarray | None = field(default=None, repr=False)  # (3, N) int32
 
     def __len__(self) -> int:
         return int(self.codes.shape[0])
@@ -102,10 +107,7 @@ def enumerate_valid_words(length: int, fset: ForbiddenSet) -> np.ndarray:
     grown from single steps by the move rule of `patterns`."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    codes = np.array([0, 1, 2], dtype=np.uint64)
-    for cur in range(1, length):
-        codes = _grow(codes, cur, fset)[1]
-    return codes
+    return _grow(length, fset)[0]
 
 
 def build_state_space(n: int, lower: ForbiddenSet) -> StateSpace:
@@ -118,8 +120,8 @@ def build_state_space(n: int, lower: ForbiddenSet) -> StateSpace:
     if lower.level != n - 1:
         raise ValueError(f"need the level {n - 1} forbidden set, got level {lower.level}")
     length = 3 * n - 1
-    codes = enumerate_valid_words(length, lower)
-    return StateSpace(n=n, length=length, codes=codes)
+    codes, moves = _grow(length, lower)
+    return StateSpace(n=n, length=length, codes=codes, moves=moves)
 
 
 @dataclass
@@ -305,12 +307,20 @@ def build_transitions(states: StateSpace, fset: ForbiddenSet) -> TransitionTable
     factor of the joined length-3n word shorter than 3n lies in the
     source or the target, and every level-n pattern that short is in the
     level-(n-1) set that no state contains, so the move is rejected
-    exactly when the joined word is an order-n loop.
+    exactly when the joined word is an order-n loop.  The space's moves
+    already hold every other rejection; the loops are blocked in that
+    array, which the table takes over, so a space gives its moves to one
+    table only.
     """
     if fset.level != states.n:
         raise ValueError(f"need the level {states.n} forbidden set, got level {fset.level}")
-    # the full-length remainder is a temporary, so take it before pred exists
-    last_digit = (states.codes % np.uint64(3)).astype(np.uint8)
-    pred = _moves(states.codes, states.length, fset)
+    if states.moves is None:
+        raise ValueError("the state space has already given its moves to a table")
+    pred, states.moves = states.moves, None
+    _block(pred, states.codes, states.length, fset)
+    # in chunks: codes % 3 would be a full-length uint64 temporary
+    last_digit = np.empty(len(states), dtype=np.uint8)
+    for lo in range(0, len(states), _CHUNK):
+        last_digit[lo:lo + _CHUNK] = states.codes[lo:lo + _CHUNK] % np.uint64(3)
     return TransitionTable(n=states.n, pred=pred, last_digit=last_digit,
                            fset=fset)

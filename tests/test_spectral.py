@@ -153,6 +153,22 @@ def test_certificate_holds_no_full_length_temporary(tables_to_5, monkeypatch):
     assert peak < 1.5 * 8 * n
 
 
+@pytest.mark.parametrize("bad,match", [(0.0, "strictly positive"),
+                                       (np.nan, "strictly positive"),
+                                       (np.inf, "finite")],
+                         ids=["zero", "nan", "inf"])
+def test_certificate_refuses_a_bad_entry_in_the_last_block(tables_to_5, bad,
+                                                          match):
+    # the checks reduce over all of v, so the last entry of the last of
+    # three blocks is checked as the first is
+    table = tables_to_5[5]
+    assert table.n_states > 2 * spectral._BLOCK
+    v = np.ones(table.n_states)
+    v[-1] = bad
+    with pytest.raises(ValueError, match=match):
+        certified_upper_bound(table, Parameters(1.42, 1.0, 0.13), v)
+
+
 @pytest.mark.parametrize("out_entries", ["all", "block"])
 def test_sweep_keeps_a_nan_from_any_block(small_levels, monkeypatch,
                                           out_entries):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,32 @@ def test_pred_slot_is_oldest_step(small_levels):
             assert np.array_equal(space.codes[table.pred[s][real]], want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pred_sentinel_is_a_real_absence(n, small_levels, fset5):
+    # each empty slot s of target t: the source word s*3^(L-1) +
+    # code(t)//3 is no state, or the joined 3n-step word is an order-n
+    # loop; both are looked up here by plain binary search
+    if n in small_levels:
+        space, table = small_levels[n]
+    else:
+        space = build_state_space(n, fset5.restrict(n - 1))
+        table = build_transitions(space, fset5.restrict(n))
+    codes, size = space.codes, table.n_states
+    loops = fset5.restrict(n).codes_by_length[3 * n]
+    reasons = np.zeros(2, dtype=int)
+    for s in range(3):
+        empty = np.nonzero(table.pred[s] == size)[0]
+        source = np.uint64(s) * POW3[space.length - 1] + codes[empty] // np.uint64(3)
+        at = np.minimum(np.searchsorted(codes, source), size - 1)
+        missing = codes[at] != source
+        joined = np.uint64(s) * POW3[space.length] + codes[empty]
+        at = np.minimum(np.searchsorted(loops, joined), loops.shape[0] - 1)
+        loop = loops[at] == joined
+        assert (missing | loop).all()
+        reasons += missing.sum(), loop.sum()
+    assert (reasons > 0).all()  # both kinds of absence occur
+
+
 def test_swap_symmetry_of_state_space(small_levels, fset5):
     # the 1<->3 swap maps code c to 3^L-1-c, so it reverses the sorted
     # codes (state i pairs with state N-1-i) and the moves follow
@@ -231,6 +258,31 @@ def test_level_validation(fset5):
     with pytest.raises(ValueError):
         build_transitions(build_state_space(1, fset5.restrict(0)),
                           fset5.restrict(2))
+
+
+def test_moves_go_to_one_table(fset5):
+    space = build_state_space(2, fset5.restrict(1))
+    build_transitions(space, fset5.restrict(2))
+    assert space.moves is None
+    with pytest.raises(ValueError, match="already given its moves"):
+        build_transitions(space, fset5.restrict(2))
+
+
+def test_level_six_build_peak_memory():
+    # numpy reports its buffers to tracemalloc.  This build peaked at
+    # 25.1 MiB with the moves found by binary search and at 23.7 MiB
+    # with the recurrence; a full-length int64 index temporary (6.4 MiB
+    # at length 17) breaks the bound
+    fset = build_forbidden_set(6)
+    lower = fset.restrict(5)
+    tracemalloc.start()
+    try:
+        table = build_transitions(build_state_space(6, lower), fset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.n_states == 839_009
+    assert peak <= 1.1 * 25.1 * 2**20
 
 
 def test_enumerate_valid_words_small():
@@ -409,7 +461,7 @@ def test_minimal_automaton_from_the_patterns_alone(n, classes, fset5,
                                                    monkeypatch):
     def no_histories(*args):
         raise AssertionError("a history table was built")
-    for name in ("_grow", "_moves", "build_state_space", "build_transitions"):
+    for name in ("_grow", "_block", "build_state_space", "build_transitions"):
         monkeypatch.setattr(statespace, name, no_histories)
     pred, last_digit, start = automaton.minimal(fset5.restrict(n))
     assert pred.shape == (3, classes)
