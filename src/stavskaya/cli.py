@@ -98,8 +98,9 @@ def cmd_loops(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    if args.n < 1 or args.n > MAX_LEVEL:
-        print(f"error: --n must be in 1..{MAX_LEVEL}", file=sys.stderr)
+    if args.n < 1:
+        print(f"error: --n must be in 1..{MAX_HISTORY_LEVEL}",
+              file=sys.stderr)
         return EXIT_USAGE
     Parameters(args.p, 1.0, 0.0)
     _check_history_level(args.n)

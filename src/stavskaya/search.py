@@ -1,17 +1,24 @@
-"""Bisection over the erasure parameter and golden-section search over p.
+"""Bisection over the erasure parameter and Brent's method over p.
 
 For fixed (p, q) the certified-subcritical region of alpha is an
 interval starting at 0; bisection keeps its lower endpoint certified at
 every step, so the returned value is a true lower bound on the critical
 parameter no matter how the iteration behaved.  The outer search
-maximizes that bound over p at q = 1 by golden-section search (Kiefer
-1953): one new bisection per step until the p bracket is narrower than
-`P_TOL`, reporting the best probed point, so the bound is certified at
-the very p reported.  The search assumes the bound is unimodal in p and
-checks it: sorted by p, the probed bounds must rise and then fall, up
-to dips of the bisection tolerance, or `ConsistencyError` is raised.
-`optimize_p` still accepts a `threads` keyword and ignores it; the
-search is sequential.
+maximizes that bound over p at q = 1 by Brent's method (Brent 1973,
+"Algorithms for Minimization without Derivatives", ch. 5), which
+replaced the golden-section search of Kiefer 1953: about 10 bisections
+per level instead of 21.  Both ends of the p range and the golden point
+are probed first.  The ends seed Brent's two older points, so after one
+golden step every step is a parabola through three probes, unless the
+parabola leaves the bracket or is not shorter than half the step before
+last; then a golden step is taken.  No probe comes within P_TOL/4 of
+the best point or of a bracket end.  The search stops when the p
+bracket is narrower than `P_TOL` and reports the best probed point, so
+the bound is certified at the very p reported.  It assumes the bound is
+unimodal in p and checks it: sorted by p, the probed bounds must rise
+and then fall, up to dips of the bisection tolerance, or
+`ConsistencyError` is raised.  `optimize_p` still accepts a `threads`
+keyword and ignores it; the search is sequential.
 
 q = 1 is where the bound is largest, for every p and alpha.  The 1<->3
 swap is a permutation of the states that exchanges the kind-1 and
@@ -58,7 +65,7 @@ DEFAULT_P_MIN = 1.30
 DEFAULT_P_MAX = 1.60
 P_TOL = 1e-4
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass
@@ -176,12 +183,13 @@ def optimize_p(n: int,
     """Maximize the certified alpha bound at q = 1 over p in
     [p_min, p_max], bisecting each probe to `DEFAULT_ALPHA_TOL`.
 
-    Both ends and the two golden interior points are probed; each step
-    then drops the side of the lower interior probe and probes one new
-    point.  Degenerate probes count as bound 0.  `threads` is ignored: the
-    benchmark worker still passes it.  Both ends of the p range, and
-    that `table` is the level-n table, are checked before the first
-    probe.
+    Both ends and the golden point `p_min + (1 - 1/phi)(p_max - p_min)`
+    are probed, then one new point per step of Brent's method (see the
+    module docstring) until the bracket is narrower than `P_TOL`; no p
+    is probed twice.  Degenerate probes count as bound 0.  `threads` is
+    ignored: the benchmark worker still passes it.  Both ends of the p
+    range, and that `table` is the level-n table, are checked before
+    the first probe.
     """
     _check_p_range(p_min, p_max)
     if n != table.n:
@@ -195,20 +203,54 @@ def optimize_p(n: int,
         probed[p] = 0.0 if res.degenerate else res.alpha_low
         return probed[p]
 
+    # Brent's method for a maximum: x is the best probe inside the
+    # bracket [lo, hi], w the next best, v the previous w.  The first
+    # step is golden, as in Brent's own start; the ends seed w and v,
+    # so the second is already a parabola through three probes.  No
+    # probe comes within `least` of x or of a bracket end, so none
+    # repeats.
     lo, hi = p_min, p_max
-    probe(lo)
-    probe(hi)
-    a, b = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    fa, fb = probe(a), probe(b)
+    (w, fw), (v, fv) = sorted([(lo, probe(lo)), (hi, probe(hi))],
+                              key=lambda pb: pb[1], reverse=True)
+    x = lo + _GOLDEN * (hi - lo)
+    fx = probe(x)
+    before = 0.0
+    least = P_TOL / 4
     while hi - lo >= P_TOL:
-        if fa < fb:
-            lo, a, fa = a, b, fb
-            b = lo + _INV_PHI * (hi - lo)
-            fb = probe(b)
+        mid = 0.5 * (lo + hi)
+        parabola = False
+        if abs(before) > least:
+            # the parabola through v, w and x peaks at x + num / den
+            r = (x - w) * (fx - fv)
+            s = (x - v) * (fx - fw)
+            num, den = (x - v) * s - (x - w) * r, 2.0 * (s - r)
+            if den > 0.0:
+                num = -num
+            den = abs(den)
+            last, before = before, step
+            # trusted only inside the bracket and shorter than half the
+            # step before last
+            parabola = (abs(num) < abs(0.5 * den * last)
+                        and den * (lo - x) < num < den * (hi - x))
+        if parabola:
+            step = num / den
+            if x + step - lo < 2 * least or hi - (x + step) < 2 * least:
+                step = math.copysign(least, mid - x)
         else:
-            hi, b, fb = b, a, fa
-            a = hi - _INV_PHI * (hi - lo)
-            fa = probe(a)
+            # golden step into the larger side
+            before = (hi if x < mid else lo) - x
+            step = _GOLDEN * before
+        u = x + (step if abs(step) >= least else math.copysign(least, step))
+        fu = probe(u)
+        if fu >= fx:
+            lo, hi = (lo, x) if u < x else (x, hi)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            lo, hi = (u, hi) if u < x else (lo, u)
+            if fu >= fw:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv:
+                v, fv = u, fu
 
     grid = sorted(probed.items())
     bounds = [bound for _, bound in grid]

@@ -93,13 +93,22 @@ def _no_build(monkeypatch):
     monkeypatch.setattr(cli, "build_forbidden_set", no_build)
 
 
-@pytest.mark.parametrize("n", ["8", "13"])
+@pytest.mark.parametrize("n", ["8", "13", "14", "99"])
 def test_bound_above_history_cap_refused_before_build(capsys, monkeypatch, n):
     _no_build(monkeypatch)
     assert main(["bound", "--n", n, "--p", "1.413"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"level {n} is above 7" in captured.err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_bound_below_level_one_exits_one(capsys, monkeypatch, n):
+    _no_build(monkeypatch)
+    assert main(["bound", "--n", n, "--p", "1.413"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n must be in 1..7" in captured.err
 
 
 def test_bound_level_seven_runs_without_a_flag(capsys, monkeypatch):

@@ -151,7 +151,7 @@ def test_level_monotonicity(small_levels):
 
 
 def _reference_grid_optimum(table):
-    """The p grid the golden-section search replaced: steps of 0.005 over
+    """The p grid that the p search replaced: steps of 0.005 over
     [1.30, 1.60], then 0.001 around the best point; (p, bound)."""
     def best_of(ps):
         return max(((p, alpha_sup(table, p).alpha_low) for p in ps),
@@ -162,10 +162,8 @@ def _reference_grid_optimum(table):
                     if 1.30 <= round(p + 0.001 * i, 12) <= 1.60])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_golden_section_matches_grid(n, small_levels, fset5, monkeypatch):
-    table = level_table(n, small_levels, fset5)
-    grid_p, grid_bound = _reference_grid_optimum(table)
+def _counted_probes(monkeypatch):
+    """List that collects the p of every `alpha_sup` call of the search."""
     calls = []
     real = search.alpha_sup
 
@@ -174,11 +172,38 @@ def test_golden_section_matches_grid(n, small_levels, fset5, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(search, "alpha_sup", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_p_search_matches_grid(n, small_levels, fset5, monkeypatch):
+    table = level_table(n, small_levels, fset5)
+    grid_p, grid_bound = _reference_grid_optimum(table)
+    calls = _counted_probes(monkeypatch)
     best = optimize_p(n, table=table)
     assert best.bound >= grid_bound - 1e-8
     assert abs(best.p_opt - grid_p) <= 0.002
-    assert len(calls) <= 25
+    assert len(calls) <= 12
     assert sorted(calls) == [p for p, _ in best.grid]
+
+
+# the rows of the golden-section search that Brent's method replaced,
+# over the default p range; regression values, not from the paper
+GOLDEN_SECTION_ROWS = {1: 0.12499999994179234, 2: 0.13101967808324844,
+                       3: 0.13358659780351445, 4: 0.13502855086699128,
+                       5: 0.13595342088956386}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_SECTION_ROWS))
+def test_p_search_keeps_the_golden_section_rows(n, small_levels, fset5,
+                                                monkeypatch):
+    table = level_table(n, small_levels, fset5)
+    calls = _counted_probes(monkeypatch)
+    best = optimize_p(n, table=table)
+    assert best.bound >= GOLDEN_SECTION_ROWS[n]
+    assert all(search.DEFAULT_P_MIN <= p <= search.DEFAULT_P_MAX
+               for p in calls)
+    assert len(set(calls)) == len(calls)
 
 
 def _fake_alpha_sup(bound_of):
