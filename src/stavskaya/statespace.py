@@ -41,25 +41,49 @@ avoid the patterns, so it factors through a much smaller automaton.
 `TransitionTable.quotient` finds the coarsest forward bisimulation of B
 (5, 13, 33, 79, 187, 442 and 1,046 classes at n = 1..7) in three steps:
 (1) the minimal automaton, built from the level-n patterns alone
-(`automaton.minimal`); (2) φ, each history's class, read on it
-(`_class_map`); (3) the lift check below.  The map from a history to
-the Aho–Corasick node its word leads to is a bisimulation onto the live
-nodes (see `automaton`): a history and its node have the same newest
-step, the move on step d exists exactly when δ(node, d) is live, and it
-enters a history whose node is δ(node, d).  So the histories' coarsest
-bisimulation is the nodes' pulled back along the map, with the same
-class labels.
+(`automaton.minimal`); (2) φ, each history's class, read on it for the
+first half of the histories (`lift.half_class_map`); (3) the lift check
+below.  The map from a history to the Aho–Corasick node its word leads
+to is a bisimulation onto the live nodes (see `automaton`): a history
+and its node have the same newest step, the move on step d exists
+exactly when δ(node, d) is live, and it enters a history whose node is
+δ(node, d).  So the histories' coarsest bisimulation is the nodes'
+pulled back along the map, with the same class labels.
 The quotient B_q is stored as a table whose slot d of class c holds the
 class c moves to on step d+1, so its gather operator is B_q itself.
 With φ the class map, B(u∘φ) = (B_q u)∘φ for every u: each history has
 the same Collatz–Wielandt ratio under u∘φ as its class has under u, so
 a max ratio below one on B_q proves rho(M) < 1 for the full table, and
-a min ratio above one proves rho(M) > 1.  This is not taken on trust
-from the automaton.  It rests on three facts: (a) the successor scatter
-`succ` loses no move, which it checks as it is built; (b) the identity
-holds slot by slot, which `_check_lift` checks on that scatter for
-every history, once per table, after which φ is dropped and only B_q
-is kept; (c) rho(W·S) = rho(W·Sᵀ), shown above.
+a min ratio above one proves rho(M) > 1, since rho(W·S) = rho(W·Sᵀ), as
+shown above.  The identity is not taken on trust from the automaton.
+It is checked once per table, on the first m = ceil(N/2) histories
+only, after which φ is dropped and only B_q is kept:
+(a) the table is `mirrored`: the mirror (N-1-i, N-1-t) of every move
+    (i, t) on step d is a move, on step 2-d, and last_digit(N-1-t) =
+    2 - last_digit(t);
+(b) σ, the class permutation the swap induces, read off the automaton's
+    nodes (`automaton.minimal`), is an automorphism of B_q that flips
+    the last digit (`automaton.check_mirror`): σ∘σ = id,
+    last_digit(σc) = 2 - last_digit(c) and σ(δ(c, d)) = δ(σc, 2-d),
+    the sentinel included;
+(c) φ on the first half, extended by φ(t) = σ(φ(N-1-t)), which agrees
+    with itself at the middle state t = N-1-t because σ fixes its
+    class, lifts there (`lift.check_half_lift`): every state t < m has its
+    class's last digit, φ(t) = δ(φ(i), d) for every move (i, t) into
+    it on step d, and as a source it has exactly its class's moves,
+    one per step.
+(c) carries over to t >= m by the mirror.  Its last digit is 2 minus
+that of N-1-t (a), so 2 minus that of φ(N-1-t) (c), so that of
+σφ(N-1-t) = φ(t) (b).  A move (i, t) on step d has the mirror
+(N-1-i, N-1-t) on step 2-d (a), into the first half, so
+φ(N-1-t) = δ(φ(N-1-i), 2-d) (c), and applying σ gives
+φ(t) = δ(φ(i), d) (b).  The moves out of a source s >= m on step d are
+the mirrors of those out of N-1-s < m on step 2-d (a), so there is
+exactly one when δ(φ(N-1-s), 2-d) is a class (c), that is when
+δ(φ(s), d) is one (b), and none when it is the sentinel.  So every
+history, on every step, has exactly the move of its class, into a
+history of the class that move enters, and its class's last digit:
+the identity holds slot by slot.
 """
 
 from __future__ import annotations
@@ -69,12 +93,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .automaton import minimal
+from .automaton import check_mirror, minimal
 from .errors import ConsistencyError, ResourceLimitError
+from .lift import check_half_lift, half_class_map
 from .patterns import _CHUNK, ForbiddenSet, _block, _grow
 
 # The largest level whose history table is built: level 7, the paper's
-# headline, has 8,663,071 states and its `bound` run peaks at 262 MiB.
+# headline, has 8,663,071 states and its `bound` run peaks at 248 MiB,
+# in the build.
 # Level 8 has 89,435,873 states (the length-23 words avoiding the level-7
 # set), and every level above it grows those same words on the way.
 MAX_HISTORY_LEVEL = 7
@@ -222,81 +248,29 @@ class TransitionTable:
         carries the step weight of its members' newest step, so the
         quotient's gather operator is B_q.  The classes come from the
         patterns alone (`automaton.minimal`); with φ[s] the class of
-        state s, B(u∘φ) = (B_q u)∘φ is then checked slot by slot on
-        `succ` before the table is returned, and φ is dropped.  A table
-        made without its forbidden set raises `ValueError`.
+        state s, B(u∘φ) = (B_q u)∘φ is then checked on the first half
+        of the states, by the 1<->3 mirror, before the table is
+        returned, and φ is dropped.  A table made without its forbidden
+        set raises `ValueError`, and one that is not mirrored raises
+        `ConsistencyError`.
         """
         if self.fset is None:
             raise ValueError("a table made without its forbidden set "
                              "has no quotient")
-        pred, last_digit, start = minimal(self.fset)
+        pred, last_digit, start, sigma = minimal(self.fset)
         quotient = TransitionTable(n=self.n, pred=pred, last_digit=last_digit)
-        phi = _class_map(self.pred, self.last_digit, quotient, start)
-        _check_lift(self.succ, self.last_digit, quotient, phi)
+        if not self.mirrored:
+            raise ConsistencyError(
+                "the table is not mirrored, so its lift is not checked")
+        check_mirror(pred, last_digit, start, sigma)
+        phi = half_class_map(self.pred, self.last_digit, quotient, start,
+                             sigma)
+        check_half_lift(self.pred, self.last_digit, quotient, sigma, phi)
         return quotient
 
     @property
     def edge_count(self) -> int:
         return int((self.pred < self.n_states).sum())
-
-
-def _class_map(pred: np.ndarray, last_digit: np.ndarray,
-               quotient: TransitionTable, start: int) -> np.ndarray:
-    """φ: each history's class in `quotient`, read from the root's class
-    `start` by 3n-1 gather passes φ(t) = B_q(φ(p(t)), last digit of t)
-    along one real predecessor p(t).  Every state reads at least its own
-    L = 3n-1 steps, more when a pass reads a predecessor it has already
-    moved on; any walk word of at least L steps into t leads to the class
-    of t's node, whose word is at most L long.  `ConsistencyError` is
-    raised when a state has no move into it or lands on the sentinel;
-    whether φ is right is left to `_check_lift`.
-    """
-    n, k = pred.shape[1], quotient.n_states
-    # one dtype for φ and the flat index 3φ + d, the sentinel K's included
-    phi = np.full(n, start, dtype=np.min_scalar_type(3 * k + 2))
-    first = np.empty(n, dtype=np.int32)  # the sentinel N sorts last
-    for lo in range(0, n, _CHUNK):
-        np.min(pred[:, lo:lo + _CHUNK], axis=0, out=first[lo:lo + _CHUNK])
-        if (first[lo:lo + _CHUNK] == n).any():
-            raise ConsistencyError(
-                f"a state in {lo}..{min(lo + _CHUNK, n) - 1} has no move into it")
-    # flat[3c + d] is c's move on step d+1; the sentinel K stays put
-    flat = np.append(quotient.pred.T, np.full(3, k)).astype(phi.dtype)
-    for _ in range(3 * quotient.n - 1):
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            step = np.take(phi, first[lo:hi])
-            step *= 3
-            step += last_digit[lo:hi]
-            np.take(flat, step, out=phi[lo:hi], mode="clip")
-    if (phi == k).any():
-        raise ConsistencyError("a state's walk leaves the quotient")
-    return phi
-
-
-def _check_lift(succ: np.ndarray, last_digit: np.ndarray,
-                quotient: TransitionTable, phi: np.ndarray) -> None:
-    """Raise `ConsistencyError` unless B(u∘φ) = (B_q u)∘φ for every u.
-
-    Checked on the successor form, a chunk of states at a time: every
-    state has its class's last digit, and for every step d,
-    φ̄(succ[d, s]) = quotient.pred[d, φ(s)], where φ̄ is φ with the
-    sentinel N mapped to the sentinel K.  Both sentinels stand for "no
-    move", so a class move that some member lacks fails the equality
-    just as a member's move that its class lacks does.
-    """
-    n, k = succ.shape[1], quotient.n_states
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        cls = phi[lo:hi]
-        ok = np.array_equal(quotient.last_digit[cls], last_digit[lo:hi])
-        for targets, class_moves in zip(succ[:, lo:hi], quotient.pred):
-            moved = np.where(targets < n, np.take(phi, targets, mode="clip"),
-                             np.int32(k))
-            ok = ok and np.array_equal(moved, class_moves[cls])
-        if not ok:
-            raise ConsistencyError(
-                f"states {lo}..{hi - 1} do not lift onto their classes")
 
 
 def build_transitions(states: StateSpace, fset: ForbiddenSet) -> TransitionTable:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import level_table, make_table, unmirrored
 
-from stavskaya import automaton, bruteforce, patterns, statespace
+from stavskaya import automaton, bruteforce, lift, patterns, statespace
 from stavskaya.errors import ConsistencyError, ResourceLimitError
 from stavskaya.patterns import (POW3, ForbiddenSet, Parameters,
                                 build_forbidden_set, code_to_pattern,
@@ -31,11 +31,20 @@ def _successor_table(table):
                            last_digit=table.last_digit)
 
 
+def _half_lift(table):
+    """(quotient, σ, φ on the first half) of a built table."""
+    quotient = table.quotient
+    _, _, start, sigma = automaton.minimal(table.fset)
+    return quotient, sigma, lift.half_class_map(
+        table.pred, table.last_digit, quotient, start, sigma)
+
+
 def _class_map(table):
-    """φ: the class of each state in `table.quotient`."""
-    start = automaton.minimal(table.fset)[2]
-    return statespace._class_map(table.pred, table.last_digit,
-                                 table.quotient, start)
+    """φ: the class of each state in `table.quotient`, read on the first
+    half of the states and extended by the mirror, φ(t) = σ(φ(N-1-t))."""
+    _, sigma, half = _half_lift(table)
+    rest = half[:table.n_states - half.shape[0]][::-1]
+    return np.concatenate([half, sigma[rest]])
 
 
 def _index(space, word):
@@ -112,8 +121,8 @@ def test_chunked_moves_match_one_chunk(fset5, monkeypatch, chunk):
     whole_loops, whole = build()
     whole_quotients = [(table.quotient, _class_map(table))
                        for _, table in whole]
-    monkeypatch.setattr(patterns, "_CHUNK", chunk)
-    monkeypatch.setattr(statespace, "_CHUNK", chunk)
+    for module in (patterns, statespace, lift):
+        monkeypatch.setattr(module, "_CHUNK", chunk)
     loops, levels = build()
     for got, want in zip(loops, whole_loops):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -370,34 +379,96 @@ def test_quotient_keeps_the_spectral_radius(small_levels):
 
 def test_lift_check_rejects_a_corrupted_class_map(small_levels):
     _, table = small_levels[3]
-    quotient, phi = table.quotient, _class_map(table)
-    statespace._check_lift(table.succ, table.last_digit, quotient, phi)
-    # a state that some move enters: its class is pinned by that move
-    s = int(np.nonzero((table.pred < table.n_states).any(axis=0))[0][0])
+    quotient, sigma, phi = _half_lift(table)
+    lift.check_half_lift(table.pred, table.last_digit, quotient,
+                         sigma, phi)
+    # a first-half state that some move enters: its class is pinned by
+    # that move
+    s = int(np.nonzero((table.pred[:, :phi.shape[0]] < table.n_states)
+                       .any(axis=0))[0][0])
     bad = phi.copy()
     bad[s] = (bad[s] + 1) % quotient.n_states
-    with pytest.raises(ConsistencyError):
-        statespace._check_lift(table.succ, table.last_digit, quotient, bad)
+    with pytest.raises(ConsistencyError, match="do not lift"):
+        lift.check_half_lift(table.pred, table.last_digit, quotient,
+                             sigma, bad)
+
+
+def test_lift_check_rejects_a_middle_state_the_swap_moves(small_levels):
+    _, table = small_levels[3]
+    quotient, sigma, phi = _half_lift(table)
+    bad = phi.copy()
+    bad[-1] = int(np.nonzero(sigma[:-1] != np.arange(quotient.n_states))[0][0])
+    with pytest.raises(ConsistencyError, match="class the swap moves"):
+        lift.check_half_lift(table.pred, table.last_digit, quotient,
+                             sigma, bad)
 
 
 @pytest.mark.parametrize("fault", ["dropped move", "added move", "relabelled class"])
 def test_lift_check_rejects_a_corrupted_quotient(small_levels, fault):
+    # each fault is in the class of state 0, a first-half state, and
+    # the check keeps the σ of the true quotient
     _, table = small_levels[3]
-    quotient, phi = table.quotient, _class_map(table)
-    k = quotient.n_states
+    quotient, sigma, phi = _half_lift(table)
+    k, c = quotient.n_states, int(phi[0])
     pred, digits = quotient.pred.copy(), quotient.last_digit.copy()
     if fault == "dropped move":
-        d, c = (int(i[0]) for i in np.nonzero(pred < k))
-        pred[d, c] = k
+        # state 0 moves into itself on step 1, so the move into it
+        # fails first
+        pred[int(np.argmax(pred[:, c] < k)), c] = k
+        match = "moves into states"
     elif fault == "added move":
         # a move on step d must enter a class whose states end in step d
-        d, c = (int(i[0]) for i in np.nonzero(pred == k))
+        d = int(np.argmax(pred[:, c] == k))
         pred[d, c] = int(np.nonzero(digits == d)[0][0])
+        match = "moves out of states"
     else:
-        digits[0] = (digits[0] + 1) % 3
+        digits[c] = (digits[c] + 1) % 3
+        match = "moves into states"
     corrupted = TransitionTable(n=quotient.n, pred=pred, last_digit=digits)
-    with pytest.raises(ConsistencyError):
-        statespace._check_lift(table.succ, table.last_digit, corrupted, phi)
+    with pytest.raises(ConsistencyError, match=match):
+        lift.check_half_lift(table.pred, table.last_digit, corrupted,
+                             sigma, phi)
+
+
+@pytest.mark.parametrize("fault", ["moved move", "unflipped digit"])
+def test_mirror_refuses_a_quotient_the_swap_does_not_map_onto_itself(
+        small_levels, fault, monkeypatch):
+    _, table = small_levels[2]
+    pred, digits, start, sigma = automaton.minimal(table.fset)
+    k = pred.shape[1]
+    automaton.check_mirror(pred, digits, start, sigma)
+    pred, digits, sigma = pred.copy(), digits.copy(), sigma.copy()
+    if fault == "moved move":
+        # to another class that ends in the same step
+        d, c = (int(i[0]) for i in np.nonzero(pred < k))
+        pred[d, c] = int(np.nonzero((digits == d)
+                                    & (np.arange(k) != pred[d, c]))[0][0])
+    else:
+        digits[start] = 0
+    with pytest.raises(ConsistencyError, match="not an automorphism"):
+        automaton.check_mirror(pred, digits, start, sigma)
+    # and the quotient is refused before any history is read
+    monkeypatch.setattr(statespace, "minimal",
+                        lambda fset: (pred, digits, start, sigma))
+    fresh = TransitionTable(n=table.n, pred=table.pred,
+                            last_digit=table.last_digit, fset=table.fset)
+    with pytest.raises(ConsistencyError, match="not an automorphism"):
+        fresh.quotient
+
+
+@pytest.mark.parametrize("sigma,digits", [
+    # a 4-cycle that flips every last digit and commutes with the moves,
+    # all to the sentinel, but is not its own inverse
+    ([0, 2, 3, 4, 1, 5], [1, 0, 2, 0, 2]),
+    # an involution that keeps everything else but moves the start class
+    ([1, 0, 2], [1, 1]),
+], ids=["not an involution", "moved start"])
+def test_check_mirror_refuses_each_broken_condition(sigma, digits):
+    k = len(digits)
+    pred = np.full((3, k), k, dtype=np.int32)
+    with pytest.raises(ConsistencyError, match="not an automorphism"):
+        automaton.check_mirror(pred, np.array(digits, dtype=np.uint8), 0,
+                               np.array(sigma))
 
 
 def test_two_moves_on_one_step_refused():
@@ -419,39 +490,73 @@ def test_hand_built_table_has_no_quotient(small_levels):
 @pytest.mark.parametrize("fault,match", [
     ("no move into a state", "no move into it"),
     # its target keeps another move, so every state still has a
-    # predecessor to read its class along
-    ("dropped move", "do not lift"),
+    # predecessor to read its class along, and the move's source lacks
+    # a move its class has
+    ("dropped move", "moves out of states"),
+    # the middle state keeps its move into itself, and its sources
+    # lack a move their classes have
+    ("dropped move into the middle", "moves out of states"),
     # a move that spells a pattern: its target reads only its own word,
-    # so its source fails the lift check ...
-    ("pattern move", "do not lift"),
+    # so the move fails the lift check ...
+    ("pattern move", "moves into states"),
     # ... unless a pass reads further, here one state at a time
     ("pattern move, one-state chunks", "leaves the quotient"),
-], ids=["no move into a state", "dropped move", "pattern move",
-        "pattern move, one-state chunks"])
+    # a second move on one step, into a state of the class the first
+    # one enters, so both land where they should
+    ("two moves on one step", "share a source and a step"),
+    # a fault without its mirror is refused before any class is read
+    ("asymmetric dropped move", "not mirrored"),
+], ids=["no move into a state", "dropped move",
+        "dropped move into the middle", "pattern move",
+        "pattern move, one-state chunks", "two moves on one step",
+        "asymmetric dropped move"])
 def test_quotient_refuses_moves_not_from_the_patterns(small_levels, fault,
                                                       match, monkeypatch):
+    # each fault but the last is made on a target t and a slot s and on
+    # their mirrors, N-1-t and 2-s, so the table stays mirrored and the
+    # check on the first half must refuse it itself
     space, table = small_levels[2]
     n = table.n_states
+    middle = (n - 1) // 2
     pred = table.pred.copy()
+
+    def mirrored(s, t, source):
+        pred[s, t] = source
+        pred[2 - s, n - 1 - t] = n if source == n else n - 1 - source
+
     if fault == "no move into a state":
-        pred[:, 40] = n
-    elif fault == "dropped move":
-        t = int(np.nonzero((pred < n).sum(axis=0) > 1)[0][0])
-        pred[int(np.argmax(pred[:, t] < n)), t] = n
+        for s in range(3):
+            mirrored(s, 40, n)
+    elif fault == "dropped move into the middle":
+        assert pred[1, middle] == middle  # 22..2 moves into itself
+        mirrored(0, middle, n)
+    elif fault == "two moves on one step":
+        phi = _class_map(table)
+        t, u = next((t, u) for t, u in itertools.permutations(range(middle), 2)
+                    if phi[t] == phi[u] and (pred[:, t] == n).any())
+        mirrored(int(np.argmax(pred[:, t] == n)), t, int(pred[:, u].min()))
+    elif fault.endswith("dropped move"):
+        t = int(np.nonzero((pred[:, :middle] < n).sum(axis=0) > 1)[0][0])
+        s = int(np.argmax(pred[:, t] < n))
+        if fault.startswith("asymmetric"):
+            pred[s, t] = n
+        else:
+            mirrored(s, t, n)
     else:
         # put back a blocked move whose source is its target's first
         top = POW3[space.length - 1]
-        for t, s in itertools.product(range(n), range(3)):
+        for t, s in itertools.product(range(middle), range(3)):
             code = np.uint64(s) * top + space.codes[t] // np.uint64(3)
             src = int(np.searchsorted(space.codes, code))
             if (pred[s, t] == n and src < pred[:, t].min()
                     and space.codes[src] == code):
-                pred[s, t] = src
+                mirrored(s, t, src)
                 break
         if fault.endswith("chunks"):
-            monkeypatch.setattr(statespace, "_CHUNK", 1)
+            monkeypatch.setattr(lift, "_CHUNK", 1)
     broken = TransitionTable(n=table.n, pred=pred,
                              last_digit=table.last_digit, fset=table.fset)
+    assert broken.mirrored != fault.startswith("asymmetric")
     with pytest.raises(ConsistencyError, match=match):
         broken.quotient
 
@@ -463,10 +568,12 @@ def test_minimal_automaton_from_the_patterns_alone(n, classes, fset5,
         raise AssertionError("a history table was built")
     for name in ("_grow", "_block", "build_state_space", "build_transitions"):
         monkeypatch.setattr(statespace, name, no_histories)
-    pred, last_digit, start = automaton.minimal(fset5.restrict(n))
+    pred, last_digit, start, sigma = automaton.minimal(fset5.restrict(n))
     assert pred.shape == (3, classes)
     assert last_digit.shape == (classes,)
     assert 0 <= start < classes
+    # the swap's class permutation, read off the nodes, is an automorphism
+    automaton.check_mirror(pred, last_digit, start, sigma)
 
 
 def test_node_entered_on_two_steps_refused():
@@ -499,3 +606,84 @@ def test_moore_refinement_of_the_histories_matches(n, small_levels, fset5):
     assert pairs.shape == (k,)
     assert np.array_equal(np.unique(pairs // k), np.arange(k))
     assert np.array_equal(np.unique(pairs % k), np.arange(k))
+
+
+def _level(n, small_levels, fset5):
+    """(space, table) at level n: shared for n <= 3, built afresh above."""
+    if n in small_levels:
+        return small_levels[n]
+    space = build_state_space(n, fset5.restrict(n - 1))
+    return space, build_transitions(space, fset5.restrict(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_quotient_never_reads_the_successor_scatter(n, small_levels, fset5,
+                                                    monkeypatch):
+    table = level_table(n, small_levels, fset5)
+    want = table.quotient
+
+    def no_succ(self):
+        raise AssertionError("the successor scatter was read")
+    monkeypatch.setattr(TransitionTable, "succ", property(no_succ))
+    fresh = TransitionTable(n=table.n, pred=table.pred,
+                            last_digit=table.last_digit, fset=table.fset)
+    got = fresh.quotient
+    assert np.array_equal(got.pred, want.pred)
+    assert np.array_equal(got.last_digit, want.last_digit)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_half_class_map_extended_by_the_mirror_matches(n, small_levels, fset5):
+    # the oracles: each history's own word, read one step at a time
+    # from the root's class, and Moore refinement of the full successor
+    # form, whose classes the map must label one to one
+    space, table = _level(n, small_levels, fset5)
+    phi = _class_map(table)
+    quotient = table.quotient
+    walk = np.full(len(space), automaton.minimal(table.fset)[2])
+    for j in reversed(range(space.length)):
+        digits = (space.codes // POW3[j] % np.uint64(3)).astype(np.intp)
+        walk = quotient.pred[digits, walk]
+    assert np.array_equal(phi, walk)
+    moore, k = automaton._refine(table.succ, table.last_digit)
+    label = np.full(k, -1)
+    label[moore] = phi
+    assert np.array_equal(label[moore], phi)
+    assert np.array_equal(np.sort(label), np.arange(k))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_middle_state_is_its_own_mirror(n, small_levels, fset5):
+    space, table = _level(n, small_levels, fset5)
+    size = table.n_states
+    middle = (size - 1) // 2
+    assert table.mirrored and size % 2 == 1
+    assert size - 1 - middle == middle
+    # the all-kind-2 word, 22..2
+    assert space.codes[middle] == (POW3[space.length] - np.uint64(1)) // np.uint64(2)
+    assert table.last_digit[middle] == 1
+    # its slot s pairs with its slot 2-s, and it moves into itself
+    pred = table.pred[:, middle]
+    assert np.array_equal(pred[::-1], np.where(pred == size, size, size - 1 - pred))
+    assert pred[1] == middle
+
+
+def test_half_lift_without_a_middle_state():
+    # two-step histories over kinds 1 and 3 only, 11, 13, 31 and 33, so
+    # N = 4 is even and no state is its own mirror.  Class 0 is the
+    # root's, class 1 ends in kind 1 and class 2 in kind 3.
+    table = make_table([[0, 0, 1, 1], [4, 4, 4, 4], [2, 2, 3, 3]], [0, 2, 0, 2])
+    assert table.mirrored
+    quotient = make_table([[1, 1, 1], [3, 3, 3], [2, 2, 2]], [1, 0, 2])
+    sigma = np.array([0, 2, 1, 3])
+    automaton.check_mirror(quotient.pred, quotient.last_digit, 0, sigma)
+    phi = lift.half_class_map(table.pred, table.last_digit, quotient, 0,
+                              sigma)
+    assert np.array_equal(phi, [1, 2])
+    lift.check_half_lift(table.pred, table.last_digit, quotient, sigma, phi)
+    # 13 loses its move into 31, and 31 its mirror, into 13
+    pred = table.pred.copy()
+    pred[0, 2] = pred[2, 1] = 4
+    assert make_table(pred, table.last_digit).mirrored
+    with pytest.raises(ConsistencyError, match="moves out of states"):
+        lift.check_half_lift(pred, table.last_digit, quotient, sigma, phi)
