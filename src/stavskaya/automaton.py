@@ -16,7 +16,9 @@ depth-m nodes are the sorted, distinct length-m prefixes of the
 patterns, the children of a node are found by `_find`, and
 fail(u·d) = δ(fail(u), d), so each depth reads only shallower rows.
 A node is dead when it is a pattern or its failure target is dead.
-`minimal` refines the live nodes by Moore's algorithm (Moore 1956), and
+`minimal` refines the live nodes by Moore's algorithm (Moore 1956), in
+sort rounds: each round packs a node's class and its three targets'
+classes into one int64 key and ranks the keys (`_refine`).  It then
 reads the class permutation of the 1<->3 swap off the nodes: on a set
 closed under the swap, it maps the nodes of each depth onto themselves
 in reverse order.  `check_mirror` checks that the permutation is an
@@ -25,16 +27,17 @@ automorphism of the quotient.  Nothing here reads a history.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ResourceLimitError
 from .patterns import POW3, ForbiddenSet, _find
 
 
 _NO_CODES = np.empty(0, dtype=np.uint64)
 _STEPS = np.arange(3, dtype=np.uint64)
+# the most classes a refinement round may start from: its keys, below
+# (K+1)^4, fit in int64 while K+1 <= 55,108
+MAX_CLASSES = 55_107
 
 
 def _automaton(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray,
@@ -85,12 +88,14 @@ def minimal(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray, int,
     `TransitionTable`, the root's class, and σ, the class permutation
     that the 1<->3 swap induces, with σ(K) = K appended for the sentinel
     K (the class count).  The live nodes and their live moves are
-    refined by `_refine` from the step that enters each node; a live
-    node entered on no step or on two has no one step weight, and raises
-    `ConsistencyError`.  σ maps each class to the class of its members'
-    swapped words, read off one member; it is not checked here (see
-    `check_mirror`), and on a set not closed under the swap it is no
-    automorphism."""
+    refined by `_refine`, in sort rounds, from the step that enters each
+    node; a live node entered on no step or on two has no one step
+    weight, and raises `ConsistencyError`.  The rounds' int64 keys cap
+    the refinement at `MAX_CLASSES` = 55,107 classes, and one past it
+    raises `ResourceLimitError` (level 8 has 2,465).  σ maps each class
+    to the class of its members' swapped words, read off one member; it
+    is not checked here (see `check_mirror`), and on a set not closed
+    under the swap it is no automorphism."""
     delta, dead, flip = _automaton(fset)
     live = ~dead
     ids = np.flatnonzero(live)
@@ -137,14 +142,20 @@ def check_mirror(pred: np.ndarray, last_digit: np.ndarray, start: int,
             "the 1<->3 swap is not an automorphism of the quotient")
 
 
-def _relabel(keys: np.ndarray, size: int) -> tuple[np.ndarray, int]:
-    """(labels, count): the int32 keys, which lie in [0, size), replaced
-    by dense labels in key order.  The running count of a mark of the
-    keys that occur replaces a sort."""
-    mark = np.zeros(size, dtype=bool)
-    mark[keys] = True
-    label = np.cumsum(mark, dtype=np.int32) - 1
-    return label[keys], int(label[-1]) + 1
+def _rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """(labels, count): the int64 keys replaced by dense int32 labels in
+    key order, read off a sort as the running count of the places where
+    the sorted key changes.  np.unique would import numpy.ma on first
+    use."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    rank = np.empty(keys.shape[0], dtype=np.int32)
+    rank[0] = 0
+    np.not_equal(ranked[1:], ranked[:-1], out=rank[1:])
+    np.cumsum(rank, out=rank)
+    labels = np.empty_like(rank)
+    labels[order] = rank
+    return labels, int(rank[-1]) + 1
 
 
 def _refine(succ: np.ndarray, last_digit: np.ndarray) -> tuple[np.ndarray, int]:
@@ -152,22 +163,28 @@ def _refine(succ: np.ndarray, last_digit: np.ndarray) -> tuple[np.ndarray, int]:
     partition of a successor table until every class sends each step
     into one class, or nowhere.
 
-    Each pass splits the classes by the class of one slot's target, the
-    sentinel N counting as a class of its own.  Only states that some
-    step tells apart are split, so no partition along the way is finer
-    than the final one, and a key (class, target class) takes one of
-    K·(K+1) values: it fits in int32 up to K = 46,340, far past the
-    1,046 classes of level 7, and `_relabel` needs no sort.  The
-    refinement ends after three passes in a row, one per slot, that
-    split nothing.
+    Each round keys every state by its class and the classes of its
+    three targets, the sentinel N counting as class K, packed into one
+    int64, and relabels the keys by rank (`_rank`).  Each key starts
+    with the state's class, so each round refines the last, and the
+    refinement ends at the first round that leaves the class count
+    unchanged.  Only states that some step tells apart are split, so no
+    partition along the way is finer than the final one.  A key is
+    below (K+1)^4, which fits in int64 while K is at most
+    `MAX_CLASSES`; a round past it raises `ResourceLimitError`.
     """
-    classes, k = _relabel(last_digit.astype(np.int32), 3)
-    quiet = 0
-    for slot in itertools.cycle(succ):
-        if quiet == 3:
-            break
+    classes, k = _rank(last_digit.astype(np.int64))
+    while True:
+        if k > MAX_CLASSES:
+            raise ResourceLimitError(
+                f"{k} classes exceed the refinement's key limit "
+                f"{MAX_CLASSES}")
+        ext = np.append(classes, np.int32(k)).astype(np.int64)
+        keys = classes.astype(np.int64)
+        for slot in succ:
+            keys *= k + 1
+            keys += ext[slot]
         before = k
-        target = np.append(classes, np.int32(k))[slot]
-        classes, k = _relabel(classes * np.int32(k + 1) + target, k * (k + 1))
-        quiet = quiet + 1 if k == before else 0
-    return classes, k
+        classes, k = _rank(keys)
+        if k == before:
+            return classes, k

@@ -6,7 +6,8 @@ swap, and σ, the class permutation the swap induces (`automaton.minimal`,
 checked by `automaton.check_mirror`), carries what holds on the first
 m = ceil(N/2) histories over to the rest; the argument is set out in
 `statespace`.  Nothing here reads the successor scatter `succ`, and
-every pass over the histories runs in `_CHUNK` pieces.
+every pass over the histories runs in pieces of at most `_CHUNK`: the
+class map's double from one state up to it (`_bounds`).
 """
 
 from __future__ import annotations
@@ -31,22 +32,61 @@ def _rows(quotient: TransitionTable) -> np.ndarray:
     return rows
 
 
+def _bounds(m: int) -> list[tuple[int, int]]:
+    """The chunks (lo, hi) of 0..m-1 in index order, doubling in width
+    from one state up to `_CHUNK`."""
+    bounds, lo = [], 0
+    while lo < m:
+        hi = min(lo + min(max(lo, 1), _CHUNK), m)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
+
+
+def _pass(phi: np.ndarray, src: np.ndarray, add: np.ndarray,
+          flat: np.ndarray, bounds: list[tuple[int, int]]) -> bool:
+    """One in-place pass 3φ(t) <- flat[3φ(src t) + add t] over the chunks
+    in order, so a chunk reads the entries of every earlier chunk as
+    this pass left them; whether any entry changed."""
+    changed = False
+    step = np.empty(min(phi.shape[0], _CHUNK), dtype=np.intp)
+    new = np.empty_like(phi[:step.shape[0]])
+    for lo, hi in bounds:
+        # src < m, so in range: clip skips the bounds pass
+        np.add(np.take(phi, src[lo:hi], mode="clip"), add[lo:hi],
+               out=step[:hi - lo])
+        np.take(flat, step[:hi - lo], out=new[:hi - lo], mode="clip")
+        changed = changed or bool((new[:hi - lo] != phi[lo:hi]).any())
+        phi[lo:hi] = new[:hi - lo]
+    return changed
+
+
 def half_class_map(pred: np.ndarray, last_digit: np.ndarray,
                    quotient: TransitionTable, start: int,
                    sigma: np.ndarray) -> np.ndarray:
     """φ on the first half of the histories, t < m = ceil(N/2): each
     one's class in `quotient`, read from the root's class `start` by
-    3n-1 gather passes φ(t) = δ(φ(i), last digit of t) along t's first
-    real predecessor i.  A predecessor i >= m is read through its
-    mirror, as φ(i) = σ(φ(N-1-i)), with N-1-i < m: its target looks up
-    the second copy of a doubled move table, which holds δ(σ(c), d) in
-    place of δ(c, d), so no pass reads or writes the second half.
-    Every state reads at least its own L = 3n-1 steps, more when a pass
-    reads a predecessor it has already moved on; any walk word of at
-    least L steps into t leads to the class of t's node, whose word is
-    at most L long.  `ConsistencyError` is raised when a state has no
-    move into it or lands on the sentinel; whether φ is right is left to
-    `check_half_lift`.
+    gather passes φ(t) = δ(φ(i), last digit of t) along t's first real
+    predecessor i.  A predecessor i >= m is read through its mirror, as
+    φ(i) = σ(φ(N-1-i)), with N-1-i < m: its target looks up the second
+    copy of a doubled move table, which holds δ(σ(c), d) in place of
+    δ(c, d), so no pass reads or writes the second half.
+
+    Each pass runs in place over chunks in index order that double from
+    one state up to `_CHUNK` (`_pass`), so a target whose first
+    predecessor lies in an earlier chunk reads that predecessor as this
+    pass left it, and most first predecessors lie before their target.
+    The passes stop after the first one that changes no entry, and
+    after L = 3n-1 passes at most.  Both stops are exact: live
+    Aho–Corasick nodes are at most L deep, so a walk word of L or more
+    steps into t leads to the class of t's node from any class, σ
+    commuting with the moves (`automaton.check_mirror`).  Each pass
+    moves every state at least one step further along its walk, so L
+    passes read at least L steps; and a map that a pass leaves
+    unchanged equals its own value read L steps back, so it is that
+    one fixed point.  `ConsistencyError` is raised when a state has no
+    move into it or lands on the sentinel; whether φ is right is left
+    to `check_half_lift`.
     """
     n, k = pred.shape[1], quotient.n_states
     m = (n + 1) // 2
@@ -59,8 +99,8 @@ def half_class_map(pred: np.ndarray, last_digit: np.ndarray,
     # pass adds the offsets into an intp buffer
     src = np.empty(m, dtype=np.intp)
     add = np.empty(m, dtype=dtype)
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
+    bounds = _bounds(m)
+    for lo, hi in bounds:
         first = np.min(pred[:, lo:hi], axis=0)  # the sentinel N sorts last
         if (first == n).any():
             raise ConsistencyError(
@@ -71,14 +111,9 @@ def half_class_map(pred: np.ndarray, last_digit: np.ndarray,
         np.multiply(far, dtype.type(3 * (k + 1)), out=add[lo:hi])
         add[lo:hi] += last_digit[lo:hi]
     phi = np.full(m, 3 * start, dtype=dtype)
-    step = np.empty(min(m, _CHUNK), dtype=np.intp)
     for _ in range(3 * quotient.n - 1):
-        for lo in range(0, m, _CHUNK):
-            hi = min(lo + _CHUNK, m)
-            # src < m, so in range: clip skips the bounds pass
-            np.add(np.take(phi, src[lo:hi], mode="clip"), add[lo:hi],
-                   out=step[:hi - lo])
-            np.take(flat, step[:hi - lo], out=phi[lo:hi], mode="clip")
+        if not _pass(phi, src, add, flat, bounds):
+            break
     if phi.max() == 3 * k:  # the sentinel row is the last
         raise ConsistencyError("a state's walk leaves the quotient")
     phi //= 3

@@ -45,7 +45,9 @@ POW3 = 3 ** np.arange(41, dtype=np.uint64)
 # Words handled per pass of every full-length sweep: the move rule's
 # running counts, gathers and code copies, in `statespace` the last
 # digits, the mirror check and the scatter `succ`, and in `lift` the
-# class map's passes and the lift check.  The chunk sets part of the
+# lift check and the class map's passes, whose chunks double from one
+# state up to this width, so that most states read a predecessor this
+# pass has already moved on.  The chunk sets part of the
 # build's peak RSS: at 2^18 the whole build (patterns, states,
 # transitions) peaks at 55 MiB at level 6 and 247 MiB at level 7, and at
 # both levels it sets the peak of a `bound` run, whose quotient check

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stavskaya import cli
+from stavskaya import automaton, cli
 from stavskaya.cli import main
 from stavskaya.errors import ResourceLimitError
 from stavskaya.statespace import StateSpace
@@ -189,6 +189,13 @@ def test_build_refusal_exits_three(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert captured.err.strip() == "error: budget"
     assert captured.out == ""
+
+
+def test_refinement_key_limit_exits_three(capsys, monkeypatch):
+    # level 3 refines to 33 classes, past a key limit of 10
+    monkeypatch.setattr(automaton, "MAX_CLASSES", 10)
+    assert main(["bound", "--n", "3", "--p", "1.44"]) == 3
+    assert "key limit 10" in capsys.readouterr().err
 
 
 # q and the solver settings are constants, not flags (q = 1 is optimal,

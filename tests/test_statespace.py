@@ -496,11 +496,14 @@ def test_hand_built_table_has_no_quotient(small_levels):
     # the middle state keeps its move into itself, and its sources
     # lack a move their classes have
     ("dropped move into the middle", "moves out of states"),
-    # a move that spells a pattern: its target reads only its own word,
-    # so the move fails the lift check ...
-    ("pattern move", "moves into states"),
-    # ... unless a pass reads further, here one state at a time
+    # a move that spells a pattern, from its target's first
+    # predecessor: the class map reads the target along it, and its
+    # walk leaves the quotient, at any chunk width ...
+    ("pattern move", "leaves the quotient"),
     ("pattern move, one-state chunks", "leaves the quotient"),
+    # ... and from a later predecessor, which the class map does not
+    # read, so the move fails the lift check
+    ("pattern move, not the first", "moves into states"),
     # a second move on one step, into a state of the class the first
     # one enters, so both land where they should
     ("two moves on one step", "share a source and a step"),
@@ -508,8 +511,8 @@ def test_hand_built_table_has_no_quotient(small_levels):
     ("asymmetric dropped move", "not mirrored"),
 ], ids=["no move into a state", "dropped move",
         "dropped move into the middle", "pattern move",
-        "pattern move, one-state chunks", "two moves on one step",
-        "asymmetric dropped move"])
+        "pattern move, one-state chunks", "pattern move, not the first",
+        "two moves on one step", "asymmetric dropped move"])
 def test_quotient_refuses_moves_not_from_the_patterns(small_levels, fault,
                                                       match, monkeypatch):
     # each fault but the last is made on a target t and a slot s and on
@@ -535,6 +538,18 @@ def test_quotient_refuses_moves_not_from_the_patterns(small_levels, fault,
         t, u = next((t, u) for t, u in itertools.permutations(range(middle), 2)
                     if phi[t] == phi[u] and (pred[:, t] == n).any())
         mirrored(int(np.argmax(pred[:, t] == n)), t, int(pred[:, u].min()))
+    elif fault.endswith("not the first"):
+        # every blocked move of the table comes from its target's first
+        # predecessor, so take a source after it whose class has no
+        # move on the target's last step, and a free slot
+        phi, quotient = _class_map(table), table.quotient
+        t, s, i = next(
+            (t, int(s), i) for t in range(middle)
+            for s in np.nonzero(pred[:, t] == n)[0]
+            for i in range(int(pred[:, t].min()) + 1, n)
+            if quotient.pred[table.last_digit[t], phi[i]]
+            == quotient.n_states)
+        mirrored(s, t, i)
     elif fault.endswith("dropped move"):
         t = int(np.nonzero((pred[:, :middle] < n).sum(axis=0) > 1)[0][0])
         s = int(np.argmax(pred[:, t] < n))
@@ -594,6 +609,43 @@ def test_table_level_must_match_its_forbidden_set(small_levels):
                         fset=table.fset)
 
 
+def test_refine_finds_the_coarsest_partition_of_a_hand_built_table():
+    # 0 -> 1 -> 2 and 3 -> 4 -> 5 on step 1, then nowhere; 6 loops on
+    # step 3 and 7 moves into it; 8 moves nowhere, like 2 and 5, but
+    # ends in another step.  N = 9 is the sentinel.  The classes are
+    # {0, 3}, {1, 4}, {2, 5}, {6, 7} and {8}: the first three are told
+    # apart only by how far they go, {6, 7} by the step it loops on.
+    succ = np.array([[1, 2, 9, 4, 5, 9, 9, 9, 9],
+                     [9, 9, 9, 9, 9, 9, 9, 9, 9],
+                     [9, 9, 9, 9, 9, 9, 6, 6, 9]], dtype=np.int32)
+    digits = np.array([0, 0, 0, 0, 0, 0, 0, 0, 1], dtype=np.uint8)
+    classes, k = automaton._refine(succ, digits)
+    assert k == 5 and classes.dtype == np.int32
+    want = [0, 1, 2, 0, 1, 2, 3, 3, 4]
+    # the same partition: the classes label it one to one
+    assert np.unique(classes.astype(np.int64) * 5 + want).shape == (5,)
+
+
+@pytest.mark.parametrize("cap,refused", [(33, False), (32, True)])
+def test_refine_refuses_a_round_past_the_key_limit(cap, refused, fset5,
+                                                   monkeypatch):
+    # level 3 has 33 classes, so its last round starts from 33
+    monkeypatch.setattr(automaton, "MAX_CLASSES", cap)
+    if refused:
+        with pytest.raises(ResourceLimitError, match="key limit 32"):
+            automaton.minimal(fset5.restrict(3))
+    else:
+        assert automaton.minimal(fset5.restrict(3))[0].shape == (3, 33)
+
+
+def test_minimal_automaton_at_level_eight():
+    # not from the paper: the class count both refinements (slot by
+    # slot, and in sort rounds) give at level 8, from the patterns alone
+    pred, last_digit, start, sigma = automaton.minimal(build_forbidden_set(8))
+    assert pred.shape == (3, 2465)
+    automaton.check_mirror(pred, last_digit, start, sigma)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_moore_refinement_of_the_histories_matches(n, small_levels, fset5):
     # the oracle: Moore refinement of the full successor form induces
@@ -633,13 +685,25 @@ def test_quotient_never_reads_the_successor_scatter(n, small_levels, fset5,
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_half_class_map_extended_by_the_mirror_matches(n, small_levels, fset5):
+def test_half_class_map_extended_by_the_mirror_matches(n, small_levels, fset5,
+                                                      monkeypatch):
     # the oracles: each history's own word, read one step at a time
     # from the root's class, and Moore refinement of the full successor
     # form, whose classes the map must label one to one
     space, table = _level(n, small_levels, fset5)
+    quotient = table.quotient  # built before the passes are counted
+    changed = []
+
+    def counted(*args):
+        changed.append(real_pass(*args))
+        return changed[-1]
+    real_pass = lift._pass
+    monkeypatch.setattr(lift, "_pass", counted)
     phi = _class_map(table)
-    quotient = table.quotient
+    # the passes stop at the first that changes nothing, by 3n-1
+    assert 1 <= len(changed) <= 3 * n - 1
+    assert all(changed[:-1])
+    assert not changed[-1] or len(changed) == 3 * n - 1
     walk = np.full(len(space), automaton.minimal(table.fset)[2])
     for j in reversed(range(space.length)):
         digits = (space.codes // POW3[j] % np.uint64(3)).astype(np.intp)
@@ -650,6 +714,24 @@ def test_half_class_map_extended_by_the_mirror_matches(n, small_levels, fset5):
     label[moore] = phi
     assert np.array_equal(label[moore], phi)
     assert np.array_equal(np.sort(label), np.arange(k))
+
+
+def test_half_class_map_stops_after_3n_minus_1_passes(small_levels,
+                                                     monkeypatch):
+    # a pass that always reports a change: the map still stops after
+    # L = 3n-1 passes, and L passes read every state's own word
+    _, table = small_levels[3]
+    want = _class_map(table)  # the quotient is built here, uncounted
+    calls = []
+
+    def restless(*args):
+        lift_pass(*args)
+        calls.append(1)
+        return True
+    lift_pass = lift._pass
+    monkeypatch.setattr(lift, "_pass", restless)
+    assert np.array_equal(_class_map(table), want)
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
