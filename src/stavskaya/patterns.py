@@ -28,6 +28,8 @@ grows the loops here and the states and transitions in `statespace`.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +60,15 @@ _CHUNK = 1 << 18
 _NO_CODES = np.empty(0, dtype=np.uint64)
 
 
+def _finite_real(x) -> bool:
+    """Whether `x` is a finite `numbers.Real`: a Python or numpy int or
+    float, a bool or a Fraction, but not a Decimal, which `math.isfinite`
+    takes but which does not mix with floats in `step_weights`.  The
+    float test first skips the slower ABC check in the common case."""
+    return ((isinstance(x, (float, int)) or isinstance(x, numbers.Real))
+            and math.isfinite(x))
+
+
 @dataclass(frozen=True)
 class Parameters:
     """Weight parameters: p, q >= 1 and erasure probability alpha in [0,1]."""
@@ -67,11 +78,11 @@ class Parameters:
     alpha: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.p) and self.p >= 1.0):
+        if not (_finite_real(self.p) and self.p >= 1.0):
             raise ValueError(f"p must be a finite real >= 1, got {self.p}")
-        if not (np.isfinite(self.q) and self.q >= 1.0):
+        if not (_finite_real(self.q) and self.q >= 1.0):
             raise ValueError(f"q must be a finite real >= 1, got {self.q}")
-        if not (np.isfinite(self.alpha) and 0.0 <= self.alpha <= 1.0):
+        if not (_finite_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
     def step_weights(self) -> tuple[float, float, float]:

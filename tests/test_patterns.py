@@ -1,3 +1,6 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,24 @@ def test_parameter_validation():
         Parameters(1.0, 1.0, 1.5)
     with pytest.raises(ValueError):
         Parameters(1.0, 1.0, -0.1)
+
+
+@pytest.mark.parametrize("field", ["p", "q", "alpha"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, Decimal(1)])
+def test_parameters_refuse_non_finite_values(field, bad):
+    # Decimal(1) is in range for every field, but it is not a
+    # `numbers.Real` and does not mix with floats in `step_weights`
+    values = {"p": 1.4, "q": 1.0, "alpha": 0.1, field: bad}
+    with pytest.raises(ValueError, match=field):
+        Parameters(**values)
+
+
+def test_parameters_accept_numpy_scalars():
+    params = Parameters(np.float64(1.5), np.int64(1), np.float32(0.25))
+    assert params.step_weights() == Parameters(1.5, 1, 0.25).step_weights()
+    Parameters(np.int32(2), np.float64(1.1), True)
+    weights = Parameters(Fraction(3, 2), 1, 0.25).step_weights()
+    assert [float(w) for w in weights] == list(params.step_weights())
 
 
 @pytest.mark.parametrize("kind,params,want", [

@@ -305,19 +305,24 @@ def test_failed_final_check_raises_consistency_error(small_levels, monkeypatch):
         alpha_sup(table, 1.464, 1.0, 1e-4)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_one_cold_solve_per_bound(n, small_levels, monkeypatch):
-    # only the alpha = 0 solve starts cold; every step is warm-started
-    _, table = small_levels[n]
+@pytest.mark.parametrize("n", sorted(PAPER_P))
+def test_one_cold_solve_per_bound(n, small_levels, fset5, monkeypatch):
+    # only the alpha = 0 solve starts cold; every step is warm-started.
+    # Every solve is one call of the module-level name, so a tracer that
+    # patches it sees the alpha = 0 solve, each step and the re-check.
+    table = level_table(n, small_levels, fset5)
     real = search.check_subcritical
-    cold = []
+    calls = []
 
     def counted(table, params, *args, **kwargs):
-        if kwargs.get("v0") is None:
-            cold.append(params.alpha)
-        return real(table, params, *args, **kwargs)
+        est = real(table, params, *args, **kwargs)
+        calls.append((params.alpha, kwargs.get("v0"), est.iterations))
+        return est
 
     monkeypatch.setattr(search, "check_subcritical", counted)
-    res = alpha_sup(table, 1.43, 1.0, 1e-10)
+    res = alpha_sup(table, PAPER_P[n], 1.0, 1e-10)
     assert res.certified and res.iterations == 34
-    assert cold == [0.0]
+    assert len(calls) == res.iterations + 2
+    assert [alpha for alpha, v0, _ in calls if v0 is None] == [0.0]
+    assert calls[0][1] is None
+    assert sum(spent for _, _, spent in calls) == res.power_iterations

@@ -94,18 +94,29 @@ def test_certificate_requires_positive_vector(small_levels):
 
 def test_non_finite_vectors_are_rejected(small_levels):
     # one +inf entry would normalise to a NaN iterate, which never
-    # converges, never decides and certifies nothing
+    # converges, never decides and certifies nothing; a negative, an
+    # all-zero or a wrongly shaped start is refused with the same texts
     _, table = small_levels[2]
     params = Parameters(1.44, 1.0, 0.12)
+    n = table.n_states
+    refused = "^v0 must be finite, nonnegative and not all zero$"
     for bad in (np.inf, np.nan):
-        v = np.ones(table.n_states)
+        v = np.ones(n)
         v[5] = bad
-        with pytest.raises(ValueError, match="v0"):
+        with pytest.raises(ValueError, match=refused):
             check_subcritical(table, params, v0=v)
-        with pytest.raises(ValueError, match="v0"):
+        with pytest.raises(ValueError, match=refused):
             power_iteration(table, params, v0=v)
         with pytest.raises(ValueError):
             certified_upper_bound(table, params, v)
+    negative = np.ones(n)
+    negative[7] = -1e-300
+    wrong_shape = rf"^v0 has shape \({n + 1},\), expected \({n},\)$"
+    for v, message in ((negative, refused), (np.zeros(n), refused),
+                       (np.ones(n + 1), wrong_shape)):
+        for solve in (check_subcritical, power_iteration):
+            with pytest.raises(ValueError, match=message):
+                solve(table, params, v0=v)
 
 
 @pytest.fixture(scope="module")
@@ -373,12 +384,22 @@ def test_iteration_matches_full_length_reference(small_levels, fset5, k,
         cases.append((table, at_q1, np.ones(table.n_states)))
     table3 = small_levels[3][1]
     ramp = 1.0 + np.linspace(0.0, 1.0, table3.n_states)
+    # warm starts: a previous solve's vector (max exactly 1.0, nothing
+    # below the floor), the same with a mirrored pair of entries below
+    # the floor, and the same scaled so that its max is not 1
+    warm = power_iteration(table3, at_q1, tol=1e-300, max_iter=7).vector
+    assert warm.max() == 1.0 and warm.min() >= spectral._POSITIVITY_FLOOR
+    faint = warm.copy()
+    faint[[3, -4]] = 1e-15
     cases += [(table3, Parameters(1.43, 1.1, 0.13), np.ones(table3.n_states)),
               (table3, at_q1, ramp),
-              (unmirrored(table3), at_q1, np.ones(table3.n_states))]
+              (unmirrored(table3), at_q1, np.ones(table3.n_states)),
+              (table3, at_q1, warm), (table3, at_q1, faint),
+              (table3, at_q1, 3.0 * warm)]
     for block in (spectral._BLOCK, 7, 64):
         monkeypatch.setattr(spectral, "_BLOCK", block)
         for table, params, v0 in cases:
+            before = v0.copy()
             est = power_iteration(table, params, tol=1e-300, max_iter=k,
                                   v0=v0)
             assert est.iterations == k
@@ -386,3 +407,6 @@ def test_iteration_matches_full_length_reference(small_levels, fset5, k,
             assert np.array_equal(est.vector, v)
             assert est.estimate == estimate
             assert est.certified_upper == upper
+            # the solve copies its start: the caller's v0 is never written
+            assert np.array_equal(v0, before)
+            assert not np.shares_memory(est.vector, v0)
