@@ -30,10 +30,12 @@ target N-1-t gathers from slots 0, 1, 2 the values that target t
 gathers from slots 2, 1, 0.  Both operator codes add the slots as
 (slot0 + slot2) + slot1, and float addition is commutative, so the two
 targets get the same value bit for bit, and so do their ratios.  Every
-iterate therefore stays equal to its reverse: the targets past the
-middle are copies, and the max, min and norm over the first half are
-those over all of them.  The returned vector is full length, and
-`certified_upper_bound` computes every target, so a certificate
+iterate therefore stays equal to its reverse, so the max, min and norm
+over the first m = ceil(N/2) targets are those over all of them, and
+the sweep reads each source i >= m through its mirror N-1-i.  The loop
+never writes the targets past the middle; they are written once, as
+the first half reversed, on exit.  The returned vector is full length,
+and `certified_upper_bound` computes every target, so a certificate
 re-derived from it is exactly the same number.
 
 Both the iteration and `certified_upper_bound` apply the operator
@@ -41,9 +43,12 @@ through `_sweep`, a block of `_BLOCK` targets at a time, so a block's
 index slices, sums and ratios stay in cache from the gathers to the
 reductions.  Blocking changes no number: each target still adds its
 slots as (slot0 + slot2) + slot1, as in `apply_operator`, and the max or
-min over the blocks' maxes or mins is that over all targets.  The
-blocks' scalars are merged by ndarray reductions, so a NaN in any block
-makes the merged value NaN.
+min over the blocks' maxes or mins is that over all targets.  A block
+gathers only the slot rows that hold a move (`_plan`): a dropped row
+would add vp[N] = 0.0 to sums that are >= +0.0, as v is positive, and
+x + 0.0 == x; a block with no move is 0.  The blocks' scalars are
+merged by ndarray reductions, so a NaN in any block makes the merged
+value NaN.
 
 A warm start is the vector an earlier solve returned.  Its max is
 exactly 1.0, since it was divided by its own max (x / x == 1), and no
@@ -80,8 +85,9 @@ _POSITIVITY_FLOOR = 1e-12
 # Targets per block of `_sweep`: at 2**15 a block's index slices, sums
 # and ratios take a few hundred KiB and stay in cache.  Measured best at
 # levels 6 and 7 among 2**13..2**17 (2 cores, Python 3.11, numpy 2.4;
-# one half-state sweep at level 7: 105 ms unblocked, 53 ms at 2**15,
-# 61 ms at 2**17; at level 6: 4.8 ms unblocked, 3.6 ms at 2**15).
+# one half-state sweep at level 7, median of 30: 118 ms unblocked,
+# 44 ms at 2**15, 51 ms at 2**17; at level 6: 5.5 ms unblocked, 3.3 ms
+# at 2**15).
 _BLOCK = 1 << 15
 
 
@@ -151,23 +157,45 @@ def certified_upper_bound(table: TransitionTable, params: Parameters,
     return _sweep(vp, _blocks(vp, table, w, n, out, work))[0]
 
 
+def _plan(table: TransitionTable, m: int) -> list[tuple]:
+    """(lo, hi, first, rest) per block of `_BLOCK` targets of 0..m-1:
+    the slot rows that hold a move, in the order 0, 2, 1 in which they
+    add (first is None if none does).  With m < N a source i >= m is
+    read through its mirror N-1-i.  Made once per table, `_BLOCK`, m."""
+    plan = table.plans.get((_BLOCK, m))
+    if plan is None:
+        n = table.n_states
+        plan = table.plans[_BLOCK, m] = []
+        for lo in range(0, m, _BLOCK):
+            hi = min(lo + _BLOCK, m)
+            rows = []
+            for s in (0, 2, 1):
+                g = table.pred[s, lo:hi]
+                if g.min() == n:
+                    continue
+                if m < n and ((g >= m) & (g < n)).any():
+                    # a mirrored table's N-1-pred[s, t] is pred[2-s, N-1-t]
+                    r = table.pred[2 - s, n - hi:n - lo][::-1]
+                    g = r if g.min() >= m else np.where(g < m, g, r)
+                rows.append(g)
+            plan.append((lo, hi, rows[0] if rows else None, tuple(rows[1:])))
+    return plan
+
+
 def _blocks(vp: np.ndarray, table: TransitionTable, w: np.ndarray, m: int,
             out: np.ndarray, work: np.ndarray,
             weights: np.ndarray | None = None) -> Iterator[tuple]:
-    """Per block of `_BLOCK` targets in 0..m-1, the views `_sweep` needs:
-    slots 0, 1, 2 of pred, the output, scratch, the weights and v (`vp`
-    is v padded with 0.0 for the empty slot).  An `out` of m entries is
-    sliced; a block-sized one is shared, as `work` always is.  Each
-    block's weights are a view of `weights`, the weights of targets
-    0..m-1, when it is given, and are gathered from the step weights `w`
-    otherwise."""
-    for lo in range(0, m, _BLOCK):
-        hi = min(lo + _BLOCK, m)
-        g = table.pred[:, lo:hi]
+    """Per block of `_plan(table, m)`, the views `_sweep` needs: its
+    rows, the output, scratch, the weights and v (`vp` is v padded with
+    0.0 for the empty slot).  An `out` of m entries is sliced; a
+    block-sized one is shared, as `work` always is.  Each block's
+    weights are a view of `weights`, the weights of targets 0..m-1, when
+    it is given, and are gathered from the step weights `w` otherwise."""
+    for lo, hi, first, rest in _plan(table, m):
         o = out[lo:hi] if out.shape[0] == m else out[:hi - lo]
         wb = (w[table.last_digit[lo:hi]] if weights is None
               else weights[lo:hi])
-        yield g[0], g[1], g[2], o, work[:hi - lo], wb, vp[lo:hi]
+        yield first, rest, o, work[:hi - lo], wb, vp[lo:hi]
 
 
 def _sweep(vp: np.ndarray, blocks: Iterable[tuple]) -> tuple[float, float, float]:
@@ -180,14 +208,16 @@ def _sweep(vp: np.ndarray, blocks: Iterable[tuple]) -> tuple[float, float, float
     # since both return the first NaN, for about half the overhead of a
     # ufunc reduction.
     peaks = []
-    for g0, g1, g2, o, k, wb, v in blocks:
+    for g, rest, o, k, wb, v in blocks:
         # clip skips the bounds pass and the buffered copy that the
         # default mode makes; the table's indices were checked once
-        vp.take(g0, out=o, mode="clip")
-        vp.take(g2, out=k, mode="clip")
-        np.add(o, k, out=o)
-        vp.take(g1, out=k, mode="clip")
-        np.add(o, k, out=o)
+        if g is None:
+            o.fill(0.0)
+        else:
+            vp.take(g, out=o, mode="clip")
+        for h in rest:
+            vp.take(h, out=k, mode="clip")
+            np.add(o, k, out=o)
         np.multiply(o, wb, out=o)
         np.divide(o, v, out=k)
         peaks.append((k.item(k.argmax()), k.item(k.argmin()),
@@ -229,8 +259,8 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
     Only the first m targets are computed.  m = ceil(N/2) when the mirror
     argument of the module docstring holds (a mirrored table, equal
     weights for kinds 1 and 3, and a start vector equal to its reverse);
-    the rest of each iterate is then the first part reversed.  Otherwise
-    m = N.
+    the rest is then the first part reversed, and is written on exit.
+    Otherwise m = N.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -255,7 +285,9 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
         np.maximum(v, _POSITIVITY_FLOOR, out=v)
 
     w = np.asarray(params.step_weights(), dtype=np.float64)
-    half = table.mirrored and w[0] == w[2] and np.array_equal(v, v[::-1])
+    # a cold start of ones is its own reverse
+    half = (table.mirrored and w[0] == w[2]
+            and (v0 is None or np.array_equal(v, v[::-1])))
     m = (n + 1) // 2 if half else n
     out = np.empty(m, dtype=np.float64)
     work = np.empty(min(_BLOCK, m), dtype=np.float64)
@@ -263,8 +295,6 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
     # blocks' weights are views of one array
     blocks = list(_blocks(vp, table, w, m, out, work,
                           w[table.last_digit[:m]]))
-    head = vp[:m]
-    tail, tail_source = vp[m:n], vp[:n - m][::-1]
 
     estimate = 0.0
     upper = np.inf
@@ -295,9 +325,12 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
         if iterations == max_iter:
             break
         previous = estimate
-        np.divide(out, nrm, out=head)
-        np.maximum(head, _POSITIVITY_FLOOR, out=head)
-        tail[:] = tail_source
+        # block by block, while each block is in cache
+        for _, _, o, _, _, head in blocks:
+            np.divide(o, nrm, out=head)
+            np.maximum(head, _POSITIVITY_FLOOR, out=head)
+    # the sweep reads the targets past m through their mirrors
+    vp[m:n] = vp[:n - m][::-1]
 
     return SpectralEstimate(estimate=estimate, certified_upper=upper,
                             iterations=iterations, converged=converged,

@@ -170,6 +170,9 @@ class TransitionTable:
     last_digit: np.ndarray  # (N,) uint8 in 0..2
     fset: ForbiddenSet | None = None  # the level-n set the moves avoid
     mirrored: bool = field(init=False)
+    # `spectral._plan`'s sweep plans, by block size and target count
+    plans: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self) -> None:
         # checked once here so the operator's gathers can skip the check

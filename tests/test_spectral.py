@@ -410,3 +410,153 @@ def test_iteration_matches_full_length_reference(small_levels, fset5, k,
             # the solve copies its start: the caller's v0 is never written
             assert np.array_equal(v0, before)
             assert not np.shares_memory(est.vector, v0)
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_plan_gathers_exactly_the_rows_with_moves(tables_to_5, level,
+                                                  monkeypatch):
+    # blocks of 64 targets: each block gathers its slot rows that hold a
+    # real move, in the order 0, 2, 1, and drops only all-sentinel rows;
+    # in half mode every gathered index is below m or the sentinel
+    monkeypatch.setattr(spectral, "_BLOCK", 64)
+    table = tables_to_5[level]
+    n = table.n_states
+    dropped = remapped = 0
+    for m in (n, (n + 1) // 2):
+        plan = spectral._plan(table, m)
+        assert [(lo, hi) for lo, hi, _, _ in plan] == [
+            (lo, min(lo + 64, m)) for lo in range(0, m, 64)]
+        for lo, hi, first, rest in plan:
+            gathered = ([first] if first is not None else []) + list(rest)
+            live = [table.pred[s, lo:hi] for s in (0, 2, 1)
+                    if table.pred[s, lo:hi].min() < n]
+            dropped += 3 - len(live)
+            assert len(gathered) == len(live)
+            for row, g in zip(gathered, live):
+                assert row.min() < n
+                if m < n:
+                    assert ((row < m) | (row == n)).all()
+                    far = (g >= m) & (g < n)
+                    remapped += int(far.any())
+                    g = np.where(far, n - 1 - g, g)
+                assert np.array_equal(row, g)
+    assert dropped and remapped
+
+
+def test_plan_is_not_reused_at_another_block(tables_to_5, monkeypatch):
+    # the same table swept at two block sizes, one after the other, and
+    # each sweep compared with the whole-array operator bit for bit
+    table = tables_to_5[4]
+    at_q1 = Parameters(1.43, 1.0, 0.13)
+    v = 0.01 + np.random.default_rng(5).random(table.n_states)
+    want = float((apply_operator(table, at_q1, v) / v).max())
+    for block in (64, 7, 64):
+        monkeypatch.setattr(spectral, "_BLOCK", block)
+        assert certified_upper_bound(table, at_q1, v) == want
+        est = power_iteration(table, at_q1, tol=1e-300, max_iter=5)
+        ones = np.ones(table.n_states)
+        ref, estimate, upper = _full_length_reference(table, at_q1, ones, 5)
+        assert np.array_equal(est.vector, ref)
+        assert (est.estimate, est.certified_upper) == (estimate, upper)
+
+
+def test_plan_reads_a_mixed_row_through_the_mirror():
+    # a mirrored toy whose slot-1 row over targets 0..m-1 has sources on
+    # both sides of m = 3: only the one past m is read through its mirror
+    table = make_table([[5, 5, 2, 5, 5], [4, 1, 5, 3, 0], [5, 5, 2, 5, 5]],
+                       [0, 1, 1, 1, 2])
+    assert table.mirrored
+    (_, _, first, rest), = spectral._plan(table, 3)
+    assert [r.tolist() for r in (first, *rest)] == [[5, 5, 2], [5, 5, 2],
+                                                   [0, 1, 5]]
+    params = Parameters(1.43, 1.0, 0.13)
+    est = power_iteration(table, params, tol=1e-300, max_iter=5)
+    ref, estimate, upper = _full_length_reference(table, params, np.ones(5), 5)
+    assert np.array_equal(est.vector, ref)
+    assert (est.estimate, est.certified_upper) == (estimate, upper)
+
+
+# eight toy states in blocks of two: targets 2, 3 and 7 have no
+# predecessor, so block 1 has no move at all; block 3 has slot 1 only
+TOY_PRED = [[1, 4, 8, 8, 0, 8, 8, 8],
+            [8, 0, 8, 8, 5, 1, 7, 8],
+            [5, 8, 8, 8, 8, 4, 8, 8]]
+TOY_DIGITS = [0, 1, 0, 2, 1, 2, 1, 0]
+
+
+def test_blocks_without_moves_match_the_reference(monkeypatch):
+    monkeypatch.setattr(spectral, "_BLOCK", 2)
+    table = make_table(TOY_PRED, TOY_DIGITS)
+    plan = spectral._plan(table, 8)
+    assert plan[1][2:] == (None, ())
+    assert len(plan[3][3]) == 0 and plan[3][2].min() < 8
+    params = Parameters(1.43, 1.1, 0.13)
+    v = 0.5 + np.random.default_rng(2).random(8)
+    ratios = apply_operator(table, params, v) / v
+    assert certified_upper_bound(table, params, v) == float(ratios.max())
+    # the targets without a move give 0, and a NaN in the block without
+    # a move makes both ratio bounds NaN, as over the whole array
+    w = np.asarray(params.step_weights())
+    for bad in (None, 2):
+        vp = np.append(v, 0.0)
+        if bad is not None:
+            vp[bad] = np.nan
+        out = np.empty(8)
+        upper, lower, top = spectral._sweep(
+            vp, spectral._blocks(vp, table, w, 8, out, np.empty(2)))
+        ref = apply_operator(table, params, vp[:8])
+        assert np.array_equal(out, ref)
+        assert out[[2, 3, 7]].tolist() == [0.0, 0.0, 0.0]
+        whole = ref / vp[:8]
+        assert np.array_equal([upper, lower, top],
+                              [whole.max(), whole.min(), ref.max()],
+                              equal_nan=True)
+        assert (lower == 0.0) if bad is None else np.isnan(upper)
+    for k in (1, 4, 30):
+        est = power_iteration(table, params, tol=1e-300, max_iter=k)
+        ref, estimate, upper = _full_length_reference(table, params,
+                                                      np.ones(8), k)
+        assert np.array_equal(est.vector, ref)
+        assert (est.estimate, est.certified_upper) == (estimate, upper)
+    est = check_subcritical(table, params)
+    ref, estimate, upper = _full_length_reference(table, params, np.ones(8),
+                                                  est.iterations)
+    assert np.array_equal(est.vector, ref)
+    assert (est.estimate, est.certified_upper) == (estimate, upper)
+
+
+@pytest.mark.parametrize("case", ["sandwich", "stable", "decided",
+                                  "max_iter", "norm 0"])
+def test_half_state_vector_is_mirrored_at_every_exit(small_levels, case,
+                                                     monkeypatch):
+    # the half-state loop leaves the targets past the middle unwritten
+    # and writes them on exit, whichever exit it takes
+    _, table = small_levels[2]
+    if case == "sandwich":
+        monkeypatch.setattr(spectral, "_STABLE_ITERS", 10**9)
+        params = Parameters(1.44, 1.0, 0.12)
+        est = power_iteration(table, params)
+        assert est.converged
+    elif case == "stable":
+        # alpha = 0 keeps the min ratio at 0, so the sandwich never closes
+        params = Parameters(1.44, 1.0, 0.0)
+        est = power_iteration(table, params)
+        assert est.converged and est.iterations >= spectral._STABLE_ITERS
+    elif case == "decided":
+        params = Parameters(1.44, 1.0, 0.12)
+        est = check_subcritical(table, params)
+        assert est.certified_subcritical and not est.converged
+    elif case == "max_iter":
+        params = Parameters(1.44, 1.0, 0.12)
+        est = power_iteration(table, params, tol=1e-300, max_iter=7)
+        assert est.iterations == 7
+    else:
+        # only the middle state has moves, and it is of kind 2
+        table = make_table([[3, 0, 3], [3, 1, 3], [3, 2, 3]], [0, 1, 2])
+        params = Parameters(1.44, 1.0, 0.0)
+        est = power_iteration(table, params)
+        assert est.estimate == 0.0 and est.iterations == 1
+    assert table.mirrored
+    v = est.vector
+    assert np.array_equal(v, v[::-1])
+    assert certified_upper_bound(table, params, v) == est.certified_upper
