@@ -18,11 +18,8 @@ fail(u·d) = δ(fail(u), d), so each depth reads only shallower rows.
 A node is dead when it is a pattern or its failure target is dead.
 `minimal` refines the live nodes by Moore's algorithm (Moore 1956), in
 sort rounds: each round packs a node's class and its three targets'
-classes into one int64 key and ranks the keys (`_refine`).  It then
-reads the class permutation of the 1<->3 swap off the nodes: on a set
-closed under the swap, it maps the nodes of each depth onto themselves
-in reverse order.  `check_mirror` checks that the permutation is an
-automorphism of the quotient.  Nothing here reads a history.
+classes into one int64 key and ranks the keys (`_refine`).  Nothing
+here reads a history.
 """
 
 from __future__ import annotations
@@ -40,14 +37,10 @@ _STEPS = np.arange(3, dtype=np.uint64)
 MAX_CLASSES = 55_107
 
 
-def _automaton(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray,
-                                            np.ndarray]:
-    """(delta, dead, flip): delta[u, d] is δ(u, d) for step d+1, as an
-    int32 node index with the root at 0, and dead[u] flags the nodes
-    whose word ends in a pattern.  Nodes are numbered by (depth, code).
-    flip[u] is the node of u's word under the 1<->3 swap when the set is
-    closed under it: the swap maps a depth-m code x to 3^m-1-x, so it
-    reverses the sorted codes of each depth."""
+def _automaton(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray]:
+    """(delta, dead): delta[u, d] is δ(u, d) for step d+1, as an int32
+    node index with the root at 0, and dead[u] flags the nodes whose
+    word ends in a pattern.  Nodes are numbered by (depth, code)."""
     by_length = fset.codes_by_length
     depth_codes = [np.zeros(1, dtype=np.uint64)]  # the root
     for m in range(1, max(by_length, default=0) + 1):
@@ -76,27 +69,19 @@ def _automaton(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray,
                               (children % np.uint64(3)).astype(np.intp)]
         dead[new] = (dead[fail[new]]
                      | _find(by_length.get(m + 1, _NO_CODES), children)[1])
-    flip = (np.repeat(starts[:-1] + starts[1:] - 1, np.diff(starts))
-            - np.arange(starts[-1]))
-    return delta, dead, flip
+    return delta, dead
 
 
-def minimal(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray, int,
-                                        np.ndarray]:
-    """(pred, last_digit, start, sigma): the minimal automaton of the
-    words that avoid `fset`, in the form of the quotient
-    `TransitionTable`, the root's class, and σ, the class permutation
-    that the 1<->3 swap induces, with σ(K) = K appended for the sentinel
-    K (the class count).  The live nodes and their live moves are
-    refined by `_refine`, in sort rounds, from the step that enters each
-    node; a live node entered on no step or on two has no one step
-    weight, and raises `ConsistencyError`.  The rounds' int64 keys cap
-    the refinement at `MAX_CLASSES` = 55,107 classes, and one past it
-    raises `ResourceLimitError` (level 8 has 2,465).  σ maps each class
-    to the class of its members' swapped words, read off one member; it
-    is not checked here (see `check_mirror`), and on a set not closed
-    under the swap it is no automorphism."""
-    delta, dead, flip = _automaton(fset)
+def minimal(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray, int]:
+    """(pred, last_digit, start): the minimal automaton of the words that
+    avoid `fset`, in the form of the quotient `TransitionTable`, and the
+    root's class.  The live nodes and their live moves are refined by
+    `_refine`, in sort rounds, from the step that enters each node; a
+    live node entered on no step or on two has no one step weight, and
+    raises `ConsistencyError`.  The rounds' int64 keys cap the
+    refinement at `MAX_CLASSES` = 55,107 classes, and one past it
+    raises `ResourceLimitError` (level 8 has 2,465)."""
+    delta, dead = _automaton(fset)
     live = ~dead
     ids = np.flatnonzero(live)
     targets = np.ascontiguousarray(delta[ids].T)
@@ -115,31 +100,7 @@ def minimal(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray, int,
     members = np.empty(k, dtype=np.intp)  # any member node of each class
     members[classes] = np.arange(ids.shape[0])
     padded = np.append(classes, np.int32(k))
-    swapped = flip[ids[members]]  # a dead node stands for the sentinel
-    sigma = padded[np.where(live[swapped], label[swapped], ids.shape[0])]
-    return (padded[moves[:, members]], last_digit[members], int(classes[0]),
-            np.append(sigma, np.int32(k)))
-
-
-def check_mirror(pred: np.ndarray, last_digit: np.ndarray, start: int,
-                 sigma: np.ndarray) -> None:
-    """Raise `ConsistencyError` unless σ, a class map with σ(K) = K for
-    the sentinel K (the class count), is the automorphism of the
-    quotient (pred, last_digit) that the 1<->3 swap induces:
-    σ(start) = start, σ∘σ = id, σ takes each class with last digit d to
-    one with last digit 2 - d, and σ(δ(c, d)) = δ(σ(c), 2-d) for every
-    move, a move to the sentinel included."""
-    k = pred.shape[1]
-    moves = np.full((3, k + 1), k, dtype=pred.dtype)
-    moves[:, :k] = pred
-    # the shapes are set once σ is one index in [0, K] per class
-    if not (sigma.shape == (k + 1,) and sigma[start] == start
-            and sigma[k] == k and sigma.min() >= 0 and sigma.max() <= k
-            and (sigma[sigma] == np.arange(k + 1)).all()
-            and (last_digit[sigma[:k]] == 2 - last_digit).all()
-            and (moves[::-1, sigma] == sigma[moves]).all()):
-        raise ConsistencyError(
-            "the 1<->3 swap is not an automorphism of the quotient")
+    return padded[moves[:, members]], last_digit[members], int(classes[0])
 
 
 def _rank(keys: np.ndarray) -> tuple[np.ndarray, int]:

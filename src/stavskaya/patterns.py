@@ -45,15 +45,12 @@ STEP_KINDS = (1, 2, 3)
 POW3 = 3 ** np.arange(41, dtype=np.uint64)
 
 # Words handled per pass of every full-length sweep: the move rule's
-# running counts, gathers and code copies, in `statespace` the last
-# digits, the mirror check and the scatter `succ`, and in `lift` the
-# lift check and the class map's passes, whose chunks double from one
-# state up to this width, so that most states read a predecessor this
-# pass has already moved on.  The chunk sets part of the
-# build's peak RSS: at 2^18 the whole build (patterns, states,
+# running counts, gathers and code copies, and in `statespace` the last
+# digits, the mirror check and the scatter `succ`.  The chunk sets part
+# of the build's peak RSS: at 2^18 the whole build (patterns, states,
 # transitions) peaks at 55 MiB at level 6 and 247 MiB at level 7, and at
-# both levels it sets the peak of a `bound` run, whose quotient check
-# and solve stay below it; 2^20 takes the build to 68 and 268 MiB, and
+# both levels it sets the peak of a `bound` run, whose quotient and
+# solve stay below it; 2^20 takes the build to 68 and 268 MiB, and
 # 2^22 takes level 7 to 323 MiB (2 cores, numpy 2.4).
 _CHUNK = 1 << 18
 

@@ -34,8 +34,8 @@ q = 1 only, with the bisection tolerance `DEFAULT_ALPHA_TOL`, and every
 solve is capped at `spectral.DEFAULT_MAX_ITER` power iterations.
 
 The bisection runs on the table's quotient (`TransitionTable.quotient`,
-442 classes for the 839,009 states of level 6), built and checked once
-per table, so the probes of `optimize_p` share it.  Why a ratio bound
+442 classes for the 839,009 states of level 6), built from the patterns
+once per table, so the probes of `optimize_p` share it.  Why a ratio bound
 on the quotient is one on the paper's matrix is set out once, in
 `statespace`.
 
@@ -122,7 +122,7 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
     re-derive that certificate bit for bit, `ConsistencyError` is
     raised.  Each solve is capped at `DEFAULT_MAX_ITER` power
     iterations and runs on the quotient table `table.quotient`, built
-    and lift-checked on first use, after p, q and `tol` are checked.
+    on first use, after p, q and `tol` are checked.
     q = 1, the default, gives the largest bound (see the module
     docstring).
     """

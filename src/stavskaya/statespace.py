@@ -38,52 +38,27 @@ the targets' step weights) has the spectral radius of its successor
 form B = W·S, in which state s is weighted by its own newest step:
 rho(B) = rho(S·W) = rho((S·W)ᵀ) = rho(M).  B counts weighted words that
 avoid the patterns, so it factors through a much smaller automaton.
-`TransitionTable.quotient` finds the coarsest forward bisimulation of B
-(5, 13, 33, 79, 187, 442 and 1,046 classes at n = 1..7) in three steps:
-(1) the minimal automaton, built from the level-n patterns alone
-(`automaton.minimal`); (2) φ, each history's class, read on it for the
-first half of the histories (`lift.half_class_map`); (3) the lift check
-below.  The map from a history to the Aho–Corasick node its word leads
-to is a bisimulation onto the live nodes (see `automaton`): a history
-and its node have the same newest step, the move on step d exists
-exactly when δ(node, d) is live, and it enters a history whose node is
-δ(node, d).  So the histories' coarsest bisimulation is the nodes'
-pulled back along the map, with the same class labels.
+`TransitionTable.quotient` is the coarsest forward bisimulation of B
+(5, 13, 33, 79, 187, 442 and 1,046 classes at n = 1..7): the minimal
+automaton, built from the level-n patterns alone (`automaton.minimal`).
+The map from a history to the Aho–Corasick node its word leads to is a
+bisimulation onto the live nodes (see `automaton`): a history and its
+node have the same newest step, the move on step d exists exactly when
+δ(node, d) is live, and it enters a history whose node is δ(node, d).
+So the histories' coarsest bisimulation is the nodes' pulled back along
+the map, with the same class labels.
 The quotient B_q is stored as a table whose slot d of class c holds the
 class c moves to on step d+1, so its gather operator is B_q itself.
 With φ the class map, B(u∘φ) = (B_q u)∘φ for every u: each history has
 the same Collatz–Wielandt ratio under u∘φ as its class has under u, so
 a max ratio below one on B_q proves rho(M) < 1 for the full table, and
 a min ratio above one proves rho(M) > 1, since rho(W·S) = rho(W·Sᵀ), as
-shown above.  The identity is not taken on trust from the automaton.
-It is checked once per table, on the first m = ceil(N/2) histories
-only, after which φ is dropped and only B_q is kept:
-(a) the table is `mirrored`: the mirror (N-1-i, N-1-t) of every move
-    (i, t) on step d is a move, on step 2-d, and last_digit(N-1-t) =
-    2 - last_digit(t);
-(b) σ, the class permutation the swap induces, read off the automaton's
-    nodes (`automaton.minimal`), is an automorphism of B_q that flips
-    the last digit (`automaton.check_mirror`): σ∘σ = id,
-    last_digit(σc) = 2 - last_digit(c) and σ(δ(c, d)) = δ(σc, 2-d),
-    the sentinel included;
-(c) φ on the first half, extended by φ(t) = σ(φ(N-1-t)), which agrees
-    with itself at the middle state t = N-1-t because σ fixes its
-    class, lifts there (`lift.check_half_lift`): every state t < m has its
-    class's last digit, φ(t) = δ(φ(i), d) for every move (i, t) into
-    it on step d, and as a source it has exactly its class's moves,
-    one per step.
-(c) carries over to t >= m by the mirror.  Its last digit is 2 minus
-that of N-1-t (a), so 2 minus that of φ(N-1-t) (c), so that of
-σφ(N-1-t) = φ(t) (b).  A move (i, t) on step d has the mirror
-(N-1-i, N-1-t) on step 2-d (a), into the first half, so
-φ(N-1-t) = δ(φ(N-1-i), 2-d) (c), and applying σ gives
-φ(t) = δ(φ(i), d) (b).  The moves out of a source s >= m on step d are
-the mirrors of those out of N-1-s < m on step 2-d (a), so there is
-exactly one when δ(φ(N-1-s), 2-d) is a class (c), that is when
-δ(φ(s), d) is one (b), and none when it is the sentinel.  So every
-history, on every step, has exactly the move of its class, into a
-history of the class that move enters, and its class's last digit:
-the identity holds slot by slot.
+shown above.  The identity holds slot by slot when every history has
+its class's last digit and, on every step, the move its class has, into
+a history of the class that move enters, or no move where its class has
+none.  The tests check that (`check_lift` in `tests/conftest.py`) at
+every level up to `MAX_HISTORY_LEVEL`, the only levels whose tables are
+built, with φ read along each history's own word from the root's class.
 """
 
 from __future__ import annotations
@@ -93,9 +68,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .automaton import check_mirror, minimal
+from .automaton import minimal
 from .errors import ConsistencyError, ResourceLimitError
-from .lift import check_half_lift, half_class_map
 from .patterns import _CHUNK, ForbiddenSet, _block, _grow
 
 # The largest level whose history table is built: level 7, the paper's
@@ -126,14 +100,6 @@ def _check_history_level(n: int) -> None:
         raise ResourceLimitError(
             f"level {n} is above {MAX_HISTORY_LEVEL}, the largest level "
             "whose history table is built")
-
-
-def enumerate_valid_words(length: int, fset: ForbiddenSet) -> np.ndarray:
-    """Sorted codes of all length-`length` words avoiding `fset` as a factor,
-    grown from single steps by the move rule of `patterns`."""
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    return _grow(length, fset)[0]
 
 
 def build_state_space(n: int, lower: ForbiddenSet) -> StateSpace:
@@ -244,32 +210,19 @@ class TransitionTable:
 
     @cached_property
     def quotient(self) -> "TransitionTable":
-        """The quotient table, built once per table: the coarsest
-        forward bisimulation of the successor form (see the module
-        docstring).  Slot d of class c holds the class that c moves to
-        on step d+1, or the sentinel K (the class count), and class c
-        carries the step weight of its members' newest step, so the
-        quotient's gather operator is B_q.  The classes come from the
-        patterns alone (`automaton.minimal`); with φ[s] the class of
-        state s, B(u∘φ) = (B_q u)∘φ is then checked on the first half
-        of the states, by the 1<->3 mirror, before the table is
-        returned, and φ is dropped.  A table made without its forbidden
-        set raises `ValueError`, and one that is not mirrored raises
-        `ConsistencyError`.
+        """The quotient table, built once per table from the patterns
+        alone (`automaton.minimal`): the coarsest forward bisimulation of
+        the successor form (see the module docstring).  Slot d of class c
+        holds the class that c moves to on step d+1, or the sentinel K
+        (the class count), and class c carries the step weight of its
+        members' newest step, so the quotient's gather operator is B_q.
+        A table made without its forbidden set raises `ValueError`.
         """
         if self.fset is None:
             raise ValueError("a table made without its forbidden set "
                              "has no quotient")
-        pred, last_digit, start, sigma = minimal(self.fset)
-        quotient = TransitionTable(n=self.n, pred=pred, last_digit=last_digit)
-        if not self.mirrored:
-            raise ConsistencyError(
-                "the table is not mirrored, so its lift is not checked")
-        check_mirror(pred, last_digit, start, sigma)
-        phi = half_class_map(self.pred, self.last_digit, quotient, start,
-                             sigma)
-        check_half_lift(self.pred, self.last_digit, quotient, sigma, phi)
-        return quotient
+        pred, last_digit, _ = minimal(self.fset)
+        return TransitionTable(n=self.n, pred=pred, last_digit=last_digit)
 
     @property
     def edge_count(self) -> int:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stavskaya import automaton
 from stavskaya.patterns import build_forbidden_set
 from stavskaya.statespace import (TransitionTable, build_state_space,
                                   build_transitions)
@@ -24,6 +25,56 @@ def word_weights(space, params):
         out *= w[(codes % np.uint64(3)).astype(np.intp)]
         codes //= np.uint64(3)
     return out
+
+
+def check_lift(table, quotient=None, phi=None):
+    """φ, each history's class in `quotient` (the table's own by
+    default), once it is checked to lift the quotient onto the table:
+    B(u∘φ) = (B_q u)∘φ slot by slot, the identity on which the
+    `statespace` docstring rests every ratio bound of the quotient.
+
+    Unless φ is given, it is read along each history's own word from
+    the root's class: 3n-1 passes φ(t) <- δ(φ(i), last digit of t) along
+    t's first predecessor i, each of which reads one more step of t's
+    word, starting from the root's class everywhere.  Every history
+    must then be in a class, not the sentinel K, end in its class's
+    last step, and on each step d have the move its class has, into a
+    history of the class that move enters, or none where the class has
+    none: φ_ext[succ[d]] == δ_ext[d, φ], with the sentinel N mapped to
+    K and K's moves all K.  `table.succ` refuses two moves on one step.
+    """
+    if quotient is None:
+        quotient = table.quotient
+    size, k = table.n_states, quotient.n_states
+    moves = np.full((3, k + 1), k, dtype=np.int32)  # δ_ext
+    moves[:, :k] = quotient.pred
+    if phi is None:
+        # kept as 3φ, the row of φ's moves in the flat table 3δ(c, d) at
+        # 3c + d; the sentinel N, first when t has no move into it, is
+        # in class K
+        flat = (3 * moves.T).ravel()
+        first = table.pred.min(axis=0).astype(np.intp)
+        phi = np.full(size + 1, 3 * automaton.minimal(table.fset)[2],
+                      dtype=np.int32)
+        phi[size] = 3 * k
+        step = np.empty(size, dtype=np.int32)
+        for _ in range(3 * table.n - 1):
+            np.take(phi, first, out=step, mode="clip")
+            step += table.last_digit
+            np.take(flat, step, out=phi[:size], mode="clip")
+        del first, step
+        phi = phi[:size] // 3
+    assert phi.shape == (size,) and phi.min() >= 0, "φ is no class map"
+    assert phi.max() < k, "a history's walk leaves the quotient"
+    assert np.array_equal(quotient.last_digit[phi], table.last_digit), \
+        "a history does not end in its class's last step"
+    ext = np.append(phi, np.int32(k))
+    succ = table.succ
+    for lo in range(0, size, 1 << 20):
+        hi = min(lo + (1 << 20), size)
+        assert np.array_equal(ext[succ[:, lo:hi]], moves[:, phi[lo:hi]]), \
+            f"the moves of histories {lo}..{hi - 1} do not lift onto their classes'"
+    return phi
 
 
 def unmirrored(table):

@@ -8,14 +8,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import word_weights
+from conftest import check_lift, word_weights
 
 from stavskaya import bruteforce
-from stavskaya.patterns import POW3, Parameters, build_forbidden_set
+from stavskaya.errors import ConsistencyError
+from stavskaya.patterns import POW3, Parameters, _grow, build_forbidden_set
 from stavskaya.search import alpha_sup, optimize_p
 from stavskaya.spectral import apply_operator, check_subcritical, power_iteration
-from stavskaya.statespace import (build_state_space, build_transitions,
-                                  enumerate_valid_words)
+from stavskaya.statespace import build_state_space, build_transitions
 
 TABLE_COUNTS = {1: (4, 7), 2: (6, 73), 3: (12, 759), 4: (36, 7859),
                 5: (146, 81231), 6: (694, 839009), 7: (3584, 8663071)}
@@ -75,17 +75,28 @@ def deep_levels():
     return built
 
 
+def _lifts(table) -> bool:
+    try:
+        check_lift(table)
+    except (AssertionError, ConsistencyError):
+        return False
+    return True
+
+
 def test_criterion_2_combinatorics_extended(deep_levels):
-    # the only tier-1 build of the transitions at a scale of many chunks
+    # the only tier-1 build of the transitions at a scale of many chunks,
+    # and the check that the quotient every bound solves on lifts onto
+    # the histories at the two levels the other tests do not build
     started = time.time()
     got = {n: (patterns, states, table.edge_count, table.quotient.n_states)
            for n, (patterns, states, table, _) in deep_levels.items()}
+    lifted = all(_lifts(table) for _, _, table, _ in deep_levels.values())
     elapsed = time.time() - started + sum(b[3] for b in deep_levels.values())
     exact = all(got[n] == TABLE_COUNTS[n] + (EDGE_COUNTS[n], CLASS_COUNTS[n])
                 for n in (6, 7))
-    _report(2, exact and elapsed < 600.0,
-            f"loop/state/edge/class counts n=6,7 {got}, {elapsed:.1f}s "
-            "(budget 600s)")
+    _report(2, exact and lifted and elapsed < 600.0,
+            f"loop/state/edge/class counts n=6,7 {got}, quotient lifts "
+            f"{'yes' if lifted else 'NO'}, {elapsed:.1f}s (budget 600s)")
 
 
 def test_criterion_3_pinned_bounds(fset5):
@@ -158,7 +169,7 @@ def test_criterion_6_oracle_equivalence(small_levels, fset5):
     ok_c = True
     for n in (1, 2):
         for k in range(1, 11):
-            fast = enumerate_valid_words(k, fset5.restrict(n))
+            fast = _grow(k, fset5.restrict(n))[0]
             slow = bruteforce.valid_path_codes(n, k)
             ok_c &= np.array_equal(fast, slow)
     _report(6, ok_a and ok_b and ok_c,

@@ -6,7 +6,7 @@ from stavskaya import bruteforce
 from stavskaya.errors import ResourceLimitError
 from stavskaya.patterns import Parameters, build_forbidden_set
 from stavskaya.spectral import apply_operator, power_iteration
-from stavskaya.statespace import enumerate_valid_words
+from stavskaya.patterns import _grow
 
 
 def test_naive_forbidden_matches_fast_builder():
@@ -89,6 +89,6 @@ def test_full_factor_filter_matches_incremental(fset5):
     for n in (1, 2, 3):
         fset = fset5.restrict(n)
         for k in range(1, 11):
-            fast = enumerate_valid_words(k, fset)
+            fast = _grow(k, fset)[0]
             slow = bruteforce.valid_path_codes(n, k)
             assert np.array_equal(fast, slow), (n, k)

@@ -16,9 +16,9 @@ def test_public_names_resolve():
 
 
 def test_patterns_imports_no_later_layer():
-    # the layers run patterns -> automaton -> lift -> statespace ->
-    # spectral -> search, and the move rule lives in patterns, so it
-    # must not reach up the stack
+    # the layers run patterns -> automaton -> statespace -> spectral ->
+    # search, and the move rule lives in patterns, so it must not reach
+    # up the stack
     tree = ast.parse(Path(stavskaya.patterns.__file__).read_text())
     names = set()
     for node in ast.walk(tree):
@@ -27,7 +27,7 @@ def test_patterns_imports_no_later_layer():
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
-    for layer in ("automaton", "lift", "statespace", "spectral", "search"):
+    for layer in ("automaton", "statespace", "spectral", "search"):
         assert not any(layer in name.split(".") for name in names), layer
 
 

@@ -3,9 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import level_table, make_table, unmirrored
+from conftest import check_lift, level_table, make_table, unmirrored
 
-from stavskaya import automaton, bruteforce, lift, patterns, statespace
+from stavskaya import automaton, bruteforce, patterns, statespace
 from stavskaya.errors import ConsistencyError, ResourceLimitError
 from stavskaya.patterns import (POW3, ForbiddenSet, Parameters,
                                 build_forbidden_set, code_to_pattern,
@@ -13,7 +13,7 @@ from stavskaya.patterns import (POW3, ForbiddenSet, Parameters,
                                 pattern_text)
 from stavskaya.spectral import certified_upper_bound, power_iteration
 from stavskaya.statespace import (TransitionTable, build_state_space,
-                                  build_transitions, enumerate_valid_words)
+                                  build_transitions)
 
 EXPECTED_SIZES = {1: 7, 2: 73, 3: 759, 4: 7859, 5: 81231}
 
@@ -29,22 +29,6 @@ def _successor_table(table):
     """The full successor form B as a table whose gather operator it is."""
     return TransitionTable(n=table.n, pred=table.succ,
                            last_digit=table.last_digit)
-
-
-def _half_lift(table):
-    """(quotient, σ, φ on the first half) of a built table."""
-    quotient = table.quotient
-    _, _, start, sigma = automaton.minimal(table.fset)
-    return quotient, sigma, lift.half_class_map(
-        table.pred, table.last_digit, quotient, start, sigma)
-
-
-def _class_map(table):
-    """φ: the class of each state in `table.quotient`, read on the first
-    half of the states and extended by the mirror, φ(t) = σ(φ(N-1-t))."""
-    _, sigma, half = _half_lift(table)
-    rest = half[:table.n_states - half.shape[0]][::-1]
-    return np.concatenate([half, sigma[rest]])
 
 
 def _index(space, word):
@@ -119,9 +103,9 @@ def test_chunked_moves_match_one_chunk(fset5, monkeypatch, chunk):
         return loops, levels
 
     whole_loops, whole = build()
-    whole_quotients = [(table.quotient, _class_map(table))
+    whole_quotients = [(table.quotient, check_lift(table))
                        for _, table in whole]
-    for module in (patterns, statespace, lift):
+    for module in (patterns, statespace):
         monkeypatch.setattr(module, "_CHUNK", chunk)
     loops, levels = build()
     for got, want in zip(loops, whole_loops):
@@ -131,8 +115,8 @@ def test_chunked_moves_match_one_chunk(fset5, monkeypatch, chunk):
         assert np.array_equal(codes, want_codes)
         assert table.pred.dtype == want.pred.dtype
         assert np.array_equal(table.pred, want.pred)
-        # the class map's passes and the lift check run in chunks
-        got_q, got_phi = table.quotient, _class_map(table)
+        # the scatter that the lift check reads runs in chunks
+        got_q, got_phi = table.quotient, check_lift(table)
         want_q, want_phi = want_quotient
         assert np.array_equal(got_q.pred, want_q.pred)
         assert np.array_equal(got_q.last_digit, want_q.last_digit)
@@ -296,8 +280,8 @@ def test_level_six_build_peak_memory():
 
 def test_enumerate_valid_words_small():
     f0 = build_forbidden_set(0)
-    assert list(enumerate_valid_words(1, f0)) == [0, 1, 2]
-    assert len(enumerate_valid_words(2, f0)) == 7
+    assert list(patterns._grow(1, f0)[0]) == [0, 1, 2]
+    assert len(patterns._grow(2, f0)[0]) == 7
 
 
 def test_codes_strictly_increasing(small_levels):
@@ -340,7 +324,7 @@ def test_out_of_range_predecessor_rejected(small_levels, bad):
 @pytest.mark.parametrize("n,classes", sorted(EXPECTED_CLASSES.items()))
 def test_quotient_class_counts(n, classes, small_levels, fset5):
     table = level_table(n, small_levels, fset5)
-    quotient, phi = table.quotient, _class_map(table)
+    quotient, phi = table.quotient, check_lift(table)
     assert quotient.n_states == classes
     assert phi.shape == (table.n_states,)
     assert np.array_equal(np.unique(phi), np.arange(classes))
@@ -351,7 +335,7 @@ def test_quotient_class_counts(n, classes, small_levels, fset5):
 def test_quotient_lifts_every_ratio(n, small_levels, fset5):
     # B(u∘φ) = (B_q u)∘φ, so the max ratios agree bit for bit
     table = level_table(n, small_levels, fset5)
-    quotient, phi = table.quotient, _class_map(table)
+    quotient, phi = table.quotient, check_lift(table)
     full = _successor_table(table)
     rng = np.random.RandomState(n)
     for q in (1.0, 1.1):
@@ -379,96 +363,39 @@ def test_quotient_keeps_the_spectral_radius(small_levels):
 
 def test_lift_check_rejects_a_corrupted_class_map(small_levels):
     _, table = small_levels[3]
-    quotient, sigma, phi = _half_lift(table)
-    lift.check_half_lift(table.pred, table.last_digit, quotient,
-                         sigma, phi)
-    # a first-half state that some move enters: its class is pinned by
-    # that move
-    s = int(np.nonzero((table.pred[:, :phi.shape[0]] < table.n_states)
-                       .any(axis=0))[0][0])
+    phi = check_lift(table)
+    # a state that some move enters: its class is pinned by that move
+    s = int(np.nonzero((table.pred < table.n_states).any(axis=0))[0][0])
     bad = phi.copy()
-    bad[s] = (bad[s] + 1) % quotient.n_states
-    with pytest.raises(ConsistencyError, match="do not lift"):
-        lift.check_half_lift(table.pred, table.last_digit, quotient,
-                             sigma, bad)
-
-
-def test_lift_check_rejects_a_middle_state_the_swap_moves(small_levels):
-    _, table = small_levels[3]
-    quotient, sigma, phi = _half_lift(table)
-    bad = phi.copy()
-    bad[-1] = int(np.nonzero(sigma[:-1] != np.arange(quotient.n_states))[0][0])
-    with pytest.raises(ConsistencyError, match="class the swap moves"):
-        lift.check_half_lift(table.pred, table.last_digit, quotient,
-                             sigma, bad)
+    bad[s] = (bad[s] + 1) % table.quotient.n_states
+    with pytest.raises(AssertionError, match="do not lift"):
+        check_lift(table, phi=bad)
 
 
 @pytest.mark.parametrize("fault", ["dropped move", "added move", "relabelled class"])
 def test_lift_check_rejects_a_corrupted_quotient(small_levels, fault):
-    # each fault is in the class of state 0, a first-half state, and
-    # the check keeps the σ of the true quotient
+    # each fault is in the class of state 0, and the check reads the
+    # class map on the corrupted quotient
     _, table = small_levels[3]
-    quotient, sigma, phi = _half_lift(table)
+    quotient, phi = table.quotient, check_lift(table)
     k, c = quotient.n_states, int(phi[0])
     pred, digits = quotient.pred.copy(), quotient.last_digit.copy()
     if fault == "dropped move":
-        # state 0 moves into itself on step 1, so the move into it
-        # fails first
+        # state 0 moves into itself on step 1, so it is read along the
+        # dropped move
         pred[int(np.argmax(pred[:, c] < k)), c] = k
-        match = "moves into states"
+        match = "leaves the quotient"
     elif fault == "added move":
         # a move on step d must enter a class whose states end in step d
         d = int(np.argmax(pred[:, c] == k))
         pred[d, c] = int(np.nonzero(digits == d)[0][0])
-        match = "moves out of states"
+        match = "do not lift"
     else:
         digits[c] = (digits[c] + 1) % 3
-        match = "moves into states"
+        match = "last step"
     corrupted = TransitionTable(n=quotient.n, pred=pred, last_digit=digits)
-    with pytest.raises(ConsistencyError, match=match):
-        lift.check_half_lift(table.pred, table.last_digit, corrupted,
-                             sigma, phi)
-
-
-@pytest.mark.parametrize("fault", ["moved move", "unflipped digit"])
-def test_mirror_refuses_a_quotient_the_swap_does_not_map_onto_itself(
-        small_levels, fault, monkeypatch):
-    _, table = small_levels[2]
-    pred, digits, start, sigma = automaton.minimal(table.fset)
-    k = pred.shape[1]
-    automaton.check_mirror(pred, digits, start, sigma)
-    pred, digits, sigma = pred.copy(), digits.copy(), sigma.copy()
-    if fault == "moved move":
-        # to another class that ends in the same step
-        d, c = (int(i[0]) for i in np.nonzero(pred < k))
-        pred[d, c] = int(np.nonzero((digits == d)
-                                    & (np.arange(k) != pred[d, c]))[0][0])
-    else:
-        digits[start] = 0
-    with pytest.raises(ConsistencyError, match="not an automorphism"):
-        automaton.check_mirror(pred, digits, start, sigma)
-    # and the quotient is refused before any history is read
-    monkeypatch.setattr(statespace, "minimal",
-                        lambda fset: (pred, digits, start, sigma))
-    fresh = TransitionTable(n=table.n, pred=table.pred,
-                            last_digit=table.last_digit, fset=table.fset)
-    with pytest.raises(ConsistencyError, match="not an automorphism"):
-        fresh.quotient
-
-
-@pytest.mark.parametrize("sigma,digits", [
-    # a 4-cycle that flips every last digit and commutes with the moves,
-    # all to the sentinel, but is not its own inverse
-    ([0, 2, 3, 4, 1, 5], [1, 0, 2, 0, 2]),
-    # an involution that keeps everything else but moves the start class
-    ([1, 0, 2], [1, 1]),
-], ids=["not an involution", "moved start"])
-def test_check_mirror_refuses_each_broken_condition(sigma, digits):
-    k = len(digits)
-    pred = np.full((3, k), k, dtype=np.int32)
-    with pytest.raises(ConsistencyError, match="not an automorphism"):
-        automaton.check_mirror(pred, np.array(digits, dtype=np.uint8), 0,
-                               np.array(sigma))
+    with pytest.raises(AssertionError, match=match):
+        check_lift(table, corrupted)
 
 
 def test_two_moves_on_one_step_refused():
@@ -488,92 +415,67 @@ def test_hand_built_table_has_no_quotient(small_levels):
 
 
 @pytest.mark.parametrize("fault,match", [
-    ("no move into a state", "no move into it"),
+    ("no move into a state", "leaves the quotient"),
     # its target keeps another move, so every state still has a
     # predecessor to read its class along, and the move's source lacks
     # a move its class has
-    ("dropped move", "moves out of states"),
-    # the middle state keeps its move into itself, and its sources
-    # lack a move their classes have
-    ("dropped move into the middle", "moves out of states"),
+    ("dropped move", "do not lift"),
+    # from a state whose class has no move on the target's last step,
+    # after the target's first predecessor, so every class is read as
+    # before
+    ("added move", "do not lift"),
+    # the class map reads the state along its new last step, which its
+    # first predecessor's class has no move on
+    ("relabelled last digit", "leaves the quotient"),
     # a move that spells a pattern, from its target's first
-    # predecessor: the class map reads the target along it, and its
-    # walk leaves the quotient, at any chunk width ...
-    ("pattern move", "leaves the quotient"),
-    ("pattern move, one-state chunks", "leaves the quotient"),
-    # ... and from a later predecessor, which the class map does not
-    # read, so the move fails the lift check
-    ("pattern move, not the first", "moves into states"),
+    # predecessor: the class map reads the target's own word along it,
+    # which holds no pattern, but its source's class has no such move
+    ("blocked pattern move put back", "do not lift"),
     # a second move on one step, into a state of the class the first
     # one enters, so both land where they should
     ("two moves on one step", "share a source and a step"),
-    # a fault without its mirror is refused before any class is read
-    ("asymmetric dropped move", "not mirrored"),
-], ids=["no move into a state", "dropped move",
-        "dropped move into the middle", "pattern move",
-        "pattern move, one-state chunks", "pattern move, not the first",
-        "two moves on one step", "asymmetric dropped move"])
-def test_quotient_refuses_moves_not_from_the_patterns(small_levels, fault,
-                                                      match, monkeypatch):
-    # each fault but the last is made on a target t and a slot s and on
-    # their mirrors, N-1-t and 2-s, so the table stays mirrored and the
-    # check on the first half must refuse it itself
+], ids=["no move into a state", "dropped move", "added move",
+        "relabelled last digit", "blocked pattern move put back",
+        "two moves on one step"])
+def test_lift_check_refuses_each_fault(small_levels, fault, match):
+    # faults in the moves or last digits of a level-2 table, each of
+    # which takes it off the patterns' moves
     space, table = small_levels[2]
     n = table.n_states
-    middle = (n - 1) // 2
-    pred = table.pred.copy()
-
-    def mirrored(s, t, source):
-        pred[s, t] = source
-        pred[2 - s, n - 1 - t] = n if source == n else n - 1 - source
-
+    phi, quotient = check_lift(table), table.quotient
+    pred, digits = table.pred.copy(), table.last_digit.copy()
     if fault == "no move into a state":
-        for s in range(3):
-            mirrored(s, 40, n)
-    elif fault == "dropped move into the middle":
-        assert pred[1, middle] == middle  # 22..2 moves into itself
-        mirrored(0, middle, n)
-    elif fault == "two moves on one step":
-        phi = _class_map(table)
-        t, u = next((t, u) for t, u in itertools.permutations(range(middle), 2)
-                    if phi[t] == phi[u] and (pred[:, t] == n).any())
-        mirrored(int(np.argmax(pred[:, t] == n)), t, int(pred[:, u].min()))
-    elif fault.endswith("not the first"):
-        # every blocked move of the table comes from its target's first
-        # predecessor, so take a source after it whose class has no
-        # move on the target's last step, and a free slot
-        phi, quotient = _class_map(table), table.quotient
+        pred[:, 40] = n
+    elif fault == "dropped move":
+        t = int(np.nonzero((pred < n).sum(axis=0) > 1)[0][0])
+        pred[int(np.argmax(pred[:, t] < n)), t] = n
+    elif fault == "added move":
         t, s, i = next(
-            (t, int(s), i) for t in range(middle)
+            (t, int(s), i) for t in range(n)
             for s in np.nonzero(pred[:, t] == n)[0]
             for i in range(int(pred[:, t].min()) + 1, n)
-            if quotient.pred[table.last_digit[t], phi[i]]
-            == quotient.n_states)
-        mirrored(s, t, i)
-    elif fault.endswith("dropped move"):
-        t = int(np.nonzero((pred[:, :middle] < n).sum(axis=0) > 1)[0][0])
-        s = int(np.argmax(pred[:, t] < n))
-        if fault.startswith("asymmetric"):
-            pred[s, t] = n
-        else:
-            mirrored(s, t, n)
+            if quotient.pred[digits[t], phi[i]] == quotient.n_states)
+        pred[s, t] = i
+    elif fault == "relabelled last digit":
+        digits[40] = (digits[40] + 1) % 3
+    elif fault == "two moves on one step":
+        t, u = next((t, u) for t, u in itertools.permutations(range(n), 2)
+                    if phi[t] == phi[u] and (pred[:, t] == n).any())
+        pred[int(np.argmax(pred[:, t] == n)), t] = pred[:, u].min()
     else:
         # put back a blocked move whose source is its target's first
         top = POW3[space.length - 1]
-        for t, s in itertools.product(range(middle), range(3)):
-            code = np.uint64(s) * top + space.codes[t] // np.uint64(3)
-            src = int(np.searchsorted(space.codes, code))
-            if (pred[s, t] == n and src < pred[:, t].min()
-                    and space.codes[src] == code):
-                mirrored(s, t, src)
-                break
-        if fault.endswith("chunks"):
-            monkeypatch.setattr(lift, "_CHUNK", 1)
-    broken = TransitionTable(n=table.n, pred=pred,
-                             last_digit=table.last_digit, fset=table.fset)
-    assert broken.mirrored != fault.startswith("asymmetric")
-    with pytest.raises(ConsistencyError, match=match):
-        broken.quotient
+        t, s, src = next(
+            (t, s, src) for t, s in itertools.product(range(n), range(3))
+            for code in [np.uint64(s) * top + space.codes[t] // np.uint64(3)]
+            for src in [int(np.searchsorted(space.codes, code))]
+            if pred[s, t] == n and src < pred[:, t].min()
+            and space.codes[src] == code)
+        pred[s, t] = src
+    broken = TransitionTable(n=table.n, pred=pred, last_digit=digits,
+                             fset=table.fset)
+    with pytest.raises((AssertionError, ConsistencyError), match=match):
+        check_lift(broken)
 
 
 @pytest.mark.parametrize("n,classes", sorted(EXPECTED_CLASSES.items()))
@@ -583,12 +485,10 @@ def test_minimal_automaton_from_the_patterns_alone(n, classes, fset5,
         raise AssertionError("a history table was built")
     for name in ("_grow", "_block", "build_state_space", "build_transitions"):
         monkeypatch.setattr(statespace, name, no_histories)
-    pred, last_digit, start, sigma = automaton.minimal(fset5.restrict(n))
+    pred, last_digit, start = automaton.minimal(fset5.restrict(n))
     assert pred.shape == (3, classes)
     assert last_digit.shape == (classes,)
     assert 0 <= start < classes
-    # the swap's class permutation, read off the nodes, is an automorphism
-    automaton.check_mirror(pred, last_digit, start, sigma)
 
 
 def test_node_entered_on_two_steps_refused():
@@ -641,9 +541,9 @@ def test_refine_refuses_a_round_past_the_key_limit(cap, refused, fset5,
 def test_minimal_automaton_at_level_eight():
     # not from the paper: the class count both refinements (slot by
     # slot, and in sort rounds) give at level 8, from the patterns alone
-    pred, last_digit, start, sigma = automaton.minimal(build_forbidden_set(8))
+    pred, last_digit, start = automaton.minimal(build_forbidden_set(8))
     assert pred.shape == (3, 2465)
-    automaton.check_mirror(pred, last_digit, start, sigma)
+    assert last_digit.shape == (2465,) and 0 <= start < 2465
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -652,7 +552,7 @@ def test_moore_refinement_of_the_histories_matches(n, small_levels, fset5):
     # exactly the partition that the automaton route finds
     table = level_table(n, small_levels, fset5)
     moore, k = automaton._refine(table.succ, table.last_digit)
-    phi = _class_map(table)
+    phi = check_lift(table)
     assert k == table.quotient.n_states == EXPECTED_CLASSES[n]
     pairs = np.unique(moore.astype(np.int64) * k + phi)
     assert pairs.shape == (k,)
@@ -668,70 +568,42 @@ def _level(n, small_levels, fset5):
     return space, build_transitions(space, fset5.restrict(n))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_quotient_never_reads_the_successor_scatter(n, small_levels, fset5,
-                                                    monkeypatch):
-    table = level_table(n, small_levels, fset5)
-    want = table.quotient
+class _Unread:
+    """Stands in for a part of the history table that must not be read."""
 
-    def no_succ(self):
-        raise AssertionError("the successor scatter was read")
-    monkeypatch.setattr(TransitionTable, "succ", property(no_succ))
+    def _read(self, *args, **kwargs):
+        raise AssertionError("the history table was read")
+
+    __getattr__ = __getitem__ = __array__ = __len__ = __iter__ = _read
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_quotient_reads_nothing_of_the_history_table(n, small_levels, fset5,
+                                                     monkeypatch):
+    table = level_table(n, small_levels, fset5)
     fresh = TransitionTable(n=table.n, pred=table.pred,
                             last_digit=table.last_digit, fset=table.fset)
+    fresh.pred = fresh.last_digit = _Unread()
+    monkeypatch.setattr(TransitionTable, "succ", property(_Unread._read))
+    pred, last_digit, _ = automaton.minimal(table.fset)
     got = fresh.quotient
-    assert np.array_equal(got.pred, want.pred)
-    assert np.array_equal(got.last_digit, want.last_digit)
+    assert got.n == n
+    assert got.pred.dtype == pred.dtype and np.array_equal(got.pred, pred)
+    assert (got.last_digit.dtype == last_digit.dtype
+            and np.array_equal(got.last_digit, last_digit))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_half_class_map_extended_by_the_mirror_matches(n, small_levels, fset5,
-                                                      monkeypatch):
-    # the oracles: each history's own word, read one step at a time
-    # from the root's class, and Moore refinement of the full successor
-    # form, whose classes the map must label one to one
+def test_class_map_reads_each_history_word(n, small_levels, fset5):
+    # the oracle: each history's own word, read one step at a time from
+    # the root's class
     space, table = _level(n, small_levels, fset5)
-    quotient = table.quotient  # built before the passes are counted
-    changed = []
-
-    def counted(*args):
-        changed.append(real_pass(*args))
-        return changed[-1]
-    real_pass = lift._pass
-    monkeypatch.setattr(lift, "_pass", counted)
-    phi = _class_map(table)
-    # the passes stop at the first that changes nothing, by 3n-1
-    assert 1 <= len(changed) <= 3 * n - 1
-    assert all(changed[:-1])
-    assert not changed[-1] or len(changed) == 3 * n - 1
+    quotient = table.quotient
     walk = np.full(len(space), automaton.minimal(table.fset)[2])
     for j in reversed(range(space.length)):
         digits = (space.codes // POW3[j] % np.uint64(3)).astype(np.intp)
         walk = quotient.pred[digits, walk]
-    assert np.array_equal(phi, walk)
-    moore, k = automaton._refine(table.succ, table.last_digit)
-    label = np.full(k, -1)
-    label[moore] = phi
-    assert np.array_equal(label[moore], phi)
-    assert np.array_equal(np.sort(label), np.arange(k))
-
-
-def test_half_class_map_stops_after_3n_minus_1_passes(small_levels,
-                                                     monkeypatch):
-    # a pass that always reports a change: the map still stops after
-    # L = 3n-1 passes, and L passes read every state's own word
-    _, table = small_levels[3]
-    want = _class_map(table)  # the quotient is built here, uncounted
-    calls = []
-
-    def restless(*args):
-        lift_pass(*args)
-        calls.append(1)
-        return True
-    lift_pass = lift._pass
-    monkeypatch.setattr(lift, "_pass", restless)
-    assert np.array_equal(_class_map(table), want)
-    assert len(calls) == 8
+    assert np.array_equal(check_lift(table), walk)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -748,24 +620,3 @@ def test_middle_state_is_its_own_mirror(n, small_levels, fset5):
     pred = table.pred[:, middle]
     assert np.array_equal(pred[::-1], np.where(pred == size, size, size - 1 - pred))
     assert pred[1] == middle
-
-
-def test_half_lift_without_a_middle_state():
-    # two-step histories over kinds 1 and 3 only, 11, 13, 31 and 33, so
-    # N = 4 is even and no state is its own mirror.  Class 0 is the
-    # root's, class 1 ends in kind 1 and class 2 in kind 3.
-    table = make_table([[0, 0, 1, 1], [4, 4, 4, 4], [2, 2, 3, 3]], [0, 2, 0, 2])
-    assert table.mirrored
-    quotient = make_table([[1, 1, 1], [3, 3, 3], [2, 2, 2]], [1, 0, 2])
-    sigma = np.array([0, 2, 1, 3])
-    automaton.check_mirror(quotient.pred, quotient.last_digit, 0, sigma)
-    phi = lift.half_class_map(table.pred, table.last_digit, quotient, 0,
-                              sigma)
-    assert np.array_equal(phi, [1, 2])
-    lift.check_half_lift(table.pred, table.last_digit, quotient, sigma, phi)
-    # 13 loses its move into 31, and 31 its mirror, into 13
-    pred = table.pred.copy()
-    pred[0, 2] = pred[2, 1] = 4
-    assert make_table(pred, table.last_digit).mirrored
-    with pytest.raises(ConsistencyError, match="moves out of states"):
-        lift.check_half_lift(pred, table.last_digit, quotient, sigma, phi)
