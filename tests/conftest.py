@@ -58,6 +58,8 @@ def check_lift(table, quotient=None, phi=None):
                       dtype=np.int32)
         phi[size] = 3 * k
         step = np.empty(size, dtype=np.int32)
+        # every index is in range by construction, so clip skips numpy's
+        # bounds pass
         for _ in range(3 * table.n - 1):
             np.take(phi, first, out=step, mode="clip")
             step += table.last_digit
