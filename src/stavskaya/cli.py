@@ -7,8 +7,9 @@ Commands
   table   per-level optimization over p, one row per level
 
 Both certify at q = 1, where the bound is largest (see `search`), with
-the bisection tolerance `DEFAULT_ALPHA_TOL` and the power-iteration cap
-`DEFAULT_MAX_ITER`; none of the three is a flag.
+the alpha search's tolerance `DEFAULT_ALPHA_TOL` and the power-iteration
+cap `DEFAULT_MAX_ITER`; none of the three is a flag.  `iterations` in
+the `bound` report counts the alpha search's steps, one solve each.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 result not
 certified, 3 resource limit refused: a `bound` level above

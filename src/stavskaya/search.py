@@ -1,22 +1,22 @@
-"""Bisection over the erasure parameter and Brent's method over p.
+"""ITP search over the erasure parameter and Brent's method over p.
 
 For fixed (p, q) the certified-subcritical region of alpha is an
-interval starting at 0; bisection keeps its lower endpoint certified at
-every step, so the returned value is a true lower bound on the critical
-parameter no matter how the iteration behaved.  The outer search
-maximizes that bound over p at q = 1 by Brent's method (Brent 1973,
-"Algorithms for Minimization without Derivatives", ch. 5), which
-replaced the golden-section search of Kiefer 1953: about 10 bisections
-per level instead of 21.  Both ends of the p range and the golden point
-are probed first.  The ends seed Brent's two older points, so after one
-golden step every step is a parabola through three probes, unless the
-parabola leaves the bracket or is not shorter than half the step before
-last; then a golden step is taken.  No probe comes within P_TOL/4 of
-the best point or of a bracket end.  The search stops when the p
-bracket is narrower than `P_TOL` and reports the best probed point, so
-the bound is certified at the very p reported.  It assumes the bound is
-unimodal in p and checks it: sorted by p, the probed bounds must rise
-and then fall, up to dips of the bisection tolerance, or
+interval starting at 0; the alpha search keeps its lower endpoint
+certified at every step, so the returned value is a true lower bound on
+the critical parameter no matter how the iteration behaved.  The outer
+search maximizes that bound over p at q = 1 by Brent's method (Brent
+1973, "Algorithms for Minimization without Derivatives", ch. 5), which
+replaced the golden-section search of Kiefer 1953: about 10 probes, each
+one alpha search, per level instead of 21.  Both ends of the p range
+and the golden point are probed first.  The ends seed Brent's two older
+points, so after one golden step every step is a parabola through three
+probes, unless the parabola leaves the bracket or is not shorter than
+half the step before last; then a golden step is taken.  No probe comes
+within P_TOL/4 of the best point or of a bracket end.  The search stops
+when the p bracket is narrower than `P_TOL` and reports the best probed
+point, so the bound is certified at the very p reported.  It assumes
+the bound is unimodal in p and checks it: sorted by p, the probed
+bounds must rise and then fall, up to dips of the alpha tolerance, or
 `ConsistencyError` is raised.  `optimize_p` still accepts a `threads`
 keyword and ignores it; the search is sequential.
 
@@ -30,23 +30,48 @@ A convex function that is even in log q is smallest at log q = 0 and
 nondecreasing for log q >= 0.  So for the q >= 1 that `Parameters`
 admits, rho(p, q) >= rho(p, 1) at every alpha: each alpha subcritical
 at q is subcritical at q = 1.  Hence `optimize_p` and the CLI certify at
-q = 1 only, with the bisection tolerance `DEFAULT_ALPHA_TOL`, and every
+q = 1 only, with the alpha tolerance `DEFAULT_ALPHA_TOL`, and every
 solve is capped at `spectral.DEFAULT_MAX_ITER` power iterations.
 
-The bisection runs on the table's quotient (`TransitionTable.quotient`,
+The alpha search runs on the table's quotient (`TransitionTable.quotient`,
 442 classes for the 839,009 states of level 6), built from the patterns
 once per table, so the probes of `optimize_p` share it.  Why a ratio bound
 on the quotient is one on the paper's matrix is set out once, in
 `statespace`.
 
-Each bisection step ends as soon as a Collatz–Wielandt ratio bound
-decides it (`check_subcritical`): a max ratio below one moves the lower
-endpoint, a min ratio above one moves the upper.  Only the alpha = 0
-solve starts cold; every step warm-starts from the vector of the step
-before.  The reported certificate is the max ratio of the vector that
-certified the returned endpoint: the first max ratio below one on that
-step, not the tightest.  One more solver step, capped at one
-iteration and started from that vector, must re-derive it bit for bit.
+The search is ITP (Oliveira & Takahashi, "An enhancement of the
+bisection method average performance preserving minmax optimality",
+ACM TOMS 2021) on the grid of bisection from [0, 1]: spacing 2**-k, k
+the smallest with 2**-k <= tol (34 at 1e-10).  Each query is the
+regula-falsi point of f(alpha) = estimate - 1 at the bracket's ends,
+moved towards the midpoint and projected into a radius of it that
+shrinks so that the bracket after step j is at most 2**-j wide; it is
+then floored onto the grid and kept strictly inside the bracket, which
+keeps that width bound, as both are grid multiples.  So the search ends
+in at most k + 1 steps whatever the estimates, where bisection takes k;
+at the paper's points it takes 12 to 20.  Bisection ends at the grid
+neighbours [a, a + 2**-k] whose lower end certifies and upper does
+not, and so does this search, so it returns the same a wherever each
+grid point's decision does not depend on the path.
+
+Near the root it can.  `check_subcritical` stops as "not certified"
+when its ratio bounds close to within `DEFAULT_TOL` of each other while
+the max ratio is still >= 1, so a grid point whose rho is within about
+1e-12 of one goes either way, depending on the warm start.  At level 4,
+p = 1.424215772312642, alpha = 0.13502853823592886 has rho - 1 of about
+-8.4e-14: bisection's path certified it and this search's does not, so
+that probe comes out one grid step lower.  Such a probe is still a
+certified bound; a row's bound is its best probe, and `p_opt` may move
+within the staircase's top step.
+
+Each step ends as soon as a Collatz–Wielandt ratio bound decides it
+(`check_subcritical`): a max ratio below one moves the lower endpoint,
+a min ratio above one moves the upper.  Only the alpha = 0 solve starts
+cold; every step warm-starts from the vector of the step before.  The
+reported certificate is the max ratio of the vector that certified the
+returned endpoint: the first max ratio below one on that step, not the
+tightest.  One more solver step, capped at one iteration and started
+from that vector, must re-derive it bit for bit.
 """
 
 from __future__ import annotations
@@ -67,13 +92,23 @@ P_TOL = 1e-4
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
+# ITP parameters on alpha: the worst case is bisection's plus _ITP_N0
+# steps, and the regula-falsi point is moved _ITP_K1 * width**_ITP_K2
+# towards the midpoint
+_ITP_N0 = 1
+_ITP_K1 = 0.2
+_ITP_K2 = 2
+
 
 @dataclass
 class BisectionResult:
-    """Certified bracket for the critical alpha at fixed (p, q).
+    """Certified bracket for the critical alpha at fixed (p, q), two
+    neighbours on the alpha search's grid.
 
     alpha_low is certified subcritical, with `certificate` the max ratio
-    of the vector that certified it; alpha_high is not certified.  A
+    of the vector that certified it; alpha_high is not certified.
+    `iterations` counts the search's steps, one solve each, and
+    `power_iterations` the power iterations of every solve.  A
     degenerate result means alpha = 0 itself could not be certified, so
     no positive bound exists here.
     """
@@ -107,28 +142,52 @@ class OptimizationResult:
         return self.bound <= 0.0
 
 
+def _itp_point(low: float, high: float, f_low: float, f_high: float,
+               radius: float) -> float:
+    """ITP query in [low, high] (Oliveira & Takahashi 2021): the
+    regula-falsi point of (low, f_low) and (high, f_high), moved
+    `_ITP_K1 * width**_ITP_K2` towards the midpoint and projected into
+    `radius` of it.  A regula-falsi point that is not finite, as when
+    f_low == f_high or a value is NaN, is the midpoint."""
+    mid = 0.5 * (low + high)
+    den = f_high - f_low
+    falsi = (low * f_high - high * f_low) / den if den else math.nan
+    if not math.isfinite(falsi):
+        return mid
+    sigma = math.copysign(1.0, mid - falsi)
+    delta = _ITP_K1 * (high - low) ** _ITP_K2
+    x = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
+    return x if abs(x - mid) <= radius else mid - sigma * radius
+
+
 def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
               tol: float = DEFAULT_ALPHA_TOL) -> BisectionResult:
-    """Largest certified-subcritical alpha for fixed (p, q), by bisection.
+    """Largest certified-subcritical alpha for fixed (p, q), on the grid
+    of spacing 2**-k, k the smallest with 2**-k <= `tol`.
 
-    Midpoints that certify move the lower endpoint; anything else
-    (including non-convergence) moves the upper endpoint, so the answer
-    errs low.  Each midpoint's solve stops as soon as a ratio bound
-    decides it, and its iteration vector seeds the next (the first is
-    seeded by the alpha = 0 solve), which cuts the near-critical
-    iteration count sharply without touching the certificates.  The
-    vector and certificate of the last step that certified travel with
-    the lower endpoint; if one solver step from that vector does not
-    re-derive that certificate bit for bit, `ConsistencyError` is
-    raised.  Each solve is capped at `DEFAULT_MAX_ITER` power
-    iterations and runs on the quotient table `table.quotient`, built
-    on first use, after p, q and `tol` are checked.
-    q = 1, the default, gives the largest bound (see the module
-    docstring).
+    Each step queries the ITP point of the bracket (`_itp_point`), on
+    f(alpha) = estimate - 1 of the solves at its two ends, floored onto
+    the grid and kept strictly inside the bracket; while no uncertified
+    end has been solved it queries the midpoint.  Queries that certify
+    move the lower endpoint; anything else (including non-convergence)
+    moves the upper endpoint, so the answer errs low.  The search ends
+    at two grid neighbours, the lower certified and the upper not, in at
+    most k + 1 steps (k + `_ITP_N0`) whatever the estimates.  Each
+    query's solve stops as soon as a ratio bound decides it, and its
+    iteration vector seeds the next (the first is seeded by the
+    alpha = 0 solve), which cuts the near-critical iteration count
+    sharply without touching the certificates.  The vector and
+    certificate of the last step that certified travel with the lower
+    endpoint; if one solver step from that vector does not re-derive
+    that certificate bit for bit, `ConsistencyError` is raised.  Each
+    solve is capped at `DEFAULT_MAX_ITER` power iterations and runs on
+    the quotient table `table.quotient`, built on first use, after p, q
+    and `tol` are checked.  q = 1, the default, gives the largest bound
+    (see the module docstring).
     """
     if not 0.0 < tol < 0.5:
-        # from 0.5 on the bisection stops after at most one step, and
-        # its alpha_low of 0 would read as a certified bound
+        # from 0.5 on the search stops after at most one step, and its
+        # alpha_low of 0 would read as a certified bound
         raise ValueError(f"tol must lie in (0, 0.5), got {tol}")
     start = Parameters(p, q, 0.0)
     quotient = table.quotient
@@ -141,19 +200,30 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
                                certificate=certificate,
                                power_iterations=spent)
 
+    k = 1 - math.frexp(tol)[1]  # the smallest k with 2**-k <= tol
+    grid = math.ldexp(1.0, -k)
     low, high = 0.0, 1.0
+    f_low, f_high = est.estimate - 1.0, None
     warm = certified = est.vector
     steps = 0
-    while high - low > tol:
-        mid = 0.5 * (low + high)
-        est = check_subcritical(quotient, Parameters(p, q, mid),
+    while high - low > grid:
+        if f_high is None:
+            trial = 0.5 * (low + high)
+        else:
+            # keeps the bracket after this step at most
+            # 2**(_ITP_N0 - 1 - steps) wide, so k + _ITP_N0 steps suffice
+            radius = math.ldexp(1.0, _ITP_N0 - 1 - steps) - 0.5 * (high - low)
+            trial = _itp_point(low, high, f_low, f_high, radius)
+        trial = min(max(math.floor(trial / grid) * grid, low + grid), high - grid)
+        est = check_subcritical(quotient, Parameters(p, q, trial),
                                 DEFAULT_TOL, DEFAULT_MAX_ITER, v0=warm)
         spent += est.iterations
         warm = est.vector
         if est.certified_subcritical:
-            low, certificate, certified = mid, est.certified_upper, warm
+            low, f_low = trial, est.estimate - 1.0
+            certificate, certified = est.certified_upper, warm
         else:
-            high = mid
+            high, f_high = trial, est.estimate - 1.0
         steps += 1
 
     # one solver step from the certified vector re-derives its max ratio
@@ -181,7 +251,7 @@ def optimize_p(n: int,
                *, threads: int | None = None,
                table: TransitionTable) -> OptimizationResult:
     """Maximize the certified alpha bound at q = 1 over p in
-    [p_min, p_max], bisecting each probe to `DEFAULT_ALPHA_TOL`.
+    [p_min, p_max], searching each probe's alpha to `DEFAULT_ALPHA_TOL`.
 
     Both ends and the golden point `p_min + (1 - 1/phi)(p_max - p_min)`
     are probed, then one new point per step of Brent's method (see the

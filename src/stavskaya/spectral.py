@@ -3,7 +3,7 @@
 The operator scales each allowed move by its step weight, so applying
 it to a vector of path weights advances every path by one step.  The
 total contour weight converges exactly when the spectral radius is
-below one, which is what the bisection in `search` certifies.
+below one, which is what the alpha search in `search` certifies.
 
 The estimate comes from power iteration in gather form.  Both
 decisions rest on the Collatz–Wielandt bounds for nonnegative matrices:

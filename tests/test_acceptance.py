@@ -192,7 +192,7 @@ def test_criterion_7_property_suite(small_levels, fset5):
         uppers = [power_iteration(table, Parameters(1.43, 1.0, a)).certified_upper
                   for a in np.linspace(0.01, 0.5, 10)]
         ok_mono &= all(lo <= hi + 1e-10 for lo, hi in zip(uppers, uppers[1:]))
-    # bisection post-assertion
+    # alpha search post-assertion
     ok_post = True
     for n in (1, 2, 3):
         _, table = small_levels[n]

@@ -1,21 +1,30 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
-from conftest import level_table
+from conftest import level_table, make_table
 
 import stavskaya.search as search
+from stavskaya.automaton import minimal
 from stavskaya.errors import ConsistencyError
-from stavskaya.patterns import Parameters
+from stavskaya.patterns import Parameters, build_forbidden_set
 from stavskaya.search import BisectionResult, alpha_sup, optimize_p
 from stavskaya.spectral import check_subcritical, power_iteration
+from stavskaya.statespace import TransitionTable
+
+
+# k = 34 at the default tolerance 1e-10: the grid spacing is 2**-34,
+# which bisection takes 34 steps to reach and ITP at most k + 1
+GRID_STEPS = 34
 
 
 def test_bisection_iteration_count(small_levels):
     _, table = small_levels[1]
     res = alpha_sup(table, 1.464, 1.0, 1e-10)
-    assert res.iterations == math.ceil(math.log2(1e10)) == 34
-    assert res.alpha_high - res.alpha_low <= 1e-10
+    assert math.ceil(math.log2(1e10)) == GRID_STEPS
+    assert res.iterations < GRID_STEPS
+    assert res.alpha_high - res.alpha_low == 2.0 ** -GRID_STEPS <= 1e-10
     assert 0.0 <= res.alpha_low < res.alpha_high <= 1.0
 
 
@@ -321,8 +330,98 @@ def test_one_cold_solve_per_bound(n, small_levels, fset5, monkeypatch):
 
     monkeypatch.setattr(search, "check_subcritical", counted)
     res = alpha_sup(table, PAPER_P[n], 1.0, 1e-10)
-    assert res.certified and res.iterations == 34
+    assert res.certified and res.iterations < GRID_STEPS
     assert len(calls) == res.iterations + 2
     assert [alpha for alpha, v0, _ in calls if v0 is None] == [0.0]
     assert calls[0][1] is None
     assert sum(spent for _, _, spent in calls) == res.power_iterations
+
+
+def _pattern_table(n):
+    """A level-n table whose own arrays are its quotient's, with the
+    level's forbidden set: `alpha_sup` reads only `table.quotient`,
+    which is built from the set as for the history table, so levels up
+    to 7 cost no history build."""
+    fset = build_forbidden_set(n)
+    pred, last_digit, _ = minimal(fset)
+    return TransitionTable(n=n, pred=pred, last_digit=last_digit, fset=fset)
+
+
+# alpha_low at the paper's p, bit for bit those of the 34-step bisection
+# the ITP search replaced; regression values, not from the paper
+BISECTION_LOWS = {1: (1.464, 0.12499999813735485),
+                  2: (1.44, 0.1310196552076377),
+                  3: (1.43, 0.13358659762889147),
+                  4: (1.424, 0.13502855086699128),
+                  5: (1.42, 0.13595342048211023),
+                  6: (1.417, 0.13659747340716422),
+                  7: (1.415, 0.1370721062994562)}
+
+
+@pytest.mark.parametrize("n", sorted(BISECTION_LOWS))
+def test_paper_points_keep_the_bisection_bounds(n):
+    p, low = BISECTION_LOWS[n]
+    res = alpha_sup(_pattern_table(n), p)
+    assert (res.alpha_low, res.alpha_high) == (low, low + 2.0 ** -GRID_STEPS)
+    assert res.certificate < 1.0 and res.iterations < GRID_STEPS
+
+
+# estimates that say nothing, or the opposite, about where rho crosses
+# one; every decision is the solve's own
+BAD_ESTIMATES = {
+    "constant": lambda est, rng: 0.5,
+    "nan": lambda est, rng: math.nan,
+    "random": lambda est, rng: rng.uniform(0.0, 2.0),
+    "inverted": lambda est, rng: 2.0 - est.estimate,
+    # f(alpha) = estimate - 1 never negative, so the regula-falsi point
+    # lies outside the bracket
+    "one-sided": lambda est, rng: 1.0 + abs(est.estimate - 1.0),
+    "+1e300": lambda est, rng: 1e300,
+    "-1e300": lambda est, rng: -1e300,
+    "inverted 1e300": lambda est, rng: (1e300 if est.certified_subcritical
+                                        else -1e300),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ESTIMATES))
+def test_any_estimate_ends_on_the_same_bracket(kind, small_levels,
+                                               monkeypatch):
+    # the estimates steer the queries only: the search still ends at the
+    # same grid neighbours, in at most k + 1 steps
+    expected = {n: alpha_sup(small_levels[n][1], PAPER_P[n])
+                for n in (1, 2, 3)}
+    real = search.check_subcritical
+    rng = random.Random(25)
+    bad = BAD_ESTIMATES[kind]
+
+    def misleading(*args, **kwargs):
+        est = real(*args, **kwargs)
+        return replace(est, estimate=bad(est, rng))
+
+    monkeypatch.setattr(search, "check_subcritical", misleading)
+    for n, want in expected.items():
+        res = alpha_sup(small_levels[n][1], PAPER_P[n])
+        assert (res.alpha_low, res.alpha_high) == (want.alpha_low,
+                                                   want.alpha_high)
+        assert res.iterations <= GRID_STEPS + 1
+
+
+def test_certified_everywhere_ends_below_one():
+    # one state with a kind-1 self-loop: rho = 1/p at every alpha, so
+    # every query certifies and the search bisects up to 1
+    toy = make_table([[0], [1], [1]], [0])
+    toy.quotient = toy
+    res = alpha_sup(toy, 1.464)
+    assert (res.alpha_low, res.alpha_high) == (1.0 - 2.0 ** -GRID_STEPS, 1.0)
+    assert res.iterations == GRID_STEPS and res.certificate < 1.0
+
+
+@pytest.mark.parametrize("tol,k", [(1e-8, 27), (1e-4, 14)])
+def test_tolerance_sets_the_grid(tol, k, small_levels):
+    _, table = small_levels[3]
+    res = alpha_sup(table, PAPER_P[3], 1.0, tol)
+    grid = 2.0 ** -k
+    assert grid <= tol < 2.0 * grid
+    assert res.alpha_high - res.alpha_low == grid
+    assert (res.alpha_low / grid).is_integer()
+    assert res.iterations <= k + 1
