@@ -372,6 +372,8 @@ BAD_ESTIMATES = {
     "constant": lambda est, rng: 0.5,
     "nan": lambda est, rng: math.nan,
     "random": lambda est, rng: rng.uniform(0.0, 2.0),
+    # regula falsi is unchanged by f -> -f, so this one queries as the
+    # real estimates do
     "inverted": lambda est, rng: 2.0 - est.estimate,
     # f(alpha) = estimate - 1 never negative, so the regula-falsi point
     # lies outside the bracket
