@@ -42,7 +42,9 @@ on the quotient is one on the paper's matrix is set out once, in
 The search is ITP (Oliveira & Takahashi, "An enhancement of the
 bisection method average performance preserving minmax optimality",
 ACM TOMS 2021) on the grid of bisection from [0, 1]: spacing 2**-k, k
-the smallest with 2**-k <= tol (34 at 1e-10).  Each query is the
+the smallest with 2**-k <= tol (34 at 1e-10, at most 53: on a finer
+grid a query can round onto an end of the bracket, which then never
+shrinks).  Each query is the
 regula-falsi point of f(alpha) = estimate - 1 at the bracket's ends,
 moved towards the midpoint and projected into a radius of it that
 shrinks so that the bracket after step j is at most 2**-j wide; it is
@@ -85,6 +87,8 @@ from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, check_subcritical
 from .statespace import TransitionTable
 
 DEFAULT_ALPHA_TOL = 1e-10
+# the finest grid whose multiples in [0, 1] are all doubles
+_FINEST_TOL = 2.0 ** -53
 
 DEFAULT_P_MIN = 1.30
 DEFAULT_P_MAX = 1.60
@@ -163,7 +167,8 @@ def _itp_point(low: float, high: float, f_low: float, f_high: float,
 def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
               tol: float = DEFAULT_ALPHA_TOL) -> BisectionResult:
     """Largest certified-subcritical alpha for fixed (p, q), on the grid
-    of spacing 2**-k, k the smallest with 2**-k <= `tol`.
+    of spacing 2**-k, k the smallest with 2**-k <= `tol`, which must
+    lie in [2**-53, 0.5).
 
     Each step queries the ITP point of the bracket (`_itp_point`), on
     f(alpha) = estimate - 1 of the solves at its two ends, floored onto
@@ -185,10 +190,12 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
     and `tol` are checked.  q = 1, the default, gives the largest bound
     (see the module docstring).
     """
-    if not 0.0 < tol < 0.5:
+    if not _FINEST_TOL <= tol < 0.5:
         # from 0.5 on the search stops after at most one step, and its
-        # alpha_low of 0 would read as a certified bound
-        raise ValueError(f"tol must lie in (0, 0.5), got {tol}")
+        # alpha_low of 0 would read as a certified bound; below
+        # `_FINEST_TOL` a grid point can round onto an end of the
+        # bracket, and the search would never end
+        raise ValueError(f"tol must lie in [2**-53, 0.5), got {tol}")
     start = Parameters(p, q, 0.0)
     quotient = table.quotient
     est = check_subcritical(quotient, start, DEFAULT_TOL, DEFAULT_MAX_ITER)

@@ -50,10 +50,21 @@ x + 0.0 == x; a block with no move is 0.  The blocks' scalars are
 merged by ndarray reductions, so a NaN in any block makes the merged
 value NaN.
 
+The rows are gathered in one of two forms.  When the m targets fit in
+one block, as on every quotient, `_plan` stacks the rows once per table
+into one (r, m) intp array in the order 0, 2, 1: a sweep is one `take`
+and one `np.add` reduction down the rows, in stored order, so the sum
+is still (slot0 + slot2) + slot1.  There numpy's call overhead is the
+cost, and this saves two `take` calls and the int32-to-intp conversion
+of every row.  Larger tables keep int32 views of their rows, which cost
+no memory, and add each row's `take` into the block's output in the
+same order.  Both forms give the same numbers bit for bit.
+
 A warm start is the vector an earlier solve returned.  Its max is
 exactly 1.0, since it was divided by its own max (x / x == 1), and no
-entry is below the floor, so normalising and flooring it into the
-solve's own buffer leaves every entry as it is (x / 1.0 == x).  Each
+entry is below the floor, so normalising and flooring it would leave
+every entry as it is (x / 1.0 == x), and the solve copies it into its
+own buffer as it is.  Each
 solve stays one public call, however short: `search` makes every one
 through its module-level `check_subcritical`, which the benchmark's
 tracer wraps to count solves and iterations.
@@ -150,52 +161,74 @@ def certified_upper_bound(table: TransitionTable, params: Parameters,
     vp[:n] = v
     vp[n] = 0.0
     w = np.asarray(params.step_weights(), dtype=np.float64)
-    # block-sized buffers and weights made block by block: no full-length
-    # temporary besides vp
+    # a block-sized buffer, with weights made block by block: no
+    # full-length temporary besides vp
     out = np.empty(min(_BLOCK, n), dtype=np.float64)
-    work = np.empty_like(out)
-    return _sweep(vp, _blocks(vp, table, w, n, out, work))[0]
+    return _sweep(vp, _blocks(vp, table, w, n, out))[0]
 
 
-def _plan(table: TransitionTable, m: int) -> list[tuple]:
-    """(lo, hi, first, rest) per block of `_BLOCK` targets of 0..m-1:
-    the slot rows that hold a move, in the order 0, 2, 1 in which they
-    add (first is None if none does).  With m < N a source i >= m is
-    read through its mirror N-1-i.  Made once per table, `_BLOCK`, m."""
+def _rows(table: TransitionTable, lo: int, hi: int, m: int) -> list:
+    """The slot rows of targets lo..hi-1 that hold a move, in the order
+    0, 2, 1 in which they add.  With m < N a source i >= m is read
+    through its mirror N-1-i."""
+    n = table.n_states
+    rows = []
+    for s in (0, 2, 1):
+        g = table.pred[s, lo:hi]
+        if g.min() == n:
+            continue
+        if m < n and ((g >= m) & (g < n)).any():
+            # a mirrored table's N-1-pred[s, t] is pred[2-s, N-1-t]
+            r = table.pred[2 - s, n - hi:n - lo][::-1]
+            g = r if g.min() >= m else np.where(g < m, g, r)
+        rows.append(g)
+    return rows
+
+
+def _plan(table: TransitionTable, m: int) -> tuple | list:
+    """How `_sweep` gathers targets 0..m-1, made once per table,
+    `_BLOCK` and m.  If they fit in one block: (rows, digits), the rows
+    of `_rows` stacked into one (r, m) intp array, and the targets' last
+    digits as intp.  Otherwise (lo, hi, rows) per block of `_BLOCK`
+    targets, the rows int32 views of the table (a copy only where a row
+    mixes sources on both sides of m)."""
     plan = table.plans.get((_BLOCK, m))
     if plan is None:
-        n = table.n_states
-        plan = table.plans[_BLOCK, m] = []
-        for lo in range(0, m, _BLOCK):
-            hi = min(lo + _BLOCK, m)
-            rows = []
-            for s in (0, 2, 1):
-                g = table.pred[s, lo:hi]
-                if g.min() == n:
-                    continue
-                if m < n and ((g >= m) & (g < n)).any():
-                    # a mirrored table's N-1-pred[s, t] is pred[2-s, N-1-t]
-                    r = table.pred[2 - s, n - hi:n - lo][::-1]
-                    g = r if g.min() >= m else np.where(g < m, g, r)
-                rows.append(g)
-            plan.append((lo, hi, rows[0] if rows else None, tuple(rows[1:])))
+        if m <= _BLOCK:
+            rows = _rows(table, 0, m, m)
+            plan = (np.array(rows, dtype=np.intp).reshape(len(rows), m),
+                    table.last_digit[:m].astype(np.intp))
+        else:
+            plan = [(lo, min(lo + _BLOCK, m),
+                     tuple(_rows(table, lo, min(lo + _BLOCK, m), m)))
+                    for lo in range(0, m, _BLOCK)]
+        table.plans[_BLOCK, m] = plan
     return plan
 
 
 def _blocks(vp: np.ndarray, table: TransitionTable, w: np.ndarray, m: int,
-            out: np.ndarray, work: np.ndarray,
-            weights: np.ndarray | None = None) -> Iterator[tuple]:
-    """Per block of `_plan(table, m)`, the views `_sweep` needs: its
-    rows, the output, scratch, the weights and v (`vp` is v padded with
-    0.0 for the empty slot).  An `out` of m entries is sliced; a
-    block-sized one is shared, as `work` always is.  Each block's
-    weights are a view of `weights`, the weights of targets 0..m-1, when
-    it is given, and are gathered from the step weights `w` otherwise."""
-    for lo, hi, first, rest in _plan(table, m):
+            out: np.ndarray, whole: bool = False) -> Iterator[tuple]:
+    """Per block of `_plan(table, m)`, the arrays `_sweep` needs: its
+    rows, the stacked rows' gather buffer (None for row views), the
+    output, scratch, the targets' weights from the step weights `w`,
+    and v (`vp` is v padded with 0.0 for the empty slot).  An `out` of
+    m entries is sliced; a block-sized one is shared, as the scratch
+    is.  The stacked block's weights are one `take` of the plan's
+    digits.  Row-view blocks gather theirs as each block is reached,
+    or, with `whole`, take views of one array of all m."""
+    plan = _plan(table, m)
+    if isinstance(plan, tuple):
+        rows, digits = plan
+        yield (rows, np.empty(rows.shape), out, np.empty(m), w.take(digits),
+               vp[:m])
+        return
+    work = np.empty(_BLOCK, dtype=np.float64)
+    weights = w[table.last_digit[:m]] if whole else None
+    for lo, hi, rows in plan:
         o = out[lo:hi] if out.shape[0] == m else out[:hi - lo]
         wb = (w[table.last_digit[lo:hi]] if weights is None
               else weights[lo:hi])
-        yield first, rest, o, work[:hi - lo], wb, vp[lo:hi]
+        yield rows, None, o, work[:hi - lo], wb, vp[lo:hi]
 
 
 def _sweep(vp: np.ndarray, blocks: Iterable[tuple]) -> tuple[float, float, float]:
@@ -208,16 +241,21 @@ def _sweep(vp: np.ndarray, blocks: Iterable[tuple]) -> tuple[float, float, float
     # since both return the first NaN, for about half the overhead of a
     # ufunc reduction.
     peaks = []
-    for g, rest, o, k, wb, v in blocks:
+    for rows, x, o, k, wb, v in blocks:
         # clip skips the bounds pass and the buffered copy that the
         # default mode makes; the table's indices were checked once
-        if g is None:
+        if x is not None:
+            # one take for every row, then the rows add in stored order;
+            # with no row the sum is 0.0, as for a block without a move
+            vp.take(rows, out=x, mode="clip")
+            np.add.reduce(x, axis=0, out=o)
+        elif not rows:
             o.fill(0.0)
         else:
-            vp.take(g, out=o, mode="clip")
-        for h in rest:
-            vp.take(h, out=k, mode="clip")
-            np.add(o, k, out=o)
+            vp.take(rows[0], out=o, mode="clip")
+            for h in rows[1:]:
+                vp.take(h, out=k, mode="clip")
+                np.add(o, k, out=o)
         np.multiply(o, wb, out=o)
         np.divide(o, v, out=k)
         peaks.append((k.item(k.argmax()), k.item(k.argmin()),
@@ -281,8 +319,12 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
         top, least = v0.item(v0.argmax()), v0.item(v0.argmin())
         if not (0.0 < top < np.inf and least >= 0.0):
             raise ValueError("v0 must be finite, nonnegative and not all zero")
-        np.divide(v0, top, out=v)
-        np.maximum(v, _POSITIVITY_FLOOR, out=v)
+        if top == 1.0 and least >= _POSITIVITY_FLOOR:
+            # a warm start: normalising and flooring would change nothing
+            np.copyto(v, v0)
+        else:
+            np.divide(v0, top, out=v)
+            np.maximum(v, _POSITIVITY_FLOOR, out=v)
 
     w = np.asarray(params.step_weights(), dtype=np.float64)
     # a cold start of ones is its own reverse
@@ -290,11 +332,9 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
             and (v0 is None or np.array_equal(v, v[::-1])))
     m = (n + 1) // 2 if half else n
     out = np.empty(m, dtype=np.float64)
-    work = np.empty(min(_BLOCK, m), dtype=np.float64)
-    # the views are made once per solve, not once per step, and the
-    # blocks' weights are views of one array
-    blocks = list(_blocks(vp, table, w, m, out, work,
-                          w[table.last_digit[:m]]))
+    # the buffers, views and weights are made once per solve, not once
+    # per step
+    blocks = list(_blocks(vp, table, w, m, out, whole=True))
 
     estimate = 0.0
     upper = np.inf
@@ -329,8 +369,9 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
         for _, _, o, _, _, head in blocks:
             np.divide(o, nrm, out=head)
             np.maximum(head, _POSITIVITY_FLOOR, out=head)
-    # the sweep reads the targets past m through their mirrors
-    vp[m:n] = vp[:n - m][::-1]
+    if m < n:
+        # the sweep reads the targets past m through their mirrors
+        vp[m:n] = vp[:n - m][::-1]
 
     return SpectralEstimate(estimate=estimate, certified_upper=upper,
                             iterations=iterations, converged=converged,

@@ -226,7 +226,10 @@ class TransitionTable:
 
     @property
     def edge_count(self) -> int:
-        return int((self.pred < self.n_states).sum())
+        # in chunks: the whole (3, N) mask would be 26 MB at level 7
+        n = self.n_states
+        return sum(int(np.count_nonzero(self.pred[:, lo:lo + _CHUNK] < n))
+                   for lo in range(0, n, _CHUNK))
 
 
 def build_transitions(states: StateSpace, fset: ForbiddenSet) -> TransitionTable:

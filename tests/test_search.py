@@ -1,11 +1,12 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from conftest import level_table, make_table
 
 import stavskaya.search as search
+from stavskaya import spectral
 from stavskaya.automaton import minimal
 from stavskaya.errors import ConsistencyError
 from stavskaya.patterns import Parameters, build_forbidden_set
@@ -111,6 +112,7 @@ def test_optimizer_validation(small_levels):
 @pytest.mark.parametrize("p,q,tol", [
     (0.9, 1.0, 1e-10), (1.417, 0.5, 1e-10), (math.inf, 1.0, 1e-10),
     (1.417, 1.0, 0), (1.417, 1.0, 0.5), (1.417, 1.0, 100),
+    (1.417, 1.0, 1e-20),
 ])
 def test_alpha_sup_refuses_before_the_quotient(small_levels, fset5, p, q, tol):
     table = level_table(4, small_levels, fset5)
@@ -337,6 +339,36 @@ def test_one_cold_solve_per_bound(n, small_levels, fset5, monkeypatch):
     assert sum(spent for _, _, spent in calls) == res.power_iterations
 
 
+def test_tolerance_finer_than_the_doubles_is_refused(small_levels,
+                                                     monkeypatch):
+    # a 2**-67 grid is finer than the doubles near the bound, where a
+    # query rounds onto an end and the search never ends; refused before
+    # any solve
+    _, table = small_levels[1]
+    real = search.check_subcritical
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "check_subcritical", counted)
+    for tol in (1e-20, math.nextafter(2.0 ** -53, 0.0)):
+        with pytest.raises(ValueError, match="tol"):
+            alpha_sup(table, 1.464, 1.0, tol)
+    assert calls == []
+
+
+def test_finest_tolerance_ends_on_grid_neighbours(small_levels):
+    # every multiple of 2**-53 in [0, 1] is a double, so the search ends
+    # in at most k + 1 = 54 steps
+    _, table = small_levels[1]
+    res = alpha_sup(table, 1.464, 1.0, 2.0 ** -53)
+    assert res.certified
+    assert res.alpha_high - res.alpha_low == 2.0 ** -53
+    assert res.iterations <= 54
+
+
 def _pattern_table(n):
     """A level-n table whose own arrays are its quotient's, with the
     level's forbidden set: `alpha_sup` reads only `table.quotient`,
@@ -364,6 +396,31 @@ def test_paper_points_keep_the_bisection_bounds(n):
     res = alpha_sup(_pattern_table(n), p)
     assert (res.alpha_low, res.alpha_high) == (low, low + 2.0 ** -GRID_STEPS)
     assert res.certificate < 1.0 and res.iterations < GRID_STEPS
+
+
+def test_gather_form_changes_no_number(monkeypatch):
+    # a quotient fits in one block and is gathered as one stacked intp
+    # array; in blocks of 4 every quotient spans several blocks and is
+    # gathered as int32 row views.  Both give every field bit for bit
+    tables = {n: _pattern_table(n) for n in (1, 2, 3, 4)}
+
+    def run(block):
+        monkeypatch.setattr(spectral, "_BLOCK", block)
+        bounds = [repr(astuple(alpha_sup(tables[n], PAPER_P[n])))
+                  for n in (1, 2, 3, 4)]
+        rows = [optimize_p(n, table=tables[n]) for n in (1, 2, 3)]
+        # the plans the solves used, one per (block, m)
+        forms = {type(plan) for table in tables.values()
+                 for (size, _), plan in table.quotient.plans.items()
+                 if size == block}
+        return bounds, [repr((r.p_opt, r.bound, r.grid)) for r in rows], forms
+
+    *stacked, forms = run(spectral._BLOCK)
+    assert forms == {tuple}
+    assert all(t.quotient.n_states > 4 for t in tables.values())
+    *blocked, forms = run(4)
+    assert forms == {list}
+    assert blocked == stacked
 
 
 # estimates that say nothing, or the opposite, about where rho crosses

@@ -130,7 +130,7 @@ def tables_to_5(small_levels, fset5):
     return tables
 
 
-@pytest.mark.parametrize("block", [spectral._BLOCK, 7])
+@pytest.mark.parametrize("block", [spectral._BLOCK, 7, 64])
 def test_certificate_matches_full_length_reference(tables_to_5, block,
                                                    monkeypatch):
     # the blocked re-check against the whole-array operator, bit for bit
@@ -180,12 +180,15 @@ def test_certificate_refuses_a_bad_entry_in_the_last_block(tables_to_5, bad,
         certified_upper_bound(table, Parameters(1.42, 1.0, 0.13), v)
 
 
-@pytest.mark.parametrize("out_entries", ["all", "block"])
+@pytest.mark.parametrize("out_entries", ["all", "block", "stacked"])
 def test_sweep_keeps_a_nan_from_any_block(small_levels, monkeypatch,
                                           out_entries):
     # a NaN ratio in the second of twelve blocks: max() and min() over
-    # the blocks' floats would drop it; a whole-array reduction keeps it
-    monkeypatch.setattr(spectral, "_BLOCK", 64)
+    # the blocks' floats would drop it; a whole-array reduction keeps it.
+    # At the default block the table is one block, gathered stacked
+    block = None if out_entries == "stacked" else 64
+    if block is not None:
+        monkeypatch.setattr(spectral, "_BLOCK", block)
     _, table = small_levels[3]
     n = table.n_states
     vp = np.ones(n + 1)
@@ -195,8 +198,9 @@ def test_sweep_keeps_a_nan_from_any_block(small_levels, monkeypatch,
     t = 64 + int(np.nonzero(moves)[0][0])
     vp[t] = np.nan
     w = np.array([0.7, 0.1, 0.7])
-    out = np.empty(n if out_entries == "all" else 64)
-    blocks = spectral._blocks(vp, table, w, n, out, np.empty(64))
+    out = np.empty(64 if out_entries == "block" else n)
+    blocks = list(spectral._blocks(vp, table, w, n, out))
+    assert len(blocks) == (1 if block is None else 12)
     upper, lower, top = spectral._sweep(vp, blocks)
     assert np.isnan(upper) and np.isnan(lower) and np.isnan(top)
 
@@ -412,35 +416,54 @@ def test_iteration_matches_full_length_reference(small_levels, fset5, k,
             assert not np.shares_memory(est.vector, v0)
 
 
+def _plan_rows(plan):
+    """Each block's (lo, hi, rows) of a plan in either form: the one
+    stacked block as (0, m, its rows), which must be intp, with intp
+    last digits; row views as stored."""
+    if isinstance(plan, tuple):
+        rows, digits = plan
+        assert rows.dtype == digits.dtype == np.intp
+        assert rows.ndim == 2 and rows.shape[1] == digits.shape[0]
+        return [(0, rows.shape[1], list(rows))]
+    return plan
+
+
 @pytest.mark.parametrize("level", [3, 4])
 def test_plan_gathers_exactly_the_rows_with_moves(tables_to_5, level,
                                                   monkeypatch):
+    # the one stacked block the default block gives these tables, and
     # blocks of 64 targets: each block gathers its slot rows that hold a
     # real move, in the order 0, 2, 1, and drops only all-sentinel rows;
     # in half mode every gathered index is below m or the sentinel
-    monkeypatch.setattr(spectral, "_BLOCK", 64)
     table = tables_to_5[level]
     n = table.n_states
-    dropped = remapped = 0
-    for m in (n, (n + 1) // 2):
-        plan = spectral._plan(table, m)
-        assert [(lo, hi) for lo, hi, _, _ in plan] == [
-            (lo, min(lo + 64, m)) for lo in range(0, m, 64)]
-        for lo, hi, first, rest in plan:
-            gathered = ([first] if first is not None else []) + list(rest)
-            live = [table.pred[s, lo:hi] for s in (0, 2, 1)
-                    if table.pred[s, lo:hi].min() < n]
-            dropped += 3 - len(live)
-            assert len(gathered) == len(live)
-            for row, g in zip(gathered, live):
-                assert row.min() < n
-                if m < n:
-                    assert ((row < m) | (row == n)).all()
-                    far = (g >= m) & (g < n)
-                    remapped += int(far.any())
-                    g = np.where(far, n - 1 - g, g)
-                assert np.array_equal(row, g)
-    assert dropped and remapped
+    for block in (None, 64):
+        if block is not None:
+            monkeypatch.setattr(spectral, "_BLOCK", block)
+        dropped = remapped = 0
+        for m in (n, (n + 1) // 2):
+            plan = spectral._plan(table, m)
+            assert isinstance(plan, tuple) == (block is None)
+            if block is None:
+                assert np.array_equal(plan[1], table.last_digit[:m])
+            size = block or m
+            blocks = _plan_rows(plan)
+            assert [(lo, hi) for lo, hi, _ in blocks] == [
+                (lo, min(lo + size, m)) for lo in range(0, m, size)]
+            for lo, hi, gathered in blocks:
+                live = [table.pred[s, lo:hi] for s in (0, 2, 1)
+                        if table.pred[s, lo:hi].min() < n]
+                dropped += 3 - len(live)
+                assert len(gathered) == len(live)
+                for row, g in zip(gathered, live):
+                    assert row.min() < n
+                    if m < n:
+                        assert ((row < m) | (row == n)).all()
+                        far = (g >= m) & (g < n)
+                        remapped += int(far.any())
+                        g = np.where(far, n - 1 - g, g)
+                    assert np.array_equal(row, g)
+        assert remapped and (dropped or block is None)
 
 
 def test_plan_is_not_reused_at_another_block(tables_to_5, monkeypatch):
@@ -460,20 +483,29 @@ def test_plan_is_not_reused_at_another_block(tables_to_5, monkeypatch):
         assert (est.estimate, est.certified_upper) == (estimate, upper)
 
 
-def test_plan_reads_a_mixed_row_through_the_mirror():
+def test_plan_reads_a_mixed_row_through_the_mirror(monkeypatch):
     # a mirrored toy whose slot-1 row over targets 0..m-1 has sources on
-    # both sides of m = 3: only the one past m is read through its mirror
+    # both sides of m = 3: only the one past m is read through its mirror,
+    # in the stacked block as in blocks of two
     table = make_table([[5, 5, 2, 5, 5], [4, 1, 5, 3, 0], [5, 5, 2, 5, 5]],
                        [0, 1, 1, 1, 2])
     assert table.mirrored
-    (_, _, first, rest), = spectral._plan(table, 3)
-    assert [r.tolist() for r in (first, *rest)] == [[5, 5, 2], [5, 5, 2],
-                                                   [0, 1, 5]]
+    # slots 0, 2, 1 over targets 0..2, each block keeping the rows with
+    # a move
+    want = np.array([[5, 5, 2], [5, 5, 2], [0, 1, 5]])
     params = Parameters(1.43, 1.0, 0.13)
-    est = power_iteration(table, params, tol=1e-300, max_iter=5)
     ref, estimate, upper = _full_length_reference(table, params, np.ones(5), 5)
-    assert np.array_equal(est.vector, ref)
-    assert (est.estimate, est.certified_upper) == (estimate, upper)
+    for block in (None, 2):
+        if block is not None:
+            monkeypatch.setattr(spectral, "_BLOCK", block)
+        blocks = _plan_rows(spectral._plan(table, 3))
+        assert len(blocks) == (1 if block is None else 2)
+        for lo, hi, rows in blocks:
+            assert [row.tolist() for row in rows] == [
+                row[lo:hi].tolist() for row in want if row[lo:hi].min() < 5]
+        est = power_iteration(table, params, tol=1e-300, max_iter=5)
+        assert np.array_equal(est.vector, ref)
+        assert (est.estimate, est.certified_upper) == (estimate, upper)
 
 
 # eight toy states in blocks of two: targets 2, 3 and 7 have no
@@ -484,18 +516,16 @@ TOY_PRED = [[1, 4, 8, 8, 0, 8, 8, 8],
 TOY_DIGITS = [0, 1, 0, 2, 1, 2, 1, 0]
 
 
-def test_blocks_without_moves_match_the_reference(monkeypatch):
-    monkeypatch.setattr(spectral, "_BLOCK", 2)
-    table = make_table(TOY_PRED, TOY_DIGITS)
-    plan = spectral._plan(table, 8)
-    assert plan[1][2:] == (None, ())
-    assert len(plan[3][3]) == 0 and plan[3][2].min() < 8
+def _check_toy_against_the_reference(table):
+    """The toy's certificate, sweep and iterates, against the
+    whole-array operator bit for bit at the current block size."""
     params = Parameters(1.43, 1.1, 0.13)
     v = 0.5 + np.random.default_rng(2).random(8)
     ratios = apply_operator(table, params, v) / v
     assert certified_upper_bound(table, params, v) == float(ratios.max())
-    # the targets without a move give 0, and a NaN in the block without
-    # a move makes both ratio bounds NaN, as over the whole array
+    # the targets without a move give 0, and a NaN at target 2, which
+    # has none (in blocks of two, nor has its block), makes both ratio
+    # bounds NaN, as over the whole array
     w = np.asarray(params.step_weights())
     for bad in (None, 2):
         vp = np.append(v, 0.0)
@@ -503,7 +533,7 @@ def test_blocks_without_moves_match_the_reference(monkeypatch):
             vp[bad] = np.nan
         out = np.empty(8)
         upper, lower, top = spectral._sweep(
-            vp, spectral._blocks(vp, table, w, 8, out, np.empty(2)))
+            vp, spectral._blocks(vp, table, w, 8, out))
         ref = apply_operator(table, params, vp[:8])
         assert np.array_equal(out, ref)
         assert out[[2, 3, 7]].tolist() == [0.0, 0.0, 0.0]
@@ -523,6 +553,41 @@ def test_blocks_without_moves_match_the_reference(monkeypatch):
                                                   est.iterations)
     assert np.array_equal(est.vector, ref)
     assert (est.estimate, est.certified_upper) == (estimate, upper)
+
+
+def test_blocks_without_moves_match_the_reference(monkeypatch):
+    # as one stacked block of all three rows, then in blocks of two
+    table = make_table(TOY_PRED, TOY_DIGITS)
+    assert spectral._plan(table, 8)[0].shape == (3, 8)
+    _check_toy_against_the_reference(table)
+    monkeypatch.setattr(spectral, "_BLOCK", 2)
+    plan = spectral._plan(table, 8)
+    assert plan[1][2] == ()
+    assert len(plan[3][2]) == 1 and plan[3][2][0].min() < 8
+    _check_toy_against_the_reference(table)
+
+
+@pytest.mark.parametrize("block", [2, None], ids=["blocks", "one-block"])
+def test_a_table_without_moves_sweeps_to_zero(block, monkeypatch):
+    # no row to gather: the stacked block has none, and so has every
+    # block of two; both sweep to 0, as the whole-array operator does
+    if block is not None:
+        monkeypatch.setattr(spectral, "_BLOCK", block)
+    table = make_table([[3, 3, 3]] * 3, [0, 1, 2])
+    assert table.mirrored
+    for m in (3, 2):
+        rows = [row for _, _, block_rows in _plan_rows(spectral._plan(table, m))
+                for row in block_rows]
+        assert rows == []
+    for q in (1.0, 1.1):
+        params = Parameters(1.43, q, 0.13)
+        assert certified_upper_bound(table, params, np.ones(3)) == 0.0
+        est = power_iteration(table, params)
+        ref, estimate, upper = _full_length_reference(table, params,
+                                                      np.ones(3), 1)
+        assert est.iterations == 1 and estimate == upper == 0.0
+        assert np.array_equal(est.vector, ref)
+        assert (est.estimate, est.certified_upper) == (estimate, upper)
 
 
 @pytest.mark.parametrize("case", ["sandwich", "stable", "decided",
