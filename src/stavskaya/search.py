@@ -44,14 +44,14 @@ bisection method average performance preserving minmax optimality",
 ACM TOMS 2021) on the grid of bisection from [0, 1]: spacing 2**-k, k
 the smallest with 2**-k <= tol (34 at 1e-10, at most 53: on a finer
 grid a query can round onto an end of the bracket, which then never
-shrinks).  Each query is the
-regula-falsi point of f(alpha) = estimate - 1 at the bracket's ends,
-moved towards the midpoint and projected into a radius of it that
-shrinks so that the bracket after step j is at most 2**-j wide; it is
-then floored onto the grid and kept strictly inside the bracket, which
-keeps that width bound, as both are grid multiples.  So the search ends
-in at most k + 1 steps whatever the estimates, where bisection takes k;
-at the paper's points it takes 12 to 20.  Bisection ends at the grid
+shrinks).  Each query is the regula-falsi point of f(alpha) =
+estimate - 1 at the bracket's ends, moved towards the midpoint and
+projected into a radius of it that shrinks so that the bracket after
+step j is at most 2**-j wide; it is then floored onto the grid and kept
+strictly inside the bracket, which keeps that width bound, as both are
+grid multiples.  So the search ends in at most k + 1 steps whatever the
+estimates, where bisection takes k; at the paper's points it takes 12
+to 20.  Bisection ends at the grid
 neighbours [a, a + 2**-k] whose lower end certifies and upper does
 not, and so does this search, so it returns the same a wherever each
 grid point's decision does not depend on the path.
