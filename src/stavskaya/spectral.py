@@ -33,10 +33,10 @@ targets get the same value bit for bit, and so do their ratios.  Every
 iterate therefore stays equal to its reverse, so the max, min and norm
 over the first m = ceil(N/2) targets are those over all of them, and
 the sweep reads each source i >= m through its mirror N-1-i.  The loop
-never writes the targets past the middle; they are written once, as
-the first half reversed, on exit.  The returned vector is full length,
-and `certified_upper_bound` computes every target, so a certificate
-re-derived from it is exactly the same number.
+then holds m + 1 entries, as every source is below m or the empty slot
+N, which each `take` clips to entry m, kept 0.0.  On exit the full
+vector is written once into an N + 1 buffer ending in 0.0, which
+`certified_upper_bound` sweeps in place for the same certificate.
 
 Both the iteration and `certified_upper_bound` apply the operator
 through `_sweep`, a block of `_BLOCK` targets at a time, so a block's
@@ -52,21 +52,17 @@ value NaN.
 
 The rows are gathered in one of two forms.  When the m targets fit in
 one block, as on every quotient, `_plan` stacks the rows once per table
-into one (r, m) intp array in the order 0, 2, 1: a sweep is one `take`
-and one `np.add` reduction down the rows, in stored order, so the sum
-is still (slot0 + slot2) + slot1.  There numpy's call overhead is the
-cost, and this saves two `take` calls and the int32-to-intp conversion
-of every row.  Larger tables keep int32 views of their rows, which cost
+into one (r, m) intp array in the order 0, 2, 1, so a sweep, whose cost
+there is numpy's call overhead, is one `take` and one `np.add` reduction
+down the rows.  Larger tables keep int32 views of their rows, which cost
 no memory, and add each row's `take` into the block's output in the
 same order.  Both forms give the same numbers bit for bit.
 
 A warm start is the vector an earlier solve returned.  Its max is
-exactly 1.0, since it was divided by its own max (x / x == 1), and no
-entry is below the floor, so normalising and flooring it would leave
-every entry as it is (x / 1.0 == x), and the solve copies it into its
-own buffer as it is.  Each
-solve stays one public call, however short: `search` makes every one
-through its module-level `check_subcritical`, which the benchmark's
+exactly 1.0 (x / x == 1) and no entry is below the floor, so the solve
+copies it as it is: normalising and flooring would change nothing.
+Each solve stays one public call, however short: `search` makes every
+one through its module-level `check_subcritical`, which the benchmark's
 tracer wraps to count solves and iterations.
 """
 
@@ -106,8 +102,9 @@ _BLOCK = 1 << 15
 class SpectralEstimate:
     """Power-iteration outcome plus the one-sided upper certificate.
 
-    `certified_upper` is max_i (Mv)_i / v_i of `vector` itself, so
-    `certified_upper_bound(table, params, vector)` re-derives it exactly.
+    `certified_upper` is max_i (Mv)_i / v_i of `vector` itself, the head
+    of an N + 1 buffer ending in 0.0, which `certified_upper_bound(table,
+    params, vector)` sweeps in place to re-derive it exactly.
     """
 
     estimate: float
@@ -146,23 +143,29 @@ def apply_operator(table: TransitionTable, params: Parameters, v: np.ndarray) ->
 def certified_upper_bound(table: TransitionTable, params: Parameters,
                           v: np.ndarray) -> float:
     """max_i (Mv)_i / v_i for strictly positive, finite v: a true upper
-    bound on the spectral radius regardless of irreducibility."""
+    bound on the spectral radius regardless of irreducibility.  A v that
+    heads a longer contiguous float64 buffer with +0.0 at N, as a solve's
+    vector does, is swept in place; any other is copied and padded."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (table.n_states,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({table.n_states},)")
+    n = table.n_states
+    if v.shape != (n,):
+        raise ValueError(f"vector has shape {v.shape}, expected ({n},)")
     # reductions, not elementwise tests, so no N-length mask is made; a
     # NaN makes the min NaN, so it fails the positivity test
     if not v.min() > 0.0:
         raise ValueError("certification requires a strictly positive vector")
     if not np.isfinite(v.max()):
         raise ValueError("certification requires a finite vector")
-    n = table.n_states
-    vp = np.empty(n + 1, dtype=np.float64)
-    vp[:n] = v
-    vp[n] = 0.0
+    vp = v.base
+    # only read; the empty slot N must be +0.0, as the sums keep its sign
+    if not (isinstance(vp, np.ndarray) and vp.dtype == np.float64
+            and vp.strides == v.strides == (8,) and vp.size > n
+            and vp.ctypes.data == v.ctypes.data and vp.item(n) == 0.0
+            and not np.signbit(vp.item(n))):
+        vp = np.append(v, 0.0)
     w = np.asarray(params.step_weights(), dtype=np.float64)
     # a block-sized buffer, with weights made block by block: no
-    # full-length temporary besides vp
+    # full-length temporary besides a padded copy
     out = np.empty(min(_BLOCK, n), dtype=np.float64)
     return _sweep(vp, _blocks(vp, table, w, n, out))[0]
 
@@ -210,12 +213,10 @@ def _blocks(vp: np.ndarray, table: TransitionTable, w: np.ndarray, m: int,
             out: np.ndarray, whole: bool = False) -> Iterator[tuple]:
     """Per block of `_plan(table, m)`, the arrays `_sweep` needs: its
     rows, the stacked rows' gather buffer (None for row views), the
-    output, scratch, the targets' weights from the step weights `w`,
-    and v (`vp` is v padded with 0.0 for the empty slot).  An `out` of
-    m entries is sliced; a block-sized one is shared, as the scratch
-    is.  The stacked block's weights are one `take` of the plan's
-    digits.  Row-view blocks gather theirs as each block is reached,
-    or, with `whole`, take views of one array of all m."""
+    output, scratch, the targets' weights from the step weights `w`, and
+    v, the head of `vp`.  An `out` of m entries is sliced; a block-sized
+    one is shared, as the scratch is.  Row-view blocks gather their
+    weights as each block is reached, or, with `whole`, view one array."""
     plan = _plan(table, m)
     if isinstance(plan, tuple):
         rows, digits = plan
@@ -242,8 +243,8 @@ def _sweep(vp: np.ndarray, blocks: Iterable[tuple]) -> tuple[float, float, float
     # ufunc reduction.
     peaks = []
     for rows, x, o, k, wb, v in blocks:
-        # clip skips the bounds pass and the buffered copy that the
-        # default mode makes; the table's indices were checked once
+        # clip skips the default mode's bounds pass and buffered copy (the
+        # indices were checked), and reads slot N at a half vp's entry m
         if x is not None:
             # one take for every row, then the rows add in stored order;
             # with no row the sum is 0.0, as for a block without a move
@@ -293,23 +294,20 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
     """Power iteration as documented on `power_iteration`; with `decide`
     it also stops at the first step whose max ratio is below one or whose
     min ratio is above one, since either already settles "radius < 1".
-
-    Only the first m targets are computed.  m = ceil(N/2) when the mirror
-    argument of the module docstring holds (a mirrored table, equal
-    weights for kinds 1 and 3, and a start vector equal to its reverse);
-    the rest is then the first part reversed, and is written on exit.
-    Otherwise m = N.
-    """
+    Only m = ceil(N/2) targets are computed when the mirror argument of
+    the module docstring holds (a mirrored table, equal weights for kinds
+    1 and 3, a start equal to its reverse), else m = N."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = table.n_states
-    vp = np.empty(n + 1, dtype=np.float64)
-    vp[n] = 0.0
-    v = vp[:n]
+    w = np.asarray(params.step_weights(), dtype=np.float64)
+    half = table.mirrored and w[0] == w[2]
     if v0 is None:
-        v[:] = 1.0
+        # a cold start of ones is its own reverse
+        m = (n + 1) // 2 if half else n
+        vp = np.ones(m + 1, dtype=np.float64)
     else:
         v0 = np.asarray(v0, dtype=np.float64)
         if v0.shape != (n,):
@@ -319,36 +317,44 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
         top, least = v0.item(v0.argmax()), v0.item(v0.argmin())
         if not (0.0 < top < np.inf and least >= 0.0):
             raise ValueError("v0 must be finite, nonnegative and not all zero")
+        vp = np.empty(n + 1, dtype=np.float64)
+        v = vp[:n]
         if top == 1.0 and least >= _POSITIVITY_FLOOR:
             # a warm start: normalising and flooring would change nothing
             np.copyto(v, v0)
         else:
             np.divide(v0, top, out=v)
             np.maximum(v, _POSITIVITY_FLOOR, out=v)
+        m = (n + 1) // 2 if half and np.array_equal(v, v[::-1]) else n
+        if m < n:
+            vp = vp[:m + 1].copy()
+    vp[m] = 0.0
+    estimate, upper, iterations, converged = _loop(vp, table, w, m, tol,
+                                                   max_iter, decide)
+    if m < n:
+        # written once the loop's blocks, output and weights are freed
+        vp = np.concatenate((vp[:m], vp[:n - m][::-1], [0.0]))
+    return SpectralEstimate(estimate=estimate, certified_upper=upper,
+                            iterations=iterations, converged=converged,
+                            vector=vp[:n])
 
-    w = np.asarray(params.step_weights(), dtype=np.float64)
-    # a cold start of ones is its own reverse
-    half = (table.mirrored and w[0] == w[2]
-            and (v0 is None or np.array_equal(v, v[::-1])))
-    m = (n + 1) // 2 if half else n
+
+def _loop(vp: np.ndarray, table: TransitionTable, w: np.ndarray, m: int,
+          tol: float, max_iter: int, decide: bool) -> tuple:
+    """`_iterate`'s steps on targets 0..m-1 of `vp`, which they leave
+    holding the last iterate: (estimate, upper, iterations, converged)."""
     out = np.empty(m, dtype=np.float64)
-    # the buffers, views and weights are made once per solve, not once
-    # per step
+    # buffers, views and weights are made once per solve, not per step
     blocks = list(_blocks(vp, table, w, m, out, whole=True))
-
-    estimate = 0.0
-    upper = np.inf
-    previous = np.inf
-    stable = 0
+    estimate, upper, previous = 0.0, np.inf, np.inf
+    stable = iterations = 0
     converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         upper, lower, nrm = _sweep(vp, blocks)
         if nrm == 0.0:
-            estimate = 0.0
-            upper = 0.0
+            estimate = upper = 0.0
             converged = True
-            v[:] = 1.0
+            vp[:m] = 1.0
             break
         estimate = nrm
         # every exit leaves in vp the iterate whose ratios were just taken,
@@ -369,13 +375,7 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
         for _, _, o, _, _, head in blocks:
             np.divide(o, nrm, out=head)
             np.maximum(head, _POSITIVITY_FLOOR, out=head)
-    if m < n:
-        # the sweep reads the targets past m through their mirrors
-        vp[m:n] = vp[:n - m][::-1]
-
-    return SpectralEstimate(estimate=estimate, certified_upper=upper,
-                            iterations=iterations, converged=converged,
-                            vector=v)
+    return estimate, upper, iterations, converged
 
 
 def check_subcritical(table: TransitionTable, params: Parameters,

@@ -14,7 +14,8 @@ from stavskaya import bruteforce
 from stavskaya.errors import ConsistencyError
 from stavskaya.patterns import POW3, Parameters, _grow, build_forbidden_set
 from stavskaya.search import alpha_sup, optimize_p
-from stavskaya.spectral import apply_operator, check_subcritical, power_iteration
+from stavskaya.spectral import (apply_operator, certified_upper_bound,
+                                check_subcritical, power_iteration)
 from stavskaya.statespace import build_state_space, build_transitions
 
 TABLE_COUNTS = {1: (4, 7), 2: (6, 73), 3: (12, 759), 4: (36, 7859),
@@ -39,6 +40,11 @@ TABLE_ROW_BOUND = 0.13659747
 # the paper's level-7 row: p_opt to 0.01, and a bound at least the
 # headline bound at the paper's p
 LEVEL7_ROW_P = 1.415
+
+# not from the paper: a regression value, the max ratio of the level-7
+# history table's iterate after 50 applications from all-ones at
+# (p, q, alpha) = (1.415, 1, 0.137), as this code computes it
+LEVEL7_FIXED_RUN = (Parameters(1.415, 1.0, 0.137), 50, 0.9998554914461517)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -237,3 +243,14 @@ def test_criterion_9_level7_table_row(deep_levels):
     _report(9, ok, f"n={HEADLINE_LEVEL} p_opt {best.p_opt:.5f} "
                    f"({LEVEL7_ROW_P} +/- 0.01), bound {best.bound:.10f} "
                    f"(>= {HEADLINE_BOUND}), {elapsed:.0f}s")
+
+
+def test_level7_fixed_run_keeps_its_certificate(deep_levels):
+    # the half-state iteration on the 8,663,071 histories and the
+    # certificate re-derived, in place, from the vector it returns
+    params, steps, want = LEVEL7_FIXED_RUN
+    table = deep_levels[HEADLINE_LEVEL][2]
+    est = power_iteration(table, params, tol=1e-300, max_iter=steps)
+    cert = certified_upper_bound(table, params, est.vector)
+    assert est.iterations == steps and not est.converged
+    assert cert == est.certified_upper == want

@@ -164,7 +164,106 @@ def test_certificate_holds_no_full_length_temporary(tables_to_5, monkeypatch):
     assert peak < 1.5 * 8 * n
 
 
-@pytest.mark.parametrize("bad,match", [(0.0, "strictly positive"),
+def test_half_state_solve_and_its_certificate_stay_small(tables_to_5,
+                                                         monkeypatch):
+    # the half-state loop holds m + 1 entries of v, m of output and m of
+    # weights, with m = ceil(N/2); on exit, once those are freed, the
+    # full N + 1 vector is written beside the half.  Either way about
+    # 1.5 full-length float64 arrays, where a full-length iterate would
+    # add half of one.  Certifying the returned vector sweeps its own
+    # buffer, so past it only block-sized buffers may be made
+    monkeypatch.setattr(spectral, "_BLOCK", 1 << 12)
+    table = tables_to_5[5]
+    n = table.n_states
+    assert table.mirrored
+    params = Parameters(1.42, 1.0, 0.13)
+    tracemalloc.start()
+    try:
+        est = power_iteration(table, params, tol=1e-300, max_iter=20)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        cert = certified_upper_bound(table, params, est.vector)
+        cert_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert est.iterations == 20 and cert == est.certified_upper
+    assert solve_peak < 1.8 * 8 * n
+    assert cert_peak < 0.5 * 8 * n
+
+
+def test_certificate_sweeps_in_place_only_a_padded_head(small_levels,
+                                                        monkeypatch):
+    # v is swept in its own buffer only when it is the first N entries of
+    # a longer contiguous float64 buffer with +0.0 at N; every other v is
+    # copied into a padded buffer and gives apply_operator's max ratio
+    _, table = small_levels[3]
+    n = table.n_states
+    params = Parameters(1.43, 1.0, 0.13)
+    swept = []
+    sweep = spectral._sweep
+
+    def spy(vp, blocks):
+        swept.append(vp)
+        return sweep(vp, blocks)
+
+    monkeypatch.setattr(spectral, "_sweep", spy)
+    v = 0.5 + np.random.default_rng(4).random(n)
+    want = float((apply_operator(table, params, v) / v).max())
+
+    def padded(size, offset=0, stride=1, end=0.0, dtype=np.float64):
+        # zeros past v; `end` at N only where N is past the view
+        buf = np.zeros(size, dtype=dtype)
+        head = buf[offset:offset + stride * n:stride]
+        head[:] = v
+        if offset == 0 and stride == 1:
+            buf[n] = end
+        return buf, head
+
+    assert n % 2 == 1  # so entry N of the strided buffer is a gap, 0.0
+    # float64 entries over int64 storage, whose entry N reads as 0
+    words = np.zeros(n + 1, dtype=np.int64)
+    words.view(np.float64)[:n] = v
+    copied = {
+        # 0.5 at N would be read as a move's weight by an in-place sweep
+        "nonzero end": padded(n + 1, end=0.5),
+        "negative zero end": padded(n + 1, end=-0.0),
+        "offset": padded(n + 2, offset=1),
+        # entry N of the buffer, before the view, is 0.0
+        "far offset": padded(2 * n + 2, offset=n + 1),
+        "strided": padded(2 * n + 1, stride=2),
+        "float32": padded(n + 1, dtype=np.float32),
+        "int64 base": (words, words.view(np.float64)[:n]),
+        "plain": (None, v.copy()),
+    }
+    for name, (buf, head) in copied.items():
+        got = certified_upper_bound(table, params, head)
+        exact = np.asarray(head, dtype=np.float64)
+        assert got == float((apply_operator(table, params, exact)
+                             / exact).max()), name
+        if name != "float32":
+            assert got == want, name
+        assert buf is None or not np.shares_memory(swept[-1], buf), name
+        assert swept[-1].shape == (n + 1,) and swept[-1][n] == 0.0, name
+    for size in (n + 1, n + 4):
+        buf, head = padded(size)
+        assert certified_upper_bound(table, params, head) == want
+        assert swept[-1] is buf
+    # a solve's vector, half-state or not, is swept in its own buffer and
+    # left as it was, its padding entry included
+    for q in (1.0, 1.1):
+        est = power_iteration(table, Parameters(1.43, q, 0.13),
+                              tol=1e-300, max_iter=7)
+        base = est.vector.base
+        before = base.copy()
+        assert base.shape == (n + 1,) and est.vector.ctypes.data == base.ctypes.data
+        cert = certified_upper_bound(table, Parameters(1.43, q, 0.13),
+                                     est.vector)
+        assert swept[-1] is base and cert == est.certified_upper
+        assert base.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("bad,match",[(0.0, "strictly positive"),
                                        (np.nan, "strictly positive"),
                                        (np.inf, "finite")],
                          ids=["zero", "nan", "inf"])
