@@ -45,13 +45,13 @@ STEP_KINDS = (1, 2, 3)
 POW3 = 3 ** np.arange(41, dtype=np.uint64)
 
 # Words handled per pass of every full-length sweep: the move rule's
-# running counts, gathers and code copies, and in `statespace` the last
+# ranks, gathers and code copies, and in `statespace` the last
 # digits, the mirror check and the scatter `succ`.  The chunk sets part
 # of the build's peak RSS: at 2^18 the whole build (patterns, states,
-# transitions) peaks at 55 MiB at level 6 and 247 MiB at level 7, and at
+# transitions) peaks at 53 MiB at level 6 and 243 MiB at level 7, and at
 # both levels it sets the peak of a `bound` run, whose quotient and
-# solve stay below it; 2^20 takes the build to 68 and 268 MiB, and
-# 2^22 takes level 7 to 323 MiB (2 cores, numpy 2.4).
+# solve stay below it; 2^20 takes the build to 63 and 261 MiB, and
+# 2^22 takes level 7 to 315 MiB (2 cores, numpy 2.4).
 _CHUNK = 1 << 18
 
 _NO_CODES = np.empty(0, dtype=np.uint64)
@@ -81,6 +81,15 @@ class Parameters:
             raise ValueError(f"q must be a finite real >= 1, got {self.q}")
         if not (_finite_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+
+    @classmethod
+    def _unchecked(cls, p, q, alpha) -> "Parameters":
+        """Parameters without `__post_init__`'s checks, for a caller that
+        has checked p and q once and takes alpha from [0, 1]: the search
+        on alpha, which makes one per step."""
+        params = object.__new__(cls)
+        params.__dict__.update(p=p, q=q, alpha=alpha)
+        return params
 
     def step_weights(self) -> tuple[float, float, float]:
         """Weights of step kinds 1, 2, 3: 1/(pq), alpha*p^2, q/p."""
@@ -187,16 +196,19 @@ def _block(moves: np.ndarray, codes: np.ndarray, length: int,
     moves[(patterns[hit] // POW3[length]).astype(np.intp), idx[hit]] = codes.shape[0]
 
 
-def _runs(kept: np.ndarray):
+def _runs(kept: np.ndarray, n: int):
     """(s, columns, keep, at) for each `_CHUNK` of each row s of the
-    (3, N) mask `kept`: the chunk's columns and mask, and the rank of
-    its first kept pair among all kept pairs in (s, t) order."""
+    (3, n) mask packed in `kept` by `np.packbits` along its rows: the
+    chunk's columns and mask, and the rank of its first kept pair among
+    all kept pairs in (s, t) order."""
     at = 0
     for s, row in enumerate(kept):
-        for lo in range(0, row.shape[0], _CHUNK):
-            cols = slice(lo, lo + _CHUNK)
-            yield s, cols, row[cols], at
-            at += int(np.count_nonzero(row[cols]))
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            bits = np.unpackbits(row[lo // 8:(hi + 7) // 8])
+            keep = bits[lo % 8:lo % 8 + hi - lo].view(bool)
+            yield s, slice(lo, hi), keep, at
+            at += int(np.count_nonzero(keep))
 
 
 def _grow(length: int, fset: ForbiddenSet,
@@ -212,48 +224,71 @@ def _grow(length: int, fset: ForbiddenSet,
     (and within the budget); the longer words are those pairs in (s, t)
     order, so their codes come out sorted.  The prefix of a longer word
     s.t is the move of t, so its move on a new oldest step s' is the
-    rank of the kept pair (s', moves[s, t]): one running count and one
+    rank of the kept pair (s', moves[s, t]): one ranking pass and one
     gather per length, with no search.  Every full-length array is
     walked in `_CHUNK` pieces, and each is freed as soon as the next
     one is built.
+
+    Under a budget each word carries its three step counts packed in one
+    uint16, 5 bits a kind, and a pair (s, t) is kept only while t's
+    count of kind s+1 is below the budget.  A count never exceeds the
+    budget, at most `MAX_LEVEL` for the loops, so it never carries into
+    the next kind's bits.
     """
     codes = np.arange(3, dtype=np.uint64)
     # every two-step word's prefix is its oldest step
     moves = np.repeat(np.arange(3, dtype=np.int32), 3).reshape(3, 3)
     _block(moves, codes, 1, fset)
-    unit = np.eye(3, dtype=np.uint8)
-    counts = unit  # steps of each kind, one row per word
+    # one step of kind s+1 in the packed counts, and the counts of the
+    # one-step words
+    step = np.array([1, 1 << 5, 1 << 10], dtype=np.uint16)
+    counts = step
     for cur in range(1, length):
         n = codes.shape[0]
         kept = moves < n
         if budget is not None:
             # a word with oldest step s and suffix t has one more step s
-            kept &= (counts < budget).T
-            counts = np.concatenate([counts[kept[s]] + unit[s] for s in range(3)])
+            for s in range(3):
+                kept[s] &= (counts & (31 * step[s])) < budget * step[s]
         size = int(np.count_nonzero(kept))
+        # packed a bit a pair for the rest of the step: as bools it would
+        # add 3n bytes to the peak, which comes when the longer codes are
+        # built
+        kept = np.packbits(kept, axis=1)
         longer = np.empty((3, size), dtype=np.int32)
         # each longer word's prefix goes to row 0, and each kept pair's
         # move is replaced by the pair's rank (the sentinel `size` if
-        # it is not kept)
-        for s, cols, keep, at in _runs(kept):
-            rank = np.cumsum(keep, dtype=np.int32)
-            longer[0, at:at + int(rank[-1])] = moves[s, cols][keep]
-            rank += np.int32(at - 1)
-            moves[s, cols] = np.where(keep, rank, np.int32(size))
+        # it is not kept), written through the mask rather than summed
+        # along it.  The loop leaves no view of the old moves behind,
+        # which would hold them while the longer codes are built
+        for s, cols, keep, at in _runs(kept, n):
+            prefix = moves[s, cols][keep]
+            longer[0, at:at + prefix.shape[0]] = prefix
+            moves[s, cols] = size
+            moves[s, cols][keep] = np.arange(at, at + prefix.shape[0],
+                                             dtype=np.int32)
         for lo in range(0, size, _CHUNK):
-            prefix = longer[0, lo:lo + _CHUNK].copy()
+            # the prefixes are real moves, so in range: clip skips the
+            # bounds pass and the buffered copy, and one intp copy
+            # serves all three gathers
+            prefix = longer[0, lo:lo + _CHUNK].astype(np.intp)
             for s in range(3):
-                # the prefixes are real moves, so in range: clip skips
-                # the bounds pass and the buffered copy
                 np.take(moves[s], prefix, out=longer[s, lo:lo + _CHUNK],
                         mode="clip")
         moves = longer
         grown = np.empty(size, dtype=np.uint64)
-        for s, cols, keep, at in _runs(kept):
+        if budget is not None:
+            grown_counts = np.empty(size, dtype=np.uint16)
+        for s, cols, keep, at in _runs(kept, n):
             part = codes[cols][keep]
             part += np.uint64(s) * POW3[cur]
             grown[at:at + part.shape[0]] = part
+            if budget is not None:
+                np.add(counts[cols][keep], step[s],
+                       out=grown_counts[at:at + part.shape[0]])
         codes = grown
+        if budget is not None:
+            counts = grown_counts
         _block(moves, codes, cur + 1, fset)
     return codes, moves
 

@@ -222,7 +222,7 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
             radius = math.ldexp(1.0, _ITP_N0 - 1 - steps) - 0.5 * (high - low)
             trial = _itp_point(low, high, f_low, f_high, radius)
         trial = min(max(math.floor(trial / grid) * grid, low + grid), high - grid)
-        est = check_subcritical(quotient, Parameters(p, q, trial),
+        est = check_subcritical(quotient, Parameters._unchecked(p, q, trial),
                                 DEFAULT_TOL, DEFAULT_MAX_ITER, v0=warm)
         spent += est.iterations
         warm = est.vector
@@ -234,8 +234,8 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
         steps += 1
 
     # one solver step from the certified vector re-derives its max ratio
-    est = check_subcritical(quotient, Parameters(p, q, low), DEFAULT_TOL, 1,
-                            v0=certified)
+    est = check_subcritical(quotient, Parameters._unchecked(p, q, low),
+                            DEFAULT_TOL, 1, v0=certified)
     spent += est.iterations
     if est.certified_upper != certificate:
         raise ConsistencyError(

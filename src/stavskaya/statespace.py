@@ -73,7 +73,7 @@ from .errors import ConsistencyError, ResourceLimitError
 from .patterns import _CHUNK, ForbiddenSet, _block, _grow
 
 # The largest level whose history table is built: level 7, the paper's
-# headline, has 8,663,071 states and its `bound` run peaks at 248 MiB,
+# headline, has 8,663,071 states and its `bound` run peaks at 243 MiB,
 # in the build.
 # Level 8 has 89,435,873 states (the length-23 words avoiding the level-7
 # set), and every level above it grows those same words on the way.
@@ -167,16 +167,30 @@ class TransitionTable:
         # also checked once, for the spectral solver's half-state
         # iteration, in chunks to keep its temporaries small; slot 1
         # pairs with itself and slot 2 with slot 0, so slots 0 and 1
-        # (their mirrors: slots 2 and 1, reversed) cover all three
-        n = self.n_states
+        # (their mirrors: slots 2 and 1, reversed) cover all three.
+        # The mirror of a = pred[s, t] is b = pred[2-s, N-1-t]: N-1-a for
+        # a real move, N for the sentinel.  Since both lie in [0, N]
+        # (checked above), a + b is N-1 exactly when a < N and b = N-1-a,
+        # and 2N exactly when both are the sentinel, so one sum per slot
+        # pair decides it; it is taken in a signed type that holds 2N,
+        # so a wrapped sum never reads as a pair.  Reversed last digits
+        # d and 2-d likewise sum to 2.  Slot 1's sums and the digits' are
+        # the same at t and N-1-t, so the first half of them decides.
+        n, pred, digits = self.n_states, self.pred, self.last_digit
+        wide = np.promote_types(pred.dtype, np.min_scalar_type(-2 * n))
+        narrow = np.promote_types(digits.dtype, np.uint8)
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
-            src = self.pred[:2, lo:hi]
-            if not (np.array_equal(self.last_digit[n - hi:n - lo][::-1],
-                                   2 - self.last_digit[lo:hi])
-                    and np.array_equal(self.pred[[2, 1], n - hi:n - lo][:, ::-1],
-                                       np.where(src == n, n, n - 1 - src))):
+            first_half = 2 * lo < n
+            if first_half and np.count_nonzero(np.add(
+                    digits[lo:hi], digits[n - hi:n - lo][::-1], dtype=narrow) != 2):
                 return False
+            for s in range(2 if first_half else 1):
+                pair = np.add(pred[s, lo:hi], pred[2 - s, n - hi:n - lo][::-1],
+                              dtype=wide)
+                if (np.count_nonzero(pair == n - 1)
+                        + np.count_nonzero(pair == 2 * n) != hi - lo):
+                    return False
         return True
 
     @property
@@ -251,9 +265,15 @@ def build_transitions(states: StateSpace, fset: ForbiddenSet) -> TransitionTable
         raise ValueError("the state space has already given its moves to a table")
     pred, states.moves = states.moves, None
     _block(pred, states.codes, states.length, fset)
-    # in chunks: codes % 3 would be a full-length uint64 temporary
+    # in chunks: codes % 3 would be a full-length uint64 temporary; and
+    # as c - 3(c // 3), since numpy divides by a constant faster than it
+    # takes a remainder
     last_digit = np.empty(len(states), dtype=np.uint8)
     for lo in range(0, len(states), _CHUNK):
-        last_digit[lo:lo + _CHUNK] = states.codes[lo:lo + _CHUNK] % np.uint64(3)
+        chunk = states.codes[lo:lo + _CHUNK]
+        rest = chunk // np.uint64(3)
+        rest *= np.uint64(3)
+        np.subtract(chunk, rest, out=rest)
+        last_digit[lo:lo + _CHUNK] = rest
     return TransitionTable(n=states.n, pred=pred, last_digit=last_digit,
                            fset=fset)

@@ -79,6 +79,21 @@ def check_lift(table, quotient=None, phi=None):
     return phi
 
 
+def mirrored_by_definition(table):
+    """The mirror flag by its definition, on whole arrays and in int64:
+    pred[2-s, N-1-t] is N-1-pred[s, t] for a real move and the sentinel
+    N for the sentinel, for slots s = 0, 1, and the reversed last digits
+    are 2 minus the digits (`TransitionTable._is_mirrored` checks the
+    same by sums)."""
+    n = table.n_states
+    pred = table.pred.astype(np.int64)
+    digits = table.last_digit.astype(np.int64)
+    src = pred[:2]
+    return (np.array_equal(digits[::-1], 2 - digits)
+            and np.array_equal(pred[[2, 1], ::-1],
+                               np.where(src == n, n, n - 1 - src)))
+
+
 def unmirrored(table):
     """Copy of a built table with its first real slot-0 predecessor
     emptied, so the 1<->3 swap no longer maps it onto itself."""

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from stavskaya.errors import ResourceLimitError
-from stavskaya.patterns import (ForbiddenSet, Parameters, build_forbidden_set,
-                                code_to_pattern, enumerate_primitive_loops,
-                                pattern_code, pattern_text)
+from stavskaya.patterns import (MAX_LEVEL, POW3, ForbiddenSet, Parameters,
+                                _grow, build_forbidden_set, code_to_pattern,
+                                enumerate_primitive_loops, pattern_code,
+                                pattern_text)
 
 
 def test_parameter_validation():
@@ -86,6 +87,28 @@ def test_loops_are_strictly_increasing_codes():
         codes = enumerate_primitive_loops(k, build_forbidden_set(k - 1))
         assert codes.dtype == np.uint64
         assert (codes[1:] > codes[:-1]).all()
+
+
+@pytest.mark.parametrize("length", [13, 16])
+@pytest.mark.parametrize("budget", [MAX_LEVEL, 4])
+def test_kind_budget_keeps_exactly_the_words_within_it(length, budget):
+    # the budget path packs each word's three step counts 5 bits apart
+    # in one uint16; a count carrying into the next kind's bits would
+    # drop or keep the wrong words.  At length 13 one kind can fill a
+    # word, up to the largest budget the loops use, and at length 16 that
+    # budget binds
+    degenerate = ForbiddenSet(0, [(1, 3), (3, 1)])
+    every, _ = _grow(length, degenerate)
+    counts = np.zeros((3, every.shape[0]), dtype=np.int8)
+    for j in range(length):
+        digit = every // POW3[j] % np.uint64(3)
+        for d in range(3):
+            counts[d] += digit == d
+    within = (counts <= budget).all(axis=0)
+    got, _ = _grow(length, degenerate, budget)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, every[within])
+    assert within.all() == (budget >= length)
 
 
 def test_primitivity_needs_matching_level():

@@ -3,7 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import check_lift, level_table, make_table, unmirrored
+from conftest import (check_lift, level_table, make_table,
+                      mirrored_by_definition, unmirrored)
 
 from stavskaya import automaton, bruteforce, patterns, statespace
 from stavskaya.errors import ConsistencyError, ResourceLimitError
@@ -122,14 +123,18 @@ def test_chunked_moves_match_one_chunk(fset5, monkeypatch, chunk):
         assert np.array_equal(got_q.last_digit, want_q.last_digit)
         assert np.array_equal(got_phi, want_phi)
         assert table.mirrored and want.mirrored
+        assert mirrored_by_definition(table)
         # a break near the start, and breaks a third of the way in
         assert not unmirrored(table).mirrored
+        assert not mirrored_by_definition(unmirrored(table))
         size, third = table.n_states, table.n_states // 3
         pred, digits = table.pred.copy(), table.last_digit.copy()
         pred[1, third] = size if pred[1, third] < size else 0
         digits[third] = (digits[third] + 1) % 3
         for broken in ((pred, table.last_digit), (table.pred, digits)):
-            assert not TransitionTable(table.n, *broken).mirrored
+            broken = TransitionTable(table.n, *broken)
+            assert not broken.mirrored
+            assert not mirrored_by_definition(broken)
 
 
 def test_closure_targets_are_states(small_levels):
@@ -235,6 +240,62 @@ def test_mirrored_only_when_it_holds(small_levels):
     assert make_table([[1], [1], [1]], [1]).mirrored
 
 
+def test_mirror_sums_match_the_definition_on_built_tables(small_levels, fset5):
+    for n in range(1, 6):
+        table = level_table(n, small_levels, fset5)
+        assert table.mirrored == mirrored_by_definition(table) is True
+        size, pred = table.n_states, table.pred.copy()
+        # a sentinel paired with state N-1 sums to 2N-1, neither N-1 nor 2N
+        t = int(np.nonzero(pred[0] == size)[0][0])
+        pred[2, size - 1 - t] = size - 1
+        broken = TransitionTable(table.n, pred, table.last_digit)
+        assert broken.mirrored == mirrored_by_definition(broken) is False
+
+
+def _mirrored_toy(size, dtype, rng):
+    """A random table of `size` states in `dtype` that the swap maps onto
+    itself, about a third of its slots empty."""
+    half = size // 2
+    pred = rng.integers(0, size, (3, size))
+    pred[rng.random((3, size)) < 0.35] = size
+    mirror = np.where(pred == size, size, size - 1 - pred)
+    # pred[2-s, N-1-t] is the mirror of pred[s, t]
+    pred[2] = mirror[0, ::-1]
+    pred[1, size - half:] = mirror[1, :half][::-1]
+    if size % 2:
+        pred[1, half] = size
+    digits = rng.integers(0, 3, size)
+    digits[size - half:] = 2 - digits[:half][::-1]
+    if size % 2:
+        digits[half] = 1
+    return TransitionTable(1, pred.astype(dtype), digits.astype(np.uint8))
+
+
+@pytest.mark.parametrize("dtype,size", [(np.int8, 100), (np.int8, 127),
+                                        (np.uint8, 200), (np.int16, 20_001),
+                                        (np.uint32, 1_001)])
+def test_mirror_sums_never_wrap(dtype, size):
+    # 2N overflows every dtype here but uint32, so the sums must be taken
+    # wider: two sentinels must still read as a pair, and nothing else
+    rng = np.random.default_rng(size)
+    table = _mirrored_toy(size, dtype, rng)
+    assert table.pred.dtype == dtype
+    assert (table.pred == size).any()
+    assert table.mirrored and mirrored_by_definition(table)
+    for s, t, value in ((0, 3, size - 1), (1, size // 3, 0), (2, size - 1, size),
+                        (0, size // 2, size), (1, size - 2, size - 1)):
+        pred = table.pred.copy()
+        if pred[s, t] == value:
+            value = size - 1 - value if value < size else 0
+        pred[s, t] = value
+        broken = TransitionTable(1, pred, table.last_digit)
+        assert broken.mirrored == mirrored_by_definition(broken) is False
+    digits = table.last_digit.copy()
+    digits[[1, size - 2]] = (digits[1], (digits[size - 2] + 1) % 3)
+    broken = TransitionTable(1, table.pred, digits)
+    assert broken.mirrored == mirrored_by_definition(broken) is False
+
+
 def test_history_cap_refused_before_growing(monkeypatch):
     def no_grow(*args):
         raise AssertionError("a word was grown above the history cap")
@@ -276,6 +337,25 @@ def test_level_six_build_peak_memory():
         tracemalloc.stop()
     assert table.n_states == 839_009
     assert peak <= 1.1 * 25.1 * 2**20
+
+
+def test_growth_holds_its_mask_packed(monkeypatch):
+    # numpy reports its buffers to tracemalloc.  The last growth step
+    # peaks while it builds the longer codes and still holds the shorter
+    # ones, 8 bytes a shorter word or about 3.7 bytes a state; by then
+    # its mask of kept pairs is packed a bit a pair, where as bools it
+    # took 3 bytes a shorter word (about 1.4 bytes a state: 5.15 bytes a
+    # state in all).  Small chunks keep their own temporaries out of it
+    for module in (patterns, statespace):
+        monkeypatch.setattr(module, "_CHUNK", 1 << 12)
+    lower = build_forbidden_set(5)
+    tracemalloc.start()
+    try:
+        space = build_state_space(6, lower)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 4.5 * len(space)
 
 
 def test_enumerate_valid_words_small():
