@@ -48,10 +48,10 @@ POW3 = 3 ** np.arange(41, dtype=np.uint64)
 # ranks, gathers and code copies, and in `statespace` the last
 # digits, the mirror check and the scatter `succ`.  The chunk sets part
 # of the build's peak RSS: at 2^18 the whole build (patterns, states,
-# transitions) peaks at 53 MiB at level 6 and 243 MiB at level 7, and at
+# transitions) peaks at 52 MiB at level 6 and 241 MiB at level 7, and at
 # both levels it sets the peak of a `bound` run, whose quotient and
-# solve stay below it; 2^20 takes the build to 63 and 261 MiB, and
-# 2^22 takes level 7 to 315 MiB (2 cores, numpy 2.4).
+# solve stay below it; 2^20 takes the build to 61 and 261 MiB, and
+# 2^22 takes level 7 to 295 MiB (2 cores, numpy 2.4).
 _CHUNK = 1 << 18
 
 _NO_CODES = np.empty(0, dtype=np.uint64)

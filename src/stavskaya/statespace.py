@@ -73,7 +73,7 @@ from .errors import ConsistencyError, ResourceLimitError
 from .patterns import _CHUNK, ForbiddenSet, _block, _grow
 
 # The largest level whose history table is built: level 7, the paper's
-# headline, has 8,663,071 states and its `bound` run peaks at 243 MiB,
+# headline, has 8,663,071 states and its `bound` run peaks at 242 MiB,
 # in the build.
 # Level 8 has 89,435,873 states (the length-23 words avoiding the level-7
 # set), and every level above it grows those same words on the way.
