@@ -11,15 +11,20 @@ prefix, so a suffix of the node's word.  So the node of a history fixes
 its future, and the histories' successor form factors through the nodes
 (see `statespace`).
 
-The automaton is built one depth at a time from `codes_by_length`: the
-depth-m nodes are the sorted, distinct length-m prefixes of the
-patterns, the children of a node are found by `_find`, and
-fail(u·d) = δ(fail(u), d), so each depth reads only shallower rows.
-A node is dead when it is a pattern or its failure target is dead.
-`minimal` refines the live nodes by Moore's algorithm (Moore 1956), in
-sort rounds: each round packs a node's class and its three targets'
-classes into one int64 key and ranks the keys (`_refine`).  Nothing
-here reads a history.
+The depth-m nodes are the sorted, distinct length-m prefixes of the
+patterns, found from the deepest depth up: the parents of the depth-
+(m+1) nodes and the length-m patterns.  The automaton is then built one
+depth at a time from the root down: each node's children are scattered
+into its row from theirs, its missing moves are δ(fail(u), d), and
+fail(u·d) = δ(fail(u), d), so each depth reads only shallower rows.  A
+node is dead when it is a pattern or its failure target is dead.
+
+`minimal` merges the live nodes with the same future (`_refine`).  It
+first hashes each node's future a fixed number of steps deep, with no
+sort, and keeps the hash classes when one pass shows that they already
+form a bisimulation; only when that check fails does it go on by
+Moore's algorithm (Moore 1956), in sort rounds of packed int64 keys.
+Nothing here reads a history.
 """
 
 from __future__ import annotations
@@ -27,14 +32,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError, ResourceLimitError
-from .patterns import POW3, ForbiddenSet, _find
+from .patterns import ForbiddenSet, _find
 
 
 _NO_CODES = np.empty(0, dtype=np.uint64)
-_STEPS = np.arange(3, dtype=np.uint64)
+_THREE = np.uint64(3)
 # the most classes a refinement round may start from: its keys, below
 # (K+1)^4, fit in int64 while K+1 <= 55,108
 MAX_CLASSES = 55_107
+# the future hash's odd multiplier for each step's target, the hash of
+# a missing move, and its xor-shift (see `_future_hash`)
+HASH_MULTIPLIERS = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
+                             0x165667B19E3779F9], dtype=np.uint64)
+_NO_MOVE = np.uint64(0x27D4EB2F165667C5)
+_SHIFT = np.uint64(29)
 
 
 def _automaton(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray]:
@@ -42,33 +53,44 @@ def _automaton(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray]:
     node index with the root at 0, and dead[u] flags the nodes whose
     word ends in a pattern.  Nodes are numbered by (depth, code)."""
     by_length = fset.codes_by_length
+    longest = max(by_length, default=0)
     depth_codes = [np.zeros(1, dtype=np.uint64)]  # the root
-    for m in range(1, max(by_length, default=0) + 1):
-        # sorted, then each code that differs from its neighbour:
-        # np.unique would import numpy.ma on first use
-        prefixes = np.sort(np.concatenate(
-            [codes // POW3[length - m]
-             for length, codes in by_length.items() if length >= m]))
-        distinct = np.ones(prefixes.shape[0], dtype=bool)
-        distinct[1:] = prefixes[1:] != prefixes[:-1]
-        depth_codes.append(prefixes[distinct])
-    starts = np.cumsum([0] + [codes.shape[0] for codes in depth_codes])
-    delta = np.zeros((int(starts[-1]), 3), dtype=np.int32)
-    fail = np.zeros_like(delta[:, 0])
-    dead = np.zeros(delta.shape[0], dtype=bool)
-    for m, parents in enumerate(depth_codes):
-        ids = np.arange(starts[m], starts[m + 1])
-        children = (depth_codes[m + 1] if m + 1 < len(depth_codes)
-                    else _NO_CODES)
-        idx, hit = _find(children, parents[:, None] * np.uint64(3) + _STEPS)
-        delta[ids] = np.where(hit, starts[m + 1] + idx, delta[fail[ids]])
-        new = np.arange(starts[m + 1], starts[m + 1] + children.shape[0])
-        if m > 0:  # depth-1 nodes fail to the root
-            parent = starts[m] + _find(parents, children // np.uint64(3))[0]
-            fail[new] = delta[fail[parent],
-                              (children % np.uint64(3)).astype(np.intp)]
-        dead[new] = (dead[fail[new]]
-                     | _find(by_length.get(m + 1, _NO_CODES), children)[1])
+    depth_codes += [_NO_CODES] * longest  # filled from the deepest up
+    codes = _NO_CODES
+    for m in range(longest, 0, -1):
+        codes = codes // _THREE  # sorted, as the deeper codes are
+        if m in by_length:
+            codes = np.sort(np.concatenate([codes, by_length[m]]))
+        # each code that differs from its neighbour: np.unique would
+        # import numpy.ma on first use
+        distinct = np.ones(codes.shape[0], dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=distinct[1:])
+        depth_codes[m] = codes = codes[distinct]
+    starts = np.cumsum([0] + [c.shape[0] for c in depth_codes]).tolist()
+    delta = np.full((starts[-1], 3), -1, dtype=np.int32)
+    fail = np.zeros(starts[-1], dtype=np.int32)
+    dead = np.zeros(starts[-1], dtype=bool)
+    for m in range(longest + 1):
+        lo, hi = starts[m], starts[m + 1]
+        if m < longest:  # the depth-(m+1) nodes, children of depth m
+            codes = depth_codes[m + 1]
+            up = codes // _THREE
+            digit = (codes - up * _THREE).astype(np.intp)
+            parent = np.searchsorted(depth_codes[m], up)
+            parent += lo
+            delta[parent, digit] = np.arange(hi, starts[m + 2], dtype=np.int32)
+        rows = delta[lo:hi]
+        if m == 0:  # the root's missing moves stay at the root
+            rows[rows < 0] = 0
+        else:
+            np.copyto(rows, delta[fail[lo:hi]], where=rows < 0)
+        if m < longest:
+            new = slice(hi, starts[m + 2])
+            if m > 0:  # depth-1 nodes fail to the root
+                fail[new] = delta[fail[parent], digit]
+            dead[new] = dead[fail[new]]
+            if m + 1 in by_length:
+                dead[new] |= _find(by_length[m + 1], codes)[1]
     return delta, dead
 
 
@@ -76,35 +98,55 @@ def minimal(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray, int]:
     """(pred, last_digit, start): the minimal automaton of the words that
     avoid `fset`, in the form of the quotient `TransitionTable`, and the
     root's class.  The live nodes and their live moves are refined by
-    `_refine`, in sort rounds, from the step that enters each node; a
-    live node entered on no step or on two has no one step weight, and
-    raises `ConsistencyError`.  The rounds' int64 keys cap the
-    refinement at `MAX_CLASSES` = 55,107 classes, and one past it
-    raises `ResourceLimitError` (level 8 has 2,465)."""
-    delta, dead = _automaton(fset)
-    live = ~dead
-    ids = np.flatnonzero(live)
-    targets = np.ascontiguousarray(delta[ids].T)
-    entered = np.zeros((3, delta.shape[0]), dtype=bool)
-    for d, row in enumerate(targets):
-        entered[d, row] = True
-    steps = entered[:, ids]  # only moves into live nodes count
-    if (steps.sum(axis=0) != 1).any():
-        raise ConsistencyError(
-            f"a live node of the level-{fset.level} automaton is not "
-            "entered by exactly one step")
-    last_digit = np.argmax(steps, axis=0).astype(np.uint8)
-    label = np.cumsum(live, dtype=np.int32) - 1
-    moves = np.where(live[targets], label[targets], np.int32(ids.shape[0]))
-    classes, k = _refine(moves, last_digit)
+    `_refine` from the step that enters each node, seeded by a future
+    hash as deep as the longest pattern; a live node entered on no step
+    or on two has no one step weight, and raises `ConsistencyError`.
+
+    The seed passes its check at every level measured (n = 1..10), and
+    then no class limit applies.  Only a failed check goes on in sort
+    rounds, whose int64 keys cap the refinement at `MAX_CLASSES` =
+    55,107 classes; a round past it raises `ResourceLimitError`."""
+    moves, last_digit = _live(fset)
+    size = last_digit.shape[0]
+    classes, k = _refine(moves, last_digit,
+                         rounds=max(fset.codes_by_length, default=0))
     members = np.empty(k, dtype=np.intp)  # any member node of each class
-    members[classes] = np.arange(ids.shape[0])
+    members[classes] = np.arange(size)
     padded = np.append(classes, np.int32(k))
     return padded[moves[:, members]], last_digit[members], int(classes[0])
 
 
+def _live(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray]:
+    """(moves, last_digit) of the live nodes of `_automaton(fset)`, in
+    live order: moves[d, i] is the live index that node i moves to on
+    step d+1, as intp, or the live count where it moves into a dead
+    node, and last_digit[i] is the step that enters node i.  A live node
+    entered on no step or on two raises `ConsistencyError`."""
+    delta, dead = _automaton(fset)
+    live = ~dead
+    # each node's live index, the sentinel (the live count) if dead
+    label = np.cumsum(live, dtype=np.intp)
+    label -= 1
+    size = int(label[-1]) + 1
+    label[dead] = size
+    moves = np.empty((3, size), dtype=np.intp)
+    for d in range(3):
+        np.take(label, delta[:, d][live], out=moves[d])
+    del delta, dead, live, label
+    entered = np.zeros((3, size + 1), dtype=np.uint8)
+    for d, row in enumerate(moves):
+        entered[d, row] = 1  # only moves into live nodes count
+    entered = entered[:, :size]
+    if ((entered[0] + entered[1] + entered[2]) != 1).any():
+        raise ConsistencyError(
+            f"a live node of the level-{fset.level} automaton is not "
+            "entered by exactly one step")
+    last_digit = entered[1] + 2 * entered[2]
+    return moves, last_digit
+
+
 def _rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """(labels, count): the int64 keys replaced by dense int32 labels in
+    """(labels, count): the 64-bit keys replaced by dense int32 labels in
     key order, read off a sort as the running count of the places where
     the sorted key changes.  np.unique would import numpy.ma on first
     use."""
@@ -113,28 +155,95 @@ def _rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
     rank = np.empty(keys.shape[0], dtype=np.int32)
     rank[0] = 0
     np.not_equal(ranked[1:], ranked[:-1], out=rank[1:])
+    del ranked
     np.cumsum(rank, out=rank)
     labels = np.empty_like(rank)
     labels[order] = rank
     return labels, int(rank[-1]) + 1
 
 
-def _refine(succ: np.ndarray, last_digit: np.ndarray) -> tuple[np.ndarray, int]:
-    """(classes, K): Moore refinement (Moore 1956) of the last-digit
-    partition of a successor table until every class sends each step
-    into one class, or nowhere.
+def _future_hash(succ: np.ndarray, last_digit: np.ndarray,
+                 rounds: int) -> np.ndarray:
+    """A uint64 hash of each state's future `rounds` steps deep:
+    h ← xs(last digit + Σ_d HASH_MULTIPLIERS[d] · h[succ[d]]), from
+    h = last digit, with the sentinel's hash fixed at `_NO_MOVE` and
+    xs(x) = x ^ (x >> 29), in wrapping uint64 arithmetic.  Each round
+    gathers one slot at a time into one scratch array."""
+    size = succ.shape[1]
+    h = np.empty(size + 1, dtype=np.uint64)
+    h[:size] = last_digit
+    h[size] = _NO_MOVE
+    nxt = h.copy()
+    scratch = np.empty(size, dtype=np.uint64)
+    for _ in range(rounds):
+        acc = nxt[:size]
+        acc[:] = last_digit
+        for slot, mult in zip(succ, HASH_MULTIPLIERS):
+            np.take(h, slot, out=scratch, mode="clip")
+            scratch *= mult
+            acc += scratch
+        np.right_shift(acc, _SHIFT, out=scratch)
+        acc ^= scratch
+        h, nxt = nxt, h
+    return h[:size]
 
-    Each round keys every state by its class and the classes of its
-    three targets, the sentinel N counting as class K, packed into one
-    int64, and relabels the keys by rank (`_rank`).  Each key starts
-    with the state's class, so each round refines the last, and the
-    refinement ends at the first round that leaves the class count
-    unchanged.  Only states that some step tells apart are split, so no
-    partition along the way is finer than the final one.  A key is
-    below (K+1)^4, which fits in int64 while K is at most
-    `MAX_CLASSES`; a round past it raises `ResourceLimitError`.
+
+def _is_stable(classes: np.ndarray, k: int, succ: np.ndarray,
+               last_digit: np.ndarray) -> bool:
+    """Whether the partition `classes` (labels 0..k-1) is a bisimulation
+    of the successor table: every state ends in its class
+    representative's last digit and, on every step, moves into the class
+    its representative moves into, or nowhere where it moves nowhere.
+    One pass of gathers, no sort."""
+    rep = np.empty(k, dtype=np.intp)
+    rep[classes] = np.arange(classes.shape[0])
+    own = rep[classes]  # each state's representative
+    if not np.array_equal(last_digit[own], last_digit):
+        return False
+    ext = np.append(classes, np.int32(k))
+    for slot in succ:
+        target = ext[slot]
+        if not np.array_equal(target[own], target):
+            return False
+    return True
+
+
+def _refine(succ: np.ndarray, last_digit: np.ndarray,
+            rounds: int = 0) -> tuple[np.ndarray, int]:
+    """(classes, K): the coarsest partition of the states of a successor
+    table, sentinel N for no move, that refines the last digits and in
+    which every class sends each step into one class, or nowhere.
+
+    With `rounds` > 0 the states are first ranked by `_future_hash`,
+    `rounds` steps deep.  States with the same future always hash equal,
+    so every hash class is a union of classes of the coarsest partition.
+    If the hash classes pass `_is_stable`, they are a bisimulation, so
+    no coarser than the coarsest one, and hence exactly it: a hash
+    collision can only fail the check.  Rounds as deep as the longest
+    pattern are enough at every level measured.
+
+    Otherwise (and with `rounds` = 0, from the last digits alone) the
+    hash classes, split by last digit, are refined by Moore's algorithm
+    (Moore 1956).  Each round keys every state by its class and the
+    classes of its three targets, the sentinel N counting as class K,
+    packed into one int64, and relabels the keys by rank (`_rank`).
+    Each key starts with the state's class, so each round refines the
+    last, and the refinement ends at the first round that leaves the
+    class count unchanged.  Only states that some step tells apart are
+    split, so no partition along the way is finer than the final one.
+    A key is below (K+1)^4, which fits in int64 while K is at most
+    `MAX_CLASSES`; a round past it raises `ResourceLimitError`.  This
+    is the only place the limit binds.
     """
-    classes, k = _rank(last_digit.astype(np.int64))
+    classes = np.zeros(succ.shape[1], dtype=np.int32)
+    if rounds:
+        classes, k = _rank(_future_hash(succ, last_digit, rounds))
+        if _is_stable(classes, k, succ, last_digit):
+            return classes, k
+    keys = classes.astype(np.int64)
+    keys *= 3
+    keys += last_digit
+    classes, k = _rank(keys)
     while True:
         if k > MAX_CLASSES:
             raise ResourceLimitError(

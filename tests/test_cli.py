@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stavskaya import automaton, cli
@@ -192,7 +193,10 @@ def test_build_refusal_exits_three(capsys, monkeypatch, argv):
 
 
 def test_refinement_key_limit_exits_three(capsys, monkeypatch):
-    # level 3 refines to 33 classes, past a key limit of 10
+    # with no hash multipliers the seed fails its check, and the sort
+    # rounds refine level 3 to 33 classes, past a key limit of 10
+    monkeypatch.setattr(automaton, "HASH_MULTIPLIERS",
+                        np.zeros(3, dtype=np.uint64))
     monkeypatch.setattr(automaton, "MAX_CLASSES", 10)
     assert main(["bound", "--n", "3", "--p", "1.44"]) == 3
     assert "key limit 10" in capsys.readouterr().err

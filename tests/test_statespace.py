@@ -446,8 +446,11 @@ def test_lift_check_rejects_a_corrupted_class_map(small_levels):
     phi = check_lift(table)
     # a state that some move enters: its class is pinned by that move
     s = int(np.nonzero((table.pred < table.n_states).any(axis=0))[0][0])
+    # another class that ends in the same step, so only the moves differ
+    digits = table.quotient.last_digit
+    same = np.flatnonzero(digits == digits[phi[s]])
     bad = phi.copy()
-    bad[s] = (bad[s] + 1) % table.quotient.n_states
+    bad[s] = same[same != phi[s]][0]
     with pytest.raises(AssertionError, match="do not lift"):
         check_lift(table, phi=bad)
 
@@ -606,10 +609,70 @@ def test_refine_finds_the_coarsest_partition_of_a_hand_built_table():
     assert np.unique(classes.astype(np.int64) * 5 + want).shape == (5,)
 
 
+def test_refine_rejects_a_seed_that_merges_two_last_digits():
+    # the hand-built table above: {2, 5} and {8} both move nowhere, so
+    # merging them is told apart by the last digit alone
+    succ = np.array([[1, 2, 9, 4, 5, 9, 9, 9, 9],
+                     [9, 9, 9, 9, 9, 9, 9, 9, 9],
+                     [9, 9, 9, 9, 9, 9, 6, 6, 9]], dtype=np.int32)
+    digits = np.array([0, 0, 0, 0, 0, 0, 0, 0, 1], dtype=np.uint8)
+    coarsest = np.array([0, 1, 2, 0, 1, 2, 3, 3, 4], dtype=np.int32)
+    assert automaton._is_stable(coarsest, 5, succ, digits)
+    merged = np.array([0, 1, 2, 0, 1, 2, 3, 3, 2], dtype=np.int32)
+    assert not automaton._is_stable(merged, 4, succ, digits)
+    # and one that merges a class with its target
+    assert not automaton._is_stable(np.where(coarsest == 1, 0, coarsest),
+                                    5, succ, digits)
+
+
+def _pairs_one_to_one(a, b, k):
+    """Whether two labellings by 0..k-1 give the same partition."""
+    pairs = np.unique(a.astype(np.int64) * k + b)
+    return (pairs.shape == (k,) and np.unique(a).shape == (k,)
+            and np.unique(b).shape == (k,))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_seeded_refinement_matches_moore(n, fset5):
+    # the hash classes pass the check on their own and pair one to one
+    # with pure Moore refinement from the last digits
+    fset = fset5.restrict(n) if n <= 5 else build_forbidden_set(n)
+    moves, digits = automaton._live(fset)
+    rounds = max(fset.codes_by_length)
+    seeded = automaton._rank(automaton._future_hash(moves, digits, rounds))
+    assert automaton._is_stable(*seeded, moves, digits)
+    classes, k = automaton._refine(moves, digits, rounds=rounds)
+    moore, k_moore = automaton._refine(moves, digits)
+    assert k == k_moore == seeded[1]
+    assert _pairs_one_to_one(classes, moore, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_failed_seed_falls_back_to_the_coarsest_partition(n, fset5,
+                                                          monkeypatch):
+    # with no multipliers the hash reads the last digit alone, so the
+    # check fails and the sort rounds go on from the digit classes
+    moves, digits = automaton._live(fset5.restrict(n))
+    rounds = 3 * n
+    moore, k = automaton._refine(moves, digits)
+    monkeypatch.setattr(automaton, "HASH_MULTIPLIERS",
+                        np.zeros(3, dtype=np.uint64))
+    seeded = automaton._rank(automaton._future_hash(moves, digits, rounds))
+    assert seeded[1] == 3
+    assert not automaton._is_stable(*seeded, moves, digits)
+    classes, k_fallback = automaton._refine(moves, digits, rounds=rounds)
+    assert k_fallback == k == EXPECTED_CLASSES[n]
+    assert _pairs_one_to_one(classes, moore, k)
+
+
 @pytest.mark.parametrize("cap,refused", [(33, False), (32, True)])
 def test_refine_refuses_a_round_past_the_key_limit(cap, refused, fset5,
                                                    monkeypatch):
-    # level 3 has 33 classes, so its last round starts from 33
+    # the key limit binds only in the sort rounds after a failed seed:
+    # with no hash multipliers the seed is the last digits, and level 3,
+    # with 33 classes, starts its last round from 33
+    monkeypatch.setattr(automaton, "HASH_MULTIPLIERS",
+                        np.zeros(3, dtype=np.uint64))
     monkeypatch.setattr(automaton, "MAX_CLASSES", cap)
     if refused:
         with pytest.raises(ResourceLimitError, match="key limit 32"):
@@ -624,6 +687,14 @@ def test_minimal_automaton_at_level_eight():
     pred, last_digit, start = automaton.minimal(build_forbidden_set(8))
     assert pred.shape == (3, 2465)
     assert last_digit.shape == (2465,) and 0 <= start < 2465
+
+
+def test_minimal_automaton_at_level_nine():
+    # not from the paper: a regression value, the class count that both
+    # refinements (the hash seed, and sort rounds) give at level 9
+    pred, last_digit, start = automaton.minimal(build_forbidden_set(9))
+    assert pred.shape == (3, 5761)
+    assert last_digit.shape == (5761,) and 0 <= start < 5761
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
