@@ -102,7 +102,7 @@ def minimal(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray, int]:
     hash as deep as the longest pattern; a live node entered on no step
     or on two has no one step weight, and raises `ConsistencyError`.
 
-    The seed passes its check at every level measured (n = 1..10), and
+    The seed passes its check at every level measured (n = 1..11), and
     then no class limit applies.  Only a failed check goes on in sort
     rounds, whose int64 keys cap the refinement at `MAX_CLASSES` =
     55,107 classes; a round past it raises `ResourceLimitError`."""
