@@ -20,26 +20,23 @@ fail(u·d) = δ(fail(u), d), so each depth reads only shallower rows.  A
 node is dead when it is a pattern or its failure target is dead.
 
 `minimal` merges the live nodes with the same future (`_refine`).  It
-first hashes each node's future a fixed number of steps deep, with no
-sort, and keeps the hash classes when one pass shows that they already
-form a bisimulation; only when that check fails does it go on by
-Moore's algorithm (Moore 1956), in sort rounds of packed int64 keys.
-Nothing here reads a history.
+hashes each node's future as deep as the longest pattern, with no sort,
+and keeps the hash classes once one pass shows that they form a
+bisimulation; until then it refines them by rounds of Moore's algorithm
+(Moore 1956), which no class count limits.  Nothing here reads a
+history.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import ConsistencyError
 from .patterns import ForbiddenSet, _find
 
 
 _NO_CODES = np.empty(0, dtype=np.uint64)
 _THREE = np.uint64(3)
-# the most classes a refinement round may start from: its keys, below
-# (K+1)^4, fit in int64 while K+1 <= 55,108
-MAX_CLASSES = 55_107
 # the future hash's odd multiplier for each step's target, the hash of
 # a missing move, and its xor-shift (see `_future_hash`)
 HASH_MULTIPLIERS = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
@@ -99,13 +96,10 @@ def minimal(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray, int]:
     avoid `fset`, in the form of the quotient `TransitionTable`, and the
     root's class.  The live nodes and their live moves are refined by
     `_refine` from the step that enters each node, seeded by a future
-    hash as deep as the longest pattern; a live node entered on no step
-    or on two has no one step weight, and raises `ConsistencyError`.
-
-    The seed passes its check at every level measured (n = 1..11), and
-    then no class limit applies.  Only a failed check goes on in sort
-    rounds, whose int64 keys cap the refinement at `MAX_CLASSES` =
-    55,107 classes; a round past it raises `ResourceLimitError`."""
+    hash as deep as the longest pattern, which is deep enough for the
+    seed to pass its check unless two hashes collide (it passed at
+    n = 1..11); a live node entered on no step or on two has no one step
+    weight, and raises `ConsistencyError`."""
     moves, last_digit = _live(fset)
     size = last_digit.shape[0]
     classes, k = _refine(moves, last_digit,
@@ -214,47 +208,41 @@ def _refine(succ: np.ndarray, last_digit: np.ndarray,
     table, sentinel N for no move, that refines the last digits and in
     which every class sends each step into one class, or nowhere.
 
-    With `rounds` > 0 the states are first ranked by `_future_hash`,
-    `rounds` steps deep.  States with the same future always hash equal,
-    so every hash class is a union of classes of the coarsest partition.
-    If the hash classes pass `_is_stable`, they are a bisimulation, so
-    no coarser than the coarsest one, and hence exactly it: a hash
-    collision can only fail the check.  Rounds as deep as the longest
-    pattern are enough at every level measured.
-
-    Otherwise (and with `rounds` = 0, from the last digits alone) the
-    hash classes, split by last digit, are refined by Moore's algorithm
-    (Moore 1956).  Each round keys every state by its class and the
+    It starts from the ranks of `_future_hash`, `rounds` steps deep, or
+    from one class when `rounds` is 0, and ends at the first partition
+    that passes `_is_stable`.  Until then each round of Moore's algorithm
+    (Moore 1956) keys every state by its class, its last digit and the
     classes of its three targets, the sentinel N counting as class K,
-    packed into one int64, and relabels the keys by rank (`_rank`).
-    Each key starts with the state's class, so each round refines the
-    last, and the refinement ends at the first round that leaves the
-    class count unchanged.  Only states that some step tells apart are
-    split, so no partition along the way is finer than the final one.
-    A key is below (K+1)^4, which fits in int64 while K is at most
-    `MAX_CLASSES`; a round past it raises `ResourceLimitError`.  This
-    is the only place the limit binds.
+    ranked one slot at a time (`_rank`), so no key reaches 3N(K+1) and
+    no class count overflows int64.  Neither the seed nor a round splits
+    two states with the same future: such states hash equal, and have
+    one last digit and targets of one future.  A round from an unstable
+    partition splits some class, so the loop ends, on a bisimulation no
+    finer than the coarsest, hence on it.
+
+    On the live nodes of an automaton (`minimal`), a seed as deep as the
+    longest pattern, L, is the coarsest partition but for a 64-bit
+    collision.  Two live nodes with one last digit and different futures
+    differ on a shortest word w that one allows and the other does not;
+    the pattern the other completes ends w but does not lie inside w,
+    which the first allows, so it starts before w and |w| <= L - 1.  The
+    hash `r` rounds deep reads every move along words of up to `r`
+    steps, so L - 1 rounds already tell the two apart, and a failed
+    check can only be a collision.
     """
-    classes = np.zeros(succ.shape[1], dtype=np.int32)
     if rounds:
         classes, k = _rank(_future_hash(succ, last_digit, rounds))
-        if _is_stable(classes, k, succ, last_digit):
-            return classes, k
-    keys = classes.astype(np.int64)
-    keys *= 3
-    keys += last_digit
-    classes, k = _rank(keys)
-    while True:
-        if k > MAX_CLASSES:
-            raise ResourceLimitError(
-                f"{k} classes exceed the refinement's key limit "
-                f"{MAX_CLASSES}")
-        ext = np.append(classes, np.int32(k)).astype(np.int64)
+    else:
+        classes, k = np.zeros(succ.shape[1], dtype=np.int32), 1
+    while not _is_stable(classes, k, succ, last_digit):
+        ext = np.append(classes, np.int32(k))
         keys = classes.astype(np.int64)
+        keys *= 3
+        keys += last_digit
         for slot in succ:
             keys *= k + 1
             keys += ext[slot]
-        before = k
-        classes, k = _rank(keys)
-        if k == before:
-            return classes, k
+            classes, count = _rank(keys)
+            keys = classes.astype(np.int64)
+        k = count
+    return classes, k

@@ -13,10 +13,8 @@ the `bound` report counts the alpha search's steps, one solve each.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 result not
 certified, 3 resource limit refused: a `bound` level above
-MAX_HISTORY_LEVEL (7), the largest whose history table is built, a
-`loops` level above MAX_LEVEL (13), or a quotient whose hash classes
-fail their check and whose sort rounds then pass the refinement's key
-limit `automaton.MAX_CLASSES` (55,107 classes).  A closed stdout ends a run by
+MAX_HISTORY_LEVEL (7), the largest whose history table is built, or a
+`loops` level above MAX_LEVEL (13).  A closed stdout ends a run by
 SIGPIPE, with no traceback.
 """
 

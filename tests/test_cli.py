@@ -192,14 +192,18 @@ def test_build_refusal_exits_three(capsys, monkeypatch, argv):
     assert captured.out == ""
 
 
-def test_refinement_key_limit_exits_three(capsys, monkeypatch):
-    # with no hash multipliers the seed fails its check, and the sort
-    # rounds refine level 3 to 33 classes, past a key limit of 10
+def test_failed_seed_gives_the_same_bound(capsys, monkeypatch):
+    # with no hash multipliers the seed fails its check, and Moore
+    # rounds refine level 3 to the same quotient, up to class numbering
+    def bound():
+        assert main(["bound", "--n", "3", "--p", "1.44"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        return {key: report[key] for key in ("alpha_lower_bound",
+                "certificate", "iterations", "power_iterations")}
+    seeded = bound()
     monkeypatch.setattr(automaton, "HASH_MULTIPLIERS",
                         np.zeros(3, dtype=np.uint64))
-    monkeypatch.setattr(automaton, "MAX_CLASSES", 10)
-    assert main(["bound", "--n", "3", "--p", "1.44"]) == 3
-    assert "key limit 10" in capsys.readouterr().err
+    assert bound() == seeded
 
 
 # q and the solver settings are constants, not flags (q = 1 is optimal,

@@ -651,7 +651,7 @@ def test_seeded_refinement_matches_moore(n, fset5):
 def test_failed_seed_falls_back_to_the_coarsest_partition(n, fset5,
                                                           monkeypatch):
     # with no multipliers the hash reads the last digit alone, so the
-    # check fails and the sort rounds go on from the digit classes
+    # check fails and Moore rounds go on from the digit classes
     moves, digits = automaton._live(fset5.restrict(n))
     rounds = 3 * n
     moore, k = automaton._refine(moves, digits)
@@ -665,25 +665,26 @@ def test_failed_seed_falls_back_to_the_coarsest_partition(n, fset5,
     assert _pairs_one_to_one(classes, moore, k)
 
 
-@pytest.mark.parametrize("cap,refused", [(33, False), (32, True)])
-def test_refine_refuses_a_round_past_the_key_limit(cap, refused, fset5,
-                                                   monkeypatch):
-    # the key limit binds only in the sort rounds after a failed seed:
-    # with no hash multipliers the seed is the last digits, and level 3,
-    # with 33 classes, starts its last round from 33
-    monkeypatch.setattr(automaton, "HASH_MULTIPLIERS",
-                        np.zeros(3, dtype=np.uint64))
-    monkeypatch.setattr(automaton, "MAX_CLASSES", cap)
-    if refused:
-        with pytest.raises(ResourceLimitError, match="key limit 32"):
-            automaton.minimal(fset5.restrict(3))
-    else:
-        assert automaton.minimal(fset5.restrict(3))[0].shape == (3, 33)
+def test_refine_splits_past_the_old_key_limit():
+    # a random table with missing moves splits into 65,536 classes,
+    # seeded or not; the packed-key rounds this loop replaced refused it
+    # at 64,200 classes, past their limit of 55,107
+    size = 65_536
+    rng = np.random.default_rng(0)
+    succ = rng.integers(0, size + 1, size=(3, size))
+    digits = rng.integers(0, 3, size=size).astype(np.uint8)
+    seeded, k = automaton._refine(succ, digits, rounds=3)
+    moore, k_moore = automaton._refine(succ, digits)
+    assert k == k_moore == size
+    assert automaton._is_stable(seeded, k, succ, digits)
+    assert automaton._is_stable(moore, k, succ, digits)
+    assert _pairs_one_to_one(seeded, moore, k)
 
 
 def test_minimal_automaton_at_level_eight():
-    # not from the paper: the class count both refinements (slot by
-    # slot, and in sort rounds) give at level 8, from the patterns alone
+    # not from the paper: the class count both refinements (the hash
+    # seed, and Moore rounds from one class) give at level 8, from the
+    # patterns alone
     pred, last_digit, start = automaton.minimal(build_forbidden_set(8))
     assert pred.shape == (3, 2465)
     assert last_digit.shape == (2465,) and 0 <= start < 2465
@@ -691,7 +692,8 @@ def test_minimal_automaton_at_level_eight():
 
 def test_minimal_automaton_at_level_nine():
     # not from the paper: a regression value, the class count that both
-    # refinements (the hash seed, and sort rounds) give at level 9
+    # refinements (the hash seed, and Moore rounds from one class) give
+    # at level 9
     pred, last_digit, start = automaton.minimal(build_forbidden_set(9))
     assert pred.shape == (3, 5761)
     assert last_digit.shape == (5761,) and 0 <= start < 5761
