@@ -665,10 +665,10 @@ def test_failed_seed_falls_back_to_the_coarsest_partition(n, fset5,
     assert _pairs_one_to_one(classes, moore, k)
 
 
-def test_refine_splits_past_the_old_key_limit():
+def test_refine_has_no_class_cap():
     # a random table with missing moves splits into 65,536 classes,
-    # seeded or not; the packed-key rounds this loop replaced refused it
-    # at 64,200 classes, past their limit of 55,107
+    # seeded or not: more than a round key packing a class and its three
+    # targets' classes, below (K+1)^4, could hold in int64
     size = 65_536
     rng = np.random.default_rng(0)
     succ = rng.integers(0, size + 1, size=(3, size))
