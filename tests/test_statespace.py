@@ -665,20 +665,21 @@ def test_failed_seed_falls_back_to_the_coarsest_partition(n, fset5,
     assert _pairs_one_to_one(classes, moore, k)
 
 
-def test_refine_has_no_class_cap():
+@pytest.mark.parametrize("rounds", [3, 0], ids=["seeded", "moore"])
+def test_refine_has_no_class_cap(rounds):
     # a random table with missing moves splits into 65,536 classes,
-    # seeded or not: more than a round key packing a class and its three
-    # targets' classes, below (K+1)^4, could hold in int64
+    # from the hash seed or by Moore rounds from one class: more than a
+    # round key packing a class and its three targets' classes, below
+    # (K+1)^4, could hold in int64.  Every state is its own class, so
+    # both routes give the same partition.
     size = 65_536
     rng = np.random.default_rng(0)
     succ = rng.integers(0, size + 1, size=(3, size))
     digits = rng.integers(0, 3, size=size).astype(np.uint8)
-    seeded, k = automaton._refine(succ, digits, rounds=3)
-    moore, k_moore = automaton._refine(succ, digits)
-    assert k == k_moore == size
-    assert automaton._is_stable(seeded, k, succ, digits)
-    assert automaton._is_stable(moore, k, succ, digits)
-    assert _pairs_one_to_one(seeded, moore, k)
+    classes, k = automaton._refine(succ, digits, rounds=rounds)
+    assert k == size
+    assert np.array_equal(np.sort(classes), np.arange(size))
+    assert automaton._is_stable(classes, k, succ, digits)
 
 
 def test_minimal_automaton_at_level_eight():
