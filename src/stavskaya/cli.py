@@ -1,5 +1,7 @@
 """Command-line driver: compute certified bounds and reproduce the full
-results table.  Every command builds its levels from their patterns.
+results table.  Every command builds its levels from their patterns;
+`bound` and `table` solve on each level's minimal automaton and read no
+walk history, not even to count the `states` column.
 
 Commands
   loops   forbidden-pattern counts per order (optionally the patterns)
@@ -13,9 +15,9 @@ the `bound` report counts the alpha search's steps, one solve each.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 result not
 certified, 3 resource limit refused: a `bound` level above
-MAX_HISTORY_LEVEL (7), the largest whose history table is built, or a
-`loops` level above MAX_LEVEL (13).  A closed stdout ends a run by
-SIGPIPE, with no traceback.
+MAX_HISTORY_LEVEL (7), before any pattern is grown, until a cap is
+measured for the automaton, or a `loops` level above MAX_LEVEL (13).
+A closed stdout ends a run by SIGPIPE, with no traceback.
 """
 
 from __future__ import annotations
@@ -26,13 +28,17 @@ import signal
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
+from .automaton import minimal
 from .errors import ResourceLimitError
 from .patterns import MAX_LEVEL, Parameters, build_forbidden_set
 from .search import (DEFAULT_P_MAX, DEFAULT_P_MIN, _check_p_range, alpha_sup,
                      optimize_p)
-from .statespace import (MAX_HISTORY_LEVEL, _check_history_level,
-                         build_state_space, build_transitions)
+from .spectral import apply_operator
+from .statespace import (MAX_HISTORY_LEVEL, TransitionTable,
+                         _check_history_level)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,11 +55,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_level(n: int):
-    """(state count, table, fset) for one level, built from its
-    patterns; the states' codes (66 MiB at level 7) are dropped."""
+    """(state count, table, fset) for one level: the table is the
+    minimal automaton of its patterns, which is its own quotient.  The
+    states, the length-(3n-1) words that avoid the level-(n-1) patterns
+    and so the level-n ones, are counted on it: slot d of a class holds
+    the class its step d+1 enters, so each unit-weight application
+    counts words one step longer.  Every count is below 3^(3n-1), which
+    float64 holds exactly through n = 11."""
     fset = build_forbidden_set(n)
-    space = build_state_space(n, fset.restrict(n - 1))
-    return len(space), build_transitions(space, fset), fset
+    pred, last_digit, start = minimal(fset)
+    table = TransitionTable(n=n, pred=pred, last_digit=last_digit)
+    unit, words = Parameters(1.0, 1.0, 1.0), np.ones(table.n_states)
+    for _ in range(3 * n - 1):
+        words = apply_operator(table, unit, words)
+    return int(words[start]), table, fset
 
 
 def _emit(report, fmt: str, columns=None) -> None:

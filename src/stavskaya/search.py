@@ -35,7 +35,8 @@ solve is capped at `spectral.DEFAULT_MAX_ITER` power iterations.
 
 The alpha search runs on the table's quotient (`TransitionTable.quotient`,
 442 classes for the 839,009 states of level 6), built from the patterns
-once per table, so the probes of `optimize_p` share it.  Why a ratio bound
+once per table, so the probes of `optimize_p` share it; the CLI's table
+is already that automaton, and so its own quotient.  Why a ratio bound
 on the quotient is one on the paper's matrix is set out once, in
 `statespace`.
 

@@ -57,8 +57,10 @@ shown above.  The identity holds slot by slot when every history has
 its class's last digit and, on every step, the move its class has, into
 a history of the class that move enters, or no move where its class has
 none.  The tests check that (`check_lift` in `tests/conftest.py`) at
-every level up to `MAX_HISTORY_LEVEL`, the only levels whose tables are
-built, with φ read along each history's own word from the root's class.
+every level up to `MAX_HISTORY_LEVEL`, the only levels whose history
+tables are built, with φ read along each history's own word from the
+root's class.  The CLI builds none: it solves on the quotient's table,
+which, made without a forbidden set, is its own quotient.
 """
 
 from __future__ import annotations
@@ -73,10 +75,11 @@ from .errors import ConsistencyError, ResourceLimitError
 from .patterns import _CHUNK, ForbiddenSet, _block, _grow
 
 # The largest level whose history table is built: level 7, the paper's
-# headline, has 8,663,071 states and its `bound` run peaks at 242 MiB,
-# in the build.
-# Level 8 has 89,435,873 states (the length-23 words avoiding the level-7
-# set), and every level above it grows those same words on the way.
+# headline, has 8,663,071 states, and its history table peaks at about
+# 242 MiB.  Level 8 has 89,435,873 states (the length-23 words avoiding
+# the level-7 set), and every level above it grows those same words on
+# the way.  The CLI, which builds no history, keeps this cap for `bound`
+# and `table` until one is measured for the automaton.
 MAX_HISTORY_LEVEL = 7
 
 
@@ -99,7 +102,7 @@ def _check_history_level(n: int) -> None:
     if n > MAX_HISTORY_LEVEL:
         raise ResourceLimitError(
             f"level {n} is above {MAX_HISTORY_LEVEL}, the largest level "
-            "whose history table is built")
+            "certified")
 
 
 def build_state_space(n: int, lower: ForbiddenSet) -> StateSpace:
@@ -230,11 +233,11 @@ class TransitionTable:
         holds the class that c moves to on step d+1, or the sentinel K
         (the class count), and class c carries the step weight of its
         members' newest step, so the quotient's gather operator is B_q.
-        A table made without its forbidden set raises `ValueError`.
+        A table made without its forbidden set is its own quotient: the
+        identity is a bisimulation, so solving on it is always sound.
         """
         if self.fset is None:
-            raise ValueError("a table made without its forbidden set "
-                             "has no quotient")
+            return self
         pred, last_digit, _ = minimal(self.fset)
         return TransitionTable(n=self.n, pred=pred, last_digit=last_digit)
 

@@ -16,9 +16,9 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .errors import ResourceLimitError
-from .patterns import Parameters
-from .statespace import TransitionTable
+from stavskaya.errors import ResourceLimitError
+from stavskaya.patterns import Parameters
+from stavskaya.statespace import TransitionTable
 
 MAX_BRUTE_LENGTH = 16
 MAX_NAIVE_LEVEL = 3

@@ -6,11 +6,12 @@ level-7 table rows take seconds.
 
 import time
 
+import bruteforce
 import numpy as np
 import pytest
 from conftest import check_lift, word_weights
 
-from stavskaya import bruteforce
+from stavskaya.cli import _build_level
 from stavskaya.errors import ConsistencyError
 from stavskaya.patterns import POW3, Parameters, _grow, build_forbidden_set
 from stavskaya.search import alpha_sup, optimize_p
@@ -55,16 +56,20 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def _counts(n: int):
     fset = build_forbidden_set(n)
     space = build_state_space(n, fset.restrict(n - 1))
-    return len(fset), len(space)
+    return len(fset), len(space), _build_level(n)[0]
 
 
 def test_criterion_1_combinatorics_fast():
+    # the CLI counts the states on the minimal automaton; each count
+    # must equal the history table's length
     started = time.time()
     got = {n: _counts(n) for n in range(1, 6)}
     elapsed = time.time() - started
-    exact = all(got[n] == TABLE_COUNTS[n] for n in range(1, 6))
+    exact = all(got[n] == TABLE_COUNTS[n] + TABLE_COUNTS[n][1:]
+                for n in range(1, 6))
     _report(1, exact and elapsed < 10.0,
-            f"loop/state counts n=1..5 {got}, {elapsed:.1f}s (budget 10s)")
+            f"loop/state/counted-state counts n=1..5 {got}, "
+            f"{elapsed:.1f}s (budget 10s)")
 
 
 @pytest.fixture(scope="module")
@@ -94,15 +99,18 @@ def test_criterion_2_combinatorics_extended(deep_levels):
     # and the check that the quotient every bound solves on lifts onto
     # the histories at the two levels the other tests do not build
     started = time.time()
-    got = {n: (patterns, states, table.edge_count, table.quotient.n_states)
+    got = {n: (patterns, states, table.edge_count, table.quotient.n_states,
+               _build_level(n)[0])
            for n, (patterns, states, table, _) in deep_levels.items()}
     lifted = all(_lifts(table) for _, _, table, _ in deep_levels.values())
     elapsed = time.time() - started + sum(b[3] for b in deep_levels.values())
-    exact = all(got[n] == TABLE_COUNTS[n] + (EDGE_COUNTS[n], CLASS_COUNTS[n])
+    exact = all(got[n] == TABLE_COUNTS[n] + (EDGE_COUNTS[n], CLASS_COUNTS[n],
+                                             TABLE_COUNTS[n][1])
                 for n in (6, 7))
     _report(2, exact and lifted and elapsed < 600.0,
-            f"loop/state/edge/class counts n=6,7 {got}, quotient lifts "
-            f"{'yes' if lifted else 'NO'}, {elapsed:.1f}s (budget 600s)")
+            f"loop/state/edge/class/counted-state counts n=6,7 {got}, "
+            f"quotient lifts {'yes' if lifted else 'NO'}, {elapsed:.1f}s "
+            "(budget 600s)")
 
 
 def test_criterion_3_pinned_bounds(fset5):

@@ -1,8 +1,8 @@
+import bruteforce
 import numpy as np
 import pytest
 from conftest import make_table, word_weights
 
-from stavskaya import bruteforce
 from stavskaya.errors import ResourceLimitError
 from stavskaya.patterns import Parameters, build_forbidden_set
 from stavskaya.spectral import apply_operator, power_iteration

@@ -1,4 +1,3 @@
-import gc
 import json
 import os
 import shlex
@@ -127,28 +126,24 @@ def test_bound_level_seven_runs_without_a_flag(capsys, monkeypatch):
     assert built == [7]
 
 
-@pytest.mark.parametrize("solver,argv", [
-    ("alpha_sup", ["bound", "--n", "2", "--p", "1.44"]),
-    ("optimize_p", ["table", "--n-max", "2", "--p-min", "1.43",
-                    "--p-max", "1.47"]),
+@pytest.mark.parametrize("argv", [
+    ["bound", "--n", "2", "--p", "1.44"],
+    ["table", "--n-max", "2", "--p-min", "1.43", "--p-max", "1.47"],
 ], ids=["bound", "table"])
-def test_no_state_space_alive_through_the_solve(capsys, monkeypatch, solver,
-                                                argv):
-    # the report needs only the state count; the codes (66 MiB at
-    # level 7) must be gone before the solve sets the peak
-    def states():
-        return [id(o) for o in gc.get_objects() if isinstance(o, StateSpace)]
-    before = set(states())
-    alive = []
-    solve = getattr(cli, solver)
+def test_no_state_space_built(capsys, monkeypatch, argv):
+    # the levels are solved and their states counted on the minimal
+    # automaton; every history table is built from a StateSpace, and
+    # none may be made
+    built = []
+    init = StateSpace.__init__
 
-    def wrapped(*args, **kwargs):
-        alive.extend(i for i in states() if i not in before)
-        return solve(*args, **kwargs)
-    monkeypatch.setattr(cli, solver, wrapped)
+    def record(self, *args, **kwargs):
+        built.append(kwargs.get("n"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(StateSpace, "__init__", record)
     assert main(argv) == 0
     capsys.readouterr()
-    assert alive == []
+    assert built == []
 
 
 def test_bound_csv_format(capsys):
@@ -185,7 +180,7 @@ def test_table_above_history_cap_exits_one(capsys, monkeypatch):
 def test_build_refusal_exits_three(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise ResourceLimitError("budget")
-    monkeypatch.setattr(cli, "build_state_space", refuse)
+    monkeypatch.setattr(cli, "minimal", refuse)
     assert main(list(argv)) == 3
     captured = capsys.readouterr()
     assert captured.err.strip() == "error: budget"

@@ -71,15 +71,13 @@ def _references(tree):
 
 
 def test_public_names_have_a_caller():
-    # a public name that only its own tests call is surface to delete;
-    # apply_operator stays as the whole-array reference the tests
-    # compare the solver's blocked sweep against
+    # a public name that only its own tests call is surface to delete
     package = Path(stavskaya.__file__).parent
     worker = package.parents[1] / "perfbench" / "worker.py"
     used = set()
     for path in [*package.glob("*.py"), worker]:
         used |= _references(ast.parse(path.read_text()))
-    uncalled = set(stavskaya.__all__) - used - {"apply_operator"}
+    uncalled = set(stavskaya.__all__) - used
     assert not uncalled, sorted(uncalled)
 
 

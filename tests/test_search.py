@@ -469,7 +469,6 @@ def test_certified_everywhere_ends_below_one():
     # one state with a kind-1 self-loop: rho = 1/p at every alpha, so
     # every query certifies and the search bisects up to 1
     toy = make_table([[0], [1], [1]], [0])
-    toy.quotient = toy
     res = alpha_sup(toy, 1.464)
     assert (res.alpha_low, res.alpha_high) == (1.0 - 2.0 ** -GRID_STEPS, 1.0)
     assert res.iterations == GRID_STEPS and res.certificate < 1.0

@@ -1,17 +1,19 @@
 import itertools
 import tracemalloc
 
+import bruteforce
 import numpy as np
 import pytest
 from conftest import (check_lift, level_table, make_table,
                       mirrored_by_definition, unmirrored)
 
-from stavskaya import automaton, bruteforce, patterns, statespace
+from stavskaya import automaton, patterns, statespace
 from stavskaya.errors import ConsistencyError, ResourceLimitError
 from stavskaya.patterns import (POW3, ForbiddenSet, Parameters,
                                 build_forbidden_set, code_to_pattern,
                                 enumerate_primitive_loops, pattern_code,
                                 pattern_text)
+from stavskaya.search import alpha_sup
 from stavskaya.spectral import certified_upper_bound, power_iteration
 from stavskaya.statespace import (TransitionTable, build_state_space,
                                   build_transitions)
@@ -488,13 +490,16 @@ def test_two_moves_on_one_step_refused():
         table.succ
 
 
-def test_hand_built_table_has_no_quotient(small_levels):
-    # the classes come from the patterns, which a hand-built table lacks
+def test_hand_built_table_is_its_own_quotient(small_levels):
+    # with no patterns to build classes from, the table is solved on
+    # itself, which the identity map lifts onto trivially
     _, table = small_levels[2]
     bare = TransitionTable(n=table.n, pred=table.pred,
                            last_digit=table.last_digit)
-    with pytest.raises(ValueError, match="forbidden set"):
-        bare.quotient
+    assert bare.quotient is bare
+    res = alpha_sup(bare, 1.44)
+    assert res.certified
+    assert res.alpha_low == pytest.approx(0.13101966, abs=1e-6)
 
 
 @pytest.mark.parametrize("fault,match", [
