@@ -13,10 +13,11 @@ the alpha search's tolerance `DEFAULT_ALPHA_TOL` and the power-iteration
 cap `DEFAULT_MAX_ITER`; none of the three is a flag.  `iterations` in
 the `bound` report counts the alpha search's steps, one solve each.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 result not
-certified, 3 resource limit refused: a `bound` level above
-MAX_HISTORY_LEVEL (7), before any pattern is grown, until a cap is
-measured for the automaton, or a `loops` level above MAX_LEVEL (13).
+Every command takes levels up to `MAX_LEVEL` (11), the largest level
+measured.  Exit codes: 0 success, 1 usage or configuration error, such
+as a `table --n-max` outside 1..11, 2 result not certified, 3 resource
+limit refused: a `bound` or `loops` level above 11, before any pattern
+is grown.
 A closed stdout ends a run by SIGPIPE, with no traceback.
 """
 
@@ -37,8 +38,7 @@ from .patterns import MAX_LEVEL, Parameters, build_forbidden_set
 from .search import (DEFAULT_P_MAX, DEFAULT_P_MIN, _check_p_range, alpha_sup,
                      optimize_p)
 from .spectral import apply_operator
-from .statespace import (MAX_HISTORY_LEVEL, TransitionTable,
-                         _check_history_level)
+from .statespace import TransitionTable
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,7 +90,8 @@ def _emit(report, fmt: str, columns=None) -> None:
 
 def cmd_loops(args) -> int:
     if args.n < 0 or args.n > MAX_LEVEL:
-        print(f"error: --n must be in 0..{MAX_LEVEL}", file=sys.stderr)
+        print(f"error: --n must be in 0..{MAX_LEVEL}, got {args.n}",
+              file=sys.stderr)
         return EXIT_USAGE if args.n < 0 else EXIT_RESOURCE
     fset = build_forbidden_set(args.n)
     rows = [{"order": 0, "count": 2, "cumulative": 2}]
@@ -114,12 +115,11 @@ def cmd_loops(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    if args.n < 1:
-        print(f"error: --n must be in 1..{MAX_HISTORY_LEVEL}",
+    if args.n < 1 or args.n > MAX_LEVEL:
+        print(f"error: --n must be in 1..{MAX_LEVEL}, got {args.n}",
               file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE if args.n < 1 else EXIT_RESOURCE
     Parameters(args.p, 1.0, 0.0)
-    _check_history_level(args.n)
     started = time.perf_counter()
     states, table, fset = _build_level(args.n)
     result = alpha_sup(table, args.p)
@@ -142,8 +142,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.n_max < 1 or args.n_max > MAX_HISTORY_LEVEL:
-        print(f"error: --n-max must be in 1..{MAX_HISTORY_LEVEL}",
+    if args.n_max < 1 or args.n_max > MAX_LEVEL:
+        print(f"error: --n-max must be in 1..{MAX_LEVEL}, got {args.n_max}",
               file=sys.stderr)
         return EXIT_USAGE
     _check_p_range(args.p_min, args.p_max)
@@ -181,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     loops = subs.add_parser("loops", help="forbidden-pattern counts per order")
-    loops.add_argument("--n", type=int, required=True, help="level (0..13)")
+    loops.add_argument("--n", type=int, required=True,
+                       help=f"level (0..{MAX_LEVEL})")
     loops.add_argument("--dump", action="store_true",
                        help="also list the patterns as digit strings")
     _add_format(loops)
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound = subs.add_parser("bound",
                             help="certified alpha bound at fixed p")
     bound.add_argument("--n", type=int, required=True,
-                       help=f"level (1..{MAX_HISTORY_LEVEL})")
+                       help=f"level (1..{MAX_LEVEL})")
     bound.add_argument("--p", type=float, required=True)
     _add_format(bound)
     bound.set_defaults(func=cmd_bound)
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = subs.add_parser("table",
                             help="optimize p per level and print the table")
     table.add_argument("--n-max", type=int, required=True,
-                       help=f"highest level (1..{MAX_HISTORY_LEVEL})")
+                       help=f"highest level (1..{MAX_LEVEL})")
     table.add_argument("--p-min", type=float, default=DEFAULT_P_MIN,
                        help="low end of the p search (default 1.30)")
     table.add_argument("--p-max", type=float, default=DEFAULT_P_MAX,

@@ -36,9 +36,13 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-# Base-3 word codes must fit in uint64, including one appended step.
-# 3**39 < 2**63, so level 13 (word length 38, extended 39) is the cap.
-MAX_LEVEL = 13
+# The largest level any command runs, and the largest measured: on 2
+# cores and 7.8 GiB, `bound --n 11` takes 33 s and peaks at 1,644 MiB,
+# and its patterns alone at 919 MiB.  They grow about 5.7x a level, so
+# level 12 is refused before any pattern is grown.  The base-3 codes
+# alone would reach level 13: they must fit in uint64 with one appended
+# step, and 3**39 < 2**63 (word length 38, extended 39).
+MAX_LEVEL = 11
 
 STEP_KINDS = (1, 2, 3)
 
@@ -307,7 +311,7 @@ def enumerate_primitive_loops(k: int, lower: ForbiddenSet) -> np.ndarray:
     if lower.level != k - 1:
         raise ValueError(f"need the level {k - 1} forbidden set, got level {lower.level}")
     if k > MAX_LEVEL:
-        raise ResourceLimitError(f"order {k} exceeds the encoding limit {MAX_LEVEL}")
+        raise ResourceLimitError(f"order {k} is above {MAX_LEVEL}, the largest level measured")
     return _grow(3 * k, lower, k)[0]
 
 
@@ -317,7 +321,7 @@ def build_forbidden_set(n: int) -> ForbiddenSet:
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     if n > MAX_LEVEL:
-        raise ResourceLimitError(f"level {n} exceeds the encoding limit {MAX_LEVEL}")
+        raise ResourceLimitError(f"level {n} is above {MAX_LEVEL}, the largest level measured")
     fset = ForbiddenSet(0, [(1, 3), (3, 1)])
     for k in range(1, n + 1):
         loops = enumerate_primitive_loops(k, fset)

@@ -78,8 +78,7 @@ from .patterns import _CHUNK, ForbiddenSet, _block, _grow
 # headline, has 8,663,071 states, and its history table peaks at about
 # 242 MiB.  Level 8 has 89,435,873 states (the length-23 words avoiding
 # the level-7 set), and every level above it grows those same words on
-# the way.  The CLI, which builds no history, keeps this cap for `bound`
-# and `table` until one is measured for the automaton.
+# the way.
 MAX_HISTORY_LEVEL = 7
 
 
@@ -98,20 +97,16 @@ class StateSpace:
         return int(self.codes.shape[0])
 
 
-def _check_history_level(n: int) -> None:
-    if n > MAX_HISTORY_LEVEL:
-        raise ResourceLimitError(
-            f"level {n} is above {MAX_HISTORY_LEVEL}, the largest level "
-            "certified")
-
-
 def build_state_space(n: int, lower: ForbiddenSet) -> StateSpace:
     """The level-n state space: length-(3n-1) words avoiding the level-(n-1)
     forbidden set.  Levels above `MAX_HISTORY_LEVEL` are refused before
     any word is grown."""
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    _check_history_level(n)
+    if n > MAX_HISTORY_LEVEL:
+        raise ResourceLimitError(
+            f"level {n} is above {MAX_HISTORY_LEVEL}, the largest level "
+            "whose history table is built")
     if lower.level != n - 1:
         raise ValueError(f"need the level {n - 1} forbidden set, got level {lower.level}")
     length = 3 * n - 1

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from conftest import check_lift, word_weights
 
+from stavskaya import automaton
 from stavskaya.cli import _build_level
 from stavskaya.errors import ConsistencyError
-from stavskaya.patterns import POW3, Parameters, _grow, build_forbidden_set
+from stavskaya.patterns import (MAX_LEVEL, POW3, Parameters, _grow,
+                                build_forbidden_set)
 from stavskaya.search import alpha_sup, optimize_p
 from stavskaya.spectral import (apply_operator, certified_upper_bound,
                                 check_subcritical, power_iteration)
@@ -46,6 +48,13 @@ LEVEL7_ROW_P = 1.415
 # history table's iterate after 50 applications from all-ones at
 # (p, q, alpha) = (1.415, 1, 0.137), as this code computes it
 LEVEL7_FIXED_RUN = (Parameters(1.415, 1.0, 0.137), 50, 0.9998554914461517)
+
+# not from the paper: regression values for the two levels past its
+# table that tier-1 runs, as this code computes them: level ->
+# (patterns, states, p_opt, bound), the row pinned at the level-7 row's
+# tolerances (p_opt to 0.01, a bound at least the one given)
+BEYOND_THE_PAPER = {8: (19466, 89435873, 1.41343, 0.13743655),
+                    9: (109516, 923252245, 1.41207, 0.13772528)}
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -262,3 +271,43 @@ def test_level7_fixed_run_keeps_its_certificate(deep_levels):
     cert = certified_upper_bound(table, params, est.vector)
     assert est.iterations == steps and not est.converged
     assert cert == est.certified_upper == want
+
+
+@pytest.fixture(scope="module")
+def beyond_levels():
+    """level -> `_build_level(level)` for the levels past the paper's
+    table that tier-1 runs."""
+    return {n: _build_level(n) for n in BEYOND_THE_PAPER}
+
+
+@pytest.mark.parametrize("n", sorted(BEYOND_THE_PAPER))
+def test_counted_states_match_the_unminimised_automaton(n, beyond_levels):
+    # no history table checks the counts past level 7, so the live
+    # Aho–Corasick nodes, before any refinement, count the
+    # length-(3n-1) words read from the root (node 0) instead
+    states, _, fset = beyond_levels[n]
+    moves, _ = automaton._live(fset)
+    size = moves.shape[1]
+    words = np.ones(size + 1, dtype=np.int64)
+    words[size] = 0  # a move into a dead node ends no word
+    for _ in range(3 * n - 1):
+        words[:size] = words[moves].sum(axis=0)
+    assert (len(fset), states) == BEYOND_THE_PAPER[n][:2]
+    assert words[0] == states
+
+
+def test_state_counts_stay_exact_through_the_level_cap():
+    # `_build_level` counts in float64, exact while 3^(3n-1) <= 2^53
+    assert 3 ** (3 * MAX_LEVEL - 1) <= 2 ** 53
+
+
+def test_rows_past_the_paper(beyond_levels):
+    # the bound rises at every level through 9
+    rows = {n: optimize_p(n, table=(beyond_levels.get(n)
+                                    or _build_level(n))[1])
+            for n in range(1, 10)}
+    bounds = [rows[n].bound for n in sorted(rows)]
+    assert all(lo < hi for lo, hi in zip(bounds, bounds[1:])), bounds
+    for n, (_, _, p_opt, bound) in BEYOND_THE_PAPER.items():
+        assert abs(rows[n].p_opt - p_opt) <= 0.01, (n, rows[n].p_opt)
+        assert rows[n].bound >= bound, (n, rows[n].bound)

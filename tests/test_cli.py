@@ -54,8 +54,11 @@ def test_loops_dump_lists_patterns(capsys):
     assert json.loads(out)["patterns"] == ["13", "31", "123", "321"]
 
 
-def test_loops_bad_level(capsys):
-    assert run(capsys, "loops", "--n", "99")[0] == 3
+def test_loops_bad_level(capsys, monkeypatch):
+    # above MAX_LEVEL = 11, refused before any pattern is grown
+    _no_build(monkeypatch)
+    for n in ("12", "13", "99"):
+        assert run(capsys, "loops", "--n", n)[0] == 3
 
 
 def test_bound_schema_and_value(capsys):
@@ -93,13 +96,14 @@ def _no_build(monkeypatch):
     monkeypatch.setattr(cli, "build_forbidden_set", no_build)
 
 
-@pytest.mark.parametrize("n", ["8", "13", "14", "99"])
+@pytest.mark.parametrize("n", ["12", "13", "14", "99"])
 def test_bound_above_history_cap_refused_before_build(capsys, monkeypatch, n):
+    # no history table caps the CLI: every command stops at MAX_LEVEL = 11
     _no_build(monkeypatch)
     assert main(["bound", "--n", n, "--p", "1.413"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"level {n} is above 7" in captured.err
+    assert f"--n must be in 1..11, got {n}" in captured.err
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -108,7 +112,7 @@ def test_bound_below_level_one_exits_one(capsys, monkeypatch, n):
     assert main(["bound", "--n", n, "--p", "1.413"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--n must be in 1..7" in captured.err
+    assert "--n must be in 1..11" in captured.err
 
 
 def test_bound_level_seven_runs_without_a_flag(capsys, monkeypatch):
@@ -124,6 +128,26 @@ def test_bound_level_seven_runs_without_a_flag(capsys, monkeypatch):
     with pytest.raises(Reached):
         main(["bound", "--n", "7", "--p", "1.415"])
     assert built == [7]
+
+
+@pytest.mark.parametrize("argv,builder", [
+    (["bound", "--n", "11", "--p", "1.41"], "_build_level"),
+    (["loops", "--n", "11"], "build_forbidden_set"),
+], ids=["bound", "loops"])
+def test_level_eleven_reaches_the_build(monkeypatch, argv, builder):
+    # MAX_LEVEL itself passes the CLI's level check
+    built = []
+
+    class Reached(Exception):
+        pass
+
+    def stub(n):
+        built.append(n)
+        raise Reached
+    monkeypatch.setattr(cli, builder, stub)
+    with pytest.raises(Reached):
+        main(argv)
+    assert built == [11]
 
 
 @pytest.mark.parametrize("argv", [
@@ -171,8 +195,8 @@ def test_table_small(capsys):
 
 def test_table_above_history_cap_exits_one(capsys, monkeypatch):
     _no_build(monkeypatch)
-    assert main(["table", "--n-max", "8"]) == 1
-    assert "1..7" in capsys.readouterr().err
+    assert main(["table", "--n-max", "12"]) == 1
+    assert "1..11" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [("bound", "--n", "2", "--p", "1.44"),

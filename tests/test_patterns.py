@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stavskaya import patterns
 from stavskaya.errors import ResourceLimitError
 from stavskaya.patterns import (MAX_LEVEL, POW3, ForbiddenSet, Parameters,
                                 _grow, build_forbidden_set, code_to_pattern,
@@ -90,13 +91,14 @@ def test_loops_are_strictly_increasing_codes():
 
 
 @pytest.mark.parametrize("length", [13, 16])
-@pytest.mark.parametrize("budget", [MAX_LEVEL, 4])
+@pytest.mark.parametrize("budget", [13, 4])
 def test_kind_budget_keeps_exactly_the_words_within_it(length, budget):
     # the budget path packs each word's three step counts 5 bits apart
     # in one uint16; a count carrying into the next kind's bits would
     # drop or keep the wrong words.  At length 13 one kind can fill a
-    # word, up to the largest budget the loops use, and at length 16 that
-    # budget binds
+    # word, up to a budget of 13, past the largest the loops use
+    # (MAX_LEVEL), and at length 16 that budget binds
+    assert MAX_LEVEL <= 13
     degenerate = ForbiddenSet(0, [(1, 3), (3, 1)])
     every, _ = _grow(length, degenerate)
     counts = np.zeros((3, every.shape[0]), dtype=np.int8)
@@ -174,9 +176,17 @@ def test_canonical_order(fset5):
     assert len(set(keys)) == len(keys)
 
 
-def test_level_cap():
-    with pytest.raises(ResourceLimitError):
-        build_forbidden_set(14)
+def test_level_cap(monkeypatch):
+    # MAX_LEVEL = 11 is measured, not the encoding limit 13: above it
+    # both builders refuse before any word is grown
+    def no_grow(*args):
+        raise AssertionError("a word was grown above the level cap")
+    monkeypatch.setattr(patterns, "_grow", no_grow)
+    for n in (12, 14):
+        with pytest.raises(ResourceLimitError, match="largest level measured"):
+            build_forbidden_set(n)
+    with pytest.raises(ResourceLimitError, match="largest level measured"):
+        enumerate_primitive_loops(12, ForbiddenSet(11, [(1, 3), (3, 1)]))
     with pytest.raises(ValueError):
         build_forbidden_set(-1)
 
