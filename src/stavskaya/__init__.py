@@ -11,10 +11,10 @@ from .patterns import (ForbiddenSet, Parameters, build_forbidden_set,
                        enumerate_primitive_loops)
 from .search import (BisectionResult, OptimizationResult, alpha_sup,
                      optimize_p)
-from .spectral import (SpectralEstimate, apply_operator,
-                       certified_upper_bound, power_iteration)
-from .statespace import (StateSpace, TransitionTable, build_state_space,
-                         build_transitions)
+from .spectral import (SpectralEstimate, certified_upper_bound,
+                       power_iteration)
+from .statespace import (StateSpace, TransitionTable, build_level,
+                         build_state_space, build_transitions)
 
 __version__ = "0.1.0"
 
@@ -29,8 +29,8 @@ __all__ = [
     "StateSpace",
     "TransitionTable",
     "alpha_sup",
-    "apply_operator",
     "build_forbidden_set",
+    "build_level",
     "build_state_space",
     "build_transitions",
     "certified_upper_bound",

@@ -1,7 +1,8 @@
 """Command-line driver: compute certified bounds and reproduce the full
 results table.  Every command builds its levels from their patterns;
-`bound` and `table` solve on each level's minimal automaton and read no
-walk history, not even to count the `states` column.
+`bound` and `table` take each level from `statespace.build_level`, which
+solves on the minimal automaton and reads no walk history, not even to
+count the `states` column.
 
 Commands
   loops   forbidden-pattern counts per order (optionally the patterns)
@@ -13,11 +14,10 @@ the alpha search's tolerance `DEFAULT_ALPHA_TOL` and the power-iteration
 cap `DEFAULT_MAX_ITER`; none of the three is a flag.  `iterations` in
 the `bound` report counts the alpha search's steps, one solve each.
 
-Every command takes levels up to `MAX_LEVEL` (11), the largest level
-measured.  Exit codes: 0 success, 1 usage or configuration error, such
-as a `table --n-max` outside 1..11, 2 result not certified, 3 resource
-limit refused: a `bound` or `loops` level above 11, before any pattern
-is grown.
+`patterns.check_level` refuses a level outside 1..11 (0..11 for `loops`)
+before any pattern is grown.  Exit codes: 0 success, 1 usage or
+configuration error, such as a level below the range, 2 result not
+certified, 3 resource limit refused, such as any level above 11.
 A closed stdout ends a run by SIGPIPE, with no traceback.
 """
 
@@ -29,16 +29,12 @@ import signal
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .automaton import minimal
 from .errors import ResourceLimitError
-from .patterns import MAX_LEVEL, Parameters, build_forbidden_set
+from .patterns import MAX_LEVEL, Parameters, build_forbidden_set, check_level
 from .search import (DEFAULT_P_MAX, DEFAULT_P_MIN, _check_p_range, alpha_sup,
                      optimize_p)
-from .spectral import apply_operator
-from .statespace import TransitionTable
+from .statespace import build_level
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,23 +48,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _build_level(n: int):
-    """(state count, table, fset) for one level: the table is the
-    minimal automaton of its patterns, which is its own quotient.  The
-    states, the length-(3n-1) words that avoid the level-(n-1) patterns
-    and so the level-n ones, are counted on it: slot d of a class holds
-    the class its step d+1 enters, so each unit-weight application
-    counts words one step longer.  Every count is below 3^(3n-1), which
-    float64 holds exactly through n = 11."""
-    fset = build_forbidden_set(n)
-    pred, last_digit, start = minimal(fset)
-    table = TransitionTable(n=n, pred=pred, last_digit=last_digit)
-    unit, words = Parameters(1.0, 1.0, 1.0), np.ones(table.n_states)
-    for _ in range(3 * n - 1):
-        words = apply_operator(table, unit, words)
-    return int(words[start]), table, fset
 
 
 def _emit(report, fmt: str, columns=None) -> None:
@@ -89,10 +68,7 @@ def _emit(report, fmt: str, columns=None) -> None:
 
 
 def cmd_loops(args) -> int:
-    if args.n < 0 or args.n > MAX_LEVEL:
-        print(f"error: --n must be in 0..{MAX_LEVEL}, got {args.n}",
-              file=sys.stderr)
-        return EXIT_USAGE if args.n < 0 else EXIT_RESOURCE
+    check_level(args.n, 0)
     fset = build_forbidden_set(args.n)
     rows = [{"order": 0, "count": 2, "cumulative": 2}]
     running = 2
@@ -115,13 +91,10 @@ def cmd_loops(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    if args.n < 1 or args.n > MAX_LEVEL:
-        print(f"error: --n must be in 1..{MAX_LEVEL}, got {args.n}",
-              file=sys.stderr)
-        return EXIT_USAGE if args.n < 1 else EXIT_RESOURCE
+    check_level(args.n, 1)
     Parameters(args.p, 1.0, 0.0)
     started = time.perf_counter()
-    states, table, fset = _build_level(args.n)
+    patterns, states, table = build_level(args.n)
     result = alpha_sup(table, args.p)
     report = {
         "level": args.n,
@@ -132,7 +105,7 @@ def cmd_bound(args) -> int:
         "iterations": result.iterations,
         "power_iterations": result.power_iterations,
         "states": states,
-        "forbidden_patterns": len(fset),
+        "forbidden_patterns": patterns,
         "elapsed_seconds": round(time.perf_counter() - started, 3),
         "version": __version__,
         "certified": result.certified,
@@ -142,21 +115,18 @@ def cmd_bound(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.n_max < 1 or args.n_max > MAX_LEVEL:
-        print(f"error: --n-max must be in 1..{MAX_LEVEL}, got {args.n_max}",
-              file=sys.stderr)
-        return EXIT_USAGE
+    check_level(args.n_max, 1)
     _check_p_range(args.p_min, args.p_max)
     rows = []
     all_certified = True
     for n in range(1, args.n_max + 1):
         started = time.perf_counter()
-        states, table, fset = _build_level(n)
+        patterns, states, table = build_level(n)
         best = optimize_p(n, args.p_min, args.p_max, table=table)
         all_certified &= not best.degenerate
         rows.append({
             "level": n,
-            "forbidden_patterns": len(fset),
+            "forbidden_patterns": patterns,
             "states": states,
             "p_opt": best.p_opt,
             "bound": best.bound,

@@ -44,6 +44,17 @@ from .errors import ResourceLimitError
 # step, and 3**39 < 2**63 (word length 38, extended 39).
 MAX_LEVEL = 11
 
+
+def check_level(n: int, lowest: int) -> None:
+    """Refuse a level below `lowest` (`ValueError`) or above `MAX_LEVEL`
+    (`ResourceLimitError`), in one message naming the range and level."""
+    message = f"level must be in {lowest}..{MAX_LEVEL}, got {n}"
+    if n < lowest:
+        raise ValueError(message)
+    if n > MAX_LEVEL:
+        raise ResourceLimitError(f"{message}; {MAX_LEVEL} is the largest level measured")
+
+
 STEP_KINDS = (1, 2, 3)
 
 POW3 = 3 ** np.arange(41, dtype=np.uint64)
@@ -306,22 +317,16 @@ def enumerate_primitive_loops(k: int, lower: ForbiddenSet) -> np.ndarray:
     are closed under taking factors, so they grow by the move rule, less
     the words over the kind budget; at length 3k only balanced ones stay.
     """
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
+    check_level(k, 1)
     if lower.level != k - 1:
         raise ValueError(f"need the level {k - 1} forbidden set, got level {lower.level}")
-    if k > MAX_LEVEL:
-        raise ResourceLimitError(f"order {k} is above {MAX_LEVEL}, the largest level measured")
     return _grow(3 * k, lower, k)[0]
 
 
 def build_forbidden_set(n: int) -> ForbiddenSet:
     """The forbidden set at level n: degenerate pair plus all primitive
     loops of orders 1..n, built incrementally."""
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
-    if n > MAX_LEVEL:
-        raise ResourceLimitError(f"level {n} is above {MAX_LEVEL}, the largest level measured")
+    check_level(n, 0)
     fset = ForbiddenSet(0, [(1, 3), (3, 1)])
     for k in range(1, n + 1):
         loops = enumerate_primitive_loops(k, fset)

@@ -59,8 +59,9 @@ a history of the class that move enters, or no move where its class has
 none.  The tests check that (`check_lift` in `tests/conftest.py`) at
 every level up to `MAX_HISTORY_LEVEL`, the only levels whose history
 tables are built, with φ read along each history's own word from the
-root's class.  The CLI builds none: it solves on the quotient's table,
-which, made without a forbidden set, is its own quotient.
+root's class.  `build_level`, the CLI's route, builds none: it returns
+the quotient's table, which, made without a forbidden set, is its own
+quotient, and counts the states on it.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ import numpy as np
 
 from .automaton import minimal
 from .errors import ConsistencyError, ResourceLimitError
-from .patterns import _CHUNK, ForbiddenSet, _block, _grow
+from .patterns import (_CHUNK, ForbiddenSet, _block, _grow,
+                       build_forbidden_set, check_level)
 
 # The largest level whose history table is built: level 7, the paper's
 # headline, has 8,663,071 states, and its history table peaks at about
@@ -233,8 +235,7 @@ class TransitionTable:
         """
         if self.fset is None:
             return self
-        pred, last_digit, _ = minimal(self.fset)
-        return TransitionTable(n=self.n, pred=pred, last_digit=last_digit)
+        return _minimal_table(self.fset)[0]
 
     @property
     def edge_count(self) -> int:
@@ -275,3 +276,26 @@ def build_transitions(states: StateSpace, fset: ForbiddenSet) -> TransitionTable
         last_digit[lo:lo + _CHUNK] = rest
     return TransitionTable(n=states.n, pred=pred, last_digit=last_digit,
                            fset=fset)
+
+
+def _minimal_table(fset: ForbiddenSet) -> tuple[TransitionTable, int]:
+    """The minimal automaton of `fset` as its own quotient, and its start."""
+    pred, last_digit, start = minimal(fset)
+    return TransitionTable(n=fset.level, pred=pred, last_digit=last_digit), start
+
+
+def build_level(n: int) -> tuple[int, int, TransitionTable]:
+    """(patterns, states, table) for level n, refused outside
+    1..`MAX_LEVEL` before any pattern is grown.  The table is the minimal
+    automaton of the level-n patterns; the states, the length-(3n-1)
+    words that avoid them, are read on it from the start class, each
+    unit-weight gather counting words one step longer.  int64 holds every
+    count, below 3^(3n-1), exactly through n = 13."""
+    check_level(n, 1)
+    fset = build_forbidden_set(n)
+    table, start = _minimal_table(fset)
+    words = np.ones(table.n_states + 1, dtype=np.int64)
+    words[-1] = 0  # the sentinel: a blocked move ends no word
+    for _ in range(3 * n - 1):
+        words[:-1] = words[table.pred].sum(axis=0)
+    return len(fset), int(words[start]), table

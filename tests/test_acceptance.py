@@ -12,14 +12,14 @@ import pytest
 from conftest import check_lift, word_weights
 
 from stavskaya import automaton
-from stavskaya.cli import _build_level
 from stavskaya.errors import ConsistencyError
 from stavskaya.patterns import (MAX_LEVEL, POW3, Parameters, _grow,
                                 build_forbidden_set)
 from stavskaya.search import alpha_sup, optimize_p
 from stavskaya.spectral import (apply_operator, certified_upper_bound,
                                 check_subcritical, power_iteration)
-from stavskaya.statespace import build_state_space, build_transitions
+from stavskaya.statespace import (build_level, build_state_space,
+                                  build_transitions)
 
 TABLE_COUNTS = {1: (4, 7), 2: (6, 73), 3: (12, 759), 4: (36, 7859),
                 5: (146, 81231), 6: (694, 839009), 7: (3584, 8663071)}
@@ -65,7 +65,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def _counts(n: int):
     fset = build_forbidden_set(n)
     space = build_state_space(n, fset.restrict(n - 1))
-    return len(fset), len(space), _build_level(n)[0]
+    return len(fset), len(space), build_level(n)[1]
 
 
 def test_criterion_1_combinatorics_fast():
@@ -109,7 +109,7 @@ def test_criterion_2_combinatorics_extended(deep_levels):
     # the histories at the two levels the other tests do not build
     started = time.time()
     got = {n: (patterns, states, table.edge_count, table.quotient.n_states,
-               _build_level(n)[0])
+               build_level(n)[1])
            for n, (patterns, states, table, _) in deep_levels.items()}
     lifted = all(_lifts(table) for _, _, table, _ in deep_levels.values())
     elapsed = time.time() - started + sum(b[3] for b in deep_levels.values())
@@ -275,9 +275,9 @@ def test_level7_fixed_run_keeps_its_certificate(deep_levels):
 
 @pytest.fixture(scope="module")
 def beyond_levels():
-    """level -> `_build_level(level)` for the levels past the paper's
+    """level -> `build_level(level)` for the levels past the paper's
     table that tier-1 runs."""
-    return {n: _build_level(n) for n in BEYOND_THE_PAPER}
+    return {n: build_level(n) for n in BEYOND_THE_PAPER}
 
 
 @pytest.mark.parametrize("n", sorted(BEYOND_THE_PAPER))
@@ -285,26 +285,26 @@ def test_counted_states_match_the_unminimised_automaton(n, beyond_levels):
     # no history table checks the counts past level 7, so the live
     # Aho–Corasick nodes, before any refinement, count the
     # length-(3n-1) words read from the root (node 0) instead
-    states, _, fset = beyond_levels[n]
-    moves, _ = automaton._live(fset)
+    patterns, states, _ = beyond_levels[n]
+    moves, _ = automaton._live(build_forbidden_set(n))
     size = moves.shape[1]
     words = np.ones(size + 1, dtype=np.int64)
     words[size] = 0  # a move into a dead node ends no word
     for _ in range(3 * n - 1):
         words[:size] = words[moves].sum(axis=0)
-    assert (len(fset), states) == BEYOND_THE_PAPER[n][:2]
+    assert (patterns, states) == BEYOND_THE_PAPER[n][:2]
     assert words[0] == states
 
 
 def test_state_counts_stay_exact_through_the_level_cap():
-    # `_build_level` counts in float64, exact while 3^(3n-1) <= 2^53
-    assert 3 ** (3 * MAX_LEVEL - 1) <= 2 ** 53
+    # `build_level` counts in int64, exact while 3^(3n-1) < 2^63
+    assert 3 ** (3 * MAX_LEVEL - 1) < 2 ** 63
 
 
 def test_rows_past_the_paper(beyond_levels):
     # the bound rises at every level through 9
     rows = {n: optimize_p(n, table=(beyond_levels.get(n)
-                                    or _build_level(n))[1])
+                                    or build_level(n))[2])
             for n in range(1, 10)}
     bounds = [rows[n].bound for n in sorted(rows)]
     assert all(lo < hi for lo, hi in zip(bounds, bounds[1:])), bounds

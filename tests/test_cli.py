@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stavskaya import automaton, cli
+from stavskaya import automaton, cli, statespace
 from stavskaya.cli import main
 from stavskaya.errors import ResourceLimitError
 from stavskaya.statespace import StateSpace
@@ -92,7 +92,7 @@ def test_bound_degenerate_exits_two(capsys):
 def _no_build(monkeypatch):
     def no_build(n):
         raise AssertionError(f"level {n} built")
-    monkeypatch.setattr(cli, "_build_level", no_build)
+    monkeypatch.setattr(cli, "build_level", no_build)
     monkeypatch.setattr(cli, "build_forbidden_set", no_build)
 
 
@@ -103,7 +103,7 @@ def test_bound_above_history_cap_refused_before_build(capsys, monkeypatch, n):
     assert main(["bound", "--n", n, "--p", "1.413"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"--n must be in 1..11, got {n}" in captured.err
+    assert f"level must be in 1..11, got {n}" in captured.err
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -112,7 +112,7 @@ def test_bound_below_level_one_exits_one(capsys, monkeypatch, n):
     assert main(["bound", "--n", n, "--p", "1.413"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--n must be in 1..11" in captured.err
+    assert f"level must be in 1..11, got {n}" in captured.err
 
 
 def test_bound_level_seven_runs_without_a_flag(capsys, monkeypatch):
@@ -124,14 +124,14 @@ def test_bound_level_seven_runs_without_a_flag(capsys, monkeypatch):
     def stub(n):
         built.append(n)
         raise Reached
-    monkeypatch.setattr(cli, "_build_level", stub)
+    monkeypatch.setattr(cli, "build_level", stub)
     with pytest.raises(Reached):
         main(["bound", "--n", "7", "--p", "1.415"])
     assert built == [7]
 
 
 @pytest.mark.parametrize("argv,builder", [
-    (["bound", "--n", "11", "--p", "1.41"], "_build_level"),
+    (["bound", "--n", "11", "--p", "1.41"], "build_level"),
     (["loops", "--n", "11"], "build_forbidden_set"),
 ], ids=["bound", "loops"])
 def test_level_eleven_reaches_the_build(monkeypatch, argv, builder):
@@ -193,10 +193,25 @@ def test_table_small(capsys):
     assert rows[1]["bound"] == pytest.approx(0.13101966, abs=1e-4)
 
 
-def test_table_above_history_cap_exits_one(capsys, monkeypatch):
+def test_table_above_level_cap_exits_three(capsys, monkeypatch):
+    # the same refusal, and exit code, as `bound --n 12`
     _no_build(monkeypatch)
-    assert main(["table", "--n-max", "12"]) == 1
-    assert "1..11" in capsys.readouterr().err
+    assert main(["table", "--n-max", "12"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "level must be in 1..11, got 12" in captured.err
+
+
+@pytest.mark.parametrize("argv,lowest", [
+    (["loops", "--n", "-1"], 0),
+    (["table", "--n-max", "0"], 1),
+], ids=["loops", "table"])
+def test_level_below_range_exits_one(capsys, monkeypatch, argv, lowest):
+    _no_build(monkeypatch)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"level must be in {lowest}..11, got {argv[-1]}" in captured.err
 
 
 @pytest.mark.parametrize("argv", [("bound", "--n", "2", "--p", "1.44"),
@@ -204,7 +219,7 @@ def test_table_above_history_cap_exits_one(capsys, monkeypatch):
 def test_build_refusal_exits_three(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise ResourceLimitError("budget")
-    monkeypatch.setattr(cli, "minimal", refuse)
+    monkeypatch.setattr(statespace, "minimal", refuse)
     assert main(list(argv)) == 3
     captured = capsys.readouterr()
     assert captured.err.strip() == "error: budget"

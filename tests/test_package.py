@@ -31,10 +31,9 @@ def test_patterns_imports_no_later_layer():
         assert not any(layer in name.split(".") for name in names), layer
 
 
-def test_automaton_imports_only_patterns_and_errors():
-    # the minimal automaton is a function of the patterns alone, so it
-    # reads nothing of the history tables or the solver
-    tree = ast.parse(Path(stavskaya.automaton.__file__).read_text())
+def _package_imports(module):
+    """The package modules `module` imports, all of them relatively."""
+    tree = ast.parse(Path(module.__file__).read_text())
     package = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
@@ -44,7 +43,20 @@ def test_automaton_imports_only_patterns_and_errors():
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("stavskaya")
                            for a in node.names)
-    assert package == {"patterns", "errors"}
+    return package
+
+
+def test_automaton_imports_only_patterns_and_errors():
+    # the minimal automaton is a function of the patterns alone, so it
+    # reads nothing of the history tables or the solver
+    assert _package_imports(stavskaya.automaton) == {"patterns", "errors"}
+
+
+def test_statespace_imports_no_solver():
+    # `build_level` sits below the solver: `spectral` and `search` import
+    # `statespace`, so it importing either would close a cycle
+    assert _package_imports(stavskaya.statespace) == {"patterns",
+                                                      "automaton", "errors"}
 
 
 def _references(tree):

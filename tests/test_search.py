@@ -12,12 +12,31 @@ from stavskaya.errors import ConsistencyError
 from stavskaya.patterns import Parameters, build_forbidden_set
 from stavskaya.search import BisectionResult, alpha_sup, optimize_p
 from stavskaya.spectral import check_subcritical, power_iteration
-from stavskaya.statespace import TransitionTable
+from stavskaya.statespace import TransitionTable, build_level
 
 
 # k = 34 at the default tolerance 1e-10: the grid spacing is 2**-34,
 # which bisection takes 34 steps to reach and ITP at most k + 1
 GRID_STEPS = 34
+
+# level 1 solved by hand: rho(M) = 1 at alpha*(p), largest at
+# p = 2*sqrt(3) - 2, where alpha* = 1/8; an oracle this code does not
+# compute
+LEVEL1_P = (1.3, 1.35, 1.4, 1.45, 1.464, 1.5, 1.55, 1.6)
+
+
+def _level1_alpha_star(p: float) -> float:
+    return (math.sqrt(p * p + 4 * p - 4) - p) / (2 * p * p)
+
+
+def test_level_one_meets_its_closed_form():
+    _, _, table = build_level(1)
+    for p in LEVEL1_P:
+        gap = _level1_alpha_star(p) - alpha_sup(table, p).alpha_low
+        assert 0 < gap < 2 * 2.0 ** -GRID_STEPS, (p, gap)
+    best = optimize_p(1, table=table)
+    assert abs(best.p_opt - (2 * math.sqrt(3) - 2)) < search.P_TOL
+    assert 0 < 1 / 8 - best.bound <= 2.0 ** -33
 
 
 def test_bisection_iteration_count(small_levels):

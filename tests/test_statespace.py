@@ -413,6 +413,31 @@ def test_quotient_class_counts(n, classes, small_levels, fset5):
     assert table.quotient is quotient  # built once per table
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_build_level_is_the_history_tables_quotient(n, small_levels, fset5):
+    # the CLI's route: the same patterns, the history table's length as
+    # `states`, and the quotient's own table, which is its own quotient
+    patterns, states, table = statespace.build_level(n)
+    space, history = small_levels[n]
+    quotient = history.quotient
+    assert (patterns, states) == (len(fset5.restrict(n)), len(space))
+    assert table.fset is None and table.quotient is table
+    assert np.array_equal(table.pred, quotient.pred)
+    assert np.array_equal(table.last_digit, quotient.last_digit)
+
+
+def test_build_level_refuses_before_growing(monkeypatch):
+    def no_grow(*args):
+        raise AssertionError("a word was grown outside the level range")
+    monkeypatch.setattr(patterns, "_grow", no_grow)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"in 1..11, got {n}$"):
+            statespace.build_level(n)
+    with pytest.raises(ResourceLimitError,
+                       match="in 1..11, got 12; 11 is the largest level"):
+        statespace.build_level(12)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quotient_lifts_every_ratio(n, small_levels, fset5):
     # B(u∘φ) = (B_q u)∘φ, so the max ratios agree bit for bit
