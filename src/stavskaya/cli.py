@@ -80,13 +80,13 @@ def cmd_loops(args) -> int:
         report = {"level": args.n, "orders": rows, "total": len(fset),
                   "version": __version__}
         if args.dump:
-            report["patterns"] = fset.texts()
+            report["patterns"] = list(fset.texts())
         print(json.dumps(report, indent=2))
     else:
         _emit(rows, args.format, ["order", "count", "cumulative"])
         if args.dump:
-            for text in fset.texts():
-                print(text)
+            # streamed: only `texts`' current chunk is held
+            sys.stdout.writelines(f"{text}\n" for text in fset.texts())
     return EXIT_OK
 
 

@@ -9,9 +9,11 @@ a contiguous factor.  The forbidden set at level n collects the
 degenerate pair plus all primitive loops of orders 1..n.
 
 Words are encoded in base 3 (digits 0,1,2 for steps 1,2,3), oldest
-step in the most significant digit.  A `ForbiddenSet` stores only the
-sorted codes of each pattern length; the tuples of step kinds and their
-text forms ("123") are derived from them.
+step in the most significant digit.  A pattern is its code and
+nothing else: a `ForbiddenSet` is built from, and stores, only the
+sorted codes of each pattern length, and every layer reads them as
+they are.  Text ("123") exists only at the output, where
+`ForbiddenSet.texts` renders it from the codes a chunk at a time.
 
 One move rule grows every word set.  A word avoids a pattern set F
 exactly when its prefix and its suffix, each one step shorter, avoid F
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +57,6 @@ def check_level(n: int, lowest: int) -> None:
     if n > MAX_LEVEL:
         raise ResourceLimitError(f"{message}; {MAX_LEVEL} is the largest level measured")
 
-
-STEP_KINDS = (1, 2, 3)
 
 POW3 = 3 ** np.arange(41, dtype=np.uint64)
 
@@ -111,58 +112,32 @@ class Parameters:
         return (1.0 / (self.p * self.q), self.alpha * self.p**2, self.q / self.p)
 
 
-def pattern_code(pattern) -> int:
-    """Base-3 integer code, oldest step in the most significant digit."""
-    code = 0
-    for k in pattern:
-        if k not in STEP_KINDS:
-            raise ValueError(f"step kind must be 1, 2, or 3, got {k}")
-        code = code * 3 + (k - 1)
-    return code
-
-
-def code_to_pattern(code: int, length: int) -> tuple[int, ...]:
-    """Inverse of `pattern_code` for a word of `length` steps."""
-    digits = []
-    for _ in range(length):
-        digits.append(int(code % 3) + 1)
-        code //= 3
-    return tuple(reversed(digits))
-
-
-def pattern_text(pattern: tuple[int, ...]) -> str:
-    return "".join(str(k) for k in pattern)
-
-
 class ForbiddenSet:
-    """Forbidden patterns at a given level, stored once: `codes_by_length`
-    maps each pattern length to its sorted uint64 codes.  The tuples and
-    texts are derived in canonical order, by (length, code).
+    """Forbidden patterns at a given level, stored once, as codes:
+    `codes_by_length` maps each pattern length m >= 2 to its strictly
+    increasing codes below 3^m, as uint64 (other non-negative integer
+    arrays are converted; anything else raises `ValueError`).  Canonical
+    order is by (length, code); text is rendered from the codes only on
+    the way out, by `texts`.
     """
 
-    def __init__(self, level: int, patterns):
+    def __init__(self, level: int, codes_by_length):
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
-        grouped: dict[int, list[int]] = {}
-        for p in map(tuple, patterns):
-            if len(p) < 2:
-                raise ValueError(f"invalid pattern {p}")
-            # pattern_code checks every kind
-            grouped.setdefault(len(p), []).append(pattern_code(p))
         self.level = level
-        self.codes_by_length = {m: np.array(sorted(set(c)), dtype=np.uint64)
-                                for m, c in sorted(grouped.items())}
-
-    @classmethod
-    def _of_codes(cls, level: int, codes_by_length) -> "ForbiddenSet":
-        fset = cls(level, ())  # the codes are taken as they are
-        fset.codes_by_length = dict(sorted(codes_by_length.items()))
-        return fset
-
-    @property
-    def patterns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(code_to_pattern(int(c), m)
-                     for m, codes in self.codes_by_length.items() for c in codes)
+        self.codes_by_length = {}
+        for m, codes in sorted(codes_by_length.items()):
+            codes = np.asarray(codes)
+            if codes.dtype.kind == "u" or (codes.dtype.kind == "i"
+                                           and (codes >= 0).all()):
+                codes = codes.astype(np.uint64, copy=False)
+            if not (isinstance(m, numbers.Integral) and 2 <= m < POW3.shape[0]
+                    and codes.ndim == 1 and codes.dtype == np.uint64
+                    and (codes[1:] > codes[:-1]).all()
+                    and (codes.size == 0 or codes[-1] < POW3[m])):
+                raise ValueError(f"length {m}: need a length in 2..{POW3.shape[0] - 1} "
+                                 "and strictly increasing codes in 0..3^length-1")
+            self.codes_by_length[m] = codes
 
     def __len__(self) -> int:
         return sum(codes.shape[0] for codes in self.codes_by_length.values())
@@ -182,12 +157,24 @@ class ForbiddenSet:
             raise ValueError(f"cannot restrict level {self.level} to {level}")
         if level == self.level:
             return self
-        return ForbiddenSet._of_codes(
-            level, {m: codes for m, codes in self.codes_by_length.items()
-                    if m == 2 or m <= 3 * level})
+        return ForbiddenSet(level, {m: codes for m, codes in self.codes_by_length.items()
+                                    if m == 2 or m <= 3 * level})
 
-    def texts(self) -> list[str]:
-        return [pattern_text(p) for p in self.patterns]
+    def texts(self) -> Iterator[str]:
+        """Each pattern's digit string ("123"), in canonical order.  A
+        `_CHUNK` of codes at a time, one base-3 digit a pass, youngest
+        first, is written as the bytes "1".."3" into a row per pattern,
+        and the rows are read as fixed-width strings."""
+        for m, codes in self.codes_by_length.items():
+            for lo in range(0, codes.shape[0], _CHUNK):
+                rest = codes[lo:lo + _CHUNK].copy()
+                digit = np.empty_like(rest)
+                rows = np.empty((rest.shape[0], m), dtype=np.uint8)
+                for j in range(m - 1, -1, -1):
+                    np.divmod(rest, np.uint64(3), out=(rest, digit))
+                    rows[:, j] = digit
+                rows += ord("1")
+                yield from rows.view(f"S{m}").ravel().astype(f"U{m}").tolist()
 
 
 def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,8 +314,8 @@ def build_forbidden_set(n: int) -> ForbiddenSet:
     """The forbidden set at level n: degenerate pair plus all primitive
     loops of orders 1..n, built incrementally."""
     check_level(n, 0)
-    fset = ForbiddenSet(0, [(1, 3), (3, 1)])
+    fset = ForbiddenSet(0, {2: [2, 6]})  # 13 and 31
     for k in range(1, n + 1):
         loops = enumerate_primitive_loops(k, fset)
-        fset = ForbiddenSet._of_codes(k, {**fset.codes_by_length, 3 * k: loops})
+        fset = ForbiddenSet(k, {**fset.codes_by_length, 3 * k: loops})
     return fset

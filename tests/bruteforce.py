@@ -43,6 +43,25 @@ def _weights(params: Parameters) -> tuple[float, float, float]:
             params.q / params.p)
 
 
+def code_word(code: int, length: int) -> tuple[int, ...]:
+    """The word of `length` step kinds whose base-3 code is `code`, the
+    oldest step in the most significant digit and kind k the digit
+    k - 1: the tests' one codec, written from that definition."""
+    if not 0 <= code < 3**length:
+        raise ValueError(f"code {code} does not fit {length} steps")
+    word = []
+    for _ in range(length):
+        code, digit = divmod(code, 3)
+        word.append(digit + 1)
+    return tuple(reversed(word))
+
+
+def pattern_words(fset) -> list[tuple[int, ...]]:
+    """The words of a `ForbiddenSet`'s codes, in its canonical order."""
+    return [code_word(int(c), m)
+            for m, codes in fset.codes_by_length.items() for c in codes]
+
+
 def _contains_factor(word: tuple[int, ...], pattern: tuple[int, ...]) -> bool:
     m = len(pattern)
     return any(word[s:s + m] == pattern for s in range(len(word) - m + 1))

@@ -205,7 +205,7 @@ def test_criterion_7_property_suite(small_levels, fset5):
     # forbidden-set closures for n <= 5
     ok_closure = True
     for n in range(0, 6):
-        pats = set(fset5.restrict(n).patterns)
+        pats = set(bruteforce.pattern_words(fset5.restrict(n)))
         ok_closure &= {tuple(4 - k for k in p) for p in pats} == pats
         ok_closure &= {tuple(reversed(p)) for p in pats} == pats
     # alpha-monotone certificates, 10 ladder points

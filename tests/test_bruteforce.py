@@ -12,8 +12,18 @@ from stavskaya.patterns import _grow
 def test_naive_forbidden_matches_fast_builder():
     for n in range(0, 4):
         naive = set(bruteforce.naive_forbidden_patterns(n))
-        fast = set(build_forbidden_set(n).patterns)
+        fast = set(bruteforce.pattern_words(build_forbidden_set(n)))
         assert naive == fast
+
+
+@pytest.mark.parametrize("n", range(0, 4))
+def test_texts_are_the_naive_patterns_in_order(n):
+    # the rendered text against the definition's words, joined digit by
+    # digit: no code of the package's is read on the oracle side
+    naive = ["".join(map(str, word))
+             for word in bruteforce.naive_forbidden_patterns(n)]
+    want = sorted(naive, key=lambda text: (len(text), text))
+    assert list(build_forbidden_set(n).texts()) == want
 
 
 def test_empty_path_total():

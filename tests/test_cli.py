@@ -54,6 +54,18 @@ def test_loops_dump_lists_patterns(capsys):
     assert json.loads(out)["patterns"] == ["13", "31", "123", "321"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_streamed_dump_matches_the_json_list(capsys, fmt):
+    # the table's header and rows for orders 0..5, then one pattern a line
+    code, out = run(capsys, "loops", "--n", "5", "--dump", "--format", fmt)
+    assert code == 0 and out.endswith("\n")
+    streamed = out.splitlines()[7:]
+    code, out = run(capsys, "loops", "--n", "5", "--dump")
+    report = json.loads(out)
+    assert streamed == report["patterns"]
+    assert len(streamed) == report["total"] == 146
+
+
 def test_loops_bad_level(capsys, monkeypatch):
     # above MAX_LEVEL = 11, refused before any pattern is grown
     _no_build(monkeypatch)

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from bruteforce import code_word, pattern_words
 
 from stavskaya import patterns
 from stavskaya.errors import ResourceLimitError
 from stavskaya.patterns import (MAX_LEVEL, POW3, ForbiddenSet, Parameters,
-                                _grow, build_forbidden_set, code_to_pattern,
-                                enumerate_primitive_loops, pattern_code,
-                                pattern_text)
+                                _grow, build_forbidden_set,
+                                enumerate_primitive_loops)
+
+DEGENERATE = {2: [2, 6]}  # the codes of 13 and 31
 
 
 def test_parameter_validation():
@@ -61,13 +63,38 @@ def test_step_weight_formulas():
 
 
 def test_pattern_text_roundtrip():
-    assert pattern_text((1, 2, 3)) == "123"
-    assert pattern_text(code_to_pattern(pattern_code((3, 2, 1)), 3)) == "321"
+    # 123 and 321 are 0*9 + 1*3 + 2 and 2*9 + 1*3 + 0
+    assert list(ForbiddenSet(0, {3: [5, 21]}).texts()) == ["123", "321"]
+
+
+def _base_repr_text(code, m):
+    """The digit string of a length-m code by `np.base_repr`, zero-padded
+    and shifted 0->1, 1->2, 2->3."""
+    return np.base_repr(code, 3).zfill(m).translate(str.maketrans("012", "123"))
+
+
+@pytest.mark.parametrize("chunk", [None, 7, 1000])
+def test_texts_match_base_repr(chunk, monkeypatch):
+    # every code of every length up to 8, and at the level-11 loop
+    # length 33 its two ends and 1,000 seeded random codes; chunks of 7
+    # and 1,000 split lengths part way through
+    if chunk is not None:
+        monkeypatch.setattr(patterns, "_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    top = 3**33 - 1
+    long = np.unique(np.concatenate([
+        [0, top], rng.integers(0, top, 1000, dtype=np.uint64, endpoint=True)]))
+    codes = {m: np.arange(3**m, dtype=np.uint64) for m in range(2, 9)}
+    codes[33] = long.astype(np.uint64)
+    want = [_base_repr_text(int(c), m) for m, cs in codes.items() for c in cs]
+    assert len(want) == sum(3**m for m in range(2, 9)) + long.shape[0]
+    assert want[-1] == "3" * 33
+    assert list(ForbiddenSet(0, codes).texts()) == want
 
 
 def loop_tuples(k):
     codes = enumerate_primitive_loops(k, build_forbidden_set(k - 1))
-    return {code_to_pattern(int(c), 3 * k) for c in codes}
+    return {code_word(int(c), 3 * k) for c in codes}
 
 
 def test_order_one_loops():
@@ -99,7 +126,7 @@ def test_kind_budget_keeps_exactly_the_words_within_it(length, budget):
     # word, up to a budget of 13, past the largest the loops use
     # (MAX_LEVEL), and at length 16 that budget binds
     assert MAX_LEVEL <= 13
-    degenerate = ForbiddenSet(0, [(1, 3), (3, 1)])
+    degenerate = ForbiddenSet(0, DEGENERATE)
     every, _ = _grow(length, degenerate)
     counts = np.zeros((3, every.shape[0]), dtype=np.int8)
     for j in range(length):
@@ -134,14 +161,14 @@ def test_per_order_counts(fset5):
 
 def test_degenerate_pair_always_present(fset5):
     for n in range(0, 6):
-        fset = fset5.restrict(n)
-        assert (1, 3) in fset.patterns
-        assert (3, 1) in fset.patterns
+        words = pattern_words(fset5.restrict(n))
+        assert (1, 3) in words
+        assert (3, 1) in words
 
 
 def test_loops_are_balanced_and_closed(fset5):
     moves = {1: (-1, -1), 2: (2, 0), 3: (-1, 1)}  # (dx, dy) of each kind
-    for pat in fset5.patterns:
+    for pat in pattern_words(fset5):
         if len(pat) == 2:
             continue
         k = len(pat) // 3
@@ -153,14 +180,14 @@ def test_loops_are_balanced_and_closed(fset5):
 
 def test_swap_and_reversal_closure(fset5):
     for n in range(0, 6):
-        patterns = set(fset5.restrict(n).patterns)
+        patterns = set(pattern_words(fset5.restrict(n)))
         assert {tuple(4 - k for k in p) for p in patterns} == patterns
         assert {tuple(reversed(p)) for p in patterns} == patterns
 
 
 def test_mutual_primitivity(fset5):
     # no member is a contiguous factor of another
-    pats = fset5.patterns
+    pats = pattern_words(fset5)
     for a in pats:
         for b in pats:
             if a is b or len(a) > len(b):
@@ -171,7 +198,8 @@ def test_mutual_primitivity(fset5):
 
 
 def test_canonical_order(fset5):
-    keys = [(len(p), pattern_code(p)) for p in fset5.patterns]
+    # digit strings of one length sort as their codes do
+    keys = [(len(t), t) for t in fset5.texts()]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -186,18 +214,32 @@ def test_level_cap(monkeypatch):
         with pytest.raises(ResourceLimitError, match="largest level measured"):
             build_forbidden_set(n)
     with pytest.raises(ResourceLimitError, match="largest level measured"):
-        enumerate_primitive_loops(12, ForbiddenSet(11, [(1, 3), (3, 1)]))
+        enumerate_primitive_loops(12, ForbiddenSet(11, DEGENERATE))
     with pytest.raises(ValueError):
         build_forbidden_set(-1)
 
 
 def test_restrict_matches_direct_build(fset5):
     for n in range(0, 5):
-        assert fset5.restrict(n).patterns == build_forbidden_set(n).patterns
+        assert (list(fset5.restrict(n).texts())
+                == list(build_forbidden_set(n).texts()))
 
 
 def test_forbidden_set_validation():
-    with pytest.raises(ValueError):
-        ForbiddenSet(0, [(1,)])
-    with pytest.raises(ValueError):
-        ForbiddenSet(0, [(1, 4)])
+    for bad in ({1: [0]},          # a one-step pattern
+                {2: [9]},          # a code of three steps, 3^2 and up
+                {2: [2, 2]},       # repeated
+                {2: [6, 2]},       # unsorted
+                {2: [-1, 2]},      # negative
+                {2: [2.0, 6.0]},   # not integers
+                {2: [[2, 6]]},     # not one row
+                {41: [0]}):        # too long for uint64
+        with pytest.raises(ValueError):
+            ForbiddenSet(0, bad)
+
+
+def test_forbidden_set_takes_the_codes_as_uint64():
+    fset = ForbiddenSet(0, {6: np.array([5, 700], dtype=np.int64), **DEGENERATE})
+    assert list(fset.codes_by_length) == [2, 6]
+    assert all(c.dtype == np.uint64 for c in fset.codes_by_length.values())
+    assert list(fset.texts()) == ["13", "31", "111123", "332332"]

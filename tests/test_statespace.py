@@ -10,9 +10,8 @@ from conftest import (check_lift, level_table, make_table,
 from stavskaya import automaton, patterns, statespace
 from stavskaya.errors import ConsistencyError, ResourceLimitError
 from stavskaya.patterns import (POW3, ForbiddenSet, Parameters,
-                                build_forbidden_set, code_to_pattern,
-                                enumerate_primitive_loops, pattern_code,
-                                pattern_text)
+                                build_forbidden_set,
+                                enumerate_primitive_loops)
 from stavskaya.search import alpha_sup
 from stavskaya.spectral import certified_upper_bound, power_iteration
 from stavskaya.statespace import (TransitionTable, build_state_space,
@@ -34,29 +33,36 @@ def _successor_table(table):
                            last_digit=table.last_digit)
 
 
-def _index(space, word):
-    """State id of a word, looked up in the sorted codes."""
-    code = np.uint64(pattern_code(word))
-    i = int(np.searchsorted(space.codes, code))
-    assert space.codes[i] == code, word
-    return i
-
-
 def _word(space, i):
-    return code_to_pattern(int(space.codes[i]), space.length)
+    return bruteforce.code_word(int(space.codes[i]), space.length)
+
+
+def _index(space, word):
+    """State id of a word, by decoding every state (small spaces only)."""
+    return [_word(space, i) for i in range(len(space))].index(word)
+
+
+def _text(word):
+    return "".join(map(str, word))
 
 
 def test_word_codec_roundtrip():
+    # the tests' codec orders words as `product` does, oldest step most
+    # significant, and its code is the sum of the digits' powers of 3
+    for length in range(1, 7):
+        words = list(itertools.product((1, 2, 3), repeat=length))
+        assert [bruteforce.code_word(c, length)
+                for c in range(3**length)] == words
     rng = np.random.RandomState(3)
     for _ in range(50):
         length = rng.randint(1, 21)
-        word = tuple(rng.randint(1, 4) for _ in range(length))
-        code = pattern_code(word)
-        assert 0 <= code < int(POW3[length])
-        assert code_to_pattern(code, length) == word
-    for bad in ((1, 4), (0, 2), (2, 1.5)):
+        code = int(rng.randint(0, 3**length, dtype=np.int64))
+        word = bruteforce.code_word(code, length)
+        assert sum((k - 1) * 3**(length - 1 - j)
+                   for j, k in enumerate(word)) == code
+    for code, length in ((9, 2), (-1, 2), (int(POW3[20]), 20)):
         with pytest.raises(ValueError):
-            pattern_code(bad)
+            bruteforce.code_word(code, length)
 
 
 @pytest.mark.parametrize("n,size", sorted(EXPECTED_SIZES.items()))
@@ -66,7 +72,7 @@ def test_state_space_sizes(n, size, fset5):
 
 def test_level_one_words(small_levels):
     space, _ = small_levels[1]
-    texts = [pattern_text(_word(space, i)) for i in range(len(space))]
+    texts = [_text(_word(space, i)) for i in range(len(space))]
     assert texts == ["11", "12", "21", "22", "23", "32", "33"]
 
 
@@ -78,7 +84,7 @@ def test_level_one_transitions(small_levels):
     assert succ[2, _index(space, (1, 2))] == table.n_states
     # "22" accepts all three steps
     i22 = _index(space, (2, 2))
-    targets = [pattern_text(_word(space, succ[d, i22])) for d in range(3)]
+    targets = [_text(_word(space, succ[d, i22])) for d in range(3)]
     assert targets == ["21", "22", "23"]
 
 
@@ -155,7 +161,7 @@ def test_suffix_sufficiency_full_factor_scan(small_levels, fset5):
     for n in (1, 2, 3):
         space, table = small_levels[n]
         succ = table.succ
-        patterns = fset5.restrict(n).patterns
+        patterns = bruteforce.pattern_words(fset5.restrict(n))
         for i in range(len(space)):
             word = _word(space, i)
             for kind in (1, 2, 3):
@@ -607,7 +613,7 @@ def test_minimal_automaton_from_the_patterns_alone(n, classes, fset5,
 def test_node_entered_on_two_steps_refused():
     # avoiding {11}, the root (no pattern prefix at the end) is entered
     # by steps 2 and 3, so it has no one weight
-    lower, fset = ForbiddenSet(0, [(1, 1)]), ForbiddenSet(1, [(1, 1)])
+    lower, fset = ForbiddenSet(0, {2: [0]}), ForbiddenSet(1, {2: [0]})
     table = build_transitions(build_state_space(1, lower), fset)
     with pytest.raises(ConsistencyError, match="exactly one step"):
         table.quotient
