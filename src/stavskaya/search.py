@@ -58,14 +58,14 @@ not, and so does this search, so it returns the same a wherever each
 grid point's decision does not depend on the path.
 
 Near the root it can.  `check_subcritical` stops as "not certified"
-when its ratio bounds close to within `DEFAULT_TOL` of each other while
-the max ratio is still >= 1, so a grid point whose rho is within about
-1e-12 of one goes either way, depending on the warm start.  At level 4,
-p = 1.424215772312642, alpha = 0.13502853823592886 has rho - 1 of about
--8.4e-14: bisection's path certified it and this search's does not, so
-that probe comes out one grid step lower.  Such a probe is still a
-certified bound; a row's bound is its best probe, and `p_opt` may move
-within the staircase's top step.
+when its ratio bounds close to within `spectral.DEFAULT_TOL` of each
+other while the max ratio is still >= 1, so a grid point whose rho is
+within about 1e-12 of one goes either way, depending on the warm start.
+At level 4, p = 1.424215772312642, alpha = 0.13502853823592886 has
+rho - 1 of about -8.4e-14: bisection's path certified it and this
+search's does not, so that probe comes out one grid step lower.  Such a
+probe is still a certified bound; a row's bound is its best probe, and
+`p_opt` may move within the staircase's top step.
 
 Each step ends as soon as a Collatz–Wielandt ratio bound decides it
 (`check_subcritical`): a max ratio below one moves the lower endpoint,
@@ -84,7 +84,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConsistencyError
 from .patterns import Parameters
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, check_subcritical
+from .spectral import DEFAULT_MAX_ITER, check_subcritical
 from .statespace import TransitionTable
 
 DEFAULT_ALPHA_TOL = 1e-10
@@ -199,7 +199,7 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
         raise ValueError(f"tol must lie in [2**-53, 0.5), got {tol}")
     start = Parameters(p, q, 0.0)
     quotient = table.quotient
-    est = check_subcritical(quotient, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    est = check_subcritical(quotient, start, DEFAULT_MAX_ITER)
     spent = est.iterations
     certificate = est.certified_upper
     if not est.certified_subcritical:
@@ -224,7 +224,7 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
             trial = _itp_point(low, high, f_low, f_high, radius)
         trial = min(max(math.floor(trial / grid) * grid, low + grid), high - grid)
         est = check_subcritical(quotient, Parameters._unchecked(p, q, trial),
-                                DEFAULT_TOL, DEFAULT_MAX_ITER, v0=warm)
+                                DEFAULT_MAX_ITER, v0=warm)
         spent += est.iterations
         warm = est.vector
         if est.certified_subcritical:
@@ -235,8 +235,8 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
         steps += 1
 
     # one solver step from the certified vector re-derives its max ratio
-    est = check_subcritical(quotient, Parameters._unchecked(p, q, low),
-                            DEFAULT_TOL, 1, v0=certified)
+    est = check_subcritical(quotient, Parameters._unchecked(p, q, low), 1,
+                            v0=certified)
     spent += est.iterations
     if est.certified_upper != certificate:
         raise ConsistencyError(

@@ -11,21 +11,21 @@ for any strictly positive v, min_i (Mv)_i/v_i <= rho <= max_i (Mv)_i/v_i.
 A max ratio below one proves the radius below one and a min ratio above
 one proves it above one, whatever the irreducibility of the matrix and
 however far the iteration has come.  So `check_subcritical` stops at the
-first step whose ratios decide "radius < 1" either way, while a direct
-`power_iteration` call keeps iterating until the ratio sandwich closes
-to `tol` (or the norm ratio stalls), for an estimate of the radius
-itself.
+first step whose ratios decide "radius < 1" either way, or once they
+close to `DEFAULT_TOL`, while a direct `power_iteration` call keeps
+iterating until the ratio sandwich closes to its `tol` (or the norm
+ratio stalls), for an estimate of the radius itself.
 
 Everything here applies the gather operator of whatever table it is
 given.  `search` gives it the quotient of `TransitionTable.quotient`;
 why each ratio bound there is one on the paper's matrix is set out in
 `statespace`.
 
-At q = 1 the iteration computes only half of every iterate.  The 1<->3
+At q = 1 a cold start computes only half of every iterate.  The 1<->3
 swap pairs state t with state N-1-t (see `statespace`); on a mirrored
 table pred[2-s, N-1-t] = N-1-pred[s, t] and last_digit[N-1-t] =
 2 - last_digit[t], and at q = 1 kinds 1 and 3 weigh exactly the same
-(1/(p*1.0) == 1.0/p).  So for a start vector equal to its reverse,
+(1/(p*1.0) == 1.0/p).  So from the start of ones, its own reverse,
 target N-1-t gathers from slots 0, 1, 2 the values that target t
 gathers from slots 2, 1, 0.  Both operator codes add the slots as
 (slot0 + slot2) + slot1, and float addition is commutative, so the two
@@ -58,9 +58,11 @@ down the rows.  Larger tables keep int32 views of their rows, which cost
 no memory, and add each row's `take` into the block's output in the
 same order.  Both forms give the same numbers bit for bit.
 
-A warm start is the vector an earlier solve returned.  Its max is
-exactly 1.0 (x / x == 1) and no entry is below the floor, so the solve
-copies it as it is: normalising and flooring would change nothing.
+A warm start is the vector an earlier solve returned.  It runs at full
+length: `search` warm-starts only the minimal automaton, which is not
+mirrored at any level tested (1..9).  Its max is exactly 1.0, as
+x / x == 1, and no entry is below the floor, so the solve copies it as
+it is: normalising and flooring would change nothing.
 Each solve stays one public call, however short: `search` makes every
 one through its module-level `check_subcritical`, which the benchmark's
 tracer wraps to count solves and iterations.
@@ -296,17 +298,15 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
     min ratio is above one, since either already settles "radius < 1".
     Only m = ceil(N/2) targets are computed when the mirror argument of
     the module docstring holds (a mirrored table, equal weights for kinds
-    1 and 3, a start equal to its reverse), else m = N."""
+    1 and 3, a cold start), else m = N."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = table.n_states
     w = np.asarray(params.step_weights(), dtype=np.float64)
-    half = table.mirrored and w[0] == w[2]
     if v0 is None:
-        # a cold start of ones is its own reverse
-        m = (n + 1) // 2 if half else n
+        m = (n + 1) // 2 if table.mirrored and w[0] == w[2] else n
         vp = np.ones(m + 1, dtype=np.float64)
     else:
         v0 = np.asarray(v0, dtype=np.float64)
@@ -317,6 +317,7 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
         top, least = v0.item(v0.argmax()), v0.item(v0.argmin())
         if not (0.0 < top < np.inf and least >= 0.0):
             raise ValueError("v0 must be finite, nonnegative and not all zero")
+        m = n
         vp = np.empty(n + 1, dtype=np.float64)
         v = vp[:n]
         if top == 1.0 and least >= _POSITIVITY_FLOOR:
@@ -325,9 +326,6 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
         else:
             np.divide(v0, top, out=v)
             np.maximum(v, _POSITIVITY_FLOOR, out=v)
-        m = (n + 1) // 2 if half and np.array_equal(v, v[::-1]) else n
-        if m < n:
-            vp = vp[:m + 1].copy()
     vp[m] = 0.0
     estimate, upper, iterations, converged = _loop(vp, table, w, m, tol,
                                                    max_iter, decide)
@@ -379,7 +377,7 @@ def _loop(vp: np.ndarray, table: TransitionTable, w: np.ndarray, m: int,
 
 
 def check_subcritical(table: TransitionTable, params: Parameters,
-                      tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                      max_iter: int = DEFAULT_MAX_ITER,
                       v0: np.ndarray | None = None) -> SpectralEstimate:
     """Certified subcriticality test.
 
@@ -388,8 +386,8 @@ def check_subcritical(table: TransitionTable, params: Parameters,
     exactly when `certified_subcritical` is True.  The power iteration
     ends as soon as a ratio bound decides the question: a max ratio below
     one certifies, a min ratio above one proves the radius above one.
-    Only when neither happens does it run on to convergence or to
-    `max_iter`.
+    Only when neither happens does it run on to convergence at
+    `DEFAULT_TOL` or to `max_iter`.
     """
-    return _iterate(table, params, tol, max_iter, v0, decide=True)
+    return _iterate(table, params, DEFAULT_TOL, max_iter, v0, decide=True)
 

@@ -323,8 +323,8 @@ def test_failed_final_check_raises_consistency_error(small_levels, monkeypatch):
     _, table = small_levels[1]
     real = search.check_subcritical
 
-    def off_by_one_ulp(table, params, tol, max_iter, v0=None):
-        est = real(table, params, tol, max_iter, v0=v0)
+    def off_by_one_ulp(table, params, max_iter, v0=None):
+        est = real(table, params, max_iter, v0=v0)
         if max_iter == 1:
             est = replace(est, certified_upper=math.nextafter(
                 est.certified_upper, 1.0))

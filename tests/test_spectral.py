@@ -9,7 +9,8 @@ from stavskaya.patterns import Parameters
 from stavskaya.spectral import (SpectralEstimate, apply_operator,
                                 certified_upper_bound, check_subcritical,
                                 power_iteration)
-from stavskaya.statespace import build_state_space, build_transitions
+from stavskaya.statespace import (TransitionTable, build_level,
+                                  build_state_space, build_transitions)
 
 
 def test_apply_counts_predecessors(small_levels):
@@ -341,12 +342,13 @@ def certifies(table, params):
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
 def test_tolerance_must_be_positive_and_finite(small_levels, tol):
-    # a NaN tolerance would never stop the iteration before max_iter
+    # a NaN tolerance would never stop the iteration before max_iter;
+    # `check_subcritical` takes none and decides at DEFAULT_TOL
     _, table = small_levels[1]
     params = Parameters(1.464, 1.0, 0.1)
     with pytest.raises(ValueError, match="tol"):
         power_iteration(table, params, tol=tol)
-    with pytest.raises(ValueError, match="tol"):
+    with pytest.raises(TypeError, match="tol"):
         check_subcritical(table, params, tol=tol)
 
 
@@ -395,12 +397,14 @@ def test_sandwich_tight_at_reproduction_points(small_levels):
 def test_max_ratio_below_one_certifies_without_convergence(small_levels):
     _, table = small_levels[2]
     params = Parameters(1.44, 1.0, 0.12)
-    near = power_iteration(table, params).vector
-    # one step from a near-eigenvector, with a tolerance no sandwich meets
+    # 20 steps in, the ratio sandwich is still about 2e-6 wide, far
+    # from DEFAULT_TOL, but its max ratio is already below one
+    near = power_iteration(table, params, tol=1e-300, max_iter=20).vector
+    # one step from it, with a tolerance no sandwich meets
     est = power_iteration(table, params, tol=1e-300, max_iter=1, v0=near)
     assert not est.converged
     assert est.certified_upper < 1.0 and est.certified_subcritical
-    est = check_subcritical(table, params, tol=1e-300, v0=near)
+    est = check_subcritical(table, params, v0=near)
     assert est.certified_subcritical
     assert not est.converged and est.iterations == 1
     assert est.certified_upper == pytest.approx(
@@ -428,8 +432,24 @@ def test_direct_power_iteration_runs_its_full_length(small_levels):
     params = Parameters(1.43, 1.0, 0.132)
     est = power_iteration(table, params, tol=1e-300, max_iter=50)
     assert est.iterations == 50 and not est.converged
-    decided = check_subcritical(table, params, tol=1e-300, max_iter=50)
+    decided = check_subcritical(table, params, max_iter=50)
     assert decided.certified_subcritical and decided.iterations < 50
+
+
+def test_check_subcritical_decides_at_the_default_tolerance():
+    # rho - 1 is about -8.4e-14 here (the `search` docstring's level-4
+    # point): the ratio bounds close to DEFAULT_TOL while the max ratio
+    # is still above one, so the solve stops not certified; run on to a
+    # tolerance no sandwich meets, the same start certifies
+    table = build_level(4)[2]
+    params = Parameters(1.424215772312642, 1.0, 0.13502853823592886)
+    est = check_subcritical(table, params)
+    assert est.converged and not est.certified_subcritical
+    assert (est.certified_upper - est.estimate
+            <= spectral.DEFAULT_TOL * est.certified_upper)
+    finer = power_iteration(table, params, tol=1e-300, max_iter=1000)
+    assert finer.certified_subcritical
+    assert finer.iterations > est.iterations
 
 
 @pytest.mark.parametrize("case", ["certified", "supercritical", "direct"])
@@ -471,11 +491,11 @@ def _full_length_reference(table, params, v0, steps):
 @pytest.mark.parametrize("k", [1, 7, 50])
 def test_iteration_matches_full_length_reference(small_levels, fset5, k,
                                                  monkeypatch):
-    # at q = 1 on a mirrored table from a symmetric start only half of
-    # each iterate is computed; every other case runs at full length;
-    # both must give the full-length result bit for bit, in one block
-    # or in many (blocks of 7 and 64 leave ragged last blocks, and one of
-    # them spans the middle state)
+    # at q = 1 on a mirrored table from a cold start only half of each
+    # iterate is computed; every other case, warm starts included, runs
+    # at full length; both must give the full-length result bit for
+    # bit, in one block or in many (blocks of 7 and 64 leave ragged last
+    # blocks, and one of them spans the middle state)
     at_q1 = Parameters(1.43, 1.0, 0.13)
     cases = []
     for n in (1, 2, 3, 4):
@@ -513,6 +533,25 @@ def test_iteration_matches_full_length_reference(small_levels, fset5, k,
             # the solve copies its start: the caller's v0 is never written
             assert np.array_equal(v0, before)
             assert not np.shares_memory(est.vector, v0)
+
+
+def test_warm_start_runs_at_full_length(small_levels):
+    # a mirrored table at q = 1: a cold start sweeps half of the states,
+    # a warm start from its vector, itself equal to its reverse, sweeps
+    # all of them
+    _, table = small_levels[3]
+    table = TransitionTable(n=table.n, pred=table.pred,
+                            last_digit=table.last_digit)
+    size = table.n_states
+    params = Parameters(1.43, 1.0, 0.12)
+    cold = check_subcritical(table, params)
+    assert table.mirrored and np.array_equal(cold.vector, cold.vector[::-1])
+    assert set(table.plans) == {(spectral._BLOCK, (size + 1) // 2)}
+    warm = check_subcritical(table, params, v0=cold.vector)
+    assert set(table.plans) == {(spectral._BLOCK, (size + 1) // 2),
+                                (spectral._BLOCK, size)}
+    assert warm.certified_upper == certified_upper_bound(table, params,
+                                                         warm.vector)
 
 
 def _plan_rows(plan):

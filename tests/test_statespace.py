@@ -432,6 +432,16 @@ def test_build_level_is_the_history_tables_quotient(n, small_levels, fset5):
     assert np.array_equal(table.last_digit, quotient.last_digit)
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_build_level_table_is_not_mirrored(n):
+    # the alpha search warm-starts only the minimal automaton, which is
+    # also every history table's quotient, so no warm start is of a
+    # mirrored table: `minimal` numbers its classes by the ranks of its
+    # refinement, not in mirror order
+    table = statespace.build_level(n)[2]
+    assert not table.mirrored and not mirrored_by_definition(table)
+
+
 def test_build_level_refuses_before_growing(monkeypatch):
     def no_grow(*args):
         raise AssertionError("a word was grown outside the level range")
