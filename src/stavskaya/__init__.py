@@ -1,9 +1,12 @@
 """Certified lower bounds for the critical parameter of Stavskaya's process.
 
-The pipeline: enumerate primitive forbidden loops, build the memory-walk
-state space and its weighted one-step operator, certify that its spectral
-radius stays below one, and push the erasure parameter alpha as high as
-that certificate allows.
+The pipeline: enumerate primitive forbidden loops, build the minimal
+automaton of the words that avoid them and its weighted one-step
+operator, certify that its spectral radius stays below one, and push the
+erasure parameter alpha as high as that certificate allows.  The
+memory-walk history tables (`build_state_space`, `build_transitions`),
+of which the automaton is the quotient, are built only by the benchmark
+and the tests.
 """
 
 from .errors import ConsistencyError, ResourceLimitError

@@ -1,8 +1,8 @@
 """Command-line driver: compute certified bounds and reproduce the full
 results table.  Every command builds its levels from their patterns;
 `bound` and `table` take each level from `statespace.build_level`, which
-solves on the minimal automaton and reads no walk history, not even to
-count the `states` column.
+returns the minimal automaton, on which `alpha_sup` solves; no walk
+history is built, not even to count the `states` column.
 
 Commands
   loops   forbidden-pattern counts per order (optionally the patterns)

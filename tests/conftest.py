@@ -1,10 +1,77 @@
+"""Shared test helpers, and each level's artefacts built once a session.
+
+`forbidden_set`, `minimal_table`, `level` and `history` cache the
+level-n forbidden set, minimal automaton, `build_level` result and
+history table.  Their arrays are read-only, so a test that writes into
+shared state fails at once.  A test that reads a table's own caches
+(`plans`, `quotient`) reads them on a `fresh` table over the same
+arrays; a test whose subject is a build, or that patches one, builds
+afresh.
+"""
+
+import functools
+
 import numpy as np
 import pytest
 
-from stavskaya import automaton
+from stavskaya import statespace
 from stavskaya.patterns import build_forbidden_set
 from stavskaya.statespace import (TransitionTable, build_state_space,
                                   build_transitions)
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+
+
+@functools.cache
+def forbidden_set(n):
+    """`build_forbidden_set(n)`."""
+    fset = build_forbidden_set(n)
+    _read_only(*fset.codes_by_length.values())
+    return fset
+
+
+@functools.cache
+def minimal_table(n):
+    """(table, start): the minimal automaton of `forbidden_set(n)` as its
+    own quotient, and its start class (`statespace._minimal_table`)."""
+    table, start = statespace._minimal_table(forbidden_set(n))
+    _read_only(table.pred, table.last_digit)
+    return table, start
+
+
+@functools.cache
+def level(n):
+    """`build_level(n)`: (patterns, states, table), run on the set and
+    automaton cached above, so its table is `minimal_table(n)`'s."""
+    fset, automaton = forbidden_set(n), minimal_table(n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statespace, "build_forbidden_set", lambda _: fset)
+        patch.setattr(statespace, "_minimal_table", lambda _: automaton)
+        return statespace.build_level(n)
+
+
+@functools.cache
+def history(n):
+    """(space, table), the level-n history table for n <= 7, whose
+    quotient is `minimal_table(n)`'s table: the one
+    `TransitionTable.quotient` builds from the same set, put in its
+    cache (`test_quotient_reads_nothing_of_the_history_table` builds it
+    that way)."""
+    space = build_state_space(n, forbidden_set(n - 1))
+    table = build_transitions(space, forbidden_set(n))
+    table.__dict__["quotient"] = minimal_table(n)[0]
+    _read_only(space.codes, table.pred, table.last_digit)
+    return space, table
+
+
+def fresh(table):
+    """A new table on `table`'s arrays and forbidden set, its caches
+    (`plans`, `quotient`) empty."""
+    return TransitionTable(n=table.n, pred=table.pred,
+                           last_digit=table.last_digit, fset=table.fset)
 
 
 def make_table(pred_rows, last_digit, n=1):
@@ -54,7 +121,7 @@ def check_lift(table, quotient=None, phi=None):
         # in class K
         flat = (3 * moves.T).ravel()
         first = table.pred.min(axis=0).astype(np.intp)
-        phi = np.full(size + 1, 3 * automaton.minimal(table.fset)[2],
+        phi = np.full(size + 1, 3 * minimal_table(table.n)[1],
                       dtype=np.int32)
         phi[size] = 3 * k
         step = np.empty(size, dtype=np.int32)
@@ -101,27 +168,3 @@ def unmirrored(table):
     t = int(np.nonzero(pred[0] < table.n_states)[0][0])
     pred[0, t] = table.n_states
     return TransitionTable(n=table.n, pred=pred, last_digit=table.last_digit)
-
-
-@pytest.fixture(scope="session")
-def fset5():
-    return build_forbidden_set(5)
-
-
-@pytest.fixture(scope="session")
-def small_levels(fset5):
-    """(space, table) for levels 1..3, shared across the suite."""
-    levels = {}
-    for n in (1, 2, 3):
-        space = build_state_space(n, fset5.restrict(n - 1))
-        table = build_transitions(space, fset5.restrict(n))
-        levels[n] = (space, table)
-    return levels
-
-
-def level_table(n, small_levels, fset5):
-    """The level-n table: shared for n <= 3, built afresh above."""
-    if n in small_levels:
-        return small_levels[n][1]
-    return build_transitions(build_state_space(n, fset5.restrict(n - 1)),
-                             fset5.restrict(n))

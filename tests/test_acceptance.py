@@ -9,7 +9,8 @@ import time
 import bruteforce
 import numpy as np
 import pytest
-from conftest import check_lift, word_weights
+from conftest import (check_lift, forbidden_set, history, level,
+                      minimal_table, word_weights)
 
 from stavskaya import automaton
 from stavskaya.errors import ConsistencyError
@@ -18,8 +19,7 @@ from stavskaya.patterns import (MAX_LEVEL, POW3, Parameters, _grow,
 from stavskaya.search import alpha_sup, optimize_p
 from stavskaya.spectral import (apply_operator, certified_upper_bound,
                                 check_subcritical, power_iteration)
-from stavskaya.statespace import (build_level, build_state_space,
-                                  build_transitions)
+from stavskaya.statespace import build_level, build_state_space
 
 TABLE_COUNTS = {1: (4, 7), 2: (6, 73), 3: (12, 759), 4: (36, 7859),
                 5: (146, 81231), 6: (694, 839009), 7: (3584, 8663071)}
@@ -81,20 +81,6 @@ def test_criterion_1_combinatorics_fast():
             f"{elapsed:.1f}s (budget 10s)")
 
 
-@pytest.fixture(scope="module")
-def deep_levels():
-    """level -> (patterns, states, table, build seconds) for levels 6 and
-    7, each built once for the module."""
-    built = {}
-    for n in (6, 7):
-        started = time.time()
-        fset = build_forbidden_set(n)
-        space = build_state_space(n, fset.restrict(n - 1))
-        table = build_transitions(space, fset)
-        built[n] = (len(fset), len(space), table, time.time() - started)
-    return built
-
-
 def _lifts(table) -> bool:
     try:
         check_lift(table)
@@ -103,16 +89,19 @@ def _lifts(table) -> bool:
     return True
 
 
-def test_criterion_2_combinatorics_extended(deep_levels):
+def test_criterion_2_combinatorics_extended():
     # the only tier-1 build of the transitions at a scale of many chunks,
     # and the check that the quotient every bound solves on lifts onto
-    # the histories at the two levels the other tests do not build
+    # the histories at the two levels the other tests do not build; the
+    # time includes the builds, as this is the first test to ask for them
     started = time.time()
-    got = {n: (patterns, states, table.edge_count, table.quotient.n_states,
-               build_level(n)[1])
-           for n, (patterns, states, table, _) in deep_levels.items()}
-    lifted = all(_lifts(table) for _, _, table, _ in deep_levels.values())
-    elapsed = time.time() - started + sum(b[3] for b in deep_levels.values())
+    got, lifted = {}, True
+    for n in (6, 7):
+        space, table = history(n)
+        got[n] = (len(table.fset), len(space), table.edge_count,
+                  table.quotient.n_states, level(n)[1])
+        lifted &= _lifts(table)
+    elapsed = time.time() - started
     exact = all(got[n] == TABLE_COUNTS[n] + (EDGE_COUNTS[n], CLASS_COUNTS[n],
                                              TABLE_COUNTS[n][1])
                 for n in (6, 7))
@@ -122,20 +111,17 @@ def test_criterion_2_combinatorics_extended(deep_levels):
             "(budget 600s)")
 
 
-def test_criterion_3_pinned_bounds(fset5):
+def test_criterion_3_pinned_bounds():
     lines = []
     ok = True
-    space1 = build_state_space(1, fset5.restrict(0))
-    table1 = build_transitions(space1, fset5.restrict(1))
+    table1 = history(1)[1]
     started = time.time()
     res1 = alpha_sup(table1, 1.464, 1.0, 1e-10)
     ok &= res1.certified and abs(res1.alpha_low - 0.125) <= 5e-4
     lines.append(f"n=1 {res1.alpha_low:.7f} (0.125 +/- 5e-4)")
     for n, (p, want) in PINNED_BOUNDS.items():
         started_n = time.time()
-        space = build_state_space(n, fset5.restrict(n - 1))
-        table = build_transitions(space, fset5.restrict(n))
-        res = alpha_sup(table, p, 1.0, 1e-10)
+        res = alpha_sup(history(n)[1], p, 1.0, 1e-10)
         elapsed_n = time.time() - started_n
         budget = 120.0 if n <= 4 else 600.0
         ok &= res.certified and abs(res.alpha_low - want) <= 1e-6
@@ -145,16 +131,16 @@ def test_criterion_3_pinned_bounds(fset5):
     _report(3, ok, "; ".join(lines) + f"; total {time.time() - started:.1f}s")
 
 
-def test_criterion_4_headline(deep_levels):
-    table = deep_levels[HEADLINE_LEVEL][2]
+def test_criterion_4_headline():
+    table = history(HEADLINE_LEVEL)[1]
     res = alpha_sup(table, HEADLINE_P, 1.0, 1e-10)
     ok = res.certified and res.alpha_low >= HEADLINE_BOUND and res.certificate < 1.0
     _report(4, ok, f"n=7 p={HEADLINE_P}: bound {res.alpha_low:.10f} "
                    f">= {HEADLINE_BOUND}, certificate {res.certificate:.12f}")
 
 
-def test_criterion_5_optimizer_consistency(small_levels):
-    _, table = small_levels[2]
+def test_criterion_5_optimizer_consistency():
+    _, table = history(2)
     best = optimize_p(2, 1.30, 1.60, table=table)
     pinned = alpha_sup(table, 1.44, 1.0, 1e-10)
     ok = (abs(best.p_opt - 1.44) <= 0.01
@@ -163,12 +149,12 @@ def test_criterion_5_optimizer_consistency(small_levels):
                    f"{best.bound:.10f} >= pinned {pinned.alpha_low:.10f} - 1e-8")
 
 
-def test_criterion_6_oracle_equivalence(small_levels, fset5):
+def test_criterion_6_oracle_equivalence():
     rng = np.random.RandomState(2024)
     # (a) brute-force totals vs operator-iterated sums
     ok_a = True
     for n in (1, 2):
-        space, table = small_levels[n]
+        space, table = history(n)
         for _ in range(5):
             params = Parameters(1 + rng.rand(), 1 + rng.rand(), rng.rand())
             v = word_weights(space, params)
@@ -182,7 +168,7 @@ def test_criterion_6_oracle_equivalence(small_levels, fset5):
     worst_b = 0.0
     for i in range(20):
         n = (i % 3) + 1
-        _, table = small_levels[n]
+        _, table = history(n)
         params = Parameters(1 + rng.rand(), 1 + rng.rand(), rng.rand())
         dense = bruteforce.dense_growth_rate(table, params)
         est = power_iteration(table, params)
@@ -190,9 +176,9 @@ def test_criterion_6_oracle_equivalence(small_levels, fset5):
         ok_b &= est.converged and abs(dense - est.estimate) <= 1e-8
     # (c) suffix-only vs full-factor filtering
     ok_c = True
-    for n in (1, 2):
+    for n in (1, 2, 3):
         for k in range(1, 11):
-            fast = _grow(k, fset5.restrict(n))[0]
+            fast = _grow(k, forbidden_set(n))[0]
             slow = bruteforce.valid_path_codes(n, k)
             ok_c &= np.array_equal(fast, slow)
     _report(6, ok_a and ok_b and ok_c,
@@ -201,37 +187,37 @@ def test_criterion_6_oracle_equivalence(small_levels, fset5):
             f"(c) filters {'identical' if ok_c else 'DIFFER'}")
 
 
-def test_criterion_7_property_suite(small_levels, fset5):
+def test_criterion_7_property_suite():
     # forbidden-set closures for n <= 5
     ok_closure = True
     for n in range(0, 6):
-        pats = set(bruteforce.pattern_words(fset5.restrict(n)))
+        pats = set(bruteforce.pattern_words(forbidden_set(n)))
         ok_closure &= {tuple(4 - k for k in p) for p in pats} == pats
         ok_closure &= {tuple(reversed(p)) for p in pats} == pats
     # alpha-monotone certificates, 10 ladder points
     ok_mono = True
     for n in (1, 2, 3):
-        _, table = small_levels[n]
+        _, table = history(n)
         uppers = [power_iteration(table, Parameters(1.43, 1.0, a)).certified_upper
                   for a in np.linspace(0.01, 0.5, 10)]
         ok_mono &= all(lo <= hi + 1e-10 for lo, hi in zip(uppers, uppers[1:]))
     # alpha search post-assertion
     ok_post = True
     for n in (1, 2, 3):
-        _, table = small_levels[n]
+        _, table = history(n)
         res = alpha_sup(table, 1.43, 1.0, 1e-8)
         ok_post &= check_subcritical(
             table, Parameters(1.43, 1.0, res.alpha_low)).certified_subcritical
     # every predecessor sits in the slot of its oldest step
     ok_slots = True
-    for space, t in small_levels.values():
+    for space, t in map(history, (1, 2, 3)):
         for s in range(3):
             real = t.pred[s] < t.n_states
             want = (space.codes[real] // np.uint64(3)
                     + np.uint64(s) * POW3[space.length - 1])
             ok_slots &= np.array_equal(space.codes[t.pred[s][real]], want)
     # the 1<->3 swap, state i <-> state N-1-i, maps every table onto itself
-    ok_mirror = all(t.mirrored for _, t in small_levels.values())
+    ok_mirror = all(history(n)[1].mirrored for n in (1, 2, 3))
     _report(7, ok_closure and ok_mono and ok_post and ok_slots and ok_mirror,
             f"closures {'ok' if ok_closure else 'BAD'}, monotone "
             f"{'ok' if ok_mono else 'BAD'}, post-assert "
@@ -240,9 +226,9 @@ def test_criterion_7_property_suite(small_levels, fset5):
             f"{'ok' if ok_mirror else 'BAD'}")
 
 
-def test_criterion_8_table_row(deep_levels):
+def test_criterion_8_table_row():
     started = time.time()
-    best = optimize_p(TABLE_ROW_LEVEL, table=deep_levels[TABLE_ROW_LEVEL][2])
+    best = optimize_p(TABLE_ROW_LEVEL, table=history(TABLE_ROW_LEVEL)[1])
     elapsed = time.time() - started
     ok = (abs(best.p_opt - TABLE_ROW_P) <= 0.01
           and abs(best.bound - TABLE_ROW_BOUND) <= 1e-6)
@@ -251,9 +237,9 @@ def test_criterion_8_table_row(deep_levels):
                    f"({TABLE_ROW_BOUND} +/- 1e-6), {elapsed:.0f}s")
 
 
-def test_criterion_9_level7_table_row(deep_levels):
+def test_criterion_9_level7_table_row():
     started = time.time()
-    best = optimize_p(HEADLINE_LEVEL, table=deep_levels[HEADLINE_LEVEL][2])
+    best = optimize_p(HEADLINE_LEVEL, table=history(HEADLINE_LEVEL)[1])
     elapsed = time.time() - started
     ok = (abs(best.p_opt - LEVEL7_ROW_P) <= 0.01
           and best.bound >= HEADLINE_BOUND)
@@ -262,31 +248,24 @@ def test_criterion_9_level7_table_row(deep_levels):
                    f"(>= {HEADLINE_BOUND}), {elapsed:.0f}s")
 
 
-def test_level7_fixed_run_keeps_its_certificate(deep_levels):
+def test_level7_fixed_run_keeps_its_certificate():
     # the half-state iteration on the 8,663,071 histories and the
     # certificate re-derived, in place, from the vector it returns
     params, steps, want = LEVEL7_FIXED_RUN
-    table = deep_levels[HEADLINE_LEVEL][2]
+    table = history(HEADLINE_LEVEL)[1]
     est = power_iteration(table, params, tol=1e-300, max_iter=steps)
     cert = certified_upper_bound(table, params, est.vector)
     assert est.iterations == steps and not est.converged
     assert cert == est.certified_upper == want
 
 
-@pytest.fixture(scope="module")
-def beyond_levels():
-    """level -> `build_level(level)` for the levels past the paper's
-    table that tier-1 runs."""
-    return {n: build_level(n) for n in BEYOND_THE_PAPER}
-
-
 @pytest.mark.parametrize("n", sorted(BEYOND_THE_PAPER))
-def test_counted_states_match_the_unminimised_automaton(n, beyond_levels):
+def test_counted_states_match_the_unminimised_automaton(n):
     # no history table checks the counts past level 7, so the live
     # Aho–Corasick nodes, before any refinement, count the
     # length-(3n-1) words read from the root (node 0) instead
-    patterns, states, _ = beyond_levels[n]
-    moves, _ = automaton._live(build_forbidden_set(n))
+    patterns, states, _ = level(n)
+    moves, _ = automaton._live(forbidden_set(n))
     size = moves.shape[1]
     words = np.ones(size + 1, dtype=np.int64)
     words[size] = 0  # a move into a dead node ends no word
@@ -301,11 +280,9 @@ def test_state_counts_stay_exact_through_the_level_cap():
     assert 3 ** (3 * MAX_LEVEL - 1) < 2 ** 63
 
 
-def test_rows_past_the_paper(beyond_levels):
+def test_rows_past_the_paper():
     # the bound rises at every level through 9
-    rows = {n: optimize_p(n, table=(beyond_levels.get(n)
-                                    or build_level(n))[2])
-            for n in range(1, 10)}
+    rows = {n: optimize_p(n, table=minimal_table(n)[0]) for n in range(1, 10)}
     bounds = [rows[n].bound for n in sorted(rows)]
     assert all(lo < hi for lo, hi in zip(bounds, bounds[1:])), bounds
     for n, (_, _, p_opt, bound) in BEYOND_THE_PAPER.items():

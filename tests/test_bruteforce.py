@@ -1,18 +1,15 @@
 import bruteforce
-import numpy as np
 import pytest
-from conftest import make_table, word_weights
+from conftest import forbidden_set, history, make_table
 
 from stavskaya.errors import ResourceLimitError
-from stavskaya.patterns import Parameters, build_forbidden_set
-from stavskaya.spectral import apply_operator, power_iteration
-from stavskaya.patterns import _grow
+from stavskaya.patterns import Parameters
 
 
 def test_naive_forbidden_matches_fast_builder():
     for n in range(0, 4):
         naive = set(bruteforce.naive_forbidden_patterns(n))
-        fast = set(bruteforce.pattern_words(build_forbidden_set(n)))
+        fast = set(bruteforce.pattern_words(forbidden_set(n)))
         assert naive == fast
 
 
@@ -23,7 +20,7 @@ def test_texts_are_the_naive_patterns_in_order(n):
     naive = ["".join(map(str, word))
              for word in bruteforce.naive_forbidden_patterns(n)]
     want = sorted(naive, key=lambda text: (len(text), text))
-    assert list(build_forbidden_set(n).texts()) == want
+    assert list(forbidden_set(n).texts()) == want
 
 
 def test_empty_path_total():
@@ -54,8 +51,8 @@ def test_dense_growth_rate_single_state_loop():
     assert got == pytest.approx(c, rel=1e-12)
 
 
-def test_dense_growth_rate_halving_runs(small_levels):
-    _, table = small_levels[1]
+def test_dense_growth_rate_halving_runs():
+    _, table = history(1)
     got = bruteforce.dense_growth_rate(table, Parameters(2, 1, 0.0))
     assert got == pytest.approx(0.5, rel=1e-10)
 
@@ -66,39 +63,3 @@ def test_dense_size_cap():
     table = make_table([[n] * n, [n] * n, [n] * n], [0] * n)
     with pytest.raises(ResourceLimitError):
         bruteforce.dense_matrix(table, Parameters(1.4, 1, 0.1))
-
-
-def test_dense_vs_power_iteration(small_levels):
-    rng = np.random.RandomState(42)
-    for n in (1, 2, 3):
-        _, table = small_levels[n]
-        for _ in range(5):
-            params = Parameters(1 + rng.rand(), 1 + rng.rand(), rng.rand())
-            dense = bruteforce.dense_growth_rate(table, params)
-            est = power_iteration(table, params)
-            assert est.converged
-            assert dense == pytest.approx(est.estimate, abs=1e-8)
-
-
-def test_path_sums_match_operator_iteration(small_levels, fset5):
-    rng = np.random.RandomState(9)
-    for n in (1, 2):
-        space, table = small_levels[n]
-        for _ in range(3):
-            params = Parameters(1 + rng.rand(), 1 + rng.rand(), rng.rand())
-            v = word_weights(space, params)
-            for m in range(0, 9):
-                want = bruteforce.total_weight_bruteforce(n, space.length + m, params).total
-                assert v.sum() == pytest.approx(want, rel=1e-12)
-                v = apply_operator(table, params, v)
-
-
-def test_full_factor_filter_matches_incremental(fset5):
-    # suffix-checked extension and exhaustive factor scans accept the
-    # same words
-    for n in (1, 2, 3):
-        fset = fset5.restrict(n)
-        for k in range(1, 11):
-            fast = _grow(k, fset)[0]
-            slow = bruteforce.valid_path_codes(n, k)
-            assert np.array_equal(fast, slow), (n, k)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from chain import isomorphic, level_zero, next_level
-from stavskaya.automaton import minimal
-from stavskaya.patterns import build_forbidden_set
+from conftest import minimal_table
 
 # minimal's class counts, and the chain's states before refinement
 CLASSES = {1: 5, 2: 13, 3: 33, 4: 79, 5: 187, 6: 442, 7: 1046, 8: 2465,
@@ -25,8 +24,15 @@ def chain():
     return levels
 
 
+def _minimal(n):
+    """`automaton.minimal(build_forbidden_set(n))`: (pred, last_digit,
+    start)."""
+    table, start = minimal_table(n)
+    return table.pred, table.last_digit, start
+
+
 def test_level_zero_is_the_degenerate_pairs_automaton():
-    assert isomorphic(level_zero(), minimal(build_forbidden_set(0)))
+    assert isomorphic(level_zero(), _minimal(0))
 
 
 def test_states_before_refinement(chain):
@@ -39,14 +45,13 @@ def test_states_before_refinement(chain):
 def test_chain_is_isomorphic_to_minimal(n, chain):
     pred, last_digit, start, _ = chain[n]
     assert pred.shape == (3, CLASSES[n])
-    assert isomorphic((pred, last_digit, start),
-                      minimal(build_forbidden_set(n)))
+    assert isomorphic((pred, last_digit, start), _minimal(n))
 
 
 def test_isomorphism_tells_tables_apart():
     # a relabelled table is the same automaton; one move redirected, one
     # move dropped, a last digit changed or another start is not
-    pred, last_digit, start = minimal(build_forbidden_set(2))
+    pred, last_digit, start = _minimal(2)
     k = pred.shape[1]
     perm = np.random.default_rng(3).permutation(k)
     relabel = np.append(perm, k).astype(pred.dtype)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from bruteforce import code_word, pattern_words
+from conftest import forbidden_set
 
 from stavskaya import patterns
 from stavskaya.errors import ResourceLimitError
@@ -93,7 +94,7 @@ def test_texts_match_base_repr(chunk, monkeypatch):
 
 
 def loop_tuples(k):
-    codes = enumerate_primitive_loops(k, build_forbidden_set(k - 1))
+    codes = enumerate_primitive_loops(k, forbidden_set(k - 1))
     return {code_word(int(c), 3 * k) for c in codes}
 
 
@@ -106,13 +107,12 @@ def test_order_two_loops():
 
 
 def test_order_three_count():
-    lower = build_forbidden_set(2)
-    assert len(enumerate_primitive_loops(3, lower)) == 6
+    assert len(enumerate_primitive_loops(3, forbidden_set(2))) == 6
 
 
 def test_loops_are_strictly_increasing_codes():
     for k in range(1, 7):
-        codes = enumerate_primitive_loops(k, build_forbidden_set(k - 1))
+        codes = enumerate_primitive_loops(k, forbidden_set(k - 1))
         assert codes.dtype == np.uint64
         assert (codes[1:] > codes[:-1]).all()
 
@@ -142,7 +142,7 @@ def test_kind_budget_keeps_exactly_the_words_within_it(length, budget):
 
 def test_primitivity_needs_matching_level():
     with pytest.raises(ValueError):
-        enumerate_primitive_loops(3, build_forbidden_set(1))
+        enumerate_primitive_loops(3, forbidden_set(1))
 
 
 EXPECTED_TOTALS = {0: 2, 1: 4, 2: 6, 3: 12, 4: 36, 5: 146}
@@ -151,24 +151,24 @@ EXPECTED_PER_ORDER = {1: 2, 2: 2, 3: 6, 4: 24, 5: 110}
 
 @pytest.mark.parametrize("n,total", sorted(EXPECTED_TOTALS.items()))
 def test_forbidden_set_sizes(n, total):
-    assert len(build_forbidden_set(n)) == total
+    assert len(forbidden_set(n)) == total
 
 
-def test_per_order_counts(fset5):
+def test_per_order_counts():
     for k, want in EXPECTED_PER_ORDER.items():
-        assert fset5.count_of_order(k) == want
+        assert forbidden_set(5).count_of_order(k) == want
 
 
-def test_degenerate_pair_always_present(fset5):
+def test_degenerate_pair_always_present():
     for n in range(0, 6):
-        words = pattern_words(fset5.restrict(n))
+        words = pattern_words(forbidden_set(5).restrict(n))
         assert (1, 3) in words
         assert (3, 1) in words
 
 
-def test_loops_are_balanced_and_closed(fset5):
+def test_loops_are_balanced_and_closed():
     moves = {1: (-1, -1), 2: (2, 0), 3: (-1, 1)}  # (dx, dy) of each kind
-    for pat in pattern_words(fset5):
+    for pat in pattern_words(forbidden_set(5)):
         if len(pat) == 2:
             continue
         k = len(pat) // 3
@@ -178,16 +178,16 @@ def test_loops_are_balanced_and_closed(fset5):
         assert sum(moves[kind][1] for kind in pat) == 0
 
 
-def test_swap_and_reversal_closure(fset5):
+def test_swap_and_reversal_closure():
     for n in range(0, 6):
-        patterns = set(pattern_words(fset5.restrict(n)))
+        patterns = set(pattern_words(forbidden_set(5).restrict(n)))
         assert {tuple(4 - k for k in p) for p in patterns} == patterns
         assert {tuple(reversed(p)) for p in patterns} == patterns
 
 
-def test_mutual_primitivity(fset5):
+def test_mutual_primitivity():
     # no member is a contiguous factor of another
-    pats = pattern_words(fset5)
+    pats = pattern_words(forbidden_set(5))
     for a in pats:
         for b in pats:
             if a is b or len(a) > len(b):
@@ -197,9 +197,9 @@ def test_mutual_primitivity(fset5):
             assert hits == (1 if a == b else 0), (a, b)
 
 
-def test_canonical_order(fset5):
+def test_canonical_order():
     # digit strings of one length sort as their codes do
-    keys = [(len(t), t) for t in fset5.texts()]
+    keys = [(len(t), t) for t in forbidden_set(5).texts()]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -219,10 +219,10 @@ def test_level_cap(monkeypatch):
         build_forbidden_set(-1)
 
 
-def test_restrict_matches_direct_build(fset5):
+def test_restrict_matches_direct_build():
     for n in range(0, 5):
-        assert (list(fset5.restrict(n).texts())
-                == list(build_forbidden_set(n).texts()))
+        assert (list(forbidden_set(5).restrict(n).texts())
+                == list(forbidden_set(n).texts()))
 
 
 def test_forbidden_set_validation():

@@ -3,16 +3,14 @@ import random
 from dataclasses import astuple, replace
 
 import pytest
-from conftest import level_table, make_table
+from conftest import fresh, history, make_table, minimal_table
 
 import stavskaya.search as search
 from stavskaya import spectral
-from stavskaya.automaton import minimal
 from stavskaya.errors import ConsistencyError
-from stavskaya.patterns import Parameters, build_forbidden_set
+from stavskaya.patterns import Parameters
 from stavskaya.search import BisectionResult, alpha_sup, optimize_p
 from stavskaya.spectral import check_subcritical, power_iteration
-from stavskaya.statespace import TransitionTable, build_level
 
 
 # k = 34 at the default tolerance 1e-10: the grid spacing is 2**-34,
@@ -30,7 +28,7 @@ def _level1_alpha_star(p: float) -> float:
 
 
 def test_level_one_meets_its_closed_form():
-    _, _, table = build_level(1)
+    table = minimal_table(1)[0]
     for p in LEVEL1_P:
         gap = _level1_alpha_star(p) - alpha_sup(table, p).alpha_low
         assert 0 < gap < 2 * 2.0 ** -GRID_STEPS, (p, gap)
@@ -39,8 +37,8 @@ def test_level_one_meets_its_closed_form():
     assert 0 < 1 / 8 - best.bound <= 2.0 ** -33
 
 
-def test_bisection_iteration_count(small_levels):
-    _, table = small_levels[1]
+def test_bisection_iteration_count():
+    _, table = history(1)
     res = alpha_sup(table, 1.464, 1.0, 1e-10)
     assert math.ceil(math.log2(1e10)) == GRID_STEPS
     assert res.iterations < GRID_STEPS
@@ -48,24 +46,24 @@ def test_bisection_iteration_count(small_levels):
     assert 0.0 <= res.alpha_low < res.alpha_high <= 1.0
 
 
-def test_level_one_published_point(small_levels):
-    _, table = small_levels[1]
+def test_level_one_published_point():
+    _, table = history(1)
     res = alpha_sup(table, 1.464, 1.0, 1e-10)
     assert res.certified
     assert res.alpha_low == pytest.approx(0.125, abs=5e-4)
     assert res.certificate < 1.0
 
 
-def test_level_three_published_point(small_levels):
-    _, table = small_levels[3]
+def test_level_three_published_point():
+    _, table = history(3)
     res = alpha_sup(table, 1.43, 1.0, 1e-10)
     assert res.certified
     assert res.alpha_low == pytest.approx(0.13358660, abs=1e-6)
 
 
-def test_degenerate_bracket(small_levels):
+def test_degenerate_bracket():
     # p = q = 1 keeps weight-1 runs alive at alpha = 0: nothing to certify
-    _, table = small_levels[1]
+    _, table = history(1)
     res = alpha_sup(table, 1.0, 1.0, 1e-10)
     assert res.degenerate
     assert not res.certified
@@ -73,9 +71,9 @@ def test_degenerate_bracket(small_levels):
     assert res.iterations == 0
 
 
-def test_returned_endpoint_recertifies(small_levels):
+def test_returned_endpoint_recertifies():
     for n in (1, 2):
-        _, table = small_levels[n]
+        _, table = history(n)
         res = alpha_sup(table, 1.45, 1.0, 1e-8)
         low = check_subcritical(table, Parameters(1.45, 1.0, res.alpha_low))
         high = check_subcritical(table, Parameters(1.45, 1.0, res.alpha_high))
@@ -83,23 +81,23 @@ def test_returned_endpoint_recertifies(small_levels):
 
 
 @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
-def test_alpha_tolerance_must_be_positive_and_finite(small_levels, tol):
-    _, table = small_levels[1]
+def test_alpha_tolerance_must_be_positive_and_finite(tol):
+    _, table = history(1)
     with pytest.raises(ValueError, match="tol"):
         alpha_sup(table, 1.464, 1.0, tol)
 
 
-def test_bound_is_conservative(small_levels):
+def test_bound_is_conservative():
     # coarse and fine tolerances certify nested values
-    _, table = small_levels[2]
+    _, table = history(2)
     coarse = alpha_sup(table, 1.44, 1.0, 1e-4)
     fine = alpha_sup(table, 1.44, 1.0, 1e-10)
     assert coarse.alpha_low <= fine.alpha_low + 1e-4
     assert fine.alpha_low >= coarse.alpha_low - 1e-12
 
 
-def test_optimizer_level_two(small_levels):
-    _, table = small_levels[2]
+def test_optimizer_level_two():
+    _, table = history(2)
     best = optimize_p(2, 1.40, 1.50, table=table)
     pinned = alpha_sup(table, 1.44, 1.0, 1e-10)
     assert best.p_opt == pytest.approx(1.44, abs=0.01)
@@ -108,18 +106,18 @@ def test_optimizer_level_two(small_levels):
     assert best.bound == max(b for _, b in best.grid)
 
 
-def test_optimizer_handles_degenerate_points(small_levels):
+def test_optimizer_handles_degenerate_points():
     # p = 1 is degenerate and must surface as a zero-bound probe; the
     # bound rises over the whole bracket, so its far end is the optimum
-    _, table = small_levels[1]
+    _, table = history(1)
     best = optimize_p(1, 1.0, 1.02, table=table)
     assert (1.0, 0.0) in best.grid
     assert best.bound > 0.0
     assert best.p_opt == 1.02
 
 
-def test_optimizer_validation(small_levels):
-    _, table = small_levels[1]
+def test_optimizer_validation():
+    _, table = history(1)
     with pytest.raises(ValueError):
         optimize_p(1, 1.5, 1.4, table=table)
     with pytest.raises(ValueError):
@@ -133,8 +131,8 @@ def test_optimizer_validation(small_levels):
     (1.417, 1.0, 0), (1.417, 1.0, 0.5), (1.417, 1.0, 100),
     (1.417, 1.0, 1e-20),
 ])
-def test_alpha_sup_refuses_before_the_quotient(small_levels, fset5, p, q, tol):
-    table = level_table(4, small_levels, fset5)
+def test_alpha_sup_refuses_before_the_quotient(p, q, tol):
+    table = fresh(history(4)[1])
     with pytest.raises(ValueError):
         alpha_sup(table, p, q, tol)
     assert "quotient" not in table.__dict__
@@ -145,12 +143,11 @@ def test_alpha_sup_refuses_before_the_quotient(small_levels, fset5, p, q, tol):
     # the level-1 table passed as level 2's
     ((2,), {}),
 ])
-def test_optimizer_refuses_before_any_probe(small_levels, monkeypatch,
-                                            args, kwargs):
+def test_optimizer_refuses_before_any_probe(monkeypatch, args, kwargs):
     def no_probe(*args, **kwargs):
         raise AssertionError("a p was probed before the arguments were checked")
     monkeypatch.setattr(search, "alpha_sup", no_probe)
-    _, table = small_levels[1]
+    _, table = history(1)
     with pytest.raises(ValueError):
         optimize_p(*args, table=table, **kwargs)
 
@@ -159,21 +156,21 @@ PAPER_P = {1: 1.464, 2: 1.44, 3: 1.43, 4: 1.424}
 
 
 @pytest.mark.parametrize("n", sorted(PAPER_P))
-def test_q_one_gives_the_largest_bound(n, small_levels, fset5):
+def test_q_one_gives_the_largest_bound(n):
     # rho is even and log-convex in log q, so nondecreasing for q >= 1
     # (see `stavskaya.search`): no q above 1 certifies a larger alpha
-    table = level_table(n, small_levels, fset5)
+    table = history(n)[1]
     lows = [alpha_sup(table, PAPER_P[n], q).alpha_low
             for q in (1.0, 1.0001, 1.01, 1.1, 1.5)]
     assert lows[0] > 0.0
     assert all(b <= a for a, b in zip(lows, lows[1:]))
 
 
-def test_level_monotonicity(small_levels):
+def test_level_monotonicity():
     # deeper memory never weakens the bound at its own optimum
     bounds = []
     for n in (1, 2, 3):
-        _, table = small_levels[n]
+        _, table = history(n)
         best = optimize_p(n, 1.40, 1.50, table=table)
         bounds.append(best.bound)
     for lo, hi in zip(bounds, bounds[1:]):
@@ -206,8 +203,8 @@ def _counted_probes(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_p_search_matches_grid(n, small_levels, fset5, monkeypatch):
-    table = level_table(n, small_levels, fset5)
+def test_p_search_matches_grid(n, monkeypatch):
+    table = history(n)[1]
     grid_p, grid_bound = _reference_grid_optimum(table)
     calls = _counted_probes(monkeypatch)
     best = optimize_p(n, table=table)
@@ -225,9 +222,8 @@ GOLDEN_SECTION_ROWS = {1: 0.12499999994179234, 2: 0.13101967808324844,
 
 
 @pytest.mark.parametrize("n", sorted(GOLDEN_SECTION_ROWS))
-def test_p_search_keeps_the_golden_section_rows(n, small_levels, fset5,
-                                                monkeypatch):
-    table = level_table(n, small_levels, fset5)
+def test_p_search_keeps_the_golden_section_rows(n, monkeypatch):
+    table = history(n)[1]
     calls = _counted_probes(monkeypatch)
     best = optimize_p(n, table=table)
     assert best.bound >= GOLDEN_SECTION_ROWS[n]
@@ -244,8 +240,8 @@ def _fake_alpha_sup(bound_of):
     return fake
 
 
-def test_unimodality_guard(small_levels, monkeypatch):
-    _, table = small_levels[1]
+def test_unimodality_guard(monkeypatch):
+    _, table = history(1)
     tol = 1e-4
     monkeypatch.setattr(search, "DEFAULT_ALPHA_TOL", tol)
 
@@ -304,8 +300,8 @@ REFERENCE_POINTS = {1: (1.44, 1.464, 1.5), 2: (1.42, 1.44, 1.47),
 
 
 @pytest.mark.parametrize("n", sorted(REFERENCE_POINTS))
-def test_early_decisions_match_converged_bisection(n, small_levels, fset5):
-    table = level_table(n, small_levels, fset5)
+def test_early_decisions_match_converged_bisection(n):
+    table = history(n)[1]
     for p in REFERENCE_POINTS[n]:
         low, high, certificate, spent = _reference_alpha_sup(table, p)
         res = alpha_sup(table, p, 1.0, 1e-10)
@@ -317,10 +313,10 @@ def test_early_decisions_match_converged_bisection(n, small_levels, fset5):
         assert res.power_iterations < spent
 
 
-def test_failed_final_check_raises_consistency_error(small_levels, monkeypatch):
+def test_failed_final_check_raises_consistency_error(monkeypatch):
     # the final one-step re-derivation of the certificate, the only solve
     # capped at one iteration, is made to return one ulp more
-    _, table = small_levels[1]
+    _, table = history(1)
     real = search.check_subcritical
 
     def off_by_one_ulp(table, params, max_iter, v0=None):
@@ -336,11 +332,11 @@ def test_failed_final_check_raises_consistency_error(small_levels, monkeypatch):
 
 
 @pytest.mark.parametrize("n", sorted(PAPER_P))
-def test_one_cold_solve_per_bound(n, small_levels, fset5, monkeypatch):
+def test_one_cold_solve_per_bound(n, monkeypatch):
     # only the alpha = 0 solve starts cold; every step is warm-started.
     # Every solve is one call of the module-level name, so a tracer that
     # patches it sees the alpha = 0 solve, each step and the re-check.
-    table = level_table(n, small_levels, fset5)
+    table = history(n)[1]
     real = search.check_subcritical
     calls = []
 
@@ -358,12 +354,11 @@ def test_one_cold_solve_per_bound(n, small_levels, fset5, monkeypatch):
     assert sum(spent for _, _, spent in calls) == res.power_iterations
 
 
-def test_tolerance_finer_than_the_doubles_is_refused(small_levels,
-                                                     monkeypatch):
+def test_tolerance_finer_than_the_doubles_is_refused(monkeypatch):
     # a 2**-67 grid is finer than the doubles near the bound, where a
     # query rounds onto an end and the search never ends; refused before
     # any solve
-    _, table = small_levels[1]
+    _, table = history(1)
     real = search.check_subcritical
     calls = []
 
@@ -378,24 +373,14 @@ def test_tolerance_finer_than_the_doubles_is_refused(small_levels,
     assert calls == []
 
 
-def test_finest_tolerance_ends_on_grid_neighbours(small_levels):
+def test_finest_tolerance_ends_on_grid_neighbours():
     # every multiple of 2**-53 in [0, 1] is a double, so the search ends
     # in at most k + 1 = 54 steps
-    _, table = small_levels[1]
+    _, table = history(1)
     res = alpha_sup(table, 1.464, 1.0, 2.0 ** -53)
     assert res.certified
     assert res.alpha_high - res.alpha_low == 2.0 ** -53
     assert res.iterations <= 54
-
-
-def _pattern_table(n):
-    """A level-n table whose own arrays are its quotient's, with the
-    level's forbidden set: `alpha_sup` reads only `table.quotient`,
-    which is built from the set as for the history table, so levels up
-    to 7 cost no history build."""
-    fset = build_forbidden_set(n)
-    pred, last_digit, _ = minimal(fset)
-    return TransitionTable(n=n, pred=pred, last_digit=last_digit, fset=fset)
 
 
 # alpha_low at the paper's p, bit for bit those of the 34-step bisection
@@ -412,7 +397,7 @@ BISECTION_LOWS = {1: (1.464, 0.12499999813735485),
 @pytest.mark.parametrize("n", sorted(BISECTION_LOWS))
 def test_paper_points_keep_the_bisection_bounds(n):
     p, low = BISECTION_LOWS[n]
-    res = alpha_sup(_pattern_table(n), p)
+    res = alpha_sup(minimal_table(n)[0], p)
     assert (res.alpha_low, res.alpha_high) == (low, low + 2.0 ** -GRID_STEPS)
     assert res.certificate < 1.0 and res.iterations < GRID_STEPS
 
@@ -421,7 +406,7 @@ def test_gather_form_changes_no_number(monkeypatch):
     # a quotient fits in one block and is gathered as one stacked intp
     # array; in blocks of 4 every quotient spans several blocks and is
     # gathered as int32 row views.  Both give every field bit for bit
-    tables = {n: _pattern_table(n) for n in (1, 2, 3, 4)}
+    tables = {n: fresh(minimal_table(n)[0]) for n in (1, 2, 3, 4)}
 
     def run(block):
         monkeypatch.setattr(spectral, "_BLOCK", block)
@@ -462,11 +447,10 @@ BAD_ESTIMATES = {
 
 
 @pytest.mark.parametrize("kind", sorted(BAD_ESTIMATES))
-def test_any_estimate_ends_on_the_same_bracket(kind, small_levels,
-                                               monkeypatch):
+def test_any_estimate_ends_on_the_same_bracket(kind, monkeypatch):
     # the estimates steer the queries only: the search still ends at the
     # same grid neighbours, in at most k + 1 steps
-    expected = {n: alpha_sup(small_levels[n][1], PAPER_P[n])
+    expected = {n: alpha_sup(history(n)[1], PAPER_P[n])
                 for n in (1, 2, 3)}
     real = search.check_subcritical
     rng = random.Random(25)
@@ -478,7 +462,7 @@ def test_any_estimate_ends_on_the_same_bracket(kind, small_levels,
 
     monkeypatch.setattr(search, "check_subcritical", misleading)
     for n, want in expected.items():
-        res = alpha_sup(small_levels[n][1], PAPER_P[n])
+        res = alpha_sup(history(n)[1], PAPER_P[n])
         assert (res.alpha_low, res.alpha_high) == (want.alpha_low,
                                                    want.alpha_high)
         assert res.iterations <= GRID_STEPS + 1
@@ -494,8 +478,8 @@ def test_certified_everywhere_ends_below_one():
 
 
 @pytest.mark.parametrize("tol,k", [(1e-8, 27), (1e-4, 14)])
-def test_tolerance_sets_the_grid(tol, k, small_levels):
-    _, table = small_levels[3]
+def test_tolerance_sets_the_grid(tol, k):
+    _, table = history(3)
     res = alpha_sup(table, PAPER_P[3], 1.0, tol)
     grid = 2.0 ** -k
     assert grid <= tol < 2.0 * grid

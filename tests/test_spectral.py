@@ -2,19 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import make_table, unmirrored
+from conftest import fresh, history, make_table, minimal_table, unmirrored
 
 from stavskaya import spectral
 from stavskaya.patterns import Parameters
 from stavskaya.spectral import (SpectralEstimate, apply_operator,
                                 certified_upper_bound, check_subcritical,
                                 power_iteration)
-from stavskaya.statespace import (TransitionTable, build_level,
-                                  build_state_space, build_transitions)
 
 
-def test_apply_counts_predecessors(small_levels):
-    _, table = small_levels[1]
+def test_apply_counts_predecessors():
+    _, table = history(1)
     out = apply_operator(table, Parameters(1, 1, 0.0), np.ones(7))
     # alpha = 0 kills the kind-2 term; survivors count kind-1/3 predecessors
     pred_count = (table.pred < table.n_states).sum(axis=0)
@@ -22,26 +20,26 @@ def test_apply_counts_predecessors(small_levels):
     assert np.allclose(out, want, atol=1e-15)
 
 
-def test_apply_total_is_edge_count(small_levels):
-    _, table = small_levels[1]
+def test_apply_total_is_edge_count():
+    _, table = history(1)
     out = apply_operator(table, Parameters(1, 1, 1.0), np.ones(7))
     assert out.sum() == pytest.approx(15.0, abs=1e-12)
 
 
-def test_apply_zero_vector(small_levels):
-    _, table = small_levels[2]
+def test_apply_zero_vector():
+    _, table = history(2)
     assert not apply_operator(table, Parameters(1.3, 1.1, 0.4),
                               np.zeros(table.n_states)).any()
 
 
-def test_apply_dimension_mismatch(small_levels):
-    _, table = small_levels[1]
+def test_apply_dimension_mismatch():
+    _, table = history(1)
     with pytest.raises(ValueError):
         apply_operator(table, Parameters(1, 1, 0.5), np.ones(8))
 
 
-def test_apply_linearity(small_levels):
-    _, table = small_levels[3]
+def test_apply_linearity():
+    _, table = history(3)
     rng = np.random.RandomState(11)
     params = Parameters(1.4, 1.2, 0.3)
     v1 = rng.rand(table.n_states)
@@ -52,8 +50,8 @@ def test_apply_linearity(small_levels):
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-300)
 
 
-def test_power_iteration_examples(small_levels):
-    _, table = small_levels[1]
+def test_power_iteration_examples():
+    _, table = history(1)
     # alpha = 0: only monochromatic runs survive, each step halves weight
     est = power_iteration(table, Parameters(2, 1, 0.0))
     assert est.converged
@@ -64,8 +62,8 @@ def test_power_iteration_examples(small_levels):
     assert est.estimate == pytest.approx(1.0, abs=1e-10)
 
 
-def test_certified_below_one_near_published_point(small_levels):
-    _, table = small_levels[1]
+def test_certified_below_one_near_published_point():
+    _, table = history(1)
     est = power_iteration(table, Parameters(1.464, 1, 0.124))
     assert est.converged
     assert est.certified_upper < 1.0
@@ -79,25 +77,25 @@ def test_certificate_exact_on_eigenvector():
     assert certified_upper_bound(table, params, np.ones(2)) == pytest.approx(c, rel=1e-15)
 
 
-def test_certificate_is_max_row_sum_on_ones(small_levels):
-    _, table = small_levels[1]
+def test_certificate_is_max_row_sum_on_ones():
+    _, table = history(1)
     got = certified_upper_bound(table, Parameters(1, 1, 1.0), np.ones(7))
     assert got == pytest.approx(3.0, abs=1e-14)
 
 
-def test_certificate_requires_positive_vector(small_levels):
-    _, table = small_levels[1]
+def test_certificate_requires_positive_vector():
+    _, table = history(1)
     v = np.ones(7)
     v[3] = 0.0
     with pytest.raises(ValueError):
         certified_upper_bound(table, Parameters(1, 1, 0.5), v)
 
 
-def test_non_finite_vectors_are_rejected(small_levels):
+def test_non_finite_vectors_are_rejected():
     # one +inf entry would normalise to a NaN iterate, which never
     # converges, never decides and certifies nothing; a negative, an
     # all-zero or a wrongly shaped start is refused with the same texts
-    _, table = small_levels[2]
+    _, table = history(2)
     params = Parameters(1.44, 1.0, 0.12)
     n = table.n_states
     refused = "^v0 must be finite, nonnegative and not all zero$"
@@ -120,24 +118,13 @@ def test_non_finite_vectors_are_rejected(small_levels):
                 solve(table, params, v0=v)
 
 
-@pytest.fixture(scope="module")
-def tables_to_5(small_levels, fset5):
-    """Transition tables for levels 1..5; level 5 (81,231 states) spans
-    more than one default block."""
-    tables = {n: small_levels[n][1] for n in (1, 2, 3)}
-    for n in (4, 5):
-        space = build_state_space(n, fset5.restrict(n - 1))
-        tables[n] = build_transitions(space, fset5.restrict(n))
-    return tables
-
-
 @pytest.mark.parametrize("block", [spectral._BLOCK, 7, 64])
-def test_certificate_matches_full_length_reference(tables_to_5, block,
-                                                   monkeypatch):
+def test_certificate_matches_full_length_reference(block, monkeypatch):
     # the blocked re-check against the whole-array operator, bit for bit
     monkeypatch.setattr(spectral, "_BLOCK", block)
     rng = np.random.default_rng(3)
-    for table in tables_to_5.values():
+    # level 5 (81,231 states) spans more than one default block
+    for table in (history(n)[1] for n in range(1, 6)):
         for q in (1.0, 1.1):
             params = Parameters(1.43, q, 0.13)
             v = 0.01 + rng.random(table.n_states)
@@ -146,13 +133,13 @@ def test_certificate_matches_full_length_reference(tables_to_5, block,
             assert certified_upper_bound(table, params, v) == want
 
 
-def test_certificate_holds_no_full_length_temporary(tables_to_5, monkeypatch):
+def test_certificate_holds_no_full_length_temporary(monkeypatch):
     # numpy reports its buffers to tracemalloc.  Past the padded copy of
     # v only block-sized buffers may be live; a block of 2**12 keeps them
     # small against N = 81,231, so one full-length float64 or int32
     # temporary would break the bound
     monkeypatch.setattr(spectral, "_BLOCK", 1 << 12)
-    table = tables_to_5[5]
+    table = history(5)[1]
     n = table.n_states
     params = Parameters(1.42, 1.0, 0.13)
     v = 0.5 + np.random.default_rng(0).random(n)
@@ -165,8 +152,7 @@ def test_certificate_holds_no_full_length_temporary(tables_to_5, monkeypatch):
     assert peak < 1.5 * 8 * n
 
 
-def test_half_state_solve_and_its_certificate_stay_small(tables_to_5,
-                                                         monkeypatch):
+def test_half_state_solve_and_its_certificate_stay_small(monkeypatch):
     # the half-state loop holds m + 1 entries of v, m of output and m of
     # weights, with m = ceil(N/2); on exit, once those are freed, the
     # full N + 1 vector is written beside the half.  Either way about
@@ -174,7 +160,7 @@ def test_half_state_solve_and_its_certificate_stay_small(tables_to_5,
     # add half of one.  Certifying the returned vector sweeps its own
     # buffer, so past it only block-sized buffers may be made
     monkeypatch.setattr(spectral, "_BLOCK", 1 << 12)
-    table = tables_to_5[5]
+    table = history(5)[1]
     n = table.n_states
     assert table.mirrored
     params = Parameters(1.42, 1.0, 0.13)
@@ -193,12 +179,11 @@ def test_half_state_solve_and_its_certificate_stay_small(tables_to_5,
     assert cert_peak < 0.5 * 8 * n
 
 
-def test_certificate_sweeps_in_place_only_a_padded_head(small_levels,
-                                                        monkeypatch):
+def test_certificate_sweeps_in_place_only_a_padded_head(monkeypatch):
     # v is swept in its own buffer only when it is the first N entries of
     # a longer contiguous float64 buffer with +0.0 at N; every other v is
     # copied into a padded buffer and gives apply_operator's max ratio
-    _, table = small_levels[3]
+    _, table = history(3)
     n = table.n_states
     params = Parameters(1.43, 1.0, 0.13)
     swept = []
@@ -268,11 +253,10 @@ def test_certificate_sweeps_in_place_only_a_padded_head(small_levels,
                                        (np.nan, "strictly positive"),
                                        (np.inf, "finite")],
                          ids=["zero", "nan", "inf"])
-def test_certificate_refuses_a_bad_entry_in_the_last_block(tables_to_5, bad,
-                                                          match):
+def test_certificate_refuses_a_bad_entry_in_the_last_block(bad, match):
     # the checks reduce over all of v, so the last entry of the last of
     # three blocks is checked as the first is
-    table = tables_to_5[5]
+    table = history(5)[1]
     assert table.n_states > 2 * spectral._BLOCK
     v = np.ones(table.n_states)
     v[-1] = bad
@@ -281,15 +265,14 @@ def test_certificate_refuses_a_bad_entry_in_the_last_block(tables_to_5, bad,
 
 
 @pytest.mark.parametrize("out_entries", ["all", "block", "stacked"])
-def test_sweep_keeps_a_nan_from_any_block(small_levels, monkeypatch,
-                                          out_entries):
+def test_sweep_keeps_a_nan_from_any_block(monkeypatch, out_entries):
     # a NaN ratio in the second of twelve blocks: max() and min() over
     # the blocks' floats would drop it; a whole-array reduction keeps it.
     # At the default block the table is one block, gathered stacked
     block = None if out_entries == "stacked" else 64
     if block is not None:
         monkeypatch.setattr(spectral, "_BLOCK", block)
-    _, table = small_levels[3]
+    _, table = history(3)
     n = table.n_states
     vp = np.ones(n + 1)
     vp[n] = 0.0
@@ -305,8 +288,8 @@ def test_sweep_keeps_a_nan_from_any_block(small_levels, monkeypatch,
     assert np.isnan(upper) and np.isnan(lower) and np.isnan(top)
 
 
-def test_certificate_dominates_estimate(small_levels):
-    _, table = small_levels[2]
+def test_certificate_dominates_estimate():
+    _, table = history(2)
     rng = np.random.RandomState(5)
     for _ in range(10):
         params = Parameters(1 + rng.rand(), 1 + rng.rand(), rng.rand())
@@ -316,8 +299,8 @@ def test_certificate_dominates_estimate(small_levels):
         assert certified_upper_bound(table, params, v) >= est.estimate - 1e-9
 
 
-def test_scale_invariance(small_levels):
-    _, table = small_levels[2]
+def test_scale_invariance():
+    _, table = history(2)
     params = Parameters(1.44, 1.0, 0.12)
     v0 = 1.0 + np.linspace(0, 1, table.n_states)
     a = power_iteration(table, params, v0=v0)
@@ -326,9 +309,9 @@ def test_scale_invariance(small_levels):
     assert abs(a.certified_upper - b.certified_upper) <= 1e-14 * a.certified_upper
 
 
-def test_monotone_in_alpha(small_levels):
+def test_monotone_in_alpha():
     for n in (1, 2, 3):
-        _, table = small_levels[n]
+        _, table = history(n)
         ladder = np.linspace(0.01, 0.5, 10)
         uppers = [power_iteration(table, Parameters(1.43, 1.0, a)).certified_upper
                   for a in ladder]
@@ -341,10 +324,10 @@ def certifies(table, params):
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
-def test_tolerance_must_be_positive_and_finite(small_levels, tol):
+def test_tolerance_must_be_positive_and_finite(tol):
     # a NaN tolerance would never stop the iteration before max_iter;
     # `check_subcritical` takes none and decides at DEFAULT_TOL
-    _, table = small_levels[1]
+    _, table = history(1)
     params = Parameters(1.464, 1.0, 0.1)
     with pytest.raises(ValueError, match="tol"):
         power_iteration(table, params, tol=tol)
@@ -352,19 +335,19 @@ def test_tolerance_must_be_positive_and_finite(small_levels, tol):
         check_subcritical(table, params, tol=tol)
 
 
-def test_subcritical_examples(small_levels):
-    _, table = small_levels[2]
+def test_subcritical_examples():
+    _, table = history(2)
     assert certifies(table, Parameters(1.44, 1.0, 0.13))
     assert not certifies(table, Parameters(1.44, 1.0, 0.14))
     # total path weight never decays at p = q = 1, alpha = 1
     assert not certifies(table, Parameters(1, 1, 1.0))
 
 
-def test_subcritical_at_alpha_zero(small_levels):
+def test_subcritical_at_alpha_zero():
     # reducible case (kind 2 weighs 0): the ratio bound of the returned
     # vector certifies on its own, across the search's p range and off q = 1
     for n in (1, 2, 3):
-        _, table = small_levels[n]
+        _, table = history(n)
         for p in (1.30, 1.45, 1.60):
             for q in (1.0, 1.1):
                 params = Parameters(p, q, 0.0)
@@ -372,30 +355,30 @@ def test_subcritical_at_alpha_zero(small_levels):
                 assert est.certified_subcritical and est.certified_upper < 1.0
                 assert est.certified_upper == certified_upper_bound(
                     table, params, est.vector)
-    _, table = small_levels[1]
+    _, table = history(1)
     assert certifies(table, Parameters(1.464, 1.0, 0.0))
     assert not certifies(table, Parameters(1, 1, 0.0))
 
 
-def test_nonconvergence_reports_not_raises(small_levels):
-    _, table = small_levels[2]
+def test_nonconvergence_reports_not_raises():
+    _, table = history(2)
     est = power_iteration(table, Parameters(1.44, 1.0, 0.13), max_iter=3)
     assert not est.converged
     assert not est.certified_subcritical
 
 
-def test_sandwich_tight_at_reproduction_points(small_levels):
+def test_sandwich_tight_at_reproduction_points():
     # near the published operating points the certificate hugs the estimate
     for n, p in ((1, 1.464), (2, 1.44), (3, 1.43)):
-        _, table = small_levels[n]
+        _, table = history(n)
         for alpha in (0.12, 0.13):
             est = power_iteration(table, Parameters(p, 1.0, alpha))
             assert est.converged
             assert 0.0 <= est.certified_upper - est.estimate < 1e-6
 
 
-def test_max_ratio_below_one_certifies_without_convergence(small_levels):
-    _, table = small_levels[2]
+def test_max_ratio_below_one_certifies_without_convergence():
+    _, table = history(2)
     params = Parameters(1.44, 1.0, 0.12)
     # 20 steps in, the ratio sandwich is still about 2e-6 wide, far
     # from DEFAULT_TOL, but its max ratio is already below one
@@ -412,8 +395,8 @@ def test_max_ratio_below_one_certifies_without_convergence(small_levels):
     assert SpectralEstimate(0.9, 0.95, 3, converged=False).certified_subcritical
 
 
-def test_min_ratio_above_one_stops_not_certified(small_levels):
-    _, table = small_levels[2]
+def test_min_ratio_above_one_stops_not_certified():
+    _, table = history(2)
     params = Parameters(1.44, 1.0, 0.3)  # far above the level-2 bound 0.131
     full = power_iteration(table, params)
     assert full.converged and full.estimate > 1.0
@@ -425,10 +408,10 @@ def test_min_ratio_above_one_stops_not_certified(small_levels):
     assert (apply_operator(table, params, v) / v).min() > 1.0
 
 
-def test_direct_power_iteration_runs_its_full_length(small_levels):
+def test_direct_power_iteration_runs_its_full_length():
     # subcritical, so a decided solve would stop early; a direct call
     # with an unreachable tolerance must not
-    _, table = small_levels[3]
+    _, table = history(3)
     params = Parameters(1.43, 1.0, 0.132)
     est = power_iteration(table, params, tol=1e-300, max_iter=50)
     assert est.iterations == 50 and not est.converged
@@ -441,7 +424,7 @@ def test_check_subcritical_decides_at_the_default_tolerance():
     # point): the ratio bounds close to DEFAULT_TOL while the max ratio
     # is still above one, so the solve stops not certified; run on to a
     # tolerance no sandwich meets, the same start certifies
-    table = build_level(4)[2]
+    table = minimal_table(4)[0]
     params = Parameters(1.424215772312642, 1.0, 0.13502853823592886)
     est = check_subcritical(table, params)
     assert est.converged and not est.certified_subcritical
@@ -453,21 +436,21 @@ def test_check_subcritical_decides_at_the_default_tolerance():
 
 
 @pytest.mark.parametrize("case", ["certified", "supercritical", "direct"])
-def test_returned_vector_rederives_certificate(small_levels, case):
+def test_returned_vector_rederives_certificate(case):
     # the certificate is the max ratio of the vector that comes with it
     if case == "certified":
-        _, table = small_levels[2]
+        _, table = history(2)
         params = Parameters(1.44, 1.0, 0.12)
         est = check_subcritical(table, params)
         assert est.certified_subcritical and not est.converged
     elif case == "supercritical":
-        _, table = small_levels[2]
+        _, table = history(2)
         params = Parameters(1.44, 1.0, 0.3)
         est = check_subcritical(table, params)
         assert not est.certified_subcritical and not est.converged
     else:
         # stopped by max_iter, as in a fixed-length run
-        _, table = small_levels[3]
+        _, table = history(3)
         params = Parameters(1.43, 1.0, 0.132)
         est = power_iteration(table, params, tol=1e-300, max_iter=50)
         assert est.iterations == 50
@@ -489,8 +472,7 @@ def _full_length_reference(table, params, v0, steps):
 
 
 @pytest.mark.parametrize("k", [1, 7, 50])
-def test_iteration_matches_full_length_reference(small_levels, fset5, k,
-                                                 monkeypatch):
+def test_iteration_matches_full_length_reference(k, monkeypatch):
     # at q = 1 on a mirrored table from a cold start only half of each
     # iterate is computed; every other case, warm starts included, runs
     # at full length; both must give the full-length result bit for
@@ -499,13 +481,9 @@ def test_iteration_matches_full_length_reference(small_levels, fset5, k,
     at_q1 = Parameters(1.43, 1.0, 0.13)
     cases = []
     for n in (1, 2, 3, 4):
-        if n in small_levels:
-            table = small_levels[n][1]
-        else:
-            space = build_state_space(n, fset5.restrict(n - 1))
-            table = build_transitions(space, fset5.restrict(n))
+        table = history(n)[1]
         cases.append((table, at_q1, np.ones(table.n_states)))
-    table3 = small_levels[3][1]
+    table3 = history(3)[1]
     ramp = 1.0 + np.linspace(0.0, 1.0, table3.n_states)
     # warm starts: a previous solve's vector (max exactly 1.0, nothing
     # below the floor), the same with a mirrored pair of entries below
@@ -535,13 +513,11 @@ def test_iteration_matches_full_length_reference(small_levels, fset5, k,
             assert not np.shares_memory(est.vector, v0)
 
 
-def test_warm_start_runs_at_full_length(small_levels):
+def test_warm_start_runs_at_full_length():
     # a mirrored table at q = 1: a cold start sweeps half of the states,
     # a warm start from its vector, itself equal to its reverse, sweeps
     # all of them
-    _, table = small_levels[3]
-    table = TransitionTable(n=table.n, pred=table.pred,
-                            last_digit=table.last_digit)
+    table = fresh(history(3)[1])
     size = table.n_states
     params = Parameters(1.43, 1.0, 0.12)
     cold = check_subcritical(table, params)
@@ -567,13 +543,12 @@ def _plan_rows(plan):
 
 
 @pytest.mark.parametrize("level", [3, 4])
-def test_plan_gathers_exactly_the_rows_with_moves(tables_to_5, level,
-                                                  monkeypatch):
+def test_plan_gathers_exactly_the_rows_with_moves(level, monkeypatch):
     # the one stacked block the default block gives these tables, and
     # blocks of 64 targets: each block gathers its slot rows that hold a
     # real move, in the order 0, 2, 1, and drops only all-sentinel rows;
     # in half mode every gathered index is below m or the sentinel
-    table = tables_to_5[level]
+    table = fresh(history(level)[1])
     n = table.n_states
     for block in (None, 64):
         if block is not None:
@@ -604,10 +579,10 @@ def test_plan_gathers_exactly_the_rows_with_moves(tables_to_5, level,
         assert remapped and (dropped or block is None)
 
 
-def test_plan_is_not_reused_at_another_block(tables_to_5, monkeypatch):
+def test_plan_is_not_reused_at_another_block(monkeypatch):
     # the same table swept at two block sizes, one after the other, and
     # each sweep compared with the whole-array operator bit for bit
-    table = tables_to_5[4]
+    table = fresh(history(4)[1])
     at_q1 = Parameters(1.43, 1.0, 0.13)
     v = 0.01 + np.random.default_rng(5).random(table.n_states)
     want = float((apply_operator(table, at_q1, v) / v).max())
@@ -730,11 +705,10 @@ def test_a_table_without_moves_sweeps_to_zero(block, monkeypatch):
 
 @pytest.mark.parametrize("case", ["sandwich", "stable", "decided",
                                   "max_iter", "norm 0"])
-def test_half_state_vector_is_mirrored_at_every_exit(small_levels, case,
-                                                     monkeypatch):
+def test_half_state_vector_is_mirrored_at_every_exit(case, monkeypatch):
     # the half-state loop leaves the targets past the middle unwritten
     # and writes them on exit, whichever exit it takes
-    _, table = small_levels[2]
+    _, table = history(2)
     if case == "sandwich":
         monkeypatch.setattr(spectral, "_STABLE_ITERS", 10**9)
         params = Parameters(1.44, 1.0, 0.12)

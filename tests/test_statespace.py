@@ -4,13 +4,13 @@ import tracemalloc
 import bruteforce
 import numpy as np
 import pytest
-from conftest import (check_lift, level_table, make_table,
-                      mirrored_by_definition, unmirrored)
+from conftest import (check_lift, forbidden_set, fresh, history, level,
+                      make_table, minimal_table, mirrored_by_definition,
+                      unmirrored)
 
 from stavskaya import automaton, patterns, statespace
 from stavskaya.errors import ConsistencyError, ResourceLimitError
 from stavskaya.patterns import (POW3, ForbiddenSet, Parameters,
-                                build_forbidden_set,
                                 enumerate_primitive_loops)
 from stavskaya.search import alpha_sup
 from stavskaya.spectral import certified_upper_bound, power_iteration
@@ -66,18 +66,18 @@ def test_word_codec_roundtrip():
 
 
 @pytest.mark.parametrize("n,size", sorted(EXPECTED_SIZES.items()))
-def test_state_space_sizes(n, size, fset5):
-    assert len(build_state_space(n, fset5.restrict(n - 1))) == size
+def test_state_space_sizes(n, size):
+    assert len(history(n)[0]) == size
 
 
-def test_level_one_words(small_levels):
-    space, _ = small_levels[1]
+def test_level_one_words():
+    space, _ = history(1)
     texts = [_text(_word(space, i)) for i in range(len(space))]
     assert texts == ["11", "12", "21", "22", "23", "32", "33"]
 
 
-def test_level_one_transitions(small_levels):
-    space, table = small_levels[1]
+def test_level_one_transitions():
+    space, table = history(1)
     assert table.edge_count == 15
     succ = table.succ
     # "12" cannot take step 3 (would close the order-1 loop)
@@ -89,26 +89,25 @@ def test_level_one_transitions(small_levels):
 
 
 @pytest.mark.parametrize("n,edges", sorted(EXPECTED_EDGES.items()))
-def test_edge_counts(n, edges, fset5):
-    space = build_state_space(n, fset5.restrict(n - 1))
-    table = build_transitions(space, fset5.restrict(n))
+def test_edge_counts(n, edges):
+    _, table = history(n)
     assert table.edge_count == edges
     # every state has a move
     assert (table.succ < table.n_states).any(axis=0).all()
 
 
 @pytest.mark.parametrize("chunk", [7, 64])
-def test_chunked_moves_match_one_chunk(fset5, monkeypatch, chunk):
+def test_chunked_moves_match_one_chunk(monkeypatch, chunk):
     # the move rule's lookups and the mirror check run in chunks of
     # _CHUNK targets; chunk boundaries must not change a loop, a state
     # code, a predecessor or the mirror flag
     def build():
-        loops = [enumerate_primitive_loops(k, fset5.restrict(k - 1))
+        loops = [enumerate_primitive_loops(k, forbidden_set(k - 1))
                  for k in range(1, 6)]
         levels = []
         for n in range(1, 5):
-            space = build_state_space(n, fset5.restrict(n - 1))
-            levels.append((space.codes, build_transitions(space, fset5.restrict(n))))
+            space = build_state_space(n, forbidden_set(n - 1))
+            levels.append((space.codes, build_transitions(space, forbidden_set(n))))
         return loops, levels
 
     whole_loops, whole = build()
@@ -145,9 +144,9 @@ def test_chunked_moves_match_one_chunk(fset5, monkeypatch, chunk):
             assert not mirrored_by_definition(broken)
 
 
-def test_closure_targets_are_states(small_levels):
+def test_closure_targets_are_states():
     for n in (1, 2, 3):
-        space, table = small_levels[n]
+        space, table = history(n)
         succ = table.succ
         for d in range(3):
             src = np.nonzero(succ[d] < table.n_states)[0]
@@ -156,12 +155,12 @@ def test_closure_targets_are_states(small_levels):
             assert np.array_equal(got, want)
 
 
-def test_suffix_sufficiency_full_factor_scan(small_levels, fset5):
+def test_suffix_sufficiency_full_factor_scan():
     # suffix-only validity equals full-factor validity of the extended word
     for n in (1, 2, 3):
-        space, table = small_levels[n]
+        space, table = history(n)
         succ = table.succ
-        patterns = bruteforce.pattern_words(fset5.restrict(n))
+        patterns = bruteforce.pattern_words(table.fset)
         for i in range(len(space)):
             word = _word(space, i)
             for kind in (1, 2, 3):
@@ -172,9 +171,9 @@ def test_suffix_sufficiency_full_factor_scan(small_levels, fset5):
                 assert (succ[kind - 1, i] == table.n_states) == full_hit
 
 
-def test_out_degree_structure(small_levels):
+def test_out_degree_structure():
     for n in (1, 2, 3):
-        space, table = small_levels[n]
+        space, table = history(n)
         succ = table.succ
         degrees = (succ < table.n_states).sum(axis=0)
         # the scatter keeps every move: each state is a source as often
@@ -187,11 +186,11 @@ def test_out_degree_structure(small_levels):
         assert (succ[0][last == 2] == table.n_states).all()
 
 
-def test_pred_slot_is_oldest_step(small_levels):
+def test_pred_slot_is_oldest_step():
     # slot s of target t holds the state that is t with its newest step
     # dropped and kind s+1 prepended as the oldest
     for n in (1, 2, 3):
-        space, table = small_levels[n]
+        space, table = history(n)
         top = POW3[space.length - 1]
         for s in range(3):
             real = np.nonzero(table.pred[s] < table.n_states)[0]
@@ -200,17 +199,13 @@ def test_pred_slot_is_oldest_step(small_levels):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_pred_sentinel_is_a_real_absence(n, small_levels, fset5):
+def test_pred_sentinel_is_a_real_absence(n):
     # each empty slot s of target t: the source word s*3^(L-1) +
     # code(t)//3 is no state, or the joined 3n-step word is an order-n
     # loop; both are looked up here by plain binary search
-    if n in small_levels:
-        space, table = small_levels[n]
-    else:
-        space = build_state_space(n, fset5.restrict(n - 1))
-        table = build_transitions(space, fset5.restrict(n))
+    space, table = history(n)
     codes, size = space.codes, table.n_states
-    loops = fset5.restrict(n).codes_by_length[3 * n]
+    loops = table.fset.codes_by_length[3 * n]
     reasons = np.zeros(2, dtype=int)
     for s in range(3):
         empty = np.nonzero(table.pred[s] == size)[0]
@@ -225,22 +220,18 @@ def test_pred_sentinel_is_a_real_absence(n, small_levels, fset5):
     assert (reasons > 0).all()  # both kinds of absence occur
 
 
-def test_swap_symmetry_of_state_space(small_levels, fset5):
+def test_swap_symmetry_of_state_space():
     # the 1<->3 swap maps code c to 3^L-1-c, so it reverses the sorted
     # codes (state i pairs with state N-1-i) and the moves follow
     for n in range(1, 6):
-        if n in small_levels:
-            space, table = small_levels[n]
-        else:
-            space = build_state_space(n, fset5.restrict(n - 1))
-            table = build_transitions(space, fset5.restrict(n))
+        space, table = history(n)
         top = POW3[space.length] - np.uint64(1)
         assert np.array_equal(space.codes[::-1], top - space.codes)
         assert table.mirrored
 
 
-def test_mirrored_only_when_it_holds(small_levels):
-    _, table = small_levels[3]
+def test_mirrored_only_when_it_holds():
+    _, table = history(3)
     assert not unmirrored(table).mirrored
     # toy two-state operator: both states end in kind 1, so no mirror
     assert not make_table([[1, 0], [2, 2], [2, 2]], [0, 0]).mirrored
@@ -248,9 +239,9 @@ def test_mirrored_only_when_it_holds(small_levels):
     assert make_table([[1], [1], [1]], [1]).mirrored
 
 
-def test_mirror_sums_match_the_definition_on_built_tables(small_levels, fset5):
+def test_mirror_sums_match_the_definition_on_built_tables():
     for n in range(1, 6):
-        table = level_table(n, small_levels, fset5)
+        _, table = history(n)
         assert table.mirrored == mirrored_by_definition(table) is True
         size, pred = table.n_states, table.pred.copy()
         # a sentinel paired with state N-1 sums to 2N-1, neither N-1 nor 2N
@@ -309,25 +300,25 @@ def test_history_cap_refused_before_growing(monkeypatch):
         raise AssertionError("a word was grown above the history cap")
     monkeypatch.setattr(statespace, "_grow", no_grow)
     with pytest.raises(ResourceLimitError):
-        build_state_space(8, build_forbidden_set(7))
+        build_state_space(8, forbidden_set(7))
 
 
-def test_level_validation(fset5):
+def test_level_validation():
     with pytest.raises(ValueError):
-        build_state_space(0, fset5.restrict(0))
+        build_state_space(0, forbidden_set(0))
     with pytest.raises(ValueError):
-        build_state_space(2, fset5.restrict(0))
+        build_state_space(2, forbidden_set(0))
     with pytest.raises(ValueError):
-        build_transitions(build_state_space(1, fset5.restrict(0)),
-                          fset5.restrict(2))
+        build_transitions(build_state_space(1, forbidden_set(0)),
+                          forbidden_set(2))
 
 
-def test_moves_go_to_one_table(fset5):
-    space = build_state_space(2, fset5.restrict(1))
-    build_transitions(space, fset5.restrict(2))
+def test_moves_go_to_one_table():
+    space = build_state_space(2, forbidden_set(1))
+    build_transitions(space, forbidden_set(2))
     assert space.moves is None
     with pytest.raises(ValueError, match="already given its moves"):
-        build_transitions(space, fset5.restrict(2))
+        build_transitions(space, forbidden_set(2))
 
 
 def test_level_six_build_peak_memory():
@@ -335,11 +326,10 @@ def test_level_six_build_peak_memory():
     # 25.1 MiB with the moves found by binary search and at 23.7 MiB
     # with the recurrence; a full-length int64 index temporary (6.4 MiB
     # at length 17) breaks the bound
-    fset = build_forbidden_set(6)
-    lower = fset.restrict(5)
     tracemalloc.start()
     try:
-        table = build_transitions(build_state_space(6, lower), fset)
+        table = build_transitions(build_state_space(6, forbidden_set(5)),
+                                  forbidden_set(6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -356,7 +346,7 @@ def test_growth_holds_its_mask_packed(monkeypatch):
     # state in all).  Small chunks keep their own temporaries out of it
     for module in (patterns, statespace):
         monkeypatch.setattr(module, "_CHUNK", 1 << 12)
-    lower = build_forbidden_set(5)
+    lower = forbidden_set(5)
     tracemalloc.start()
     try:
         space = build_state_space(6, lower)
@@ -367,24 +357,24 @@ def test_growth_holds_its_mask_packed(monkeypatch):
 
 
 def test_enumerate_valid_words_small():
-    f0 = build_forbidden_set(0)
+    f0 = forbidden_set(0)
     assert list(patterns._grow(1, f0)[0]) == [0, 1, 2]
     assert len(patterns._grow(2, f0)[0]) == 7
 
 
-def test_codes_strictly_increasing(small_levels):
-    for space, _ in small_levels.values():
+def test_codes_strictly_increasing():
+    for space, _ in map(history, (1, 2, 3)):
         assert (space.codes[1:] > space.codes[:-1]).all()
 
 
 @pytest.mark.parametrize("bad", ["past_sentinel", "negative", "long_digits",
                                  "short_digits", "digit_3", "four_rows",
                                  "two_rows", "one_row", "float_pred"])
-def test_out_of_range_predecessor_rejected(small_levels, bad):
+def test_out_of_range_predecessor_rejected(bad):
     # the operator's gathers clamp instead of checking, so a bad index,
     # a pred that is not three rows of integers, or a last digit that is
     # not one step per state must be refused when the table is made
-    _, table = small_levels[1]
+    _, table = history(1)
     n = table.n_states
     pred, digits = table.pred.copy(), table.last_digit.copy()
     if bad == "past_sentinel":
@@ -410,8 +400,8 @@ def test_out_of_range_predecessor_rejected(small_levels, bad):
 
 
 @pytest.mark.parametrize("n,classes", sorted(EXPECTED_CLASSES.items()))
-def test_quotient_class_counts(n, classes, small_levels, fset5):
-    table = level_table(n, small_levels, fset5)
+def test_quotient_class_counts(n, classes):
+    _, table = history(n)
     quotient, phi = table.quotient, check_lift(table)
     assert quotient.n_states == classes
     assert phi.shape == (table.n_states,)
@@ -420,13 +410,13 @@ def test_quotient_class_counts(n, classes, small_levels, fset5):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_build_level_is_the_history_tables_quotient(n, small_levels, fset5):
+def test_build_level_is_the_history_tables_quotient(n):
     # the CLI's route: the same patterns, the history table's length as
     # `states`, and the quotient's own table, which is its own quotient
-    patterns, states, table = statespace.build_level(n)
-    space, history = small_levels[n]
-    quotient = history.quotient
-    assert (patterns, states) == (len(fset5.restrict(n)), len(space))
+    patterns, states, table = level(n)
+    space, histories = history(n)
+    quotient = histories.quotient
+    assert (patterns, states) == (len(forbidden_set(n)), len(space))
     assert table.fset is None and table.quotient is table
     assert np.array_equal(table.pred, quotient.pred)
     assert np.array_equal(table.last_digit, quotient.last_digit)
@@ -438,7 +428,7 @@ def test_build_level_table_is_not_mirrored(n):
     # also every history table's quotient, so no warm start is of a
     # mirrored table: `minimal` numbers its classes by the ranks of its
     # refinement, not in mirror order
-    table = statespace.build_level(n)[2]
+    table = minimal_table(n)[0]
     assert not table.mirrored and not mirrored_by_definition(table)
 
 
@@ -455,9 +445,9 @@ def test_build_level_refuses_before_growing(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_quotient_lifts_every_ratio(n, small_levels, fset5):
+def test_quotient_lifts_every_ratio(n):
     # B(u∘φ) = (B_q u)∘φ, so the max ratios agree bit for bit
-    table = level_table(n, small_levels, fset5)
+    _, table = history(n)
     quotient, phi = table.quotient, check_lift(table)
     full = _successor_table(table)
     rng = np.random.RandomState(n)
@@ -469,10 +459,10 @@ def test_quotient_lifts_every_ratio(n, small_levels, fset5):
                     == certified_upper_bound(quotient, params, u))
 
 
-def test_quotient_keeps_the_spectral_radius(small_levels):
+def test_quotient_keeps_the_spectral_radius():
     rng = np.random.RandomState(7)
     for n in (1, 2, 3):
-        _, table = small_levels[n]
+        _, table = history(n)
         quotient = table.quotient
         for _ in range(3):
             params = Parameters(1 + rng.rand(), 1 + rng.rand(), rng.rand())
@@ -484,8 +474,8 @@ def test_quotient_keeps_the_spectral_radius(small_levels):
             assert est.estimate == pytest.approx(dense, abs=1e-8)
 
 
-def test_lift_check_rejects_a_corrupted_class_map(small_levels):
-    _, table = small_levels[3]
+def test_lift_check_rejects_a_corrupted_class_map():
+    _, table = history(3)
     phi = check_lift(table)
     # a state that some move enters: its class is pinned by that move
     s = int(np.nonzero((table.pred < table.n_states).any(axis=0))[0][0])
@@ -499,10 +489,10 @@ def test_lift_check_rejects_a_corrupted_class_map(small_levels):
 
 
 @pytest.mark.parametrize("fault", ["dropped move", "added move", "relabelled class"])
-def test_lift_check_rejects_a_corrupted_quotient(small_levels, fault):
+def test_lift_check_rejects_a_corrupted_quotient(fault):
     # each fault is in the class of state 0, and the check reads the
     # class map on the corrupted quotient
-    _, table = small_levels[3]
+    _, table = history(3)
     quotient, phi = table.quotient, check_lift(table)
     k, c = quotient.n_states, int(phi[0])
     pred, digits = quotient.pred.copy(), quotient.last_digit.copy()
@@ -531,10 +521,10 @@ def test_two_moves_on_one_step_refused():
         table.succ
 
 
-def test_hand_built_table_is_its_own_quotient(small_levels):
+def test_hand_built_table_is_its_own_quotient():
     # with no patterns to build classes from, the table is solved on
     # itself, which the identity map lifts onto trivially
-    _, table = small_levels[2]
+    _, table = history(2)
     bare = TransitionTable(n=table.n, pred=table.pred,
                            last_digit=table.last_digit)
     assert bare.quotient is bare
@@ -566,10 +556,10 @@ def test_hand_built_table_is_its_own_quotient(small_levels):
 ], ids=["no move into a state", "dropped move", "added move",
         "relabelled last digit", "blocked pattern move put back",
         "two moves on one step"])
-def test_lift_check_refuses_each_fault(small_levels, fault, match):
+def test_lift_check_refuses_each_fault(fault, match):
     # faults in the moves or last digits of a level-2 table, each of
     # which takes it off the patterns' moves
-    space, table = small_levels[2]
+    space, table = history(2)
     n = table.n_states
     phi, quotient = check_lift(table), table.quotient
     pred, digits = table.pred.copy(), table.last_digit.copy()
@@ -601,20 +591,18 @@ def test_lift_check_refuses_each_fault(small_levels, fault, match):
             if pred[s, t] == n and src < pred[:, t].min()
             and space.codes[src] == code)
         pred[s, t] = src
-    broken = TransitionTable(n=table.n, pred=pred, last_digit=digits,
-                             fset=table.fset)
+    broken = TransitionTable(n=table.n, pred=pred, last_digit=digits)
     with pytest.raises((AssertionError, ConsistencyError), match=match):
-        check_lift(broken)
+        check_lift(broken, quotient)
 
 
 @pytest.mark.parametrize("n,classes", sorted(EXPECTED_CLASSES.items()))
-def test_minimal_automaton_from_the_patterns_alone(n, classes, fset5,
-                                                   monkeypatch):
+def test_minimal_automaton_from_the_patterns_alone(n, classes, monkeypatch):
     def no_histories(*args):
         raise AssertionError("a history table was built")
     for name in ("_grow", "_block", "build_state_space", "build_transitions"):
         monkeypatch.setattr(statespace, name, no_histories)
-    pred, last_digit, start = automaton.minimal(fset5.restrict(n))
+    pred, last_digit, start = automaton.minimal(forbidden_set(n))
     assert pred.shape == (3, classes)
     assert last_digit.shape == (classes,)
     assert 0 <= start < classes
@@ -629,10 +617,10 @@ def test_node_entered_on_two_steps_refused():
         table.quotient
 
 
-def test_table_level_must_match_its_forbidden_set(small_levels):
+def test_table_level_must_match_its_forbidden_set():
     # a level-2 table labelled level 3 would pass optimize_p(3, ...)'s
     # level check and report the level-2 row as level 3
-    _, table = small_levels[2]
+    _, table = history(2)
     with pytest.raises(ValueError, match="level 2 forbidden set"):
         TransitionTable(n=3, pred=table.pred, last_digit=table.last_digit,
                         fset=table.fset)
@@ -679,10 +667,10 @@ def _pairs_one_to_one(a, b, k):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_seeded_refinement_matches_moore(n, fset5):
+def test_seeded_refinement_matches_moore(n):
     # the hash classes pass the check on their own and pair one to one
     # with pure Moore refinement from the last digits
-    fset = fset5.restrict(n) if n <= 5 else build_forbidden_set(n)
+    fset = forbidden_set(n)
     moves, digits = automaton._live(fset)
     rounds = max(fset.codes_by_length)
     seeded = automaton._rank(automaton._future_hash(moves, digits, rounds))
@@ -694,11 +682,10 @@ def test_seeded_refinement_matches_moore(n, fset5):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_failed_seed_falls_back_to_the_coarsest_partition(n, fset5,
-                                                          monkeypatch):
+def test_failed_seed_falls_back_to_the_coarsest_partition(n, monkeypatch):
     # with no multipliers the hash reads the last digit alone, so the
     # check fails and Moore rounds go on from the digit classes
-    moves, digits = automaton._live(fset5.restrict(n))
+    moves, digits = automaton._live(forbidden_set(n))
     rounds = 3 * n
     moore, k = automaton._refine(moves, digits)
     monkeypatch.setattr(automaton, "HASH_MULTIPLIERS",
@@ -732,7 +719,8 @@ def test_minimal_automaton_at_level_eight():
     # not from the paper: the class count both refinements (the hash
     # seed, and Moore rounds from one class) give at level 8, from the
     # patterns alone
-    pred, last_digit, start = automaton.minimal(build_forbidden_set(8))
+    table, start = minimal_table(8)
+    pred, last_digit = table.pred, table.last_digit
     assert pred.shape == (3, 2465)
     assert last_digit.shape == (2465,) and 0 <= start < 2465
 
@@ -741,16 +729,17 @@ def test_minimal_automaton_at_level_nine():
     # not from the paper: a regression value, the class count that both
     # refinements (the hash seed, and Moore rounds from one class) give
     # at level 9
-    pred, last_digit, start = automaton.minimal(build_forbidden_set(9))
+    table, start = minimal_table(9)
+    pred, last_digit = table.pred, table.last_digit
     assert pred.shape == (3, 5761)
     assert last_digit.shape == (5761,) and 0 <= start < 5761
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_moore_refinement_of_the_histories_matches(n, small_levels, fset5):
+def test_moore_refinement_of_the_histories_matches(n):
     # the oracle: Moore refinement of the full successor form induces
     # exactly the partition that the automaton route finds
-    table = level_table(n, small_levels, fset5)
+    _, table = history(n)
     moore, k = automaton._refine(table.succ, table.last_digit)
     phi = check_lift(table)
     assert k == table.quotient.n_states == EXPECTED_CLASSES[n]
@@ -758,14 +747,6 @@ def test_moore_refinement_of_the_histories_matches(n, small_levels, fset5):
     assert pairs.shape == (k,)
     assert np.array_equal(np.unique(pairs // k), np.arange(k))
     assert np.array_equal(np.unique(pairs % k), np.arange(k))
-
-
-def _level(n, small_levels, fset5):
-    """(space, table) at level n: shared for n <= 3, built afresh above."""
-    if n in small_levels:
-        return small_levels[n]
-    space = build_state_space(n, fset5.restrict(n - 1))
-    return space, build_transitions(space, fset5.restrict(n))
 
 
 class _Unread:
@@ -778,28 +759,26 @@ class _Unread:
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_quotient_reads_nothing_of_the_history_table(n, small_levels, fset5,
-                                                     monkeypatch):
-    table = level_table(n, small_levels, fset5)
-    fresh = TransitionTable(n=table.n, pred=table.pred,
-                            last_digit=table.last_digit, fset=table.fset)
-    fresh.pred = fresh.last_digit = _Unread()
+def test_quotient_reads_nothing_of_the_history_table(n, monkeypatch):
+    table = fresh(history(n)[1])
+    table.pred = table.last_digit = _Unread()
     monkeypatch.setattr(TransitionTable, "succ", property(_Unread._read))
-    pred, last_digit, _ = automaton.minimal(table.fset)
-    got = fresh.quotient
+    want = minimal_table(n)[0]
+    got = table.quotient
     assert got.n == n
-    assert got.pred.dtype == pred.dtype and np.array_equal(got.pred, pred)
-    assert (got.last_digit.dtype == last_digit.dtype
-            and np.array_equal(got.last_digit, last_digit))
+    assert (got.pred.dtype == want.pred.dtype
+            and np.array_equal(got.pred, want.pred))
+    assert (got.last_digit.dtype == want.last_digit.dtype
+            and np.array_equal(got.last_digit, want.last_digit))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_class_map_reads_each_history_word(n, small_levels, fset5):
+def test_class_map_reads_each_history_word(n):
     # the oracle: each history's own word, read one step at a time from
     # the root's class
-    space, table = _level(n, small_levels, fset5)
+    space, table = history(n)
     quotient = table.quotient
-    walk = np.full(len(space), automaton.minimal(table.fset)[2])
+    walk = np.full(len(space), minimal_table(n)[1])
     for j in reversed(range(space.length)):
         digits = (space.codes // POW3[j] % np.uint64(3)).astype(np.intp)
         walk = quotient.pred[digits, walk]
@@ -807,8 +786,8 @@ def test_class_map_reads_each_history_word(n, small_levels, fset5):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_middle_state_is_its_own_mirror(n, small_levels, fset5):
-    space, table = _level(n, small_levels, fset5)
+def test_middle_state_is_its_own_mirror(n):
+    space, table = history(n)
     size = table.n_states
     middle = (size - 1) // 2
     assert table.mirrored and size % 2 == 1
