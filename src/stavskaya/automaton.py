@@ -208,17 +208,18 @@ def _refine(succ: np.ndarray, last_digit: np.ndarray,
     table, sentinel N for no move, that refines the last digits and in
     which every class sends each step into one class, or nowhere.
 
-    It starts from the ranks of `_future_hash`, `rounds` steps deep, or
-    from one class when `rounds` is 0, and ends at the first partition
-    that passes `_is_stable`.  Until then each round of Moore's algorithm
-    (Moore 1956) keys every state by its class, its last digit and the
-    classes of its three targets, the sentinel N counting as class K,
-    ranked one slot at a time (`_rank`), so no key reaches 3N(K+1) and
-    no class count overflows int64.  Neither the seed nor a round splits
-    two states with the same future: such states hash equal, and have
-    one last digit and targets of one future.  A round from an unstable
-    partition splits some class, so the loop ends, on a bisimulation no
-    finer than the coarsest, hence on it.
+    It starts from the ranks of `_future_hash`, `rounds` steps deep
+    (with `rounds` 0 the hash is the last digit, so the seed is the
+    split by last digit, which the result refines anyway), and ends at
+    the first partition that passes `_is_stable`.  Until then each round
+    of Moore's algorithm (Moore 1956) keys every state by its class, its
+    last digit and the classes of its three targets, the sentinel N
+    counting as class K, ranked one slot at a time (`_rank`), so no key
+    reaches 3N(K+1) and no class count overflows int64.  Neither the
+    seed nor a round splits two states with the same future: such states
+    hash equal, and have one last digit and targets of one future.  A
+    round from an unstable partition splits some class, so the loop
+    ends, on a bisimulation no finer than the coarsest, hence on it.
 
     On the live nodes of an automaton (`minimal`), a seed as deep as the
     longest pattern, L, is the coarsest partition but for a 64-bit
@@ -230,10 +231,7 @@ def _refine(succ: np.ndarray, last_digit: np.ndarray,
     steps, so L - 1 rounds already tell the two apart, and a failed
     check can only be a collision.
     """
-    if rounds:
-        classes, k = _rank(_future_hash(succ, last_digit, rounds))
-    else:
-        classes, k = np.zeros(succ.shape[1], dtype=np.int32), 1
+    classes, k = _rank(_future_hash(succ, last_digit, rounds))
     while not _is_stable(classes, k, succ, last_digit):
         ext = np.append(classes, np.int32(k))
         keys = classes.astype(np.int64)

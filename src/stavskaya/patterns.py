@@ -48,14 +48,16 @@ from .errors import ResourceLimitError
 MAX_LEVEL = 11
 
 
-def check_level(n: int, lowest: int) -> None:
-    """Refuse a level below `lowest` (`ValueError`) or above `MAX_LEVEL`
-    (`ResourceLimitError`), in one message naming the range and level."""
-    message = f"level must be in {lowest}..{MAX_LEVEL}, got {n}"
+def check_level(n: int, lowest: int, highest: int = MAX_LEVEL) -> None:
+    """Refuse a level below `lowest` (`ValueError`) or above `highest`
+    (`ResourceLimitError`), in one message naming the range and level.
+    `highest` is a route's measured cap: `MAX_LEVEL` for every command,
+    `statespace.MAX_HISTORY_LEVEL` for the history tables."""
+    message = f"level must be in {lowest}..{highest}, got {n}"
     if n < lowest:
         raise ValueError(message)
-    if n > MAX_LEVEL:
-        raise ResourceLimitError(f"{message}; {MAX_LEVEL} is the largest level measured")
+    if n > highest:
+        raise ResourceLimitError(f"{message}; {highest} is the largest level measured")
 
 
 POW3 = 3 ** np.arange(41, dtype=np.uint64)
@@ -84,7 +86,8 @@ def _finite_real(x) -> bool:
 
 @dataclass(frozen=True)
 class Parameters:
-    """Weight parameters: p, q >= 1 and erasure probability alpha in [0,1]."""
+    """Weight parameters: p, q >= 1 and erasure probability alpha in [0,1],
+    checked on every construction, the alpha search's steps included."""
 
     p: float
     q: float
@@ -97,15 +100,6 @@ class Parameters:
             raise ValueError(f"q must be a finite real >= 1, got {self.q}")
         if not (_finite_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-
-    @classmethod
-    def _unchecked(cls, p, q, alpha) -> "Parameters":
-        """Parameters without `__post_init__`'s checks, for a caller that
-        has checked p and q once and takes alpha from [0, 1]: the search
-        on alpha, which makes one per step."""
-        params = object.__new__(cls)
-        params.__dict__.update(p=p, q=q, alpha=alpha)
-        return params
 
     def step_weights(self) -> tuple[float, float, float]:
         """Weights of step kinds 1, 2, 3: 1/(pq), alpha*p^2, q/p."""

@@ -48,11 +48,13 @@ grid a query can round onto an end of the bracket, which then never
 shrinks).  Each query is the regula-falsi point of f(alpha) =
 estimate - 1 at the bracket's ends, moved towards the midpoint and
 projected into a radius of it that shrinks so that the bracket after
-step j is at most 2**-j wide; it is then floored onto the grid and kept
-strictly inside the bracket, which keeps that width bound, as both are
-grid multiples.  So the search ends in at most k + 1 steps whatever the
-estimates, where bisection takes k; at the paper's points it takes 12
-to 20.  Bisection ends at the grid
+step j is at most 2**-j wide.  Until an uncertified end is solved, f is
+NaN at the upper end, so the point is not finite and the query is the
+midpoint itself, 0.5 first.  The query is then floored onto the grid
+and kept strictly inside the bracket, which keeps that width bound, as
+both are grid multiples.  So the search ends in at most k + 1 steps
+whatever the estimates, where bisection takes k; at the paper's points
+it takes 12 to 20.  Bisection ends at the grid
 neighbours [a, a + 2**-k] whose lower end certifies and upper does
 not, and so does this search, so it returns the same a wherever each
 grid point's decision does not depend on the path.
@@ -173,8 +175,10 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
 
     Each step queries the ITP point of the bracket (`_itp_point`), on
     f(alpha) = estimate - 1 of the solves at its two ends, floored onto
-    the grid and kept strictly inside the bracket; while no uncertified
-    end has been solved it queries the midpoint.  Queries that certify
+    the grid and kept strictly inside the bracket.  f is NaN at the
+    upper end until an uncertified end has been solved, so the first
+    query, 0.5, and every one until then is ITP's midpoint for a
+    regula-falsi point that is not finite.  Queries that certify
     move the lower endpoint; anything else (including non-convergence)
     moves the upper endpoint, so the answer errs low.  The search ends
     at two grid neighbours, the lower certified and the upper not, in at
@@ -211,19 +215,18 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
     k = 1 - math.frexp(tol)[1]  # the smallest k with 2**-k <= tol
     grid = math.ldexp(1.0, -k)
     low, high = 0.0, 1.0
-    f_low, f_high = est.estimate - 1.0, None
+    # no uncertified end is solved yet: a NaN there makes the query the
+    # midpoint
+    f_low, f_high = est.estimate - 1.0, math.nan
     warm = certified = est.vector
     steps = 0
     while high - low > grid:
-        if f_high is None:
-            trial = 0.5 * (low + high)
-        else:
-            # keeps the bracket after this step at most
-            # 2**(_ITP_N0 - 1 - steps) wide, so k + _ITP_N0 steps suffice
-            radius = math.ldexp(1.0, _ITP_N0 - 1 - steps) - 0.5 * (high - low)
-            trial = _itp_point(low, high, f_low, f_high, radius)
+        # keeps the bracket after this step at most
+        # 2**(_ITP_N0 - 1 - steps) wide, so k + _ITP_N0 steps suffice
+        radius = math.ldexp(1.0, _ITP_N0 - 1 - steps) - 0.5 * (high - low)
+        trial = _itp_point(low, high, f_low, f_high, radius)
         trial = min(max(math.floor(trial / grid) * grid, low + grid), high - grid)
-        est = check_subcritical(quotient, Parameters._unchecked(p, q, trial),
+        est = check_subcritical(quotient, Parameters(p, q, trial),
                                 DEFAULT_MAX_ITER, v0=warm)
         spent += est.iterations
         warm = est.vector
@@ -235,8 +238,7 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
         steps += 1
 
     # one solver step from the certified vector re-derives its max ratio
-    est = check_subcritical(quotient, Parameters._unchecked(p, q, low), 1,
-                            v0=certified)
+    est = check_subcritical(quotient, Parameters(p, q, low), 1, v0=certified)
     spent += est.iterations
     if est.certified_upper != certificate:
         raise ConsistencyError(

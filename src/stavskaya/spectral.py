@@ -60,9 +60,9 @@ same order.  Both forms give the same numbers bit for bit.
 
 A warm start is the vector an earlier solve returned.  It runs at full
 length: `search` warm-starts only the minimal automaton, which is not
-mirrored at any level tested (1..9).  Its max is exactly 1.0, as
-x / x == 1, and no entry is below the floor, so the solve copies it as
-it is: normalising and flooring would change nothing.
+mirrored at any level tested (1..9).  It is normalised and floored like
+any other start, which leaves it as it is, bit for bit: its max is
+exactly 1.0, as x / x == 1, and no entry is below the floor.
 Each solve stays one public call, however short: `search` makes every
 one through its module-level `check_subcritical`, which the benchmark's
 tracer wraps to count solves and iterations.
@@ -274,9 +274,10 @@ def _sweep(vp: np.ndarray, blocks: Iterable[tuple]) -> tuple[float, float, float
 
 def power_iteration(table: TransitionTable, params: Parameters,
                     tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                    v0: np.ndarray | None = None) -> SpectralEstimate:
+                    *, v0: np.ndarray | None = None) -> SpectralEstimate:
     """Estimate the spectral radius by v <- Mv / ||Mv||_inf from all-ones
-    (or v0), keeping the iterate strictly positive via a relative floor.
+    (or v0, keyword only), keeping the iterate strictly positive via a
+    relative floor.
 
     Positivity makes the two-sided ratio bounds min_i (Mv)_i/v_i <= rho
     <= max_i (Mv)_i/v_i available at every step; the iteration stops when
@@ -298,7 +299,9 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
     min ratio is above one, since either already settles "radius < 1".
     Only m = ceil(N/2) targets are computed when the mirror argument of
     the module docstring holds (a mirrored table, equal weights for kinds
-    1 and 3, a cold start), else m = N."""
+    1 and 3, a cold start), else m = N.  A start v0 is divided by its max
+    and floored at `_POSITIVITY_FLOOR`, the step that ends every
+    iteration; a warm start comes through unchanged (module docstring)."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
@@ -319,13 +322,8 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
             raise ValueError("v0 must be finite, nonnegative and not all zero")
         m = n
         vp = np.empty(n + 1, dtype=np.float64)
-        v = vp[:n]
-        if top == 1.0 and least >= _POSITIVITY_FLOOR:
-            # a warm start: normalising and flooring would change nothing
-            np.copyto(v, v0)
-        else:
-            np.divide(v0, top, out=v)
-            np.maximum(v, _POSITIVITY_FLOOR, out=v)
+        np.divide(v0, top, out=vp[:n])
+        np.maximum(vp[:n], _POSITIVITY_FLOOR, out=vp[:n])
     vp[m] = 0.0
     estimate, upper, iterations, converged = _loop(vp, table, w, m, tol,
                                                    max_iter, decide)
@@ -377,7 +375,7 @@ def _loop(vp: np.ndarray, table: TransitionTable, w: np.ndarray, m: int,
 
 
 def check_subcritical(table: TransitionTable, params: Parameters,
-                      max_iter: int = DEFAULT_MAX_ITER,
+                      max_iter: int = DEFAULT_MAX_ITER, *,
                       v0: np.ndarray | None = None) -> SpectralEstimate:
     """Certified subcriticality test.
 
@@ -387,7 +385,8 @@ def check_subcritical(table: TransitionTable, params: Parameters,
     ends as soon as a ratio bound decides the question: a max ratio below
     one certifies, a min ratio above one proves the radius above one.
     Only when neither happens does it run on to convergence at
-    `DEFAULT_TOL` or to `max_iter`.
+    `DEFAULT_TOL` or to `max_iter`.  It starts from all-ones, or from
+    `v0`, keyword only, as `power_iteration` does.
     """
     return _iterate(table, params, DEFAULT_TOL, max_iter, v0, decide=True)
 

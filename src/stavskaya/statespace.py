@@ -72,7 +72,7 @@ from functools import cached_property
 import numpy as np
 
 from .automaton import minimal
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import ConsistencyError
 from .patterns import (_CHUNK, ForbiddenSet, _block, _grow,
                        build_forbidden_set, check_level)
 
@@ -101,14 +101,9 @@ class StateSpace:
 
 def build_state_space(n: int, lower: ForbiddenSet) -> StateSpace:
     """The level-n state space: length-(3n-1) words avoiding the level-(n-1)
-    forbidden set.  Levels above `MAX_HISTORY_LEVEL` are refused before
-    any word is grown."""
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
-    if n > MAX_HISTORY_LEVEL:
-        raise ResourceLimitError(
-            f"level {n} is above {MAX_HISTORY_LEVEL}, the largest level "
-            "whose history table is built")
+    forbidden set.  Levels outside 1..`MAX_HISTORY_LEVEL` are refused by
+    `check_level` before any word is grown."""
+    check_level(n, 1, MAX_HISTORY_LEVEL)
     if lower.level != n - 1:
         raise ValueError(f"need the level {n - 1} forbidden set, got level {lower.level}")
     length = 3 * n - 1

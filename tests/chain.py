@@ -16,7 +16,8 @@ it is refused when a deficit reaches (0, 0, 0).  A deficit is also
 dropped when no word read from the new class has exactly those counts
 (`_reach`), since no continuation can then complete it.  A breadth-first
 search from (the start class, no deficit) finds the states, and Moore
-rounds (`automaton._refine` from one class) merge them into min(F_n).
+rounds (`automaton._refine` from the last digits) merge them into
+min(F_n).
 
 Tables are in the quotient's form: pred[d, c] is the class c moves to on
 step d+1, or the class count K for no move, and last_digit[c] the step

@@ -349,6 +349,8 @@ def test_one_cold_solve_per_bound(n, monkeypatch):
     res = alpha_sup(table, PAPER_P[n], 1.0, 1e-10)
     assert res.certified and res.iterations < GRID_STEPS
     assert len(calls) == res.iterations + 2
+    # the first query is the midpoint: no uncertified end is solved yet
+    assert calls[1][0] == 0.5
     assert [alpha for alpha, v0, _ in calls if v0 is None] == [0.0]
     assert calls[0][1] is None
     assert sum(spent for _, _, spent in calls) == res.power_iterations
@@ -444,6 +446,16 @@ BAD_ESTIMATES = {
     "inverted 1e300": lambda est, rng: (1e300 if est.certified_subcritical
                                         else -1e300),
 }
+
+
+def test_itp_point_is_the_midpoint_at_a_nan_end():
+    # the alpha search's queries until an uncertified end is solved,
+    # whose f it starts as NaN: the midpoint, whatever the radius
+    for low, high, f_low in ((0.0, 1.0, -0.9), (0.5, 0.75, -1e-3),
+                             (0.125, 0.1875, -0.0)):
+        for radius in (0.0, 1e-12, 0.25, 0.5, math.inf):
+            assert (search._itp_point(low, high, f_low, math.nan, radius)
+                    == 0.5 * (low + high))
 
 
 @pytest.mark.parametrize("kind", sorted(BAD_ESTIMATES))

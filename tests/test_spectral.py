@@ -118,6 +118,19 @@ def test_non_finite_vectors_are_rejected():
                 solve(table, params, v0=v)
 
 
+def test_a_start_is_passed_by_keyword_only():
+    # a positional fifth (fourth) argument would have to be read as v0
+    # by anything that wraps the solvers, in a slot whose meaning
+    # differs between them
+    _, table = history(2)
+    params = Parameters(1.44, 1.0, 0.12)
+    v = np.ones(table.n_states)
+    with pytest.raises(TypeError):
+        power_iteration(table, params, spectral.DEFAULT_TOL, 10, v)
+    with pytest.raises(TypeError):
+        check_subcritical(table, params, 10, v)
+
+
 @pytest.mark.parametrize("block", [spectral._BLOCK, 7, 64])
 def test_certificate_matches_full_length_reference(block, monkeypatch):
     # the blocked re-check against the whole-array operator, bit for bit

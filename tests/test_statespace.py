@@ -299,12 +299,12 @@ def test_history_cap_refused_before_growing(monkeypatch):
     def no_grow(*args):
         raise AssertionError("a word was grown above the history cap")
     monkeypatch.setattr(statespace, "_grow", no_grow)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="in 1..7, got 8"):
         build_state_space(8, forbidden_set(7))
 
 
 def test_level_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="in 1..7, got 0"):
         build_state_space(0, forbidden_set(0))
     with pytest.raises(ValueError):
         build_state_space(2, forbidden_set(0))
@@ -632,11 +632,13 @@ def test_refine_finds_the_coarsest_partition_of_a_hand_built_table():
     # ends in another step.  N = 9 is the sentinel.  The classes are
     # {0, 3}, {1, 4}, {2, 5}, {6, 7} and {8}: the first three are told
     # apart only by how far they go, {6, 7} by the step it loops on.
+    # With no hash rounds the seed is the split by last digit,
+    # {0, ..., 7} and {8}, and Moore rounds reach the rest.
     succ = np.array([[1, 2, 9, 4, 5, 9, 9, 9, 9],
                      [9, 9, 9, 9, 9, 9, 9, 9, 9],
                      [9, 9, 9, 9, 9, 9, 6, 6, 9]], dtype=np.int32)
     digits = np.array([0, 0, 0, 0, 0, 0, 0, 0, 1], dtype=np.uint8)
-    classes, k = automaton._refine(succ, digits)
+    classes, k = automaton._refine(succ, digits, rounds=0)
     assert k == 5 and classes.dtype == np.int32
     want = [0, 1, 2, 0, 1, 2, 3, 3, 4]
     # the same partition: the classes label it one to one
@@ -701,7 +703,7 @@ def test_failed_seed_falls_back_to_the_coarsest_partition(n, monkeypatch):
 @pytest.mark.parametrize("rounds", [3, 0], ids=["seeded", "moore"])
 def test_refine_has_no_class_cap(rounds):
     # a random table with missing moves splits into 65,536 classes,
-    # from the hash seed or by Moore rounds from one class: more than a
+    # from the hash seed or by Moore rounds from the last digits: more than a
     # round key packing a class and its three targets' classes, below
     # (K+1)^4, could hold in int64.  Every state is its own class, so
     # both routes give the same partition.
@@ -717,7 +719,7 @@ def test_refine_has_no_class_cap(rounds):
 
 def test_minimal_automaton_at_level_eight():
     # not from the paper: the class count both refinements (the hash
-    # seed, and Moore rounds from one class) give at level 8, from the
+    # seed, and Moore rounds from the last digits) give at level 8, from the
     # patterns alone
     table, start = minimal_table(8)
     pred, last_digit = table.pred, table.last_digit
@@ -727,7 +729,7 @@ def test_minimal_automaton_at_level_eight():
 
 def test_minimal_automaton_at_level_nine():
     # not from the paper: a regression value, the class count that both
-    # refinements (the hash seed, and Moore rounds from one class) give
+    # refinements (the hash seed, and Moore rounds from the last digits) give
     # at level 9
     table, start = minimal_table(9)
     pred, last_digit = table.pred, table.last_digit
