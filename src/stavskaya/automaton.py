@@ -32,10 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError
-from .patterns import ForbiddenSet, _find
+from .patterns import _NO_CODES, ForbiddenSet, _find
 
-
-_NO_CODES = np.empty(0, dtype=np.uint64)
 _THREE = np.uint64(3)
 # the future hash's odd multiplier for each step's target, the hash of
 # a missing move, and its xor-shift (see `_future_hash`)

@@ -149,8 +149,6 @@ class ForbiddenSet:
         """The sub-set describing a lower level (drop loops above it)."""
         if level > self.level or level < 0:
             raise ValueError(f"cannot restrict level {self.level} to {level}")
-        if level == self.level:
-            return self
         return ForbiddenSet(level, {m: codes for m, codes in self.codes_by_length.items()
                                     if m == 2 or m <= 3 * level})
 

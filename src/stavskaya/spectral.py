@@ -25,18 +25,20 @@ At q = 1 a cold start computes only half of every iterate.  The 1<->3
 swap pairs state t with state N-1-t (see `statespace`); on a mirrored
 table pred[2-s, N-1-t] = N-1-pred[s, t] and last_digit[N-1-t] =
 2 - last_digit[t], and at q = 1 kinds 1 and 3 weigh exactly the same
-(1/(p*1.0) == 1.0/p).  So from the start of ones, its own reverse,
-target N-1-t gathers from slots 0, 1, 2 the values that target t
-gathers from slots 2, 1, 0.  Both operator codes add the slots as
-(slot0 + slot2) + slot1, and float addition is commutative, so the two
-targets get the same value bit for bit, and so do their ratios.  Every
-iterate therefore stays equal to its reverse, so the max, min and norm
-over the first m = ceil(N/2) targets are those over all of them, and
-the sweep reads each source i >= m through its mirror N-1-i.  The loop
-then holds m + 1 entries, as every source is below m or the empty slot
-N, which each `take` clips to entry m, kept 0.0.  On exit the full
-vector is written once into an N + 1 buffer ending in 0.0, which
-`certified_upper_bound` sweeps in place for the same certificate.
+(1/(p*1.0) == 1.0/p).  Only a cold start at such weights asks whether
+a table is mirrored, and the first one decides it.  So from the start
+of ones, its own reverse, target N-1-t gathers from slots 0, 1, 2 the
+values that target t gathers from slots 2, 1, 0.  Both operator codes
+add the slots as (slot0 + slot2) + slot1, and float addition is
+commutative, so the two targets get the same value bit for bit, and so
+do their ratios.  Every iterate therefore stays equal to its reverse,
+so the max, min and norm over the first m = ceil(N/2) targets are
+those over all of them, and the sweep reads each source i >= m through
+its mirror N-1-i.  The loop then holds m + 1 entries, as every source
+is below m or the empty slot N, which each `take` clips to entry m,
+kept 0.0.  On exit the full vector is written once into an N + 1
+buffer ending in 0.0, which `certified_upper_bound` sweeps in place
+for the same certificate.
 
 Both the iteration and `certified_upper_bound` apply the operator
 through `_sweep`, a block of `_BLOCK` targets at a time, so a block's
@@ -298,10 +300,11 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
     it also stops at the first step whose max ratio is below one or whose
     min ratio is above one, since either already settles "radius < 1".
     Only m = ceil(N/2) targets are computed when the mirror argument of
-    the module docstring holds (a mirrored table, equal weights for kinds
-    1 and 3, a cold start), else m = N.  A start v0 is divided by its max
-    and floored at `_POSITIVITY_FLOOR`, the step that ends every
-    iteration; a warm start comes through unchanged (module docstring)."""
+    the module docstring holds (a cold start, equal weights for kinds 1
+    and 3, a mirrored table, asked in that order), else m = N.  A start
+    v0 is divided by its max and floored at `_POSITIVITY_FLOOR`, the step
+    that ends every iteration; a warm start comes through unchanged
+    (module docstring)."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
@@ -309,7 +312,7 @@ def _iterate(table: TransitionTable, params: Parameters, tol: float,
     n = table.n_states
     w = np.asarray(params.step_weights(), dtype=np.float64)
     if v0 is None:
-        m = (n + 1) // 2 if table.mirrored and w[0] == w[2] else n
+        m = (n + 1) // 2 if w[0] == w[2] and table.mirrored else n
         vp = np.ones(m + 1, dtype=np.float64)
     else:
         v0 = np.asarray(v0, dtype=np.float64)

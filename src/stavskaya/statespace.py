@@ -29,9 +29,10 @@ significant base-3 digit, so the shift-append is
 The 1<->3 swap maps digit d to 2-d, so it maps code c to 3^L-1-c.  The
 forbidden sets are closed under the swap, so the state set is too, and
 since the codes are sorted the swap partner of state i is state N-1-i:
-no lookup table is needed.  `TransitionTable.mirrored` records whether
+no lookup table is needed.  `TransitionTable.mirrored` says whether
 the moves respect this pairing (pred[2-s, N-1-t] = N-1-pred[s, t], the
-sentinel mapping to itself, and last_digit reversed = 2 - last_digit).
+sentinel mapping to itself, and last_digit reversed = 2 - last_digit);
+it is decided on first use, which only a cold solve at q = 1 makes.
 
 The gather operator M = W·Sᵀ (S the 0/1 move matrix, W the diagonal of
 the targets' step weights) has the spectral radius of its successor
@@ -120,17 +121,16 @@ class TransitionTable:
     not exist or its move into t is blocked.  Every in-edge of t carries
     the kind recorded in last_digit[t].
 
-    `mirrored` is derived, never passed: it is True exactly when the 1<->3
-    swap, which pairs state t with state N-1-t, maps the table onto
-    itself.  Tables built from patterns are, since the forbidden sets are
-    closed under the swap; hand-built toy tables mostly are not.
+    Construction only validates; `mirrored`, `quotient`, `plans`, `succ`
+    and `edge_count` are derived when used.  `mirrored` is True exactly
+    when the 1<->3 swap, which pairs state t with state N-1-t, maps the
+    table onto itself, as it does every history table.
     """
 
     n: int
     pred: np.ndarray        # (3, N) int32, N = empty slot
     last_digit: np.ndarray  # (N,) uint8 in 0..2
     fset: ForbiddenSet | None = None  # the level-n set the moves avoid
-    mirrored: bool = field(init=False)
     # `spectral._plan`'s sweep plans, by block size and target count
     plans: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -139,10 +139,11 @@ class TransitionTable:
         # checked once here so the operator's gathers can skip the check
         pred = self.pred
         if not (pred.ndim == 2 and pred.shape[0] == 3
-                and np.issubdtype(pred.dtype, np.integer)):
+                and np.issubdtype(pred.dtype, np.integer)
+                and np.iinfo(pred.dtype).max >= pred.shape[1]):
             raise ConsistencyError(
-                f"pred must be a 2-D integer array with 3 rows, got "
-                f"{pred.dtype} of shape {pred.shape}")
+                f"pred must be a 2-D integer array with 3 rows whose type "
+                f"holds the sentinel, got {pred.dtype} of shape {pred.shape}")
         n = self.n_states
         if pred.size and (pred.min() < 0 or pred.max() > n):
             raise ConsistencyError(
@@ -156,35 +157,25 @@ class TransitionTable:
         if self.fset is not None and self.fset.level != self.n:
             raise ValueError(f"a level-{self.n} table given the level "
                              f"{self.fset.level} forbidden set")
-        self.mirrored = self._is_mirrored()
 
-    def _is_mirrored(self) -> bool:
-        # also checked once, for the spectral solver's half-state
-        # iteration, in chunks to keep its temporaries small; slot 1
-        # pairs with itself and slot 2 with slot 0, so slots 0 and 1
-        # (their mirrors: slots 2 and 1, reversed) cover all three.
-        # The mirror of a = pred[s, t] is b = pred[2-s, N-1-t]: N-1-a for
-        # a real move, N for the sentinel.  Since both lie in [0, N]
-        # (checked above), a + b is N-1 exactly when a < N and b = N-1-a,
-        # and 2N exactly when both are the sentinel, so one sum per slot
-        # pair decides it; it is taken in a signed type that holds 2N,
-        # so a wrapped sum never reads as a pair.  Reversed last digits
-        # d and 2-d likewise sum to 2.  Slot 1's sums and the digits' are
-        # the same at t and N-1-t, so the first half of them decides.
+    @cached_property
+    def mirrored(self) -> bool:
+        """The pairing of the module docstring, decided on first use a
+        `_CHUNK` of targets at a time: slot 2 is slot 0's mirror, and slot
+        1's pairs and the digits' are the same at t and N-1-t, so the
+        first half of them decides."""
         n, pred, digits = self.n_states, self.pred, self.last_digit
-        wide = np.promote_types(pred.dtype, np.min_scalar_type(-2 * n))
-        narrow = np.promote_types(digits.dtype, np.uint8)
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
             first_half = 2 * lo < n
-            if first_half and np.count_nonzero(np.add(
-                    digits[lo:hi], digits[n - hi:n - lo][::-1], dtype=narrow) != 2):
+            if first_half and not np.array_equal(
+                    digits[n - hi:n - lo][::-1], 2 - digits[lo:hi]):
                 return False
             for s in range(2 if first_half else 1):
-                pair = np.add(pred[s, lo:hi], pred[2 - s, n - hi:n - lo][::-1],
-                              dtype=wide)
-                if (np.count_nonzero(pair == n - 1)
-                        + np.count_nonzero(pair == 2 * n) != hi - lo):
+                src = pred[s, lo:hi]
+                mirror = n - 1 - src
+                mirror[src == n] = n  # the sentinel is its own mirror
+                if not np.array_equal(pred[2 - s, n - hi:n - lo][::-1], mirror):
                     return False
         return True
 
@@ -285,7 +276,8 @@ def build_level(n: int) -> tuple[int, int, TransitionTable]:
     automaton of the level-n patterns; the states, the length-(3n-1)
     words that avoid them, are read on it from the start class, each
     unit-weight gather counting words one step longer.  int64 holds every
-    count, below 3^(3n-1), exactly through n = 13."""
+    count exactly through n = 16: each is at most the number of
+    length-(3n-1) words that avoid 13 and 31, the level-0 patterns."""
     check_level(n, 1)
     fset = build_forbidden_set(n)
     table, start = _minimal_table(fset)

@@ -150,8 +150,8 @@ def mirrored_by_definition(table):
     """The mirror flag by its definition, on whole arrays and in int64:
     pred[2-s, N-1-t] is N-1-pred[s, t] for a real move and the sentinel
     N for the sentinel, for slots s = 0, 1, and the reversed last digits
-    are 2 minus the digits (`TransitionTable._is_mirrored` checks the
-    same by sums)."""
+    are 2 minus the digits (`TransitionTable.mirrored` checks the same
+    a chunk at a time, in the table's own dtype)."""
     n = table.n_states
     pred = table.pred.astype(np.int64)
     digits = table.last_digit.astype(np.int64)

@@ -9,6 +9,7 @@ import time
 import bruteforce
 import numpy as np
 import pytest
+from chain import level_zero
 from conftest import (check_lift, forbidden_set, history, level,
                       minimal_table, word_weights)
 
@@ -276,8 +277,22 @@ def test_counted_states_match_the_unminimised_automaton(n):
 
 
 def test_state_counts_stay_exact_through_the_level_cap():
-    # `build_level` counts in int64, exact while 3^(3n-1) < 2^63
-    assert 3 ** (3 * MAX_LEVEL - 1) < 2 ** 63
+    # `build_level` counts in int64.  Every level's set holds 13 and 31,
+    # so a level-n count, and each word count on its way, is at most the
+    # number of length-(3n-1) words avoiding them, counted here on
+    # min(F_0) in Python ints; at level 1, whose states avoid only those
+    # two, it is the count itself
+    pred, _, start = level_zero()
+
+    def level_zero_words(n):
+        words = [1] * pred.shape[1] + [0]  # the sentinel ends no word
+        for _ in range(3 * n - 1):
+            words[:-1] = [sum(words[c] for c in moves) for moves in pred.T.tolist()]
+        return words[start]
+
+    assert level_zero_words(1) == TABLE_COUNTS[1][1]
+    assert level_zero_words(11) == 2_140_758_220_993
+    assert level_zero_words(MAX_LEVEL) < 2 ** 63
 
 
 def test_rows_past_the_paper():

@@ -12,7 +12,7 @@ from stavskaya import automaton, patterns, statespace
 from stavskaya.errors import ConsistencyError, ResourceLimitError
 from stavskaya.patterns import (POW3, ForbiddenSet, Parameters,
                                 enumerate_primitive_loops)
-from stavskaya.search import alpha_sup
+from stavskaya.search import alpha_sup, optimize_p
 from stavskaya.spectral import certified_upper_bound, power_iteration
 from stavskaya.statespace import (TransitionTable, build_state_space,
                                   build_transitions)
@@ -113,6 +113,7 @@ def test_chunked_moves_match_one_chunk(monkeypatch, chunk):
     whole_loops, whole = build()
     whole_quotients = [(table.quotient, check_lift(table))
                        for _, table in whole]
+    assert all(table.mirrored for _, table in whole)  # in one chunk
     for module in (patterns, statespace):
         monkeypatch.setattr(module, "_CHUNK", chunk)
     loops, levels = build()
@@ -129,8 +130,7 @@ def test_chunked_moves_match_one_chunk(monkeypatch, chunk):
         assert np.array_equal(got_q.pred, want_q.pred)
         assert np.array_equal(got_q.last_digit, want_q.last_digit)
         assert np.array_equal(got_phi, want_phi)
-        assert table.mirrored and want.mirrored
-        assert mirrored_by_definition(table)
+        assert table.mirrored and mirrored_by_definition(table)
         # a break near the start, and breaks a third of the way in
         assert not unmirrored(table).mirrored
         assert not mirrored_by_definition(unmirrored(table))
@@ -239,12 +239,30 @@ def test_mirrored_only_when_it_holds():
     assert make_table([[1], [1], [1]], [1]).mirrored
 
 
-def test_mirror_sums_match_the_definition_on_built_tables():
+def test_mirror_check_is_decided_on_a_cold_solve_at_equal_weights():
+    # only a cold start whose kind-1 and kind-3 weights are equal asks
+    # whether a table is mirrored, so a history table solved only through
+    # its quotient, or at q != 1, never runs the check
+    table = build_transitions(build_state_space(4, forbidden_set(3)),
+                              forbidden_set(4))
+    decided = ["mirrored" in vars(table)]
+    alpha_sup(table, 1.424)
+    optimize_p(4, table=table)
+    decided.append("mirrored" in vars(table))
+    power_iteration(table, Parameters(1.424, 1.1, 0.13), max_iter=3)
+    decided.append("mirrored" in vars(table))
+    power_iteration(table, Parameters(1.424, 1.0, 0.13), max_iter=3)
+    decided.append(vars(table).get("mirrored"))
+    assert decided == [False, False, False, True]
+
+
+def test_mirrored_matches_the_definition_on_built_tables():
     for n in range(1, 6):
         _, table = history(n)
         assert table.mirrored == mirrored_by_definition(table) is True
         size, pred = table.n_states, table.pred.copy()
-        # a sentinel paired with state N-1 sums to 2N-1, neither N-1 nor 2N
+        # a sentinel's mirror turned into state N-1, which would mirror
+        # a real move from state 0
         t = int(np.nonzero(pred[0] == size)[0][0])
         pred[2, size - 1 - t] = size - 1
         broken = TransitionTable(table.n, pred, table.last_digit)
@@ -273,9 +291,10 @@ def _mirrored_toy(size, dtype, rng):
 @pytest.mark.parametrize("dtype,size", [(np.int8, 100), (np.int8, 127),
                                         (np.uint8, 200), (np.int16, 20_001),
                                         (np.uint32, 1_001)])
-def test_mirror_sums_never_wrap(dtype, size):
-    # 2N overflows every dtype here but uint32, so the sums must be taken
-    # wider: two sentinels must still read as a pair, and nothing else
+def test_mirror_check_never_wraps(dtype, size):
+    # N-1-pred is taken in the table's own dtype, which holds N: a
+    # sentinel's N-1-N wraps in the unsigned ones and is overwritten by
+    # N, so two sentinels must still read as a pair, and nothing else
     rng = np.random.default_rng(size)
     table = _mirrored_toy(size, dtype, rng)
     assert table.pred.dtype == dtype
@@ -397,6 +416,14 @@ def test_out_of_range_predecessor_rejected(bad):
         pred = pred.astype(np.float64)
     with pytest.raises(ConsistencyError):
         TransitionTable(n=table.n, pred=pred, last_digit=digits)
+
+
+def test_pred_type_must_hold_the_sentinel():
+    # every index of these 200 states fits int8, but the sentinel 200,
+    # which the mirror check compares against, does not
+    pred = np.full((3, 200), 100, dtype=np.int8)
+    with pytest.raises(ConsistencyError, match="holds the sentinel"):
+        TransitionTable(n=1, pred=pred, last_digit=np.ones(200, np.uint8))
 
 
 @pytest.mark.parametrize("n,classes", sorted(EXPECTED_CLASSES.items()))
