@@ -1,5 +1,7 @@
-"""Shared test helpers, and each level's artefacts built once a session.
+"""Shared test helpers, each level's facts written once, and each level's
+artefacts built once a session.
 
+`LEVELS` and `LOOPS` hold every count and row the tests pin, each once.
 `forbidden_set`, `minimal_table`, `level` and `history` cache the
 level-n forbidden set, minimal automaton, `build_level` result and
 history table.  Their arrays are read-only, so a test that writes into
@@ -10,6 +12,7 @@ afresh.
 """
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,6 +21,37 @@ from stavskaya import statespace
 from stavskaya.patterns import build_forbidden_set
 from stavskaya.statespace import (TransitionTable, build_state_space,
                                   build_transitions)
+
+
+class Level(NamedTuple):
+    patterns: int
+    states: int
+    p_opt: float | None
+    bound: float | None
+    classes: int  # of the minimal automaton
+    edges: int | None  # of the history table
+
+
+# At n = 1..7 the first four columns are the paper's table, copied from
+# it as `perfbench/workloads.py`'s PAPER is; the paper prints the level-1
+# bound to three digits only.  Every other entry is not from the paper:
+# it is a regression value this code gives.
+LEVELS = {
+    #        patterns      states    p_opt       bound  classes     edges
+    1: Level(4,                 7, 1.464,   0.125,            5,       15),
+    2: Level(6,                73, 1.44,    0.13101966,      13,      159),
+    3: Level(12,              759, 1.43,    0.13358660,      33,     1653),
+    4: Level(36,             7859, 1.424,   0.13502855,      79,    17113),
+    5: Level(146,           81231, 1.42,    0.13595342,     187,   176873),
+    6: Level(694,          839009, 1.417,   0.13659747,     442,  1826825),
+    7: Level(3584,        8663071, 1.415,   0.13707211,    1046, 18862473),
+    8: Level(19466,      89435873, 1.41343, 0.13743655,    2465,     None),
+    9: Level(109516,    923252245, 1.41207, 0.13772528,    5761,     None),
+}
+
+# the primitive loops of each order k, the patterns of length 3k; order
+# 0 is the degenerate pair 13, 31.  Level n's patterns are orders 0..n
+LOOPS = {0: 2, 1: 2, 2: 2, 3: 6, 4: 24, 5: 110, 6: 548, 7: 2890, 8: 15882}
 
 
 def _read_only(*arrays):

@@ -10,7 +10,7 @@ import bruteforce
 import numpy as np
 import pytest
 from chain import level_zero
-from conftest import (check_lift, forbidden_set, history, level,
+from conftest import (LEVELS, check_lift, forbidden_set, history, level,
                       minimal_table, word_weights)
 
 from stavskaya import automaton
@@ -22,40 +22,19 @@ from stavskaya.spectral import (apply_operator, certified_upper_bound,
                                 check_subcritical, power_iteration)
 from stavskaya.statespace import build_level, build_state_space
 
-TABLE_COUNTS = {1: (4, 7), 2: (6, 73), 3: (12, 759), 4: (36, 7859),
-                5: (146, 81231), 6: (694, 839009), 7: (3584, 8663071)}
-
-# not from the paper: the edge and quotient class counts this
-# construction gives, as recorded in CHANGES.md
-EDGE_COUNTS = {6: 1826825, 7: 18862473}
-CLASS_COUNTS = {6: 442, 7: 1046}
-
-PINNED_BOUNDS = {2: (1.44, 0.13101966), 3: (1.43, 0.13358660),
-                 4: (1.424, 0.13502855), 5: (1.42, 0.13595342)}
-
 HEADLINE_LEVEL = 7
-HEADLINE_P = 1.415
+HEADLINE_P = LEVELS[HEADLINE_LEVEL].p_opt
+# the abstract's bound, a separate fact from the table's level-7 bound
 HEADLINE_BOUND = 0.1370721
 
 TABLE_ROW_LEVEL = 6
-TABLE_ROW_P = 1.417
-TABLE_ROW_BOUND = 0.13659747
-
-# the paper's level-7 row: p_opt to 0.01, and a bound at least the
-# headline bound at the paper's p
-LEVEL7_ROW_P = 1.415
+TABLE_ROW_P = LEVELS[TABLE_ROW_LEVEL].p_opt
+TABLE_ROW_BOUND = LEVELS[TABLE_ROW_LEVEL].bound
 
 # not from the paper: a regression value, the max ratio of the level-7
 # history table's iterate after 50 applications from all-ones at
 # (p, q, alpha) = (1.415, 1, 0.137), as this code computes it
 LEVEL7_FIXED_RUN = (Parameters(1.415, 1.0, 0.137), 50, 0.9998554914461517)
-
-# not from the paper: regression values for the two levels past its
-# table that tier-1 runs, as this code computes them: level ->
-# (patterns, states, p_opt, bound), the row pinned at the level-7 row's
-# tolerances (p_opt to 0.01, a bound at least the one given)
-BEYOND_THE_PAPER = {8: (19466, 89435873, 1.41343, 0.13743655),
-                    9: (109516, 923252245, 1.41207, 0.13772528)}
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -75,7 +54,7 @@ def test_criterion_1_combinatorics_fast():
     started = time.time()
     got = {n: _counts(n) for n in range(1, 6)}
     elapsed = time.time() - started
-    exact = all(got[n] == TABLE_COUNTS[n] + TABLE_COUNTS[n][1:]
+    exact = all(got[n] == (LEVELS[n].patterns,) + (LEVELS[n].states,) * 2
                 for n in range(1, 6))
     _report(1, exact and elapsed < 10.0,
             f"loop/state/counted-state counts n=1..5 {got}, "
@@ -103,8 +82,8 @@ def test_criterion_2_combinatorics_extended():
                   table.quotient.n_states, level(n)[1])
         lifted &= _lifts(table)
     elapsed = time.time() - started
-    exact = all(got[n] == TABLE_COUNTS[n] + (EDGE_COUNTS[n], CLASS_COUNTS[n],
-                                             TABLE_COUNTS[n][1])
+    exact = all(got[n] == (LEVELS[n].patterns, LEVELS[n].states, LEVELS[n].edges,
+                           LEVELS[n].classes, LEVELS[n].states)
                 for n in (6, 7))
     _report(2, exact and lifted and elapsed < 600.0,
             f"loop/state/edge/class/counted-state counts n=6,7 {got}, "
@@ -113,22 +92,21 @@ def test_criterion_2_combinatorics_extended():
 
 
 def test_criterion_3_pinned_bounds():
+    # at the paper's p; its level-1 bound has three digits
     lines = []
     ok = True
-    table1 = history(1)[1]
     started = time.time()
-    res1 = alpha_sup(table1, 1.464, 1.0, 1e-10)
-    ok &= res1.certified and abs(res1.alpha_low - 0.125) <= 5e-4
-    lines.append(f"n=1 {res1.alpha_low:.7f} (0.125 +/- 5e-4)")
-    for n, (p, want) in PINNED_BOUNDS.items():
+    for n in range(1, 6):
+        row = LEVELS[n]
+        tol = 5e-4 if n == 1 else 1e-6
         started_n = time.time()
-        res = alpha_sup(history(n)[1], p, 1.0, 1e-10)
+        res = alpha_sup(history(n)[1], row.p_opt, 1.0, 1e-10)
         elapsed_n = time.time() - started_n
         budget = 120.0 if n <= 4 else 600.0
-        ok &= res.certified and abs(res.alpha_low - want) <= 1e-6
+        ok &= res.certified and abs(res.alpha_low - row.bound) <= tol
         ok &= elapsed_n < budget
-        lines.append(f"n={n} {res.alpha_low:.10f} (want {want}, "
-                     f"{elapsed_n:.1f}s/{budget:.0f}s)")
+        lines.append(f"n={n} {res.alpha_low:.10f} (want {row.bound} +/- "
+                     f"{tol}, {elapsed_n:.1f}s/{budget:.0f}s)")
     _report(3, ok, "; ".join(lines) + f"; total {time.time() - started:.1f}s")
 
 
@@ -142,11 +120,12 @@ def test_criterion_4_headline():
 
 def test_criterion_5_optimizer_consistency():
     _, table = history(2)
+    p = LEVELS[2].p_opt
     best = optimize_p(2, 1.30, 1.60, table=table)
-    pinned = alpha_sup(table, 1.44, 1.0, 1e-10)
-    ok = (abs(best.p_opt - 1.44) <= 0.01
+    pinned = alpha_sup(table, p, 1.0, 1e-10)
+    ok = (abs(best.p_opt - p) <= 0.01
           and best.bound >= pinned.alpha_low - 1e-8)
-    _report(5, ok, f"p_opt {best.p_opt} (1.44 +/- 0.01), bound "
+    _report(5, ok, f"p_opt {best.p_opt} ({p} +/- 0.01), bound "
                    f"{best.bound:.10f} >= pinned {pinned.alpha_low:.10f} - 1e-8")
 
 
@@ -242,10 +221,10 @@ def test_criterion_9_level7_table_row():
     started = time.time()
     best = optimize_p(HEADLINE_LEVEL, table=history(HEADLINE_LEVEL)[1])
     elapsed = time.time() - started
-    ok = (abs(best.p_opt - LEVEL7_ROW_P) <= 0.01
+    ok = (abs(best.p_opt - HEADLINE_P) <= 0.01
           and best.bound >= HEADLINE_BOUND)
     _report(9, ok, f"n={HEADLINE_LEVEL} p_opt {best.p_opt:.5f} "
-                   f"({LEVEL7_ROW_P} +/- 0.01), bound {best.bound:.10f} "
+                   f"({HEADLINE_P} +/- 0.01), bound {best.bound:.10f} "
                    f"(>= {HEADLINE_BOUND}), {elapsed:.0f}s")
 
 
@@ -260,7 +239,7 @@ def test_level7_fixed_run_keeps_its_certificate():
     assert cert == est.certified_upper == want
 
 
-@pytest.mark.parametrize("n", sorted(BEYOND_THE_PAPER))
+@pytest.mark.parametrize("n", [8, 9])
 def test_counted_states_match_the_unminimised_automaton(n):
     # no history table checks the counts past level 7, so the live
     # Aho–Corasick nodes, before any refinement, count the
@@ -272,7 +251,7 @@ def test_counted_states_match_the_unminimised_automaton(n):
     words[size] = 0  # a move into a dead node ends no word
     for _ in range(3 * n - 1):
         words[:size] = words[moves].sum(axis=0)
-    assert (patterns, states) == BEYOND_THE_PAPER[n][:2]
+    assert (patterns, states) == LEVELS[n][:2]
     assert words[0] == states
 
 
@@ -290,7 +269,7 @@ def test_state_counts_stay_exact_through_the_level_cap():
             words[:-1] = [sum(words[c] for c in moves) for moves in pred.T.tolist()]
         return words[start]
 
-    assert level_zero_words(1) == TABLE_COUNTS[1][1]
+    assert level_zero_words(1) == LEVELS[1].states
     assert level_zero_words(11) == 2_140_758_220_993
     assert level_zero_words(MAX_LEVEL) < 2 ** 63
 
@@ -300,6 +279,8 @@ def test_rows_past_the_paper():
     rows = {n: optimize_p(n, table=minimal_table(n)[0]) for n in range(1, 10)}
     bounds = [rows[n].bound for n in sorted(rows)]
     assert all(lo < hi for lo, hi in zip(bounds, bounds[1:])), bounds
-    for n, (_, _, p_opt, bound) in BEYOND_THE_PAPER.items():
-        assert abs(rows[n].p_opt - p_opt) <= 0.01, (n, rows[n].p_opt)
-        assert rows[n].bound >= bound, (n, rows[n].bound)
+    # levels 8 and 9 at the level-7 row's tolerances: p_opt to 0.01, a
+    # bound at least the one pinned
+    for n in (8, 9):
+        assert abs(rows[n].p_opt - LEVELS[n].p_opt) <= 0.01, (n, rows[n].p_opt)
+        assert rows[n].bound >= LEVELS[n].bound, (n, rows[n].bound)

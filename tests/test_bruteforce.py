@@ -1,6 +1,6 @@
 import bruteforce
 import pytest
-from conftest import forbidden_set, history, make_table
+from conftest import LEVELS, forbidden_set, history, make_table
 
 from stavskaya.errors import ResourceLimitError
 from stavskaya.patterns import Parameters
@@ -35,8 +35,10 @@ def test_total_weight_symbolic(alpha):
 
 
 def test_total_weight_counts_states_at_unit_weights():
-    assert bruteforce.total_weight_bruteforce(1, 2, Parameters(1, 1, 1.0)).total == 7.0
-    assert bruteforce.total_weight_bruteforce(2, 5, Parameters(1, 1, 1.0)).total == 73.0
+    for n in (1, 2):
+        total = bruteforce.total_weight_bruteforce(n, 3 * n - 1,
+                                                   Parameters(1, 1, 1.0)).total
+        assert total == LEVELS[n].states
 
 
 def test_length_cap():

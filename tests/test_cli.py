@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import LEVELS, LOOPS
 
 from stavskaya import automaton, cli, statespace
 from stavskaya.cli import main
@@ -29,8 +30,9 @@ def test_loops_counts(capsys):
     code, out = run(capsys, "loops", "--n", "3")
     assert code == 0
     report = json.loads(out)
-    assert report["total"] == 12
-    assert report["orders"][-1] == {"order": 3, "count": 6, "cumulative": 12}
+    assert report["total"] == LEVELS[3].patterns
+    assert report["orders"][-1] == {"order": 3, "count": LOOPS[3],
+                                    "cumulative": LEVELS[3].patterns}
 
 
 def test_loops_counts_through_order_eight(capsys):
@@ -38,14 +40,14 @@ def test_loops_counts_through_order_eight(capsys):
     assert code == 0
     report = json.loads(out)
     assert [row["count"] for row in report["orders"]] == [
-        2, 2, 2, 6, 24, 110, 548, 2890, 15882]
-    assert report["total"] == 19466
+        LOOPS[k] for k in range(9)]
+    assert report["total"] == LEVELS[8].patterns
 
 
 def test_loops_level_zero(capsys):
     code, out = run(capsys, "loops", "--n", "0")
     assert code == 0
-    assert json.loads(out)["total"] == 2
+    assert json.loads(out)["total"] == LOOPS[0]
 
 
 def test_loops_dump_lists_patterns(capsys):
@@ -63,7 +65,7 @@ def test_streamed_dump_matches_the_json_list(capsys, fmt):
     code, out = run(capsys, "loops", "--n", "5", "--dump")
     report = json.loads(out)
     assert streamed == report["patterns"]
-    assert len(streamed) == report["total"] == 146
+    assert len(streamed) == report["total"] == LEVELS[5].patterns
 
 
 def test_loops_bad_level(capsys, monkeypatch):
@@ -74,16 +76,17 @@ def test_loops_bad_level(capsys, monkeypatch):
 
 
 def test_bound_schema_and_value(capsys):
-    code, out = run(capsys, "bound", "--n", "2", "--p", "1.44")
+    row = LEVELS[2]
+    code, out = run(capsys, "bound", "--n", "2", "--p", str(row.p_opt))
     assert code == 0
     report = json.loads(out)
     assert SCHEMA_KEYS <= set(report)
     assert report["power_iterations"] > 0
     assert report["certified"] is True
     assert report["certificate"] < 1.0
-    assert report["alpha_lower_bound"] == pytest.approx(0.13101966, abs=1e-6)
-    assert report["states"] == 73
-    assert report["forbidden_patterns"] == 6
+    assert report["alpha_lower_bound"] == pytest.approx(row.bound, abs=1e-6)
+    assert report["states"] == row.states
+    assert report["forbidden_patterns"] == row.patterns
 
 
 def test_commands_write_no_files(capsys, monkeypatch, tmp_path):
@@ -197,12 +200,10 @@ def test_table_small(capsys):
     assert code == 0
     rows = json.loads(out)
     assert [r["level"] for r in rows] == [1, 2]
-    assert rows[0]["forbidden_patterns"] == 4
-    assert rows[0]["states"] == 7
-    assert rows[0]["bound"] == pytest.approx(0.125, abs=5e-4)
-    assert rows[1]["forbidden_patterns"] == 6
-    assert rows[1]["states"] == 73
-    assert rows[1]["bound"] == pytest.approx(0.13101966, abs=1e-4)
+    for got, want, tol in zip(rows, (LEVELS[1], LEVELS[2]), (5e-4, 1e-4)):
+        assert got["forbidden_patterns"] == want.patterns
+        assert got["states"] == want.states
+        assert got["bound"] == pytest.approx(want.bound, abs=tol)
 
 
 def test_table_above_level_cap_exits_three(capsys, monkeypatch):

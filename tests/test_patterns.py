@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from bruteforce import code_word, pattern_words
-from conftest import forbidden_set
+from conftest import LEVELS, LOOPS, forbidden_set
 
 from stavskaya import patterns
 from stavskaya.errors import ResourceLimitError
@@ -107,7 +107,7 @@ def test_order_two_loops():
 
 
 def test_order_three_count():
-    assert len(enumerate_primitive_loops(3, forbidden_set(2))) == 6
+    assert len(enumerate_primitive_loops(3, forbidden_set(2))) == LOOPS[3]
 
 
 def test_loops_are_strictly_increasing_codes():
@@ -145,18 +145,15 @@ def test_primitivity_needs_matching_level():
         enumerate_primitive_loops(3, forbidden_set(1))
 
 
-EXPECTED_TOTALS = {0: 2, 1: 4, 2: 6, 3: 12, 4: 36, 5: 146}
-EXPECTED_PER_ORDER = {1: 2, 2: 2, 3: 6, 4: 24, 5: 110}
-
-
-@pytest.mark.parametrize("n,total", sorted(EXPECTED_TOTALS.items()))
+@pytest.mark.parametrize("n,total", [(0, LOOPS[0])] + [
+    (n, LEVELS[n].patterns) for n in range(1, 6)])
 def test_forbidden_set_sizes(n, total):
     assert len(forbidden_set(n)) == total
 
 
 def test_per_order_counts():
-    for k, want in EXPECTED_PER_ORDER.items():
-        assert forbidden_set(5).count_of_order(k) == want
+    for k in range(1, 6):
+        assert forbidden_set(5).count_of_order(k) == LOOPS[k]
 
 
 def test_degenerate_pair_always_present():

@@ -3,7 +3,7 @@ import random
 from dataclasses import astuple, replace
 
 import pytest
-from conftest import fresh, history, make_table, minimal_table
+from conftest import LEVELS, fresh, history, make_table, minimal_table
 
 import stavskaya.search as search
 from stavskaya import spectral
@@ -48,17 +48,17 @@ def test_bisection_iteration_count():
 
 def test_level_one_published_point():
     _, table = history(1)
-    res = alpha_sup(table, 1.464, 1.0, 1e-10)
+    res = alpha_sup(table, LEVELS[1].p_opt, 1.0, 1e-10)
     assert res.certified
-    assert res.alpha_low == pytest.approx(0.125, abs=5e-4)
+    assert res.alpha_low == pytest.approx(LEVELS[1].bound, abs=5e-4)
     assert res.certificate < 1.0
 
 
 def test_level_three_published_point():
     _, table = history(3)
-    res = alpha_sup(table, 1.43, 1.0, 1e-10)
+    res = alpha_sup(table, LEVELS[3].p_opt, 1.0, 1e-10)
     assert res.certified
-    assert res.alpha_low == pytest.approx(0.13358660, abs=1e-6)
+    assert res.alpha_low == pytest.approx(LEVELS[3].bound, abs=1e-6)
 
 
 def test_degenerate_bracket():
@@ -152,15 +152,12 @@ def test_optimizer_refuses_before_any_probe(monkeypatch, args, kwargs):
         optimize_p(*args, table=table, **kwargs)
 
 
-PAPER_P = {1: 1.464, 2: 1.44, 3: 1.43, 4: 1.424}
-
-
-@pytest.mark.parametrize("n", sorted(PAPER_P))
+@pytest.mark.parametrize("n", range(1, 5))
 def test_q_one_gives_the_largest_bound(n):
     # rho is even and log-convex in log q, so nondecreasing for q >= 1
     # (see `stavskaya.search`): no q above 1 certifies a larger alpha
     table = history(n)[1]
-    lows = [alpha_sup(table, PAPER_P[n], q).alpha_low
+    lows = [alpha_sup(table, LEVELS[n].p_opt, q).alpha_low
             for q in (1.0, 1.0001, 1.01, 1.1, 1.5)]
     assert lows[0] > 0.0
     assert all(b <= a for a, b in zip(lows, lows[1:]))
@@ -331,7 +328,7 @@ def test_failed_final_check_raises_consistency_error(monkeypatch):
         alpha_sup(table, 1.464, 1.0, 1e-4)
 
 
-@pytest.mark.parametrize("n", sorted(PAPER_P))
+@pytest.mark.parametrize("n", range(1, 5))
 def test_one_cold_solve_per_bound(n, monkeypatch):
     # only the alpha = 0 solve starts cold; every step is warm-started.
     # Every solve is one call of the module-level name, so a tracer that
@@ -346,7 +343,7 @@ def test_one_cold_solve_per_bound(n, monkeypatch):
         return est
 
     monkeypatch.setattr(search, "check_subcritical", counted)
-    res = alpha_sup(table, PAPER_P[n], 1.0, 1e-10)
+    res = alpha_sup(table, LEVELS[n].p_opt, 1.0, 1e-10)
     assert res.certified and res.iterations < GRID_STEPS
     assert len(calls) == res.iterations + 2
     # the first query is the midpoint: no uncertified end is solved yet
@@ -387,19 +384,16 @@ def test_finest_tolerance_ends_on_grid_neighbours():
 
 # alpha_low at the paper's p, bit for bit those of the 34-step bisection
 # the ITP search replaced; regression values, not from the paper
-BISECTION_LOWS = {1: (1.464, 0.12499999813735485),
-                  2: (1.44, 0.1310196552076377),
-                  3: (1.43, 0.13358659762889147),
-                  4: (1.424, 0.13502855086699128),
-                  5: (1.42, 0.13595342048211023),
-                  6: (1.417, 0.13659747340716422),
-                  7: (1.415, 0.1370721062994562)}
+BISECTION_LOWS = {1: 0.12499999813735485, 2: 0.1310196552076377,
+                  3: 0.13358659762889147, 4: 0.13502855086699128,
+                  5: 0.13595342048211023, 6: 0.13659747340716422,
+                  7: 0.1370721062994562}
 
 
 @pytest.mark.parametrize("n", sorted(BISECTION_LOWS))
 def test_paper_points_keep_the_bisection_bounds(n):
-    p, low = BISECTION_LOWS[n]
-    res = alpha_sup(minimal_table(n)[0], p)
+    low = BISECTION_LOWS[n]
+    res = alpha_sup(minimal_table(n)[0], LEVELS[n].p_opt)
     assert (res.alpha_low, res.alpha_high) == (low, low + 2.0 ** -GRID_STEPS)
     assert res.certificate < 1.0 and res.iterations < GRID_STEPS
 
@@ -412,7 +406,7 @@ def test_gather_form_changes_no_number(monkeypatch):
 
     def run(block):
         monkeypatch.setattr(spectral, "_BLOCK", block)
-        bounds = [repr(astuple(alpha_sup(tables[n], PAPER_P[n])))
+        bounds = [repr(astuple(alpha_sup(tables[n], LEVELS[n].p_opt)))
                   for n in (1, 2, 3, 4)]
         rows = [optimize_p(n, table=tables[n]) for n in (1, 2, 3)]
         # the plans the solves used, one per (block, m)
@@ -462,7 +456,7 @@ def test_itp_point_is_the_midpoint_at_a_nan_end():
 def test_any_estimate_ends_on_the_same_bracket(kind, monkeypatch):
     # the estimates steer the queries only: the search still ends at the
     # same grid neighbours, in at most k + 1 steps
-    expected = {n: alpha_sup(history(n)[1], PAPER_P[n])
+    expected = {n: alpha_sup(history(n)[1], LEVELS[n].p_opt)
                 for n in (1, 2, 3)}
     real = search.check_subcritical
     rng = random.Random(25)
@@ -474,7 +468,7 @@ def test_any_estimate_ends_on_the_same_bracket(kind, monkeypatch):
 
     monkeypatch.setattr(search, "check_subcritical", misleading)
     for n, want in expected.items():
-        res = alpha_sup(history(n)[1], PAPER_P[n])
+        res = alpha_sup(history(n)[1], LEVELS[n].p_opt)
         assert (res.alpha_low, res.alpha_high) == (want.alpha_low,
                                                    want.alpha_high)
         assert res.iterations <= GRID_STEPS + 1
@@ -492,7 +486,7 @@ def test_certified_everywhere_ends_below_one():
 @pytest.mark.parametrize("tol,k", [(1e-8, 27), (1e-4, 14)])
 def test_tolerance_sets_the_grid(tol, k):
     _, table = history(3)
-    res = alpha_sup(table, PAPER_P[3], 1.0, tol)
+    res = alpha_sup(table, LEVELS[3].p_opt, 1.0, tol)
     grid = 2.0 ** -k
     assert grid <= tol < 2.0 * grid
     assert res.alpha_high - res.alpha_low == grid

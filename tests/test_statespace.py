@@ -4,9 +4,9 @@ import tracemalloc
 import bruteforce
 import numpy as np
 import pytest
-from conftest import (check_lift, forbidden_set, fresh, history, level,
-                      make_table, minimal_table, mirrored_by_definition,
-                      unmirrored)
+from conftest import (LEVELS, check_lift, forbidden_set, fresh, history,
+                      level, make_table, minimal_table,
+                      mirrored_by_definition, unmirrored)
 
 from stavskaya import automaton, patterns, statespace
 from stavskaya.errors import ConsistencyError, ResourceLimitError
@@ -17,14 +17,9 @@ from stavskaya.spectral import certified_upper_bound, power_iteration
 from stavskaya.statespace import (TransitionTable, build_state_space,
                                   build_transitions)
 
-EXPECTED_SIZES = {1: 7, 2: 73, 3: 759, 4: 7859, 5: 81231}
-
-# not from the paper: the counts this construction gives, as recorded
-# in CHANGES.md
-EXPECTED_EDGES = {1: 15, 2: 159, 3: 1653, 4: 17113, 5: 176873}
-
-# classes of the coarsest forward bisimulation of the successor form
-EXPECTED_CLASSES = {1: 5, 2: 13, 3: 33, 4: 79, 5: 187}
+# (n, count) at the levels whose history tables are small
+EDGES = [(n, LEVELS[n].edges) for n in range(1, 6)]
+CLASSES = [(n, LEVELS[n].classes) for n in range(1, 6)]
 
 
 def _successor_table(table):
@@ -65,11 +60,6 @@ def test_word_codec_roundtrip():
             bruteforce.code_word(code, length)
 
 
-@pytest.mark.parametrize("n,size", sorted(EXPECTED_SIZES.items()))
-def test_state_space_sizes(n, size):
-    assert len(history(n)[0]) == size
-
-
 def test_level_one_words():
     space, _ = history(1)
     texts = [_text(_word(space, i)) for i in range(len(space))]
@@ -78,7 +68,7 @@ def test_level_one_words():
 
 def test_level_one_transitions():
     space, table = history(1)
-    assert table.edge_count == 15
+    assert table.edge_count == LEVELS[1].edges
     succ = table.succ
     # "12" cannot take step 3 (would close the order-1 loop)
     assert succ[2, _index(space, (1, 2))] == table.n_states
@@ -88,7 +78,7 @@ def test_level_one_transitions():
     assert targets == ["21", "22", "23"]
 
 
-@pytest.mark.parametrize("n,edges", sorted(EXPECTED_EDGES.items()))
+@pytest.mark.parametrize("n,edges", EDGES)
 def test_edge_counts(n, edges):
     _, table = history(n)
     assert table.edge_count == edges
@@ -378,7 +368,8 @@ def test_growth_holds_its_mask_packed(monkeypatch):
 def test_enumerate_valid_words_small():
     f0 = forbidden_set(0)
     assert list(patterns._grow(1, f0)[0]) == [0, 1, 2]
-    assert len(patterns._grow(2, f0)[0]) == 7
+    # the level-1 states
+    assert len(patterns._grow(2, f0)[0]) == LEVELS[1].states
 
 
 def test_codes_strictly_increasing():
@@ -426,7 +417,7 @@ def test_pred_type_must_hold_the_sentinel():
         TransitionTable(n=1, pred=pred, last_digit=np.ones(200, np.uint8))
 
 
-@pytest.mark.parametrize("n,classes", sorted(EXPECTED_CLASSES.items()))
+@pytest.mark.parametrize("n,classes", CLASSES)
 def test_quotient_class_counts(n, classes):
     _, table = history(n)
     quotient, phi = table.quotient, check_lift(table)
@@ -555,9 +546,9 @@ def test_hand_built_table_is_its_own_quotient():
     bare = TransitionTable(n=table.n, pred=table.pred,
                            last_digit=table.last_digit)
     assert bare.quotient is bare
-    res = alpha_sup(bare, 1.44)
+    res = alpha_sup(bare, LEVELS[2].p_opt)
     assert res.certified
-    assert res.alpha_low == pytest.approx(0.13101966, abs=1e-6)
+    assert res.alpha_low == pytest.approx(LEVELS[2].bound, abs=1e-6)
 
 
 @pytest.mark.parametrize("fault,match", [
@@ -623,7 +614,7 @@ def test_lift_check_refuses_each_fault(fault, match):
         check_lift(broken, quotient)
 
 
-@pytest.mark.parametrize("n,classes", sorted(EXPECTED_CLASSES.items()))
+@pytest.mark.parametrize("n,classes", CLASSES)
 def test_minimal_automaton_from_the_patterns_alone(n, classes, monkeypatch):
     def no_histories(*args):
         raise AssertionError("a history table was built")
@@ -723,7 +714,7 @@ def test_failed_seed_falls_back_to_the_coarsest_partition(n, monkeypatch):
     assert seeded[1] == 3
     assert not automaton._is_stable(*seeded, moves, digits)
     classes, k_fallback = automaton._refine(moves, digits, rounds=rounds)
-    assert k_fallback == k == EXPECTED_CLASSES[n]
+    assert k_fallback == k == LEVELS[n].classes
     assert _pairs_one_to_one(classes, moore, k)
 
 
@@ -744,26 +735,6 @@ def test_refine_has_no_class_cap(rounds):
     assert automaton._is_stable(classes, k, succ, digits)
 
 
-def test_minimal_automaton_at_level_eight():
-    # not from the paper: the class count both refinements (the hash
-    # seed, and Moore rounds from the last digits) give at level 8, from the
-    # patterns alone
-    table, start = minimal_table(8)
-    pred, last_digit = table.pred, table.last_digit
-    assert pred.shape == (3, 2465)
-    assert last_digit.shape == (2465,) and 0 <= start < 2465
-
-
-def test_minimal_automaton_at_level_nine():
-    # not from the paper: a regression value, the class count that both
-    # refinements (the hash seed, and Moore rounds from the last digits) give
-    # at level 9
-    table, start = minimal_table(9)
-    pred, last_digit = table.pred, table.last_digit
-    assert pred.shape == (3, 5761)
-    assert last_digit.shape == (5761,) and 0 <= start < 5761
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_moore_refinement_of_the_histories_matches(n):
     # the oracle: Moore refinement of the full successor form induces
@@ -771,7 +742,7 @@ def test_moore_refinement_of_the_histories_matches(n):
     _, table = history(n)
     moore, k = automaton._refine(table.succ, table.last_digit)
     phi = check_lift(table)
-    assert k == table.quotient.n_states == EXPECTED_CLASSES[n]
+    assert k == table.quotient.n_states == LEVELS[n].classes
     pairs = np.unique(moore.astype(np.int64) * k + phi)
     assert pairs.shape == (k,)
     assert np.array_equal(np.unique(pairs // k), np.arange(k))
