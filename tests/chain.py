@@ -14,7 +14,9 @@ than 3n.  Step d moves the class, takes e_d off each deficit and off
 (n, n, n), the empty suffix's, and drops the deficits that go negative;
 it is refused when a deficit reaches (0, 0, 0).  A deficit is also
 dropped when no word read from the new class has exactly those counts
-(`_reach`), since no continuation can then complete it.  A breadth-first
+(`_reach`), since no continuation can then complete it.  The same pass
+over the counts gives the order-n loops, the length-3n words with counts
+(n, n, n) read from min(F_{n-1})'s start.  A breadth-first
 search from (the start class, no deficit) finds the states, and Moore
 rounds (`automaton._refine` from the last digits) merge them into
 min(F_n).
@@ -41,28 +43,46 @@ def level_zero() -> tuple[np.ndarray, np.ndarray, int]:
     return pred, np.array([0, 1, 2], dtype=np.uint8), 1
 
 
-def _reach(pred: np.ndarray, n: int) -> np.ndarray:
-    """reach[c, a, b, e]: some word read from class c has a steps of kind
-    1, b of kind 2 and e of kind 3, for counts 0..n each; the sentinel
-    row K is all False.  Values of total s are final after s rounds."""
+def _reach(pred: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reach, loops).  reach[c, a, b, e] says that some word read from
+    class c has a steps of kind 1, b of kind 2 and e of kind 3, for
+    counts 0..n each, and the sentinel row K is all False; loops[c]
+    counts the words read from c with counts (n, n, n).
+
+    One pass over the count totals s = 0..3n keeps two int64 layers:
+    f[a, b, c] counts the words of length s read from class c with a
+    steps of kind 1, b of kind 2 and e = s - a - b of kind 3, and each
+    layer gathers the one below along the moves,
+    f_s[v, c] = sum_d f_{s-1}[v - e_d, pred[d, c]].  Its positive entries
+    are the reach.  An entry is at most the multinomial s!/(a! b! e!),
+    and so below (3n)!/(n!)^3, which is below 2^63 through n = 14."""
     size = pred.shape[1]
     reach = np.zeros((size + 1, n + 1, n + 1, n + 1), dtype=bool)
-    for _ in range(3 * n + 1):
-        nxt = np.zeros_like(reach)
-        nxt[:size, 0, 0, 0] = True
-        nxt[:size, 1:, :, :] |= reach[pred[0]][:, :-1, :, :]
-        nxt[:size, :, 1:, :] |= reach[pred[1]][:, :, :-1, :]
-        nxt[:size, :, :, 1:] |= reach[pred[2]][:, :, :, :-1]
-        reach = nxt
-    return reach
+    a, b = np.indices((n + 1, n + 1))
+    layer = np.zeros((n + 1, n + 1, size + 1), dtype=np.int64)
+    layer[0, 0, :size] = 1
+    for s in range(3 * n + 1):
+        if s:
+            below, layer = layer, np.zeros_like(layer)
+            layer[1:, :, :size] += below[:-1, :, pred[0]]
+            layer[:, 1:, :size] += below[:, :-1, pred[1]]
+            layer[:, :, :size] += below[:, :, pred[2]]
+        e = s - a - b
+        outside = (e < 0) | (e > n)
+        layer[outside] = 0
+        a_in, b_in, e_in = a[~outside], b[~outside], e[~outside]
+        reach[:, a_in, b_in, e_in] = (layer[a_in, b_in] > 0).T
+    return reach, layer[n, n, :size]
 
 
 def next_level(pred: np.ndarray, last_digit: np.ndarray, start: int,
-               n: int) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """(pred, last_digit, start, states) of min(F_n), given min(F_{n-1}),
-    where `states` counts the breadth-first states before refinement."""
+               n: int) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    """(pred, last_digit, start, states, loops) of min(F_n), given
+    min(F_{n-1}), where `states` counts the breadth-first states before
+    refinement and `loops` the order-n loops: the length-3n words with
+    counts (n, n, n) read from min(F_{n-1})'s start."""
     size = pred.shape[1]
-    reach = _reach(pred, n)
+    reach, loops = _reach(pred, n)
     full = (n, n, n)
     order = [(start, frozenset())]
     index = {order[0]: 0}
@@ -98,7 +118,20 @@ def next_level(pred: np.ndarray, last_digit: np.ndarray, start: int,
     members = np.empty(k, dtype=np.intp)
     members[classes] = np.arange(states)
     padded = np.append(classes, np.int32(k))
-    return padded[succ[:, members]], digits[members], int(classes[0]), states
+    return (padded[succ[:, members]], digits[members], int(classes[0]), states,
+            int(loops[start]))
+
+
+def count_words(pred: np.ndarray, start: int, length: int) -> int:
+    """The words of the given length read from `start`, one int64
+    gather over the move slots a step; a move into the sentinel K ends
+    no word."""
+    size = pred.shape[1]
+    words = np.ones(size + 1, dtype=np.int64)
+    words[size] = 0
+    for _ in range(length):
+        words[:size] = words[pred].sum(axis=0)
+    return int(words[start])
 
 
 def isomorphic(a: tuple[np.ndarray, np.ndarray, int],

@@ -12,6 +12,7 @@ afresh.
 """
 
 import functools
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +36,8 @@ class Level(NamedTuple):
 # At n = 1..7 the first four columns are the paper's table, copied from
 # it as `perfbench/workloads.py`'s PAPER is; the paper prints the level-1
 # bound to three digits only.  Every other entry is not from the paper:
-# it is a regression value this code gives.
+# it is a regression value this code gives.  Level 10's row is counted
+# on `chain.py`'s table, and tier-1 solves no level-10 row.
 LEVELS = {
     #        patterns      states    p_opt       bound  classes     edges
     1: Level(4,                 7, 1.464,   0.125,            5,       15),
@@ -47,11 +49,13 @@ LEVELS = {
     7: Level(3584,        8663071, 1.415,   0.13707211,    1046, 18862473),
     8: Level(19466,      89435873, 1.41343, 0.13743655,    2465,     None),
     9: Level(109516,    923252245, 1.41207, 0.13772528,    5761,     None),
+    10: Level(632764,  9530452553, None,    None,         13336,     None),
 }
 
 # the primitive loops of each order k, the patterns of length 3k; order
 # 0 is the degenerate pair 13, 31.  Level n's patterns are orders 0..n
-LOOPS = {0: 2, 1: 2, 2: 2, 3: 6, 4: 24, 5: 110, 6: 548, 7: 2890, 8: 15882}
+LOOPS = {0: 2, 1: 2, 2: 2, 3: 6, 4: 24, 5: 110, 6: 548, 7: 2890, 8: 15882,
+         9: 90050, 10: 523248}
 
 
 def _read_only(*arrays):
@@ -178,6 +182,29 @@ def check_lift(table, quotient=None, phi=None):
         assert np.array_equal(ext[succ[:, lo:hi]], moves[:, phi[lo:hi]]), \
             f"the moves of histories {lo}..{hi - 1} do not lift onto their classes'"
     return phi
+
+
+def exact_left_sides(table, p, alpha, v):
+    """(Mv)_c = w(c)·(v[pred[0, c]] + v[pred[2, c]] + v[pred[1, c]]) for
+    every class c at q = 1, in exact rationals, the sentinel reading 0:
+    p, alpha and v's entries are the exact rationals the doubles are, and
+    w1 = w3 = 1/p, w2 = alpha·p^2 (Rump, "Verification methods", Acta
+    Numerica 2010)."""
+    p, alpha = Fraction(p), Fraction(alpha)
+    weights = (1 / p, alpha * p * p, 1 / p)
+    vp = [Fraction(x) for x in v.tolist()] + [Fraction(0)]
+    return [weights[d] * (vp[a] + vp[c] + vp[b]) for d, a, b, c
+            in zip(table.last_digit.tolist(), *table.pred.tolist())]
+
+
+def exact_subcritical(table, p, alpha, v):
+    """Whether v > 0 and Mv < v entry by entry, in exact rationals
+    (`exact_left_sides`): a proof that the operator's spectral radius at
+    (p, 1, alpha) is below one (Collatz–Wielandt)."""
+    assert v.shape == (table.n_states,)
+    right = [Fraction(x) for x in v.tolist()]
+    return min(right) > 0 and all(
+        left < r for left, r in zip(exact_left_sides(table, p, alpha, v), right))
 
 
 def mirrored_by_definition(table):

@@ -4,8 +4,8 @@ automaton built from the one below (`chain`), which reads no pattern."""
 import numpy as np
 import pytest
 
-from chain import isomorphic, level_zero, next_level
-from conftest import LEVELS, minimal_table
+from chain import count_words, isomorphic, level_zero, next_level
+from conftest import LEVELS, LOOPS, forbidden_set, minimal_table
 
 # the chain's states before refinement
 BFS_STATES = {5: 223, 6: 535, 7: 1262, 8: 2938, 9: 6761}
@@ -13,10 +13,11 @@ BFS_STATES = {5: 223, 6: 535, 7: 1262, 8: 2938, 9: 6761}
 
 @pytest.fixture(scope="module")
 def chain():
-    """level -> (pred, last_digit, start, states) of the chain, n = 1..9."""
+    """level -> (pred, last_digit, start, states, loops) of the chain,
+    n = 1..10."""
     levels = {}
     below = level_zero()
-    for n in range(1, 10):
+    for n in range(1, 11):
         levels[n] = next_level(*below, n)
         below = levels[n][:3]
     return levels
@@ -44,6 +45,24 @@ def test_chain_is_isomorphic_to_minimal(n, chain):
     pred, last_digit, start = chain[n][:3]
     assert pred.shape == (3, LEVELS[n].classes)
     assert isomorphic((pred, last_digit, start), _minimal(n))
+
+
+def test_chain_counts_the_loops(chain):
+    # the pass that prunes the deficits counts each order's loops
+    for n in range(1, 10):
+        assert chain[n][4] == forbidden_set(n).count_of_order(n) == LOOPS[n]
+
+
+def test_level_ten_from_the_chain(chain):
+    # past every level the tests build from patterns: the classes, the
+    # loops of each order summed into the patterns, and the states read
+    # on the chain's own table
+    pred, _, start, _, loops = chain[10]
+    row = LEVELS[10]
+    assert pred.shape == (3, row.classes)
+    assert loops == LOOPS[10]
+    assert LOOPS[0] + sum(chain[n][4] for n in range(1, 11)) == row.patterns
+    assert count_words(pred, start, 3 * 10 - 1) == row.states
 
 
 def test_isomorphism_tells_tables_apart():

@@ -2,8 +2,10 @@ import math
 import random
 from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
-from conftest import LEVELS, fresh, history, make_table, minimal_table
+from conftest import (LEVELS, exact_left_sides, exact_subcritical, fresh,
+                      history, make_table, minimal_table)
 
 import stavskaya.search as search
 from stavskaya import spectral
@@ -396,6 +398,39 @@ def test_paper_points_keep_the_bisection_bounds(n):
     res = alpha_sup(minimal_table(n)[0], LEVELS[n].p_opt)
     assert (res.alpha_low, res.alpha_high) == (low, low + 2.0 ** -GRID_STEPS)
     assert res.certificate < 1.0 and res.iterations < GRID_STEPS
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_paper_points_hold_in_exact_arithmetic(n, monkeypatch):
+    # the vector the closing one-step re-check starts from proves the
+    # bound in exact rationals; the grid point above it, twice the bound,
+    # an entry just below its own left side, a zero entry or a negated
+    # vector is refused
+    table, p = minimal_table(n)[0], LEVELS[n].p_opt
+    real = search.check_subcritical
+    closing = []
+
+    def spy(table, params, max_iter, *, v0=None):
+        if max_iter == 1:
+            closing.append(v0.copy())
+        return real(table, params, max_iter, v0=v0)
+
+    monkeypatch.setattr(search, "check_subcritical", spy)
+    res = alpha_sup(table, p)
+    alpha = res.alpha_low
+    [v] = closing
+    assert exact_subcritical(table, p, alpha, v)
+    for above in (res.alpha_high, 2 * alpha):
+        assert not exact_subcritical(table, p, above, v)
+    # a class with no move into itself, so lowering its entry leaves its
+    # left side as it is
+    c = next(c for c in range(table.n_states) if c not in table.pred[:, c])
+    lowered = v.copy()
+    lowered[c] = np.nextafter(float(exact_left_sides(table, p, alpha, v)[c]), 0)
+    zero = v.copy()
+    zero[c] = 0.0
+    for bad in (lowered, zero, -v):
+        assert not exact_subcritical(table, p, alpha, bad)
 
 
 def test_gather_form_changes_no_number(monkeypatch):
