@@ -68,7 +68,6 @@ def _emit(report, fmt: str, columns=None) -> None:
 
 
 def cmd_loops(args) -> int:
-    check_level(args.n, 0)
     fset = build_forbidden_set(args.n)
     rows = [{"order": 0, "count": 2, "cumulative": 2}]
     running = 2

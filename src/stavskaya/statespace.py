@@ -281,8 +281,15 @@ def build_level(n: int) -> tuple[int, int, TransitionTable]:
     check_level(n, 1)
     fset = build_forbidden_set(n)
     table, start = _minimal_table(fset)
-    words = np.ones(table.n_states + 1, dtype=np.int64)
-    words[-1] = 0  # the sentinel: a blocked move ends no word
-    for _ in range(3 * n - 1):
-        words[:-1] = words[table.pred].sum(axis=0)
-    return len(fset), int(words[start]), table
+    return len(fset), _count_words(table.pred, start, 3 * n - 1), table
+
+
+def _count_words(pred: np.ndarray, start: int, length: int) -> int:
+    """The words of `length` steps read from class `start` of a table in
+    the quotient's form, one int64 gather over the move slots a step; a
+    move into the sentinel K ends no word."""
+    words = np.ones(pred.shape[1] + 1, dtype=np.int64)
+    words[-1] = 0
+    for _ in range(length):
+        words[:-1] = words[pred].sum(axis=0)
+    return int(words[start])

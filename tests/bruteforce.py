@@ -1,11 +1,12 @@
-"""Small-scale oracles: exhaustive path enumeration and a dense
-growth-rate computation.
+"""Small-scale oracles: exhaustive path enumeration, the history table
+from its definition, and a dense growth-rate computation.
 
 Everything here is written against the definitions from scratch: naive
-full-window factor scans over explicitly enumerated words, and a dense
-matrix power method.  None of the incremental machinery from `patterns`
-or `statespace` is reused, so a bug there cannot cancel against a bug
-here.  These run only at sizes where exhaustive work is cheap.
+full-window factor scans over explicitly enumerated words, and the
+eigenvalues of a dense matrix.  None of the incremental machinery from
+`patterns` or `statespace` is reused, so a bug there cannot cancel
+against a bug here.  These run only at sizes where exhaustive work is
+cheap.
 """
 
 from __future__ import annotations
@@ -90,13 +91,42 @@ def naive_forbidden_patterns(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(found)
 
 
-def _digit_rows(k: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi of the 3**k enumeration as step kinds, oldest first."""
+def history_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(codes, pred, last_digit) of the level-n history table by its
+    definition, from the naive patterns: the states are every
+    length-(3n-1) word with no level-(n-1) factor, in code order; slot s
+    of state t holds the index of (s+1)·t[:-1] if that word is a state
+    and (s+1)·t has no level-n factor, else the sentinel N; t's last
+    digit is its newest step."""
+    length = 3 * n - 1
+    lower, patterns = naive_forbidden_patterns(n - 1), naive_forbidden_patterns(n)
+
+    def code(word):
+        return sum((k - 1) * 3**(length - 1 - j) for j, k in enumerate(word))
+
+    words = sorted((word for word in product((1, 2, 3), repeat=length)
+                    if not any(_contains_factor(word, pat) for pat in lower)),
+                   key=code)
+    index = {word: i for i, word in enumerate(words)}
+    pred = np.full((3, len(words)), len(words), dtype=np.int64)
+    for t, word in enumerate(words):
+        for s in range(3):
+            source, joined = (s + 1,) + word[:-1], (s + 1,) + word
+            if source in index and not any(_contains_factor(joined, pat)
+                                           for pat in patterns):
+                pred[s, t] = index[source]
+    return (np.array([code(word) for word in words], dtype=np.uint64), pred,
+            np.array([word[-1] - 1 for word in words], dtype=np.uint8))
+
+
+def _digit_columns(k: int, lo: int, hi: int) -> np.ndarray:
+    """Words lo..hi of the 3**k enumeration as step kinds, one row per
+    position, oldest first: column i is word lo + i."""
     idx = np.arange(lo, hi, dtype=np.int64)
-    rows = np.empty((hi - lo, k), dtype=np.int8)
+    columns = np.empty((k, hi - lo), dtype=np.int8)
     for pos in range(k):
-        rows[:, k - 1 - pos] = (idx // 3**pos) % 3 + 1
-    return rows
+        columns[k - 1 - pos] = (idx // 3**pos) % 3 + 1
+    return columns
 
 
 @lru_cache(maxsize=None)
@@ -117,18 +147,18 @@ def _valid_path_summary(n: int, k: int):
     counts = []
     for lo in range(0, 3**k, _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, 3**k)
-        rows = _digit_rows(k, lo, hi)
+        words = _digit_columns(k, lo, hi)
         good = np.ones(hi - lo, dtype=bool)
         for pat in patterns:
-            m = len(pat)
-            if m > k:
-                continue
-            pat_arr = np.asarray(pat, dtype=np.int8)
-            for s in range(k - m + 1):
-                good &= ~(rows[:, s:s + m] == pat_arr).all(axis=1)
-        rows = rows[good]
+            for s in range(k - len(pat) + 1):
+                # the window at s spells the pattern, one step at a time
+                hit = words[s] == pat[0]
+                for j in range(1, len(pat)):
+                    hit &= words[s + j] == pat[j]
+                good &= ~hit
+        words = words[:, good]
         codes.append(np.arange(lo, hi, dtype=np.uint64)[good])
-        trip = np.stack([(rows == d).sum(axis=1) for d in (1, 2, 3)], axis=1)
+        trip = np.stack([(words == d).sum(axis=0) for d in (1, 2, 3)], axis=1)
         counts.append(trip)
     codes = np.concatenate(codes)
     counts = np.concatenate(counts)
@@ -172,24 +202,7 @@ def dense_matrix(table: TransitionTable, params: Parameters) -> np.ndarray:
     return mat
 
 
-def dense_growth_rate(table: TransitionTable, params: Parameters,
-                      doublings: int = 40) -> float:
-    """||M^(2^t)||_inf^(1/2^t) after `doublings` squarings with norm
-    scaling; decreases monotonically to the spectral radius from above."""
-    mat = dense_matrix(table, params)
-    nrm = float(np.abs(mat).sum(axis=1).max())
-    if nrm == 0.0:
-        return 0.0
-    mat /= nrm
-    # log of ||M^(2^t)||^(1/2^t): each squaring's norm enters at 2^-t
-    log_rate = np.log(nrm)
-    weight = 1.0
-    for _ in range(doublings):
-        mat = mat @ mat
-        nrm = float(np.abs(mat).sum(axis=1).max())
-        if nrm == 0.0:
-            return 0.0
-        mat /= nrm
-        weight *= 0.5
-        log_rate += weight * np.log(nrm)
-    return float(np.exp(log_rate))
+def dense_growth_rate(table: TransitionTable, params: Parameters) -> float:
+    """The spectral radius of the dense operator: max |λ| over its
+    eigenvalues."""
+    return float(np.abs(np.linalg.eigvals(dense_matrix(table, params))).max())

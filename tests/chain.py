@@ -122,18 +122,6 @@ def next_level(pred: np.ndarray, last_digit: np.ndarray, start: int,
             int(loops[start]))
 
 
-def count_words(pred: np.ndarray, start: int, length: int) -> int:
-    """The words of the given length read from `start`, one int64
-    gather over the move slots a step; a move into the sentinel K ends
-    no word."""
-    size = pred.shape[1]
-    words = np.ones(size + 1, dtype=np.int64)
-    words[size] = 0
-    for _ in range(length):
-        words[:size] = words[pred].sum(axis=0)
-    return int(words[start])
-
-
 def isomorphic(a: tuple[np.ndarray, np.ndarray, int],
                b: tuple[np.ndarray, np.ndarray, int]) -> bool:
     """Whether two (pred, last_digit, start) tables are one automaton:

@@ -9,7 +9,7 @@ import time
 import bruteforce
 import numpy as np
 import pytest
-from chain import count_words, level_zero
+from chain import level_zero
 from conftest import (LEVELS, check_lift, forbidden_set, history, level,
                       minimal_table, word_weights)
 
@@ -20,7 +20,7 @@ from stavskaya.patterns import (MAX_LEVEL, POW3, Parameters, _grow,
 from stavskaya.search import alpha_sup, optimize_p
 from stavskaya.spectral import (apply_operator, certified_upper_bound,
                                 check_subcritical, power_iteration)
-from stavskaya.statespace import build_level, build_state_space
+from stavskaya.statespace import _count_words, build_level, build_state_space
 
 HEADLINE_LEVEL = 7
 HEADLINE_P = LEVELS[HEADLINE_LEVEL].p_opt
@@ -247,7 +247,7 @@ def test_counted_states_match_the_unminimised_automaton(n):
     patterns, states, _ = level(n)
     moves, _ = automaton._live(forbidden_set(n))
     assert (patterns, states) == LEVELS[n][:2]
-    assert count_words(moves, 0, 3 * n - 1) == states
+    assert _count_words(moves, 0, 3 * n - 1) == states
 
 
 def test_state_counts_stay_exact_through_the_level_cap():

@@ -4,8 +4,10 @@ automaton built from the one below (`chain`), which reads no pattern."""
 import numpy as np
 import pytest
 
-from chain import count_words, isomorphic, level_zero, next_level
+from chain import isomorphic, level_zero, next_level
 from conftest import LEVELS, LOOPS, forbidden_set, minimal_table
+
+from stavskaya.statespace import _count_words
 
 # the chain's states before refinement
 BFS_STATES = {5: 223, 6: 535, 7: 1262, 8: 2938, 9: 6761}
@@ -62,7 +64,7 @@ def test_level_ten_from_the_chain(chain):
     assert pred.shape == (3, row.classes)
     assert loops == LOOPS[10]
     assert LOOPS[0] + sum(chain[n][4] for n in range(1, 11)) == row.patterns
-    assert count_words(pred, start, 3 * 10 - 1) == row.states
+    assert _count_words(pred, start, 3 * 10 - 1) == row.states
 
 
 def test_isomorphism_tells_tables_apart():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import LEVELS, LOOPS
 
-from stavskaya import automaton, cli, statespace
+from stavskaya import automaton, cli, patterns, statespace
 from stavskaya.cli import main
 from stavskaya.errors import ResourceLimitError
 from stavskaya.statespace import StateSpace
@@ -68,13 +68,6 @@ def test_streamed_dump_matches_the_json_list(capsys, fmt):
     assert len(streamed) == report["total"] == LEVELS[5].patterns
 
 
-def test_loops_bad_level(capsys, monkeypatch):
-    # above MAX_LEVEL = 11, refused before any pattern is grown
-    _no_build(monkeypatch)
-    for n in ("12", "13", "99"):
-        assert run(capsys, "loops", "--n", n)[0] == 3
-
-
 def test_bound_schema_and_value(capsys):
     row = LEVELS[2]
     code, out = run(capsys, "bound", "--n", "2", "--p", str(row.p_opt))
@@ -105,52 +98,48 @@ def test_bound_degenerate_exits_two(capsys):
 
 
 def _no_build(monkeypatch):
-    def no_build(n):
-        raise AssertionError(f"level {n} built")
+    def no_build(*args):
+        raise AssertionError(f"built or grown from {args}")
     monkeypatch.setattr(cli, "build_level", no_build)
-    monkeypatch.setattr(cli, "build_forbidden_set", no_build)
+    monkeypatch.setattr(patterns, "_grow", no_build)
 
 
-@pytest.mark.parametrize("n", ["12", "13", "14", "99"])
-def test_bound_above_history_cap_refused_before_build(capsys, monkeypatch, n):
-    # no history table caps the CLI: every command stops at MAX_LEVEL = 11
+# no history table caps the CLI: every command stops at MAX_LEVEL = 11
+# with exit 3, and below its lowest level with exit 1; `loops` is refused
+# by `build_forbidden_set` itself, before any pattern is grown
+LEVEL_REFUSALS = [
+    (("bound", "--n", "12", "--p", "1.413"), 3, "1..11, got 12"),
+    (("bound", "--n", "13", "--p", "1.413"), 3, "1..11, got 13"),
+    (("bound", "--n", "14", "--p", "1.413"), 3, "1..11, got 14"),
+    (("bound", "--n", "99", "--p", "1.413"), 3, "1..11, got 99"),
+    (("bound", "--n", "0", "--p", "1.413"), 1, "1..11, got 0"),
+    (("bound", "--n", "-1", "--p", "1.413"), 1, "1..11, got -1"),
+    (("table", "--n-max", "12"), 3, "1..11, got 12"),
+    (("table", "--n-max", "0"), 1, "1..11, got 0"),
+    (("loops", "--n", "12"), 3, "0..11, got 12"),
+    (("loops", "--n", "13"), 3, "0..11, got 13"),
+    (("loops", "--n", "99"), 3, "0..11, got 99"),
+    (("loops", "--n", "-1"), 1, "0..11, got -1")]
+
+
+@pytest.mark.parametrize("argv,code,message", LEVEL_REFUSALS,
+                         ids=[f"{argv[0]}{argv[2]}" for argv, *_ in LEVEL_REFUSALS])
+def test_level_outside_the_range_refused_before_the_build(
+        capsys, monkeypatch, argv, code, message):
     _no_build(monkeypatch)
-    assert main(["bound", "--n", n, "--p", "1.413"]) == 3
+    assert main(list(argv)) == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"level must be in 1..11, got {n}" in captured.err
-
-
-@pytest.mark.parametrize("n", ["0", "-1"])
-def test_bound_below_level_one_exits_one(capsys, monkeypatch, n):
-    _no_build(monkeypatch)
-    assert main(["bound", "--n", n, "--p", "1.413"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"level must be in 1..11, got {n}" in captured.err
-
-
-def test_bound_level_seven_runs_without_a_flag(capsys, monkeypatch):
-    built = []
-
-    class Reached(Exception):
-        pass
-
-    def stub(n):
-        built.append(n)
-        raise Reached
-    monkeypatch.setattr(cli, "build_level", stub)
-    with pytest.raises(Reached):
-        main(["bound", "--n", "7", "--p", "1.415"])
-    assert built == [7]
+    assert f"level must be in {message}" in captured.err
 
 
 @pytest.mark.parametrize("argv,builder", [
     (["bound", "--n", "11", "--p", "1.41"], "build_level"),
     (["loops", "--n", "11"], "build_forbidden_set"),
-], ids=["bound", "loops"])
+    (["bound", "--n", "7", "--p", "1.415"], "build_level"),
+], ids=["bound", "loops", "bound-7"])
 def test_level_eleven_reaches_the_build(monkeypatch, argv, builder):
-    # MAX_LEVEL itself passes the CLI's level check
+    # MAX_LEVEL itself, and level 7 with no flag, pass the CLI's level check
     built = []
 
     class Reached(Exception):
@@ -162,7 +151,7 @@ def test_level_eleven_reaches_the_build(monkeypatch, argv, builder):
     monkeypatch.setattr(cli, builder, stub)
     with pytest.raises(Reached):
         main(argv)
-    assert built == [11]
+    assert built == [int(argv[2])]
 
 
 @pytest.mark.parametrize("argv", [
@@ -206,27 +195,6 @@ def test_table_small(capsys):
         assert got["bound"] == pytest.approx(want.bound, abs=tol)
 
 
-def test_table_above_level_cap_exits_three(capsys, monkeypatch):
-    # the same refusal, and exit code, as `bound --n 12`
-    _no_build(monkeypatch)
-    assert main(["table", "--n-max", "12"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "level must be in 1..11, got 12" in captured.err
-
-
-@pytest.mark.parametrize("argv,lowest", [
-    (["loops", "--n", "-1"], 0),
-    (["table", "--n-max", "0"], 1),
-], ids=["loops", "table"])
-def test_level_below_range_exits_one(capsys, monkeypatch, argv, lowest):
-    _no_build(monkeypatch)
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"level must be in {lowest}..11, got {argv[-1]}" in captured.err
-
-
 @pytest.mark.parametrize("argv", [("bound", "--n", "2", "--p", "1.44"),
                                   ("table", "--n-max", "2")])
 def test_build_refusal_exits_three(capsys, monkeypatch, argv):
@@ -254,8 +222,8 @@ def test_failed_seed_gives_the_same_bound(capsys, monkeypatch):
 
 
 # q and the solver settings are constants, not flags (q = 1 is optimal,
-# see `stavskaya.search`): argparse refuses each such flag with exit 1,
-# before any level is built.
+# see `stavskaya.search`), and `--cache-dir` and `--deep` are gone:
+# argparse refuses each such flag with exit 1, before any level is built.
 RETIRED = "unrecognized arguments"
 BAD_SETTINGS = [
     (("bound", "--n", "7", "--p", "1.415", "--alpha-tol", "nan"), RETIRED),
@@ -268,7 +236,11 @@ BAD_SETTINGS = [
     (("table", "--n-max", "7", "--p-max", "inf"), "p must be"),
     (("table", "--n-max", "7", "--q", "0.5"), RETIRED),
     (("table", "--n-max", "7", "--p-min", "1.5", "--p-max", "1.4"),
-     "p_min < p_max")]
+     "p_min < p_max"),
+    (("bound", "--n", "7", "--p", "1.415", "--cache-dir", "x"), RETIRED),
+    (("bound", "--n", "7", "--p", "1.415", "--deep"), RETIRED),
+    (("table", "--n-max", "7", "--cache-dir", "x"), RETIRED),
+    (("table", "--n-max", "7", "--deep"), RETIRED)]
 
 
 @pytest.mark.parametrize("argv,named", BAD_SETTINGS,
@@ -288,13 +260,6 @@ def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--n", "2"])  # missing --p
     assert exc.value.code == 1
-    retired = (["--cache-dir", "x"], ["--deep"], ["--q", "1"],
-               ["--alpha-tol", "1e-10"], ["--max-iter", "100"])
-    for argv in (["bound", "--n", "1", "--p", "1.45"], ["table", "--n-max", "1"]):
-        for flag in retired:
-            with pytest.raises(SystemExit) as exc:
-                main([*argv, *flag])
-            assert exc.value.code == 1
 
 
 def test_readme_cli_lines_parse():

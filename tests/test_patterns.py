@@ -175,13 +175,6 @@ def test_loops_are_balanced_and_closed():
         assert sum(moves[kind][1] for kind in pat) == 0
 
 
-def test_swap_and_reversal_closure():
-    for n in range(0, 6):
-        patterns = set(pattern_words(forbidden_set(5).restrict(n)))
-        assert {tuple(4 - k for k in p) for p in patterns} == patterns
-        assert {tuple(reversed(p)) for p in patterns} == patterns
-
-
 def test_mutual_primitivity():
     # no member is a contiguous factor of another
     pats = pattern_words(forbidden_set(5))

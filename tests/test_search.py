@@ -48,21 +48,6 @@ def test_bisection_iteration_count():
     assert 0.0 <= res.alpha_low < res.alpha_high <= 1.0
 
 
-def test_level_one_published_point():
-    _, table = history(1)
-    res = alpha_sup(table, LEVELS[1].p_opt, 1.0, 1e-10)
-    assert res.certified
-    assert res.alpha_low == pytest.approx(LEVELS[1].bound, abs=5e-4)
-    assert res.certificate < 1.0
-
-
-def test_level_three_published_point():
-    _, table = history(3)
-    res = alpha_sup(table, LEVELS[3].p_opt, 1.0, 1e-10)
-    assert res.certified
-    assert res.alpha_low == pytest.approx(LEVELS[3].bound, abs=1e-6)
-
-
 def test_degenerate_bracket():
     # p = q = 1 keeps weight-1 runs alive at alpha = 0: nothing to certify
     _, table = history(1)

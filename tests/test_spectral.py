@@ -322,16 +322,6 @@ def test_scale_invariance():
     assert abs(a.certified_upper - b.certified_upper) <= 1e-14 * a.certified_upper
 
 
-def test_monotone_in_alpha():
-    for n in (1, 2, 3):
-        _, table = history(n)
-        ladder = np.linspace(0.01, 0.5, 10)
-        uppers = [power_iteration(table, Parameters(1.43, 1.0, a)).certified_upper
-                  for a in ladder]
-        for lo, hi in zip(uppers, uppers[1:]):
-            assert lo <= hi + 1e-10
-
-
 def certifies(table, params):
     return check_subcritical(table, params).certified_subcritical
 

@@ -28,19 +28,6 @@ def _successor_table(table):
                            last_digit=table.last_digit)
 
 
-def _word(space, i):
-    return bruteforce.code_word(int(space.codes[i]), space.length)
-
-
-def _index(space, word):
-    """State id of a word, by decoding every state (small spaces only)."""
-    return [_word(space, i) for i in range(len(space))].index(word)
-
-
-def _text(word):
-    return "".join(map(str, word))
-
-
 def test_word_codec_roundtrip():
     # the tests' codec orders words as `product` does, oldest step most
     # significant, and its code is the sum of the digits' powers of 3
@@ -60,22 +47,22 @@ def test_word_codec_roundtrip():
             bruteforce.code_word(code, length)
 
 
-def test_level_one_words():
-    space, _ = history(1)
-    texts = [_text(_word(space, i)) for i in range(len(space))]
-    assert texts == ["11", "12", "21", "22", "23", "32", "33"]
-
-
-def test_level_one_transitions():
-    space, table = history(1)
-    assert table.edge_count == LEVELS[1].edges
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_history_table_is_its_definition(n):
+    # every state, move and last digit against the table written from
+    # the naive patterns, and the scatter `succ` as pred's exact transpose
+    space, table = history(n)
+    codes, pred, last_digit = bruteforce.history_table(n)
+    assert np.array_equal(space.codes, codes)
+    assert np.array_equal(table.pred, pred)
+    assert np.array_equal(table.last_digit, last_digit)
+    size = table.n_states
+    real = table.pred < size
+    targets = np.broadcast_to(np.arange(size), real.shape)[real]
     succ = table.succ
-    # "12" cannot take step 3 (would close the order-1 loop)
-    assert succ[2, _index(space, (1, 2))] == table.n_states
-    # "22" accepts all three steps
-    i22 = _index(space, (2, 2))
-    targets = [_text(_word(space, succ[d, i22])) for d in range(3)]
-    assert targets == ["21", "22", "23"]
+    assert np.array_equal(succ[table.last_digit[targets], table.pred[real]],
+                          targets)
+    assert np.count_nonzero(succ < size) == np.count_nonzero(real)
 
 
 @pytest.mark.parametrize("n,edges", EDGES)
@@ -132,60 +119,6 @@ def test_chunked_moves_match_one_chunk(monkeypatch, chunk):
             broken = TransitionTable(table.n, *broken)
             assert not broken.mirrored
             assert not mirrored_by_definition(broken)
-
-
-def test_closure_targets_are_states():
-    for n in (1, 2, 3):
-        space, table = history(n)
-        succ = table.succ
-        for d in range(3):
-            src = np.nonzero(succ[d] < table.n_states)[0]
-            want = (space.codes[src] % POW3[space.length - 1]) * np.uint64(3) + np.uint64(d)
-            got = space.codes[succ[d][src]]
-            assert np.array_equal(got, want)
-
-
-def test_suffix_sufficiency_full_factor_scan():
-    # suffix-only validity equals full-factor validity of the extended word
-    for n in (1, 2, 3):
-        space, table = history(n)
-        succ = table.succ
-        patterns = bruteforce.pattern_words(table.fset)
-        for i in range(len(space)):
-            word = _word(space, i)
-            for kind in (1, 2, 3):
-                ext = word + (kind,)
-                full_hit = any(
-                    ext[s:s + len(p)] == p
-                    for p in patterns for s in range(len(ext) - len(p) + 1))
-                assert (succ[kind - 1, i] == table.n_states) == full_hit
-
-
-def test_out_degree_structure():
-    for n in (1, 2, 3):
-        space, table = history(n)
-        succ = table.succ
-        degrees = (succ < table.n_states).sum(axis=0)
-        # the scatter keeps every move: each state is a source as often
-        assert np.array_equal(degrees, np.bincount(
-            table.pred.ravel(), minlength=table.n_states + 1)[:-1])
-        assert degrees.max() <= 3
-        last = space.codes % np.uint64(3)
-        # ...1 never takes step 3, ...3 never takes step 1
-        assert (succ[2][last == 0] == table.n_states).all()
-        assert (succ[0][last == 2] == table.n_states).all()
-
-
-def test_pred_slot_is_oldest_step():
-    # slot s of target t holds the state that is t with its newest step
-    # dropped and kind s+1 prepended as the oldest
-    for n in (1, 2, 3):
-        space, table = history(n)
-        top = POW3[space.length - 1]
-        for s in range(3):
-            real = np.nonzero(table.pred[s] < table.n_states)[0]
-            want = space.codes[real] // np.uint64(3) + np.uint64(s) * top
-            assert np.array_equal(space.codes[table.pred[s][real]], want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -363,18 +296,6 @@ def test_growth_holds_its_mask_packed(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak - held <= 4.5 * len(space)
-
-
-def test_enumerate_valid_words_small():
-    f0 = forbidden_set(0)
-    assert list(patterns._grow(1, f0)[0]) == [0, 1, 2]
-    # the level-1 states
-    assert len(patterns._grow(2, f0)[0]) == LEVELS[1].states
-
-
-def test_codes_strictly_increasing():
-    for space, _ in map(history, (1, 2, 3)):
-        assert (space.codes[1:] > space.codes[:-1]).all()
 
 
 @pytest.mark.parametrize("bad", ["past_sentinel", "negative", "long_digits",
@@ -612,18 +533,6 @@ def test_lift_check_refuses_each_fault(fault, match):
     broken = TransitionTable(n=table.n, pred=pred, last_digit=digits)
     with pytest.raises((AssertionError, ConsistencyError), match=match):
         check_lift(broken, quotient)
-
-
-@pytest.mark.parametrize("n,classes", CLASSES)
-def test_minimal_automaton_from_the_patterns_alone(n, classes, monkeypatch):
-    def no_histories(*args):
-        raise AssertionError("a history table was built")
-    for name in ("_grow", "_block", "build_state_space", "build_transitions"):
-        monkeypatch.setattr(statespace, name, no_histories)
-    pred, last_digit, start = automaton.minimal(forbidden_set(n))
-    assert pred.shape == (3, classes)
-    assert last_digit.shape == (classes,)
-    assert 0 <= start < classes
 
 
 def test_node_entered_on_two_steps_refused():
