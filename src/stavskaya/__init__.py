@@ -1,12 +1,13 @@
 """Certified lower bounds for the critical parameter of Stavskaya's process.
 
-The pipeline: enumerate primitive forbidden loops, build the minimal
-automaton of the words that avoid them and its weighted one-step
-operator, certify that its spectral radius stays below one, and push the
-erasure parameter alpha as high as that certificate allows.  The
-memory-walk history tables (`build_state_space`, `build_transitions`),
-of which the automaton is the quotient, are built only by the benchmark
-and the tests.
+The pipeline: build the minimal automaton of the words that avoid the
+primitive forbidden loops, each level from the one below with no loop
+listed, and its weighted one-step operator, certify that its spectral
+radius stays below one, and push the erasure parameter alpha as high as
+that certificate allows.  The loops are listed only by the `loops`
+command and for the memory-walk history tables (`build_state_space`,
+`build_transitions`), of which the automaton is the quotient, and which
+only the benchmark and the tests build.
 """
 
 from .errors import ConsistencyError, ResourceLimitError

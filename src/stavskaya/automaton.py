@@ -1,147 +1,140 @@
-"""The minimal automaton of a forbidden set, built from its patterns.
+"""Each level's minimal automaton from the one below, reading no pattern.
 
-The Aho–Corasick automaton of a forbidden set F (Aho & Corasick, CACM
-1975) has a node for every prefix of a pattern; δ(u, d) is the node of
-the longest suffix of u·d that is one, and reading a word from the root
-lands on the node of its longest suffix that is one.  A node is dead
-when its word ends in a pattern.  Whether w can follow a word x without
-completing a pattern depends only on x's node: a pattern that ends
-inside w and starts inside x meets x in a suffix that is a pattern
-prefix, so a suffix of the node's word.  So the node of a history fixes
-its future, and the histories' successor form factors through the nodes
-(see `statespace`).
+min(F_n) is the minimal automaton of the words that avoid the level-n
+forbidden set F_n.  `chain` builds it from the words that avoid the
+degenerate pair 13, 31 and climbs one level at a time, listing no
+pattern.
 
-The depth-m nodes are the sorted, distinct length-m prefixes of the
-patterns, found from the deepest depth up: the parents of the depth-
-(m+1) nodes and the length-m patterns.  The automaton is then built one
-depth at a time from the root down: each node's children are scattered
-into its row from theirs, its missing moves are δ(fail(u), d), and
-fail(u·d) = δ(fail(u), d), so each depth reads only shallower rows.  A
-node is dead when it is a pattern or its failure target is dead.
+Let w avoid F_{n-1}.  A balanced factor of w shorter than 3n would
+contain a pattern of F_{n-1}, so the balanced length-3n factors of w are
+exactly the order-n loops it contains, and w avoids F_n exactly when it
+reads on min(F_{n-1}) and none of its length-3n suffixes has the step
+counts (n, n, n).  So a state of level n is a class of min(F_{n-1}) and
+the set of deficits (n, n, n) - counts of its nonempty suffixes shorter
+than 3n.  Step d moves the class, takes e_d off each deficit and off
+(n, n, n), the empty suffix's, and drops the deficits that go negative;
+it is refused when a deficit reaches (0, 0, 0).  A deficit is also
+dropped when no word read from the new class has exactly those counts
+(`_reach`), since no continuation can then complete it.  The same pass
+over the counts gives the order-n loops, the length-3n words with counts
+(n, n, n) read from min(F_{n-1})'s start.  A breadth-first
+search from (the start class, no deficit) finds the states, and
+Moore's algorithm (`_refine`, Moore 1956) merges them into min(F_n).
 
-`minimal` merges the live nodes with the same future (`_refine`).  It
-hashes each node's future as deep as the longest pattern, with no sort,
-and keeps the hash classes once one pass shows that they form a
-bisimulation; until then it refines them by rounds of Moore's algorithm
-(Moore 1956), which no class count limits.  Nothing here reads a
-history.
+Tables are in the quotient's form: pred[d, c] is the class c moves to on
+step d+1, or the class count K for no move, and last_digit[c] the step
+that enters c.  Nothing here reads a pattern or a history.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError
-from .patterns import _NO_CODES, ForbiddenSet, _find
 
-_THREE = np.uint64(3)
-# the future hash's odd multiplier for each step's target, the hash of
-# a missing move, and its xor-shift (see `_future_hash`)
-HASH_MULTIPLIERS = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
-                             0x165667B19E3779F9], dtype=np.uint64)
-_NO_MOVE = np.uint64(0x27D4EB2F165667C5)
-_SHIFT = np.uint64(29)
+def level_zero() -> tuple[np.ndarray, np.ndarray, int]:
+    """(pred, last_digit, start) of min(F_0), the words that avoid 13
+    and 31: after a 1 (class 0) no 3, after a 3 (class 2) no 1, and
+    after a 2 or nothing (class 1, the start) any step."""
+    pred = np.array([[0, 0, 3], [1, 1, 1], [3, 2, 2]], dtype=np.int32)
+    return pred, np.array([0, 1, 2], dtype=np.uint8), 1
 
 
-def _automaton(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray]:
-    """(delta, dead): delta[u, d] is δ(u, d) for step d+1, as an int32
-    node index with the root at 0, and dead[u] flags the nodes whose
-    word ends in a pattern.  Nodes are numbered by (depth, code)."""
-    by_length = fset.codes_by_length
-    longest = max(by_length, default=0)
-    depth_codes = [np.zeros(1, dtype=np.uint64)]  # the root
-    depth_codes += [_NO_CODES] * longest  # filled from the deepest up
-    codes = _NO_CODES
-    for m in range(longest, 0, -1):
-        codes = codes // _THREE  # sorted, as the deeper codes are
-        if m in by_length:
-            codes = np.sort(np.concatenate([codes, by_length[m]]))
-        # each code that differs from its neighbour: np.unique would
-        # import numpy.ma on first use
-        distinct = np.ones(codes.shape[0], dtype=bool)
-        np.not_equal(codes[1:], codes[:-1], out=distinct[1:])
-        depth_codes[m] = codes = codes[distinct]
-    starts = np.cumsum([0] + [c.shape[0] for c in depth_codes]).tolist()
-    delta = np.full((starts[-1], 3), -1, dtype=np.int32)
-    fail = np.zeros(starts[-1], dtype=np.int32)
-    dead = np.zeros(starts[-1], dtype=bool)
-    for m in range(longest + 1):
-        lo, hi = starts[m], starts[m + 1]
-        if m < longest:  # the depth-(m+1) nodes, children of depth m
-            codes = depth_codes[m + 1]
-            up = codes // _THREE
-            digit = (codes - up * _THREE).astype(np.intp)
-            parent = np.searchsorted(depth_codes[m], up)
-            parent += lo
-            delta[parent, digit] = np.arange(hi, starts[m + 2], dtype=np.int32)
-        rows = delta[lo:hi]
-        if m == 0:  # the root's missing moves stay at the root
-            rows[rows < 0] = 0
-        else:
-            np.copyto(rows, delta[fail[lo:hi]], where=rows < 0)
-        if m < longest:
-            new = slice(hi, starts[m + 2])
-            if m > 0:  # depth-1 nodes fail to the root
-                fail[new] = delta[fail[parent], digit]
-            dead[new] = dead[fail[new]]
-            if m + 1 in by_length:
-                dead[new] |= _find(by_length[m + 1], codes)[1]
-    return delta, dead
+def _reach(pred: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reach, loops).  reach[c, a, b, e] says that some word read from
+    class c has a steps of kind 1, b of kind 2 and e of kind 3, for
+    counts 0..n each, and the sentinel row K is all False; loops[c]
+    counts the words read from c with counts (n, n, n).
+
+    One pass over the count totals s = 0..3n keeps two int64 layers:
+    f[a, b, c] counts the words of length s read from class c with a
+    steps of kind 1, b of kind 2 and e = s - a - b of kind 3, and each
+    layer gathers the one below along the moves,
+    f_s[v, c] = sum_d f_{s-1}[v - e_d, pred[d, c]].  Its positive entries
+    are the reach.  An entry is at most the multinomial s!/(a! b! e!),
+    and so below (3n)!/(n!)^3, which is below 2^63 through n = 14."""
+    size = pred.shape[1]
+    reach = np.zeros((size + 1, n + 1, n + 1, n + 1), dtype=bool)
+    a, b = np.indices((n + 1, n + 1))
+    layer = np.zeros((n + 1, n + 1, size + 1), dtype=np.int64)
+    layer[0, 0, :size] = 1
+    for s in range(3 * n + 1):
+        if s:
+            below, layer = layer, np.zeros_like(layer)
+            layer[1:, :, :size] += below[:-1, :, pred[0]]
+            layer[:, 1:, :size] += below[:, :-1, pred[1]]
+            layer[:, :, :size] += below[:, :, pred[2]]
+        e = s - a - b
+        outside = (e < 0) | (e > n)
+        layer[outside] = 0
+        a_in, b_in, e_in = a[~outside], b[~outside], e[~outside]
+        reach[:, a_in, b_in, e_in] = (layer[a_in, b_in] > 0).T
+    return reach, layer[n, n, :size]
 
 
-def minimal(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray, int]:
-    """(pred, last_digit, start): the minimal automaton of the words that
-    avoid `fset`, in the form of the quotient `TransitionTable`, and the
-    root's class.  The live nodes and their live moves are refined by
-    `_refine` from the step that enters each node, seeded by a future
-    hash as deep as the longest pattern, which is deep enough for the
-    seed to pass its check unless two hashes collide (it passed at
-    n = 1..11); a live node entered on no step or on two has no one step
-    weight, and raises `ConsistencyError`."""
-    moves, last_digit = _live(fset)
-    size = last_digit.shape[0]
-    classes, k = _refine(moves, last_digit,
-                         rounds=max(fset.codes_by_length, default=0))
-    members = np.empty(k, dtype=np.intp)  # any member node of each class
-    members[classes] = np.arange(size)
+def next_level(pred: np.ndarray, last_digit: np.ndarray, start: int,
+               n: int) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    """(pred, last_digit, start, states, loops) of min(F_n), given
+    min(F_{n-1}), where `states` counts the breadth-first states before
+    refinement and `loops` the order-n loops: the length-3n words with
+    counts (n, n, n) read from min(F_{n-1})'s start."""
+    size = pred.shape[1]
+    reach, loops = _reach(pred, n)
+    full = (n, n, n)
+    order = [(start, frozenset())]
+    index = {order[0]: 0}
+    moves: list[list[int]] = []
+    for c, deficits in order:  # breadth first: new states are appended
+        row = []
+        for d in range(3):
+            target = int(pred[d, c])
+            moved = set()
+            for delta in deficits | {full}:
+                if delta[d] == 0:
+                    continue
+                delta = delta[:d] + (delta[d] - 1,) + delta[d + 1:]
+                if delta == (0, 0, 0):
+                    target = size  # an order-n loop ends here
+                    break
+                moved.add(delta)
+            if target == size:
+                row.append(-1)
+                continue
+            state = (target, frozenset(delta for delta in moved
+                                       if reach[(target, *delta)]))
+            if state not in index:
+                index[state] = len(order)
+                order.append(state)
+            row.append(index[state])
+        moves.append(row)
+    states = len(order)
+    succ = np.array(moves, dtype=np.intp).T
+    succ[succ < 0] = states
+    digits = last_digit[[c for c, _ in order]]
+    classes, k = _refine(succ, digits)
+    members = np.empty(k, dtype=np.intp)
+    members[classes] = np.arange(states)
     padded = np.append(classes, np.int32(k))
-    return padded[moves[:, members]], last_digit[members], int(classes[0])
+    return (padded[succ[:, members]], digits[members], int(classes[0]), states,
+            int(loops[start]))
 
 
-def _live(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray]:
-    """(moves, last_digit) of the live nodes of `_automaton(fset)`, in
-    live order: moves[d, i] is the live index that node i moves to on
-    step d+1, as intp, or the live count where it moves into a dead
-    node, and last_digit[i] is the step that enters node i.  A live node
-    entered on no step or on two raises `ConsistencyError`."""
-    delta, dead = _automaton(fset)
-    live = ~dead
-    # each node's live index, the sentinel (the live count) if dead
-    label = np.cumsum(live, dtype=np.intp)
-    label -= 1
-    size = int(label[-1]) + 1
-    label[dead] = size
-    moves = np.empty((3, size), dtype=np.intp)
-    for d in range(3):
-        np.take(label, delta[:, d][live], out=moves[d])
-    del delta, dead, live, label
-    entered = np.zeros((3, size + 1), dtype=np.uint8)
-    for d, row in enumerate(moves):
-        entered[d, row] = 1  # only moves into live nodes count
-    entered = entered[:, :size]
-    if ((entered[0] + entered[1] + entered[2]) != 1).any():
-        raise ConsistencyError(
-            f"a live node of the level-{fset.level} automaton is not "
-            "entered by exactly one step")
-    last_digit = entered[1] + 2 * entered[2]
-    return moves, last_digit
+def chain(n: int, below: list | None = None
+          ) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
+    """min(F_0), ..., min(F_n), each as (pred, last_digit, start, loops),
+    level k built from level k-1 by `next_level`, from `below`, a shorter
+    chain, when given; `loops` counts the patterns of order k: the pair
+    13, 31 at level 0, the order-k loops above it."""
+    levels = [(*level_zero(), 2)] if below is None else list(below)
+    for k in range(len(levels), n + 1):
+        pred, last_digit, start, _, loops = next_level(*levels[-1][:3], k)
+        levels.append((pred, last_digit, start, loops))
+    return levels
 
 
 def _rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """(labels, count): the 64-bit keys replaced by dense int32 labels in
-    key order, read off a sort as the running count of the places where
-    the sorted key changes.  np.unique would import numpy.ma on first
-    use."""
+    """(labels, count): the keys replaced by dense int32 labels in key
+    order, read off a sort as the running count of the places where the
+    sorted key changes.  np.unique would import numpy.ma on first use."""
     order = np.argsort(keys)
     ranked = keys[order]
     rank = np.empty(keys.shape[0], dtype=np.int32)
@@ -152,32 +145,6 @@ def _rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
     labels = np.empty_like(rank)
     labels[order] = rank
     return labels, int(rank[-1]) + 1
-
-
-def _future_hash(succ: np.ndarray, last_digit: np.ndarray,
-                 rounds: int) -> np.ndarray:
-    """A uint64 hash of each state's future `rounds` steps deep:
-    h ← xs(last digit + Σ_d HASH_MULTIPLIERS[d] · h[succ[d]]), from
-    h = last digit, with the sentinel's hash fixed at `_NO_MOVE` and
-    xs(x) = x ^ (x >> 29), in wrapping uint64 arithmetic.  Each round
-    gathers one slot at a time into one scratch array."""
-    size = succ.shape[1]
-    h = np.empty(size + 1, dtype=np.uint64)
-    h[:size] = last_digit
-    h[size] = _NO_MOVE
-    nxt = h.copy()
-    scratch = np.empty(size, dtype=np.uint64)
-    for _ in range(rounds):
-        acc = nxt[:size]
-        acc[:] = last_digit
-        for slot, mult in zip(succ, HASH_MULTIPLIERS):
-            np.take(h, slot, out=scratch, mode="clip")
-            scratch *= mult
-            acc += scratch
-        np.right_shift(acc, _SHIFT, out=scratch)
-        acc ^= scratch
-        h, nxt = nxt, h
-    return h[:size]
 
 
 def _is_stable(classes: np.ndarray, k: int, succ: np.ndarray,
@@ -200,36 +167,23 @@ def _is_stable(classes: np.ndarray, k: int, succ: np.ndarray,
     return True
 
 
-def _refine(succ: np.ndarray, last_digit: np.ndarray,
-            rounds: int = 0) -> tuple[np.ndarray, int]:
+def _refine(succ: np.ndarray, last_digit: np.ndarray) -> tuple[np.ndarray, int]:
     """(classes, K): the coarsest partition of the states of a successor
     table, sentinel N for no move, that refines the last digits and in
     which every class sends each step into one class, or nowhere.
 
-    It starts from the ranks of `_future_hash`, `rounds` steps deep
-    (with `rounds` 0 the hash is the last digit, so the seed is the
-    split by last digit, which the result refines anyway), and ends at
-    the first partition that passes `_is_stable`.  Until then each round
-    of Moore's algorithm (Moore 1956) keys every state by its class, its
+    It starts from the split by last digit and ends at the first
+    partition that passes `_is_stable`.  Until then each round of
+    Moore's algorithm (Moore 1956) keys every state by its class, its
     last digit and the classes of its three targets, the sentinel N
     counting as class K, ranked one slot at a time (`_rank`), so no key
-    reaches 3N(K+1) and no class count overflows int64.  Neither the
-    seed nor a round splits two states with the same future: such states
-    hash equal, and have one last digit and targets of one future.  A
-    round from an unstable partition splits some class, so the loop
-    ends, on a bisimulation no finer than the coarsest, hence on it.
-
-    On the live nodes of an automaton (`minimal`), a seed as deep as the
-    longest pattern, L, is the coarsest partition but for a 64-bit
-    collision.  Two live nodes with one last digit and different futures
-    differ on a shortest word w that one allows and the other does not;
-    the pattern the other completes ends w but does not lie inside w,
-    which the first allows, so it starts before w and |w| <= L - 1.  The
-    hash `r` rounds deep reads every move along words of up to `r`
-    steps, so L - 1 rounds already tell the two apart, and a failed
-    check can only be a collision.
+    reaches 3N(K+1) and no class count overflows int64.  No round splits
+    two states with the same future: they have one last digit and
+    targets of one future.  A round from an unstable partition splits
+    some class, so the loop ends, on a bisimulation no finer than the
+    coarsest, hence on it.
     """
-    classes, k = _rank(_future_hash(succ, last_digit, rounds))
+    classes, k = _rank(last_digit)
     while not _is_stable(classes, k, succ, last_digit):
         ext = np.append(classes, np.int32(k))
         keys = classes.astype(np.int64)

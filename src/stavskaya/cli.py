@@ -1,8 +1,9 @@
 """Command-line driver: compute certified bounds and reproduce the full
-results table.  Every command builds its levels from their patterns;
-`bound` and `table` take each level from `statespace.build_level`, which
-returns the minimal automaton, on which `alpha_sup` solves; no walk
-history is built, not even to count the `states` column.
+results table.  `loops` lists the patterns; `bound` and `table` take
+each level from `statespace.build_level`, which chains the minimal
+automaton up from the level below with no pattern listed, and
+`alpha_sup` solves on it; no walk history is built, not even to count
+the `states` column.
 
 Commands
   loops   forbidden-pattern counts per order (optionally the patterns)
@@ -15,7 +16,7 @@ cap `DEFAULT_MAX_ITER`; none of the three is a flag.  `iterations` in
 the `bound` report counts the alpha search's steps, one solve each.
 
 `patterns.check_level` refuses a level outside 1..11 (0..11 for `loops`)
-before any pattern is grown.  Exit codes: 0 success, 1 usage or
+before any level is built.  Exit codes: 0 success, 1 usage or
 configuration error, such as a level below the range, 2 result not
 certified, 3 resource limit refused, such as any level above 11.
 A closed stdout ends a run by SIGPIPE, with no traceback.

@@ -40,11 +40,13 @@ import numpy as np
 from .errors import ResourceLimitError
 
 # The largest level any command runs, and the largest measured: on 2
-# cores and 7.8 GiB, `bound --n 11` takes 33 s and peaks at 1,644 MiB,
-# and its patterns alone at 919 MiB.  They grow about 5.7x a level, so
-# level 12 is refused before any pattern is grown.  The base-3 codes
-# alone would reach level 13: they must fit in uint64 with one appended
-# step, and 3**39 < 2**63 (word length 38, extended 39).
+# cores and 7.8 GiB, `loops --n 11` lists its patterns in 6.3 s and
+# peaks at 914 MiB.  They grow about 5.7x a level, so level 12 is
+# refused before any level is built.  `bound` and `table` list no
+# pattern (`automaton.chain`): `bound --n 11` takes 1.6-2.3 s and
+# 116 MiB.  The base-3 codes alone would reach level 13: they must fit
+# in uint64 with one appended step, and 3**39 < 2**63 (word length 38,
+# extended 39).
 MAX_LEVEL = 11
 
 

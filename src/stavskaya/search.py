@@ -34,9 +34,9 @@ q = 1 only, with the alpha tolerance `DEFAULT_ALPHA_TOL`, and every
 solve is capped at `spectral.DEFAULT_MAX_ITER` power iterations.
 
 The alpha search runs on the table's quotient (`TransitionTable.quotient`,
-442 classes for the 839,009 states of level 6), built from the patterns
-once per table, so the probes of `optimize_p` share it; the CLI's table
-is already that automaton, and so its own quotient.  Why a ratio bound
+442 classes for the 839,009 states of level 6), built with the table,
+so the probes of `optimize_p` share it; the CLI's table is already that
+automaton, and so its own quotient.  Why a ratio bound
 on the quotient is one on the paper's matrix is set out once, in
 `statespace`.
 
@@ -191,8 +191,8 @@ def alpha_sup(table: TransitionTable, p: float, q: float = 1.0,
     endpoint; if one solver step from that vector does not re-derive
     that certificate bit for bit, `ConsistencyError` is raised.  Each
     solve is capped at `DEFAULT_MAX_ITER` power iterations and runs on
-    the quotient table `table.quotient`, built on first use, after p, q
-    and `tol` are checked.  q = 1, the default, gives the largest bound
+    the quotient table `table.quotient`, after p, q and `tol` are
+    checked.  q = 1, the default, gives the largest bound
     (see the module docstring).
     """
     if not _FINEST_TOL <= tol < 0.5:

@@ -40,14 +40,18 @@ form B = W·S, in which state s is weighted by its own newest step:
 rho(B) = rho(S·W) = rho((S·W)ᵀ) = rho(M).  B counts weighted words that
 avoid the patterns, so it factors through a much smaller automaton.
 `TransitionTable.quotient` is the coarsest forward bisimulation of B
-(5, 13, 33, 79, 187, 442 and 1,046 classes at n = 1..7): the minimal
-automaton, built from the level-n patterns alone (`automaton.minimal`).
-The map from a history to the Aho–Corasick node its word leads to is a
-bisimulation onto the live nodes (see `automaton`): a history and its
-node have the same newest step, the move on step d exists exactly when
-δ(node, d) is live, and it enters a history whose node is δ(node, d).
-So the histories' coarsest bisimulation is the nodes' pulled back along
-the map, with the same class labels.
+(5, 13, 33, 79, 187, 442 and 1,046 classes at n = 1..7): min(F_n), the
+minimal automaton of the words that avoid the level-n set, which
+`build_transitions` takes from `automaton.chain` as it builds the table.
+The map from a history to the class its word leads to from the start is
+a bisimulation onto min(F_n): a history and its class have the same
+newest step, the move on step d exists exactly when the class has one,
+and it enters a history whose class is that move's target, since no
+pattern is longer than 3n, so a word's future is fixed by its last 3n-1
+steps.  So the histories' coarsest bisimulation is min(F_n) pulled back
+along the map.  That holds for the paper's sets only, the ones the
+chain builds, so `build_state_space` and `build_transitions` refuse any
+other set (`_paper_levels`).
 The quotient B_q is stored as a table whose slot d of class c holds the
 class c moves to on step d+1, so its gather operator is B_q itself.
 With φ the class map, B(u∘φ) = (B_q u)∘φ for every u: each history has
@@ -60,9 +64,8 @@ a history of the class that move enters, or no move where its class has
 none.  The tests check that (`check_lift` in `tests/conftest.py`) at
 every level up to `MAX_HISTORY_LEVEL`, the only levels whose history
 tables are built, with φ read along each history's own word from the
-root's class.  `build_level`, the CLI's route, builds none: it returns
-the quotient's table, which, made without a forbidden set, is its own
-quotient, and counts the states on it.
+start class.  `build_level`, the CLI's route, builds none: it returns
+min(F_n) as its own quotient and counts the states on it.
 """
 
 from __future__ import annotations
@@ -72,10 +75,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .automaton import minimal
+from .automaton import chain
 from .errors import ConsistencyError
-from .patterns import (_CHUNK, ForbiddenSet, _block, _grow,
-                       build_forbidden_set, check_level)
+from .patterns import (_CHUNK, _NO_CODES, POW3, ForbiddenSet, _block, _grow,
+                       check_level)
 
 # The largest level whose history table is built: level 7, the paper's
 # headline, has 8,663,071 states, and its history table peaks at about
@@ -95,6 +98,9 @@ class StateSpace:
     length: int
     codes: np.ndarray  # uint64, strictly increasing
     moves: np.ndarray | None = field(default=None, repr=False)  # (3, N) int32
+    # `chain(n - 1)`, which checked the set below; `build_transitions`
+    # chains one level more from it
+    levels: list | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return int(self.codes.shape[0])
@@ -102,14 +108,17 @@ class StateSpace:
 
 def build_state_space(n: int, lower: ForbiddenSet) -> StateSpace:
     """The level-n state space: length-(3n-1) words avoiding the level-(n-1)
-    forbidden set.  Levels outside 1..`MAX_HISTORY_LEVEL` are refused by
-    `check_level` before any word is grown."""
+    forbidden set, which must be the paper's (`_paper_levels`).  Levels
+    outside 1..`MAX_HISTORY_LEVEL` are refused by `check_level` before
+    any word is grown."""
     check_level(n, 1, MAX_HISTORY_LEVEL)
     if lower.level != n - 1:
         raise ValueError(f"need the level {n - 1} forbidden set, got level {lower.level}")
+    levels = _paper_levels(lower)
     length = 3 * n - 1
     codes, moves = _grow(length, lower)
-    return StateSpace(n=n, length=length, codes=codes, moves=moves)
+    return StateSpace(n=n, length=length, codes=codes, moves=moves,
+                      levels=levels)
 
 
 @dataclass
@@ -121,16 +130,20 @@ class TransitionTable:
     not exist or its move into t is blocked.  Every in-edge of t carries
     the kind recorded in last_digit[t].
 
-    Construction only validates; `mirrored`, `quotient`, `plans`, `succ`
-    and `edge_count` are derived when used.  `mirrored` is True exactly
-    when the 1<->3 swap, which pairs state t with state N-1-t, maps the
-    table onto itself, as it does every history table.
+    `quotient` is the table every bound solves on (see the module
+    docstring): min(F_n) for a history table, and the table itself when
+    none is given, since the identity is a bisimulation.  Construction
+    only validates; `mirrored`, `plans`, `succ` and `edge_count` are
+    derived when used.  `mirrored` is True exactly when the 1<->3 swap,
+    which pairs state t with state N-1-t, maps the table onto itself, as
+    it does every history table.
     """
 
     n: int
     pred: np.ndarray        # (3, N) int32, N = empty slot
     last_digit: np.ndarray  # (N,) uint8 in 0..2
-    fset: ForbiddenSet | None = None  # the level-n set the moves avoid
+    quotient: "TransitionTable" = field(default=None, repr=False,
+                                        compare=False)
     # `spectral._plan`'s sweep plans, by block size and target count
     plans: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -154,9 +167,11 @@ class TransitionTable:
             raise ConsistencyError(
                 f"last_digit must hold one digit in 0..2 for each of "
                 f"the {n} states")
-        if self.fset is not None and self.fset.level != self.n:
-            raise ValueError(f"a level-{self.n} table given the level "
-                             f"{self.fset.level} forbidden set")
+        if self.quotient is None:
+            self.quotient = self
+        elif self.quotient.n != self.n:
+            raise ValueError(f"a level-{self.n} table given a level-"
+                             f"{self.quotient.n} quotient")
 
     @cached_property
     def mirrored(self) -> bool:
@@ -208,21 +223,6 @@ class TransitionTable:
                 f"{edges - filled} moves share a source and a step")
         return succ
 
-    @cached_property
-    def quotient(self) -> "TransitionTable":
-        """The quotient table, built once per table from the patterns
-        alone (`automaton.minimal`): the coarsest forward bisimulation of
-        the successor form (see the module docstring).  Slot d of class c
-        holds the class that c moves to on step d+1, or the sentinel K
-        (the class count), and class c carries the step weight of its
-        members' newest step, so the quotient's gather operator is B_q.
-        A table made without its forbidden set is its own quotient: the
-        identity is a bisimulation, so solving on it is always sound.
-        """
-        if self.fset is None:
-            return self
-        return _minimal_table(self.fset)[0]
-
     @property
     def edge_count(self) -> int:
         # in chunks: the whole (3, N) mask would be 26 MB at level 7
@@ -232,7 +232,9 @@ class TransitionTable:
 
 
 def build_transitions(states: StateSpace, fset: ForbiddenSet) -> TransitionTable:
-    """Allowed moves into every state, checked against the level-n set.
+    """Allowed moves into every state, checked against the level-n set,
+    which must be the paper's, with min(F_n) from the same chain as the
+    table's quotient (`_paper_levels`).
 
     The source in slot s of target t is the state coded
     s*3^(L-1) + code(t) // 3; its move appends t's newest step.  Every
@@ -248,6 +250,7 @@ def build_transitions(states: StateSpace, fset: ForbiddenSet) -> TransitionTable
         raise ValueError(f"need the level {states.n} forbidden set, got level {fset.level}")
     if states.moves is None:
         raise ValueError("the state space has already given its moves to a table")
+    minimal_pred, minimal_digits, _, _ = _paper_levels(fset, states.levels)[-1]
     pred, states.moves = states.moves, None
     _block(pred, states.codes, states.length, fset)
     # in chunks: codes % 3 would be a full-length uint64 temporary; and
@@ -260,28 +263,60 @@ def build_transitions(states: StateSpace, fset: ForbiddenSet) -> TransitionTable
         rest *= np.uint64(3)
         np.subtract(chunk, rest, out=rest)
         last_digit[lo:lo + _CHUNK] = rest
+    quotient = TransitionTable(n=states.n, pred=minimal_pred,
+                               last_digit=minimal_digits)
     return TransitionTable(n=states.n, pred=pred, last_digit=last_digit,
-                           fset=fset)
+                           quotient=quotient)
 
 
-def _minimal_table(fset: ForbiddenSet) -> tuple[TransitionTable, int]:
-    """The minimal automaton of `fset` as its own quotient, and its start."""
-    pred, last_digit, start = minimal(fset)
-    return TransitionTable(n=fset.level, pred=pred, last_digit=last_digit), start
+def _paper_levels(fset: ForbiddenSet, below: list | None = None
+                  ) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
+    """`chain(fset.level, below)`, once `fset` is checked to be the
+    paper's set at its level, or `ValueError`: its length-2 codes are 13
+    and 31, its other lengths are 3k for k = 1..level, and each order k
+    has as many codes as the chain's order-k loops, each a word with k
+    steps of each kind that reads through min(F_{k-1}) from its start.
+    Distinct such words are order-k loops, so as many of them as there
+    are loops are all of them."""
+    by_length = fset.codes_by_length
+    levels = chain(fset.level, below)
+    paper = (set(by_length) <= {2, *range(3, 3 * fset.level + 1, 3)}
+             and np.array_equal(by_length.get(2, _NO_CODES), [2, 6]))
+    for k in range(1, fset.level + 1):
+        codes = by_length.get(3 * k, _NO_CODES)
+        pred, _, start, _ = levels[k - 1]
+        size = pred.shape[1]
+        moves = np.full((3, size + 1), size, dtype=np.intp)
+        moves[:, :size] = pred
+        at = np.full(codes.shape[0], start, dtype=np.intp)
+        counts = np.zeros((3, codes.shape[0]), dtype=np.intp)
+        for j in range(3 * k - 1, -1, -1):  # oldest step first
+            digit = (codes // POW3[j] % np.uint64(3)).astype(np.intp)
+            at = moves[digit, at]
+            counts[digit, np.arange(codes.shape[0])] += 1
+        paper &= (codes.shape[0] == levels[k][3] and (at < size).all()
+                  and (counts == k).all())
+    if not paper:
+        raise ValueError(f"not the paper's level-{fset.level} forbidden set")
+    return levels
 
 
 def build_level(n: int) -> tuple[int, int, TransitionTable]:
     """(patterns, states, table) for level n, refused outside
-    1..`MAX_LEVEL` before any pattern is grown.  The table is the minimal
-    automaton of the level-n patterns; the states, the length-(3n-1)
-    words that avoid them, are read on it from the start class, each
-    unit-weight gather counting words one step longer.  int64 holds every
-    count exactly through n = 16: each is at most the number of
-    length-(3n-1) words that avoid 13 and 31, the level-0 patterns."""
+    1..`MAX_LEVEL` before the first chain step.  The table is min(F_n),
+    built by `automaton.chain` from the level below with no pattern
+    listed, and the patterns are counted per order by the same chain;
+    the states, the length-(3n-1) words that avoid them, are read on the
+    table from the start class, each unit-weight gather counting words
+    one step longer.  int64 holds every count exactly through n = 16:
+    each is at most the number of length-(3n-1) words that avoid 13 and
+    31, the level-0 patterns."""
     check_level(n, 1)
-    fset = build_forbidden_set(n)
-    table, start = _minimal_table(fset)
-    return len(fset), _count_words(table.pred, start, 3 * n - 1), table
+    levels = chain(n)
+    pred, last_digit, start, _ = levels[n]
+    patterns = sum(loops for *_, loops in levels)
+    return (patterns, _count_words(pred, start, 3 * n - 1),
+            TransitionTable(n=n, pred=pred, last_digit=last_digit))
 
 
 def _count_words(pred: np.ndarray, start: int, length: int) -> int:

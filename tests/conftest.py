@@ -2,13 +2,13 @@
 artefacts built once a session.
 
 `LEVELS` and `LOOPS` hold every count and row the tests pin, each once.
-`forbidden_set`, `minimal_table`, `level` and `history` cache the
-level-n forbidden set, minimal automaton, `build_level` result and
-history table.  Their arrays are read-only, so a test that writes into
-shared state fails at once.  A test that reads a table's own caches
-(`plans`, `quotient`) reads them on a `fresh` table over the same
-arrays; a test whose subject is a build, or that patches one, builds
-afresh.
+`forbidden_set`, `chain`, `minimal_table`, `level` and `history` cache
+the level-n forbidden set, `automaton.chain`'s levels, minimal
+automaton, `build_level` result and history table.  Their arrays are
+read-only, so a test that writes into shared state fails at once.  A
+test that reads a table's own caches (`plans`, `mirrored`) reads them on
+a `fresh` table over the same arrays; a test whose subject is a build,
+or that patches one, builds afresh.
 """
 
 import functools
@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from stavskaya import statespace
+from stavskaya import automaton, statespace
 from stavskaya.patterns import build_forbidden_set
 from stavskaya.statespace import (TransitionTable, build_state_space,
                                   build_transitions)
@@ -37,7 +37,7 @@ class Level(NamedTuple):
 # it as `perfbench/workloads.py`'s PAPER is; the paper prints the level-1
 # bound to three digits only.  Every other entry is not from the paper:
 # it is a regression value this code gives.  Level 10's row is counted
-# on `chain.py`'s table, and tier-1 solves no level-10 row.
+# on the chain's table, and tier-1 solves no level-10 row.
 LEVELS = {
     #        patterns      states    p_opt       bound  classes     edges
     1: Level(4,                 7, 1.464,   0.125,            5,       15),
@@ -72,44 +72,49 @@ def forbidden_set(n):
 
 
 @functools.cache
+def chain(n):
+    """`automaton.chain(n)`: min(F_0), ..., min(F_n), each as (pred,
+    last_digit, start, loops)."""
+    levels = automaton.chain(n)
+    for pred, last_digit, *_ in levels:
+        _read_only(pred, last_digit)
+    return levels
+
+
+@functools.cache
 def minimal_table(n):
-    """(table, start): the minimal automaton of `forbidden_set(n)` as its
-    own quotient, and its start class (`statespace._minimal_table`)."""
-    table, start = statespace._minimal_table(forbidden_set(n))
-    _read_only(table.pred, table.last_digit)
-    return table, start
+    """(table, start): min(F_n), `chain(n)`'s last level, as its own
+    quotient, and its start class."""
+    pred, last_digit, start, _ = chain(n)[n]
+    return TransitionTable(n=n, pred=pred, last_digit=last_digit), start
 
 
 @functools.cache
 def level(n):
-    """`build_level(n)`: (patterns, states, table), run on the set and
-    automaton cached above, so its table is `minimal_table(n)`'s."""
-    fset, automaton = forbidden_set(n), minimal_table(n)
+    """`build_level(n)`: (patterns, states, table), run on the chain
+    cached above."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(statespace, "build_forbidden_set", lambda _: fset)
-        patch.setattr(statespace, "_minimal_table", lambda _: automaton)
+        patch.setattr(statespace, "chain", chain)
         return statespace.build_level(n)
 
 
 @functools.cache
 def history(n):
     """(space, table), the level-n history table for n <= 7, whose
-    quotient is `minimal_table(n)`'s table: the one
-    `TransitionTable.quotient` builds from the same set, put in its
-    cache (`test_quotient_reads_nothing_of_the_history_table` builds it
-    that way)."""
+    quotient, built by the same chain, is numbered as
+    `minimal_table(n)`'s table."""
     space = build_state_space(n, forbidden_set(n - 1))
     table = build_transitions(space, forbidden_set(n))
-    table.__dict__["quotient"] = minimal_table(n)[0]
     _read_only(space.codes, table.pred, table.last_digit)
     return space, table
 
 
 def fresh(table):
-    """A new table on `table`'s arrays and forbidden set, its caches
-    (`plans`, `quotient`) empty."""
+    """A new table on `table`'s arrays, its caches (`plans`, `mirrored`)
+    empty, and a fresh copy of its quotient unless it is its own."""
+    quotient = None if table.quotient is table else fresh(table.quotient)
     return TransitionTable(n=table.n, pred=table.pred,
-                           last_digit=table.last_digit, fset=table.fset)
+                           last_digit=table.last_digit, quotient=quotient)
 
 
 def make_table(pred_rows, last_digit, n=1):

@@ -6,14 +6,14 @@ level-7 table rows take seconds.
 
 import time
 
+import aho_corasick
 import bruteforce
 import numpy as np
 import pytest
-from chain import level_zero
 from conftest import (LEVELS, check_lift, forbidden_set, history, level,
                       minimal_table, word_weights)
 
-from stavskaya import automaton
+from stavskaya.automaton import level_zero
 from stavskaya.errors import ConsistencyError
 from stavskaya.patterns import (MAX_LEVEL, POW3, Parameters, _grow,
                                 build_forbidden_set)
@@ -78,7 +78,7 @@ def test_criterion_2_combinatorics_extended():
     got, lifted = {}, True
     for n in (6, 7):
         space, table = history(n)
-        got[n] = (len(table.fset), len(space), table.edge_count,
+        got[n] = (len(forbidden_set(n)), len(space), table.edge_count,
                   table.quotient.n_states, level(n)[1])
         lifted &= _lifts(table)
     elapsed = time.time() - started
@@ -245,7 +245,7 @@ def test_counted_states_match_the_unminimised_automaton(n):
     # Aho–Corasick nodes, before any refinement, count the
     # length-(3n-1) words read from the root (node 0) instead
     patterns, states, _ = level(n)
-    moves, _ = automaton._live(forbidden_set(n))
+    moves, _ = aho_corasick._live(forbidden_set(n))
     assert (patterns, states) == LEVELS[n][:2]
     assert _count_words(moves, 0, 3 * n - 1) == states
 

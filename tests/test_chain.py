@@ -1,76 +1,62 @@
-"""`automaton.minimal` against an independent construction: each level's
-automaton built from the one below (`chain`), which reads no pattern."""
+"""`automaton.chain` against an independent construction: the minimal
+automaton of each level's patterns, built by the Aho–Corasick oracle
+(`aho_corasick.minimal`), which reads every pattern where the chain
+reads none."""
 
+import aho_corasick
 import numpy as np
 import pytest
+from chain import isomorphic
+from conftest import LEVELS, LOOPS, chain, forbidden_set, level
 
-from chain import isomorphic, level_zero, next_level
-from conftest import LEVELS, LOOPS, forbidden_set, minimal_table
-
-from stavskaya.statespace import _count_words
+from stavskaya import automaton
+from stavskaya.patterns import ForbiddenSet
 
 # the chain's states before refinement
 BFS_STATES = {5: 223, 6: 535, 7: 1262, 8: 2938, 9: 6761}
 
 
-@pytest.fixture(scope="module")
-def chain():
-    """level -> (pred, last_digit, start, states, loops) of the chain,
-    n = 1..10."""
-    levels = {}
-    below = level_zero()
-    for n in range(1, 11):
-        levels[n] = next_level(*below, n)
-        below = levels[n][:3]
-    return levels
-
-
-def _minimal(n):
-    """`automaton.minimal(build_forbidden_set(n))`: (pred, last_digit,
-    start)."""
-    table, start = minimal_table(n)
-    return table.pred, table.last_digit, start
-
-
 def test_level_zero_is_the_degenerate_pairs_automaton():
-    assert isomorphic(level_zero(), _minimal(0))
+    assert isomorphic(automaton.level_zero(),
+                      aho_corasick.minimal(ForbiddenSet(0, {2: [2, 6]})))
 
 
-def test_states_before_refinement(chain):
+def test_states_before_refinement():
     # the reach prune keeps the breadth-first states within 1.2x of the
     # classes
-    assert {n: chain[n][3] for n in BFS_STATES} == BFS_STATES
+    assert {n: automaton.next_level(*chain(n - 1)[n - 1][:3], n)[3]
+            for n in BFS_STATES} == BFS_STATES
 
 
 @pytest.mark.parametrize("n", range(1, 10))
-def test_chain_is_isomorphic_to_minimal(n, chain):
-    pred, last_digit, start = chain[n][:3]
+def test_chain_is_isomorphic_to_minimal(n):
+    pred, last_digit, start, _ = chain(n)[n]
     assert pred.shape == (3, LEVELS[n].classes)
-    assert isomorphic((pred, last_digit, start), _minimal(n))
+    assert isomorphic((pred, last_digit, start),
+                      aho_corasick.minimal(forbidden_set(n)))
 
 
-def test_chain_counts_the_loops(chain):
+def test_chain_counts_the_loops():
     # the pass that prunes the deficits counts each order's loops
     for n in range(1, 10):
-        assert chain[n][4] == forbidden_set(n).count_of_order(n) == LOOPS[n]
+        assert chain(9)[n][3] == forbidden_set(n).count_of_order(n) == LOOPS[n]
 
 
-def test_level_ten_from_the_chain(chain):
-    # past every level the tests build from patterns: the classes, the
-    # loops of each order summed into the patterns, and the states read
-    # on the chain's own table
-    pred, _, start, _, loops = chain[10]
+def test_level_ten_from_the_chain():
+    # past every level the tests build from patterns, through the CLI's
+    # route: the patterns, the states read on the chain's own table and
+    # the classes, and the loops of each order
+    patterns, states, table = level(10)
     row = LEVELS[10]
-    assert pred.shape == (3, row.classes)
-    assert loops == LOOPS[10]
-    assert LOOPS[0] + sum(chain[n][4] for n in range(1, 11)) == row.patterns
-    assert _count_words(pred, start, 3 * 10 - 1) == row.states
+    assert (patterns, states, table.n_states) == (row.patterns, row.states,
+                                                  row.classes)
+    assert [loops for *_, loops in chain(10)] == [LOOPS[k] for k in range(11)]
 
 
 def test_isomorphism_tells_tables_apart():
     # a relabelled table is the same automaton; one move redirected, one
     # move dropped, a last digit changed or another start is not
-    pred, last_digit, start = _minimal(2)
+    pred, last_digit, start, _ = chain(2)[2]
     k = pred.shape[1]
     perm = np.random.default_rng(3).permutation(k)
     relabel = np.append(perm, k).astype(pred.dtype)

@@ -6,11 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from conftest import LEVELS, LOOPS
 
-from stavskaya import automaton, cli, patterns, statespace
+from stavskaya import cli, patterns, statespace
 from stavskaya.cli import main
 from stavskaya.errors import ResourceLimitError
 from stavskaya.statespace import StateSpace
@@ -155,23 +154,37 @@ def test_level_eleven_reaches_the_build(monkeypatch, argv, builder):
 
 
 @pytest.mark.parametrize("argv", [
-    ["bound", "--n", "2", "--p", "1.44"],
-    ["table", "--n-max", "2", "--p-min", "1.43", "--p-max", "1.47"],
+    ["bound", "--n", "7", "--p", "1.415"],
+    ["table", "--n-max", "3"],
 ], ids=["bound", "table"])
 def test_no_state_space_built(capsys, monkeypatch, argv):
-    # the levels are solved and their states counted on the minimal
-    # automaton; every history table is built from a StateSpace, and
-    # none may be made
+    # the levels are solved and their states and patterns counted on the
+    # chain's minimal automaton: no pattern is listed, and no StateSpace,
+    # from which every history table is built, is made
     built = []
     init = StateSpace.__init__
 
     def record(self, *args, **kwargs):
         built.append(kwargs.get("n"))
         init(self, *args, **kwargs)
+
+    def no_pattern(*args):
+        raise AssertionError(f"a pattern was listed from {args}")
     monkeypatch.setattr(StateSpace, "__init__", record)
+    for module in (patterns, cli):
+        monkeypatch.setattr(module, "build_forbidden_set", no_pattern)
+    monkeypatch.setattr(patterns, "_grow", no_pattern)
     assert main(argv) == 0
-    capsys.readouterr()
+    report = json.loads(capsys.readouterr().out)
     assert built == []
+    if argv[0] == "bound":
+        assert (report["alpha_lower_bound"], report["certificate"]) == (
+            0.1370721062994562, 0.9999999999573704)
+        report = [report]
+    for row in report:
+        want = LEVELS[row["level"]]
+        assert (row["forbidden_patterns"], row["states"]) == (want.patterns,
+                                                              want.states)
 
 
 def test_bound_csv_format(capsys):
@@ -200,25 +213,11 @@ def test_table_small(capsys):
 def test_build_refusal_exits_three(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise ResourceLimitError("budget")
-    monkeypatch.setattr(statespace, "minimal", refuse)
+    monkeypatch.setattr(statespace, "chain", refuse)
     assert main(list(argv)) == 3
     captured = capsys.readouterr()
     assert captured.err.strip() == "error: budget"
     assert captured.out == ""
-
-
-def test_failed_seed_gives_the_same_bound(capsys, monkeypatch):
-    # with no hash multipliers the seed fails its check, and Moore
-    # rounds refine level 3 to the same quotient, up to class numbering
-    def bound():
-        assert main(["bound", "--n", "3", "--p", "1.44"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        return {key: report[key] for key in ("alpha_lower_bound",
-                "certificate", "iterations", "power_iterations")}
-    seeded = bound()
-    monkeypatch.setattr(automaton, "HASH_MULTIPLIERS",
-                        np.zeros(3, dtype=np.uint64))
-    assert bound() == seeded
 
 
 # q and the solver settings are constants, not flags (q = 1 is optimal,

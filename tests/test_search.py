@@ -118,11 +118,12 @@ def test_optimizer_validation():
     (1.417, 1.0, 0), (1.417, 1.0, 0.5), (1.417, 1.0, 100),
     (1.417, 1.0, 1e-20),
 ])
-def test_alpha_sup_refuses_before_the_quotient(p, q, tol):
-    table = fresh(history(4)[1])
+def test_alpha_sup_refuses_before_the_quotient(p, q, tol, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the quotient was solved before the arguments were checked")
+    monkeypatch.setattr(search, "check_subcritical", no_solve)
     with pytest.raises(ValueError):
-        alpha_sup(table, p, q, tol)
-    assert "quotient" not in table.__dict__
+        alpha_sup(history(4)[1], p, q, tol)
 
 
 @pytest.mark.parametrize("args,kwargs", [

@@ -1,12 +1,13 @@
 import itertools
 import tracemalloc
 
+import aho_corasick
 import bruteforce
 import numpy as np
 import pytest
-from conftest import (LEVELS, check_lift, forbidden_set, fresh, history,
-                      level, make_table, minimal_table,
-                      mirrored_by_definition, unmirrored)
+from conftest import (LEVELS, check_lift, forbidden_set, history, level,
+                      make_table, minimal_table, mirrored_by_definition,
+                      unmirrored)
 
 from stavskaya import automaton, patterns, statespace
 from stavskaya.errors import ConsistencyError, ResourceLimitError
@@ -121,14 +122,15 @@ def test_chunked_moves_match_one_chunk(monkeypatch, chunk):
             assert not mirrored_by_definition(broken)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [4, 5])
 def test_pred_sentinel_is_a_real_absence(n):
     # each empty slot s of target t: the source word s*3^(L-1) +
     # code(t)//3 is no state, or the joined 3n-step word is an order-n
-    # loop; both are looked up here by plain binary search
+    # loop; both are looked up here by plain binary search, at the levels
+    # past those `test_history_table_is_its_definition` checks
     space, table = history(n)
     codes, size = space.codes, table.n_states
-    loops = table.fset.codes_by_length[3 * n]
+    loops = forbidden_set(n).codes_by_length[3 * n]
     reasons = np.zeros(2, dtype=int)
     for s in range(3):
         empty = np.nonzero(table.pred[s] == size)[0]
@@ -356,7 +358,7 @@ def test_build_level_is_the_history_tables_quotient(n):
     space, histories = history(n)
     quotient = histories.quotient
     assert (patterns, states) == (len(forbidden_set(n)), len(space))
-    assert table.fset is None and table.quotient is table
+    assert table.quotient is table
     assert np.array_equal(table.pred, quotient.pred)
     assert np.array_equal(table.last_digit, quotient.last_digit)
 
@@ -365,16 +367,16 @@ def test_build_level_is_the_history_tables_quotient(n):
 def test_build_level_table_is_not_mirrored(n):
     # the alpha search warm-starts only the minimal automaton, which is
     # also every history table's quotient, so no warm start is of a
-    # mirrored table: `minimal` numbers its classes by the ranks of its
+    # mirrored table: the chain numbers its classes by the ranks of its
     # refinement, not in mirror order
     table = minimal_table(n)[0]
     assert not table.mirrored and not mirrored_by_definition(table)
 
 
 def test_build_level_refuses_before_growing(monkeypatch):
-    def no_grow(*args):
-        raise AssertionError("a word was grown outside the level range")
-    monkeypatch.setattr(patterns, "_grow", no_grow)
+    def no_chain(*args):
+        raise AssertionError("a level was chained outside the level range")
+    monkeypatch.setattr(statespace, "chain", no_chain)
     for n in (0, -1):
         with pytest.raises(ValueError, match=f"in 1..11, got {n}$"):
             statespace.build_level(n)
@@ -535,22 +537,60 @@ def test_lift_check_refuses_each_fault(fault, match):
         check_lift(broken, quotient)
 
 
-def test_node_entered_on_two_steps_refused():
-    # avoiding {11}, the root (no pattern prefix at the end) is entered
-    # by steps 2 and 3, so it has no one weight
-    lower, fset = ForbiddenSet(0, {2: [0]}), ForbiddenSet(1, {2: [0]})
-    table = build_transitions(build_state_space(1, lower), fset)
-    with pytest.raises(ConsistencyError, match="exactly one step"):
-        table.quotient
+def _other_set(name):
+    """A set the quotient does not hold for, by name: the level-3 set
+    with one order-3 loop swapped for a balanced word that is no loop,
+    swapped for 222222222, which avoids the level-2 set but is not
+    balanced, or dropped; the set {11}; or the level-1 set with a
+    length-4 pattern."""
+    if name == "11":
+        return ForbiddenSet(1, {2: [0]})
+    if name == "length-4":
+        return ForbiddenSet(1, {**forbidden_set(1).codes_by_length, 4: [0]})
+    paper = forbidden_set(3).codes_by_length
+    swapped = {
+        "order-3-code-changed": next(
+            np.uint64(c) for c in range(3**9)
+            if sorted(bruteforce.code_word(c, 9)) == sorted([1, 2, 3] * 3)
+            and c not in paper[9]),
+        "unbalanced-code": (POW3[9] - np.uint64(1)) // np.uint64(2),
+    }
+    loops = paper[9][1:]
+    if name in swapped:
+        loops = np.sort(np.append(loops, swapped[name]))
+    return ForbiddenSet(3, {**paper, 9: loops})
 
 
-def test_table_level_must_match_its_forbidden_set():
+@pytest.mark.parametrize("name", ["order-3-code-changed", "unbalanced-code",
+                                  "order-3-code-dropped", "11", "length-4"])
+def test_history_tables_refuse_other_sets(name):
+    # the chain's quotient is min(F_n) for the paper's sets only, so
+    # `build_state_space` and `build_transitions` take no other, as the
+    # level-n set or the one below
+    fset = _other_set(name)
+    n = fset.level
+    with pytest.raises(ValueError, match="not the paper's"):
+        build_transitions(build_state_space(n, forbidden_set(n - 1)), fset)
+    with pytest.raises(ValueError, match="not the paper's"):
+        build_state_space(n + 1, fset)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_history_tables_accept_the_paper_sets(n):
+    # each level's set and its restriction to the level below, the two
+    # the benchmark passes to `build_transitions` and `build_state_space`
+    fset = forbidden_set(n)
+    for paper in (fset, fset.restrict(n - 1)):
+        assert len(statespace._paper_levels(paper)) == paper.level + 1
+
+
+def test_table_level_must_match_its_quotient():
     # a level-2 table labelled level 3 would pass optimize_p(3, ...)'s
     # level check and report the level-2 row as level 3
     _, table = history(2)
-    with pytest.raises(ValueError, match="level 2 forbidden set"):
+    with pytest.raises(ValueError, match="level-2 quotient"):
         TransitionTable(n=3, pred=table.pred, last_digit=table.last_digit,
-                        fset=table.fset)
+                        quotient=table.quotient)
 
 
 def test_refine_finds_the_coarsest_partition_of_a_hand_built_table():
@@ -559,13 +599,13 @@ def test_refine_finds_the_coarsest_partition_of_a_hand_built_table():
     # ends in another step.  N = 9 is the sentinel.  The classes are
     # {0, 3}, {1, 4}, {2, 5}, {6, 7} and {8}: the first three are told
     # apart only by how far they go, {6, 7} by the step it loops on.
-    # With no hash rounds the seed is the split by last digit,
-    # {0, ..., 7} and {8}, and Moore rounds reach the rest.
+    # Refinement starts from the split by last digit, {0, ..., 7} and
+    # {8}, and Moore rounds reach the rest.
     succ = np.array([[1, 2, 9, 4, 5, 9, 9, 9, 9],
                      [9, 9, 9, 9, 9, 9, 9, 9, 9],
                      [9, 9, 9, 9, 9, 9, 6, 6, 9]], dtype=np.int32)
     digits = np.array([0, 0, 0, 0, 0, 0, 0, 0, 1], dtype=np.uint8)
-    classes, k = automaton._refine(succ, digits, rounds=0)
+    classes, k = automaton._refine(succ, digits)
     assert k == 5 and classes.dtype == np.int32
     want = [0, 1, 2, 0, 1, 2, 3, 3, 4]
     # the same partition: the classes label it one to one
@@ -600,11 +640,11 @@ def test_seeded_refinement_matches_moore(n):
     # the hash classes pass the check on their own and pair one to one
     # with pure Moore refinement from the last digits
     fset = forbidden_set(n)
-    moves, digits = automaton._live(fset)
+    moves, digits = aho_corasick._live(fset)
     rounds = max(fset.codes_by_length)
-    seeded = automaton._rank(automaton._future_hash(moves, digits, rounds))
+    seeded = automaton._rank(aho_corasick._future_hash(moves, digits, rounds))
     assert automaton._is_stable(*seeded, moves, digits)
-    classes, k = automaton._refine(moves, digits, rounds=rounds)
+    classes, k = aho_corasick._seeded(moves, digits, rounds)
     moore, k_moore = automaton._refine(moves, digits)
     assert k == k_moore == seeded[1]
     assert _pairs_one_to_one(classes, moore, k)
@@ -613,16 +653,16 @@ def test_seeded_refinement_matches_moore(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_failed_seed_falls_back_to_the_coarsest_partition(n, monkeypatch):
     # with no multipliers the hash reads the last digit alone, so the
-    # check fails and Moore rounds go on from the digit classes
-    moves, digits = automaton._live(forbidden_set(n))
+    # check fails and Moore rounds run from the digit classes
+    moves, digits = aho_corasick._live(forbidden_set(n))
     rounds = 3 * n
     moore, k = automaton._refine(moves, digits)
-    monkeypatch.setattr(automaton, "HASH_MULTIPLIERS",
+    monkeypatch.setattr(aho_corasick, "HASH_MULTIPLIERS",
                         np.zeros(3, dtype=np.uint64))
-    seeded = automaton._rank(automaton._future_hash(moves, digits, rounds))
+    seeded = automaton._rank(aho_corasick._future_hash(moves, digits, rounds))
     assert seeded[1] == 3
     assert not automaton._is_stable(*seeded, moves, digits)
-    classes, k_fallback = automaton._refine(moves, digits, rounds=rounds)
+    classes, k_fallback = aho_corasick._seeded(moves, digits, rounds)
     assert k_fallback == k == LEVELS[n].classes
     assert _pairs_one_to_one(classes, moore, k)
 
@@ -638,7 +678,10 @@ def test_refine_has_no_class_cap(rounds):
     rng = np.random.default_rng(0)
     succ = rng.integers(0, size + 1, size=(3, size))
     digits = rng.integers(0, 3, size=size).astype(np.uint8)
-    classes, k = automaton._refine(succ, digits, rounds=rounds)
+    if rounds:
+        classes, k = aho_corasick._seeded(succ, digits, rounds)
+    else:
+        classes, k = automaton._refine(succ, digits)
     assert k == size
     assert np.array_equal(np.sort(classes), np.arange(size))
     assert automaton._is_stable(classes, k, succ, digits)
@@ -658,22 +701,16 @@ def test_moore_refinement_of_the_histories_matches(n):
     assert np.array_equal(np.unique(pairs % k), np.arange(k))
 
 
-class _Unread:
-    """Stands in for a part of the history table that must not be read."""
-
-    def _read(self, *args, **kwargs):
-        raise AssertionError("the history table was read")
-
-    __getattr__ = __getitem__ = __array__ = __len__ = __iter__ = _read
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_quotient_reads_nothing_of_the_history_table(n, monkeypatch):
-    table = fresh(history(n)[1])
-    table.pred = table.last_digit = _Unread()
-    monkeypatch.setattr(TransitionTable, "succ", property(_Unread._read))
+def test_quotient_reads_nothing_of_the_history_table(n):
+    # the quotient comes from the chain, so `check_lift` compares two
+    # independent constructions: a space with every move emptied and
+    # every code zeroed still gets min(F_n)
+    space = build_state_space(n, forbidden_set(n - 1))
+    space.moves[:] = len(space)
+    space.codes[:] = 0
+    got = build_transitions(space, forbidden_set(n)).quotient
     want = minimal_table(n)[0]
-    got = table.quotient
     assert got.n == n
     assert (got.pred.dtype == want.pred.dtype
             and np.array_equal(got.pred, want.pred))
