@@ -121,10 +121,10 @@ def next_level(pred: np.ndarray, last_digit: np.ndarray, start: int,
 def chain(n: int, below: list | None = None
           ) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
     """min(F_0), ..., min(F_n), each as (pred, last_digit, start, loops),
-    level k built from level k-1 by `next_level`, from `below`, a shorter
-    chain, when given; `loops` counts the patterns of order k: the pair
-    13, 31 at level 0, the order-k loops above it."""
-    levels = [(*level_zero(), 2)] if below is None else list(below)
+    level k built from level k-1 by `next_level`, on top of `below`, a
+    chain of any length, when given; `loops` counts the patterns of
+    order k: the pair 13, 31 at level 0, the order-k loops above it."""
+    levels = [(*level_zero(), 2)] if below is None else list(below[:n + 1])
     for k in range(len(levels), n + 1):
         pred, last_digit, start, _, loops = next_level(*levels[-1][:3], k)
         levels.append((pred, last_digit, start, loops))
@@ -147,44 +147,24 @@ def _rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
     return labels, int(rank[-1]) + 1
 
 
-def _is_stable(classes: np.ndarray, k: int, succ: np.ndarray,
-               last_digit: np.ndarray) -> bool:
-    """Whether the partition `classes` (labels 0..k-1) is a bisimulation
-    of the successor table: every state ends in its class
-    representative's last digit and, on every step, moves into the class
-    its representative moves into, or nowhere where it moves nowhere.
-    One pass of gathers, no sort."""
-    rep = np.empty(k, dtype=np.intp)
-    rep[classes] = np.arange(classes.shape[0])
-    own = rep[classes]  # each state's representative
-    if not np.array_equal(last_digit[own], last_digit):
-        return False
-    ext = np.append(classes, np.int32(k))
-    for slot in succ:
-        target = ext[slot]
-        if not np.array_equal(target[own], target):
-            return False
-    return True
-
-
 def _refine(succ: np.ndarray, last_digit: np.ndarray) -> tuple[np.ndarray, int]:
     """(classes, K): the coarsest partition of the states of a successor
     table, sentinel N for no move, that refines the last digits and in
     which every class sends each step into one class, or nowhere.
 
-    It starts from the split by last digit and ends at the first
-    partition that passes `_is_stable`.  Until then each round of
-    Moore's algorithm (Moore 1956) keys every state by its class, its
-    last digit and the classes of its three targets, the sentinel N
-    counting as class K, ranked one slot at a time (`_rank`), so no key
-    reaches 3N(K+1) and no class count overflows int64.  No round splits
-    two states with the same future: they have one last digit and
-    targets of one future.  A round from an unstable partition splits
-    some class, so the loop ends, on a bisimulation no finer than the
-    coarsest, hence on it.
+    Moore rounds (Moore 1956) run from the split by last digit until one
+    splits no class.  A round keys each state by its class, its last
+    digit and its three targets' classes, the sentinel N counting as
+    class K, ranked one slot at a time (`_rank`), so no key reaches
+    3N(K+1) and no class count overflows int64.  The key starts with the
+    class, so each round refines the one before, and an unchanged count
+    means an unchanged partition, hence a stable one.  No round splits
+    two states with one future, so it is no finer than the coarsest,
+    hence the coarsest.  Its keys grow with the class label, so the
+    last round keeps every label.
     """
     classes, k = _rank(last_digit)
-    while not _is_stable(classes, k, succ, last_digit):
+    while True:
         ext = np.append(classes, np.int32(k))
         keys = classes.astype(np.int64)
         keys *= 3
@@ -194,5 +174,6 @@ def _refine(succ: np.ndarray, last_digit: np.ndarray) -> tuple[np.ndarray, int]:
             keys += ext[slot]
             classes, count = _rank(keys)
             keys = classes.astype(np.int64)
+        if count == k:
+            return classes, k
         k = count
-    return classes, k

@@ -1,9 +1,9 @@
 """Command-line driver: compute certified bounds and reproduce the full
-results table.  `loops` lists the patterns; `bound` and `table` take
-each level from `statespace.build_level`, which chains the minimal
-automaton up from the level below with no pattern listed, and
-`alpha_sup` solves on it; no walk history is built, not even to count
-the `states` column.
+results table.  `loops` lists the patterns; `bound` takes its level
+from `statespace.build_level` and `table` its levels, one chain step
+each, from `statespace.build_levels`: both chain the minimal automaton
+up from the level below with no pattern listed, and `alpha_sup` solves
+on it; no walk history is built, not even to count the `states` column.
 
 Commands
   loops   forbidden-pattern counts per order (optionally the patterns)
@@ -35,7 +35,7 @@ from .errors import ResourceLimitError
 from .patterns import MAX_LEVEL, Parameters, build_forbidden_set, check_level
 from .search import (DEFAULT_P_MAX, DEFAULT_P_MIN, _check_p_range, alpha_sup,
                      optimize_p)
-from .statespace import build_level
+from .statespace import build_level, build_levels
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,9 +119,8 @@ def cmd_table(args) -> int:
     _check_p_range(args.p_min, args.p_max)
     rows = []
     all_certified = True
-    for n in range(1, args.n_max + 1):
-        started = time.perf_counter()
-        patterns, states, table = build_level(n)
+    started = time.perf_counter()
+    for n, (patterns, states, table) in enumerate(build_levels(args.n_max), 1):
         best = optimize_p(n, args.p_min, args.p_max, table=table)
         all_certified &= not best.degenerate
         rows.append({
@@ -134,6 +133,7 @@ def cmd_table(args) -> int:
         })
         print(f"level {n}: bound {best.bound:.8f} at p = {best.p_opt}",
               file=sys.stderr)
+        started = time.perf_counter()
     _emit(rows, args.format)
     return EXIT_OK if all_certified else EXIT_NOT_CERTIFIED
 

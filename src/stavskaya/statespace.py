@@ -64,12 +64,14 @@ a history of the class that move enters, or no move where its class has
 none.  The tests check that (`check_lift` in `tests/conftest.py`) at
 every level up to `MAX_HISTORY_LEVEL`, the only levels whose history
 tables are built, with φ read along each history's own word from the
-start class.  `build_level`, the CLI's route, builds none: it returns
-min(F_n) as its own quotient and counts the states on it.
+start class.  `build_level` and `build_levels`, the CLI's route, build
+none: they return min(F_n) as its own quotient and count the states on
+it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -312,7 +314,23 @@ def build_level(n: int) -> tuple[int, int, TransitionTable]:
     each is at most the number of length-(3n-1) words that avoid 13 and
     31, the level-0 patterns."""
     check_level(n, 1)
-    levels = chain(n)
+    return _top(chain(n))
+
+
+def build_levels(n_max: int) -> Iterator[tuple[int, int, TransitionTable]]:
+    """`build_level(n)` for n = 1..n_max in turn, each level one chain
+    step on the one before, taken when it is asked for; refused as
+    `build_level(n_max)` is, before the first step."""
+    check_level(n_max, 1)
+    levels = None
+    for n in range(1, n_max + 1):
+        levels = chain(n, levels)
+        yield _top(levels)
+
+
+def _top(levels: list) -> tuple[int, int, TransitionTable]:
+    """(patterns, states, table) of a chain's top level."""
+    n = len(levels) - 1
     pred, last_digit, start, _ = levels[n]
     patterns = sum(loops for *_, loops in levels)
     return (patterns, _count_words(pred, start, 3 * n - 1),

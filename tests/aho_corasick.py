@@ -20,35 +20,19 @@ into its row from theirs, its missing moves are δ(fail(u), d), and
 fail(u·d) = δ(fail(u), d), so each depth reads only shallower rows.  A
 node is dead when it is a pattern or its failure target is dead.
 
-`minimal` merges the live nodes with the same future (`_seeded`).  It
-hashes each node's future as deep as the longest pattern, L, with no
-sort, and keeps the hash classes when one pass shows that they form a
-bisimulation (`automaton._is_stable`); otherwise it refines from the
-last digits by `automaton._refine`'s Moore rounds.  The hash classes
-are the coarsest partition but for a 64-bit collision.  Two live nodes
-with one last digit and different futures differ on a shortest word w
-that one allows and the other does not; the pattern the other completes
-ends w but does not lie inside w, which the first allows, so it starts
-before w and |w| <= L - 1.  The hash `r` rounds deep reads every move
-along words of up to `r` steps, so L - 1 rounds already tell the two
-apart, and a failed check can only be a collision.
+`minimal` merges the live nodes with the same future by
+`automaton._refine`'s Moore rounds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from stavskaya.automaton import _is_stable, _rank, _refine
+from stavskaya.automaton import _refine
 from stavskaya.errors import ConsistencyError
 from stavskaya.patterns import _NO_CODES, ForbiddenSet, _find
 
 _THREE = np.uint64(3)
-# the future hash's odd multiplier for each step's target, the hash of
-# a missing move, and its xor-shift (see `_future_hash`)
-HASH_MULTIPLIERS = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
-                             0x165667B19E3779F9], dtype=np.uint64)
-_NO_MOVE = np.uint64(0x27D4EB2F165667C5)
-_SHIFT = np.uint64(29)
 
 
 def _automaton(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray]:
@@ -101,15 +85,12 @@ def minimal(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray, int]:
     """(pred, last_digit, start): the minimal automaton of the words that
     avoid `fset`, in the form of the quotient `TransitionTable`, and the
     root's class.  The live nodes and their live moves are refined by
-    `_seeded` from the step that enters each node, seeded by a future
-    hash as deep as the longest pattern, which is deep enough for the
-    seed to pass its check unless two hashes collide (it passed at
-    n = 1..11); a live node entered on no step or on two has no one step
-    weight, and raises `ConsistencyError`."""
+    `_refine` from the step that enters each node; a live node entered
+    on no step or on two has no one step weight, and raises
+    `ConsistencyError`."""
     moves, last_digit = _live(fset)
     size = last_digit.shape[0]
-    classes, k = _seeded(moves, last_digit,
-                         max(fset.codes_by_length, default=0))
+    classes, k = _refine(moves, last_digit)
     members = np.empty(k, dtype=np.intp)  # any member node of each class
     members[classes] = np.arange(size)
     padded = np.append(classes, np.int32(k))
@@ -143,39 +124,3 @@ def _live(fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray]:
             "entered by exactly one step")
     last_digit = entered[1] + 2 * entered[2]
     return moves, last_digit
-
-
-def _future_hash(succ: np.ndarray, last_digit: np.ndarray,
-                 rounds: int) -> np.ndarray:
-    """A uint64 hash of each state's future `rounds` steps deep:
-    h ← xs(last digit + Σ_d HASH_MULTIPLIERS[d] · h[succ[d]]), from
-    h = last digit, with the sentinel's hash fixed at `_NO_MOVE` and
-    xs(x) = x ^ (x >> 29), in wrapping uint64 arithmetic.  Each round
-    gathers one slot at a time into one scratch array."""
-    size = succ.shape[1]
-    h = np.empty(size + 1, dtype=np.uint64)
-    h[:size] = last_digit
-    h[size] = _NO_MOVE
-    nxt = h.copy()
-    scratch = np.empty(size, dtype=np.uint64)
-    for _ in range(rounds):
-        acc = nxt[:size]
-        acc[:] = last_digit
-        for slot, mult in zip(succ, HASH_MULTIPLIERS):
-            np.take(h, slot, out=scratch, mode="clip")
-            scratch *= mult
-            acc += scratch
-        np.right_shift(acc, _SHIFT, out=scratch)
-        acc ^= scratch
-        h, nxt = nxt, h
-    return h[:size]
-
-
-def _seeded(moves: np.ndarray, last_digit: np.ndarray,
-            rounds: int) -> tuple[np.ndarray, int]:
-    """The ranks of `_future_hash`, `rounds` steps deep, when they pass
-    `_is_stable`, and `_refine`'s coarsest partition otherwise."""
-    classes, k = _rank(_future_hash(moves, last_digit, rounds))
-    if _is_stable(classes, k, moves, last_digit):
-        return classes, k
-    return _refine(moves, last_digit)

@@ -36,6 +36,14 @@ def test_chain_is_isomorphic_to_minimal(n):
                       aho_corasick.minimal(forbidden_set(n)))
 
 
+def test_chain_stops_at_its_level_on_a_longer_chain():
+    # a `below` longer than n + 1 levels comes back cut to levels 0..n
+    below = chain(5)
+    levels = automaton.chain(3, below)
+    assert len(levels) == 4
+    assert all(got is want for got, want in zip(levels, below))
+
+
 def test_chain_counts_the_loops():
     # the pass that prunes the deficits counts each order's loops
     for n in range(1, 10):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from conftest import LEVELS, LOOPS
 
-from stavskaya import cli, patterns, statespace
+from stavskaya import automaton, cli, patterns, statespace
 from stavskaya.cli import main
 from stavskaya.errors import ResourceLimitError
 from stavskaya.statespace import StateSpace
@@ -185,6 +185,25 @@ def test_no_state_space_built(capsys, monkeypatch, argv):
         want = LEVELS[row["level"]]
         assert (row["forbidden_patterns"], row["states"]) == (want.patterns,
                                                               want.states)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--n-max", "3"],
+    ["bound", "--n", "3", "--p", "1.43"],
+], ids=["table", "bound"])
+def test_one_chain_step_per_level(capsys, monkeypatch, argv):
+    # `table` chains once up to its highest level, each row one step on
+    # the row before, as `bound` chains once up to its level
+    steps = []
+    next_level = automaton.next_level
+
+    def count(*args):
+        steps.append(args[-1])
+        return next_level(*args)
+    monkeypatch.setattr(automaton, "next_level", count)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert steps == [1, 2, 3]
 
 
 def test_bound_csv_format(capsys):

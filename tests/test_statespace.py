@@ -1,7 +1,6 @@
 import itertools
 import tracemalloc
 
-import aho_corasick
 import bruteforce
 import numpy as np
 import pytest
@@ -612,79 +611,18 @@ def test_refine_finds_the_coarsest_partition_of_a_hand_built_table():
     assert np.unique(classes.astype(np.int64) * 5 + want).shape == (5,)
 
 
-def test_refine_rejects_a_seed_that_merges_two_last_digits():
-    # the hand-built table above: {2, 5} and {8} both move nowhere, so
-    # merging them is told apart by the last digit alone
-    succ = np.array([[1, 2, 9, 4, 5, 9, 9, 9, 9],
-                     [9, 9, 9, 9, 9, 9, 9, 9, 9],
-                     [9, 9, 9, 9, 9, 9, 6, 6, 9]], dtype=np.int32)
-    digits = np.array([0, 0, 0, 0, 0, 0, 0, 0, 1], dtype=np.uint8)
-    coarsest = np.array([0, 1, 2, 0, 1, 2, 3, 3, 4], dtype=np.int32)
-    assert automaton._is_stable(coarsest, 5, succ, digits)
-    merged = np.array([0, 1, 2, 0, 1, 2, 3, 3, 2], dtype=np.int32)
-    assert not automaton._is_stable(merged, 4, succ, digits)
-    # and one that merges a class with its target
-    assert not automaton._is_stable(np.where(coarsest == 1, 0, coarsest),
-                                    5, succ, digits)
-
-
-def _pairs_one_to_one(a, b, k):
-    """Whether two labellings by 0..k-1 give the same partition."""
-    pairs = np.unique(a.astype(np.int64) * k + b)
-    return (pairs.shape == (k,) and np.unique(a).shape == (k,)
-            and np.unique(b).shape == (k,))
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_seeded_refinement_matches_moore(n):
-    # the hash classes pass the check on their own and pair one to one
-    # with pure Moore refinement from the last digits
-    fset = forbidden_set(n)
-    moves, digits = aho_corasick._live(fset)
-    rounds = max(fset.codes_by_length)
-    seeded = automaton._rank(aho_corasick._future_hash(moves, digits, rounds))
-    assert automaton._is_stable(*seeded, moves, digits)
-    classes, k = aho_corasick._seeded(moves, digits, rounds)
-    moore, k_moore = automaton._refine(moves, digits)
-    assert k == k_moore == seeded[1]
-    assert _pairs_one_to_one(classes, moore, k)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_failed_seed_falls_back_to_the_coarsest_partition(n, monkeypatch):
-    # with no multipliers the hash reads the last digit alone, so the
-    # check fails and Moore rounds run from the digit classes
-    moves, digits = aho_corasick._live(forbidden_set(n))
-    rounds = 3 * n
-    moore, k = automaton._refine(moves, digits)
-    monkeypatch.setattr(aho_corasick, "HASH_MULTIPLIERS",
-                        np.zeros(3, dtype=np.uint64))
-    seeded = automaton._rank(aho_corasick._future_hash(moves, digits, rounds))
-    assert seeded[1] == 3
-    assert not automaton._is_stable(*seeded, moves, digits)
-    classes, k_fallback = aho_corasick._seeded(moves, digits, rounds)
-    assert k_fallback == k == LEVELS[n].classes
-    assert _pairs_one_to_one(classes, moore, k)
-
-
-@pytest.mark.parametrize("rounds", [3, 0], ids=["seeded", "moore"])
-def test_refine_has_no_class_cap(rounds):
-    # a random table with missing moves splits into 65,536 classes,
-    # from the hash seed or by Moore rounds from the last digits: more than a
-    # round key packing a class and its three targets' classes, below
-    # (K+1)^4, could hold in int64.  Every state is its own class, so
-    # both routes give the same partition.
+def test_refine_has_no_class_cap():
+    # a random table with missing moves splits by Moore rounds from the
+    # last digits into 65,536 classes: more than a round key packing a
+    # class and its three targets' classes, below (K+1)^4, could hold in
+    # int64.  Every state is its own class.
     size = 65_536
     rng = np.random.default_rng(0)
     succ = rng.integers(0, size + 1, size=(3, size))
     digits = rng.integers(0, 3, size=size).astype(np.uint8)
-    if rounds:
-        classes, k = aho_corasick._seeded(succ, digits, rounds)
-    else:
-        classes, k = automaton._refine(succ, digits)
+    classes, k = automaton._refine(succ, digits)
     assert k == size
     assert np.array_equal(np.sort(classes), np.arange(size))
-    assert automaton._is_stable(classes, k, succ, digits)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
