@@ -4,15 +4,14 @@ The pipeline: build the minimal automaton of the words that avoid the
 primitive forbidden loops, each level from the one below with no loop
 listed, and its weighted one-step operator, certify that its spectral
 radius stays below one, and push the erasure parameter alpha as high as
-that certificate allows.  The loops are listed only by the `loops`
-command and for the memory-walk history tables (`build_state_space`,
-`build_transitions`), of which the automaton is the quotient, and which
-only the benchmark and the tests build.
+that certificate allows.  The loops, each order listed on the level
+below's automaton, serve only the `loops` command and the memory-walk
+history tables (`build_state_space`, `build_transitions`), whose
+quotient the automaton is, which only the benchmark and tests build.
 """
 
 from .errors import ConsistencyError, ResourceLimitError
-from .patterns import (ForbiddenSet, Parameters, build_forbidden_set,
-                       enumerate_primitive_loops)
+from .patterns import ForbiddenSet, Parameters, build_forbidden_set
 from .search import (BisectionResult, OptimizationResult, alpha_sup,
                      optimize_p)
 from .spectral import (SpectralEstimate, certified_upper_bound,
@@ -38,7 +37,6 @@ __all__ = [
     "build_state_space",
     "build_transitions",
     "certified_upper_bound",
-    "enumerate_primitive_loops",
     "optimize_p",
     "power_iteration",
     "__version__",

@@ -17,9 +17,10 @@ it is refused when a deficit reaches (0, 0, 0).  A deficit is also
 dropped when no word read from the new class has exactly those counts
 (`_reach`), since no continuation can then complete it.  The same pass
 over the counts gives the order-n loops, the length-3n words with counts
-(n, n, n) read from min(F_{n-1})'s start.  A breadth-first
-search from (the start class, no deficit) finds the states, and
-Moore's algorithm (`_refine`, Moore 1956) merges them into min(F_n).
+(n, n, n) read from min(F_{n-1})'s start, which `list_loops` lists.  A
+breadth-first search from (the start class, no deficit) finds the
+states, and Moore's algorithm (`_refine`, Moore 1956) merges them into
+min(F_n).
 
 Tables are in the quotient's form: pred[d, c] is the class c moves to on
 step d+1, or the class count K for no move, and last_digit[c] the step
@@ -29,6 +30,8 @@ that enters c.  Nothing here reads a pattern or a history.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ConsistencyError
 
 
 def level_zero() -> tuple[np.ndarray, np.ndarray, int]:
@@ -69,6 +72,35 @@ def _reach(pred: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         a_in, b_in, e_in = a[~outside], b[~outside], e[~outside]
         reach[:, a_in, b_in, e_in] = (layer[a_in, b_in] > 0).T
     return reach, layer[n, n, :size]
+
+
+def list_loops(pred: np.ndarray, start: int, n: int) -> np.ndarray:
+    """Sorted uint64 codes of the order-n loops, the length-3n words with
+    counts (n, n, n) read from class `start` of min(F_{n-1}) (`pred`).
+    They grow a newest step at a time, child 3i + d of prefix i right
+    after the children of the prefixes before i, so no sort is needed.
+    A prefix is kept only while its class can read the steps it lacks
+    (`_reach`, padded with a False plane at lack -1), so each is a loop's
+    prefix.  `ConsistencyError` unless as many as `_reach` counts."""
+    reach, loops = _reach(pred, n)
+    side = n + 2
+    padded = np.zeros((reach.shape[0], side, side, side), dtype=bool)
+    padded[:, 1:, 1:, 1:] = reach
+    padded = padded.reshape(reach.shape[0], -1)
+    stride = np.array([side * side, side, 1], dtype=np.int32)
+    codes, classes = np.zeros(1, np.uint64), np.full(1, start, np.int32)
+    lacks = (n + 1) * stride.sum(keepdims=True, dtype=np.int32)  # n each, + 1
+    for _ in range(3 * n):
+        targets = pred[:, classes]
+        lacked = lacks - stride[:, None]
+        # transposed, so the children come out prefix by prefix
+        parent, digit = np.nonzero(padded[targets, lacked].T)
+        codes = codes[parent] * np.uint64(3) + digit.astype(np.uint64)
+        classes = targets[digit, parent]
+        lacks = lacked[digit, parent]
+    if codes.shape[0] != loops[start]:
+        raise ConsistencyError(f"listed {codes.shape[0]} order-{n} loops, not {loops[start]}")
+    return codes
 
 
 def next_level(pred: np.ndarray, last_digit: np.ndarray, start: int,

@@ -6,7 +6,10 @@ the degenerate pair (1,3), (3,1) and every primitive balanced loop.  A
 loop of order k is a length-3k sequence with exactly k steps of each
 kind; it is primitive when it contains no shorter forbidden pattern as
 a contiguous factor.  The forbidden set at level n collects the
-degenerate pair plus all primitive loops of orders 1..n.
+degenerate pair plus all primitive loops of orders 1..n.  Those of
+order k are the balanced length-3k words that read on min(F_{k-1}), the
+minimal automaton of the words that avoid the level-(k-1) set, and
+`automaton.list_loops` lists them there.
 
 Words are encoded in base 3 (digits 0,1,2 for steps 1,2,3), oldest
 step in the most significant digit.  A pattern is its code and
@@ -15,35 +18,36 @@ sorted codes of each pattern length, and every layer reads them as
 they are.  Text ("123") exists only at the output, where
 `ForbiddenSet.texts` renders it from the codes a chunk at a time.
 
-One move rule grows every word set.  A word avoids a pattern set F
-exactly when its prefix and its suffix, each one step shorter, avoid F
-and the word itself is not in F, since every shorter factor lies inside
-one of the two.  So the valid words one step longer are the moves
-between the valid words, less the patterns of that length.  `_grow`
-carries each word set together with its moves from length to length,
-and finds the moves with no search: the prefix of a longer word is the
-move of its suffix, so the longer words' moves are read off the ranks
-of the moves kept.  Only the few moves that spell a pattern are looked
-up (`_block`).  This holds for any set closed under taking factors: it
-grows the loops here and the states and transitions in `statespace`.
+One move rule grows the history states of `statespace`.  A word avoids
+a pattern set F exactly when its prefix and its suffix, each one step
+shorter, avoid F and the word itself is not in F, since every shorter
+factor lies inside one of the two.  So the valid words one step longer
+are the moves between the valid words, less the patterns of that
+length.  `_grow` carries each word set together with its moves from
+length to length, and finds the moves with no search: the prefix of a
+longer word is the move of its suffix, so the longer words' moves are
+read off the ranks of the moves kept.  Only the few moves that spell a
+pattern are looked up (`_block`).  The last length's moves become the
+transitions in `statespace`.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .automaton import chain, list_loops
 from .errors import ResourceLimitError
 
 # The largest level any command runs, and the largest measured: on 2
-# cores and 7.8 GiB, `loops --n 11` lists its patterns in 6.3 s and
-# peaks at 914 MiB.  They grow about 5.7x a level, so level 12 is
-# refused before any level is built.  `bound` and `table` list no
-# pattern (`automaton.chain`): `bound --n 11` takes 1.6-2.3 s and
+# cores and 7.8 GiB, `loops --n 11` lists its patterns in 3.7-4.8 s and
+# peaks at 400 MiB, and they grow about 5.7x a level, so level 12 is
+# refused before any level is built.  `bound --n 11` takes 1.6-2.3 s and
 # 116 MiB.  The base-3 codes alone would reach level 13: they must fit
 # in uint64 with one appended step, and 3**39 < 2**63 (word length 38,
 # extended 39).
@@ -77,30 +81,35 @@ _CHUNK = 1 << 18
 _NO_CODES = np.empty(0, dtype=np.uint64)
 
 
-def _finite_real(x) -> bool:
-    """Whether `x` is a finite `numbers.Real`: a Python or numpy int or
-    float, a bool or a Fraction, but not a Decimal, which `math.isfinite`
-    takes but which does not mix with floats in `step_weights`.  The
-    float test first skips the slower ABC check in the common case."""
+# The largest p and q with p^2 and pq finite doubles (`step_weights`)
+_MAX = math.sqrt(sys.float_info.max)
+
+
+def _real_in(x, low: float, high: float) -> bool:
+    """Whether `x` is a `numbers.Real` (not a Decimal, which does not mix
+    with floats in `step_weights`) in [low, high], compared exactly, so
+    NaN and an int too large for a double fail; a numpy scalar compares
+    as its Python value, as numpy would cast the bounds to its type."""
+    x = x.item() if isinstance(x, np.generic) else x
     return ((isinstance(x, (float, int)) or isinstance(x, numbers.Real))
-            and math.isfinite(x))
+            and low <= x <= high)
 
 
 @dataclass(frozen=True)
 class Parameters:
-    """Weight parameters: p, q >= 1 and erasure probability alpha in [0,1],
-    checked on every construction, the alpha search's steps included."""
+    """Weight parameters: p, q in [1, `_MAX`] and erasure probability alpha
+    in [0, 1], checked on every construction, alpha search steps included."""
 
     p: float
     q: float
     alpha: float
 
     def __post_init__(self):
-        if not (_finite_real(self.p) and self.p >= 1.0):
-            raise ValueError(f"p must be a finite real >= 1, got {self.p}")
-        if not (_finite_real(self.q) and self.q >= 1.0):
-            raise ValueError(f"q must be a finite real >= 1, got {self.q}")
-        if not (_finite_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
+        if not _real_in(self.p, 1.0, _MAX):
+            raise ValueError(f"p must be a real in [1, {_MAX:.6g}], got {self.p}")
+        if not _real_in(self.q, 1.0, _MAX):
+            raise ValueError(f"q must be a real in [1, {_MAX:.6g}], got {self.q}")
+        if not _real_in(self.alpha, 0.0, 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
     def step_weights(self) -> tuple[float, float, float]:
@@ -207,45 +216,28 @@ def _runs(kept: np.ndarray, n: int):
             at += int(np.count_nonzero(keep))
 
 
-def _grow(length: int, fset: ForbiddenSet,
-          budget: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _grow(length: int, fset: ForbiddenSet) -> tuple[np.ndarray, np.ndarray]:
     """(codes, moves): the sorted codes of the length-`length` words that
-    avoid `fset`, with at most `budget` steps of each kind if given, and
-    their moves.  moves[s, t] is the index of the word
+    avoid `fset`, and their moves.  moves[s, t] is the index of the word
     s*3^(length-1) + codes[t] // 3, or the sentinel N = len(codes) when
     that word is missing or the joined word s*3^length + codes[t] is a
     pattern of `fset`.
 
-    One step of the move rule keeps the pairs (s, t) whose move is real
-    (and within the budget); the longer words are those pairs in (s, t)
-    order, so their codes come out sorted.  The prefix of a longer word
-    s.t is the move of t, so its move on a new oldest step s' is the
-    rank of the kept pair (s', moves[s, t]): one ranking pass and one
-    gather per length, with no search.  Every full-length array is
-    walked in `_CHUNK` pieces, and each is freed as soon as the next
-    one is built.
-
-    Under a budget each word carries its three step counts packed in one
-    uint16, 5 bits a kind, and a pair (s, t) is kept only while t's
-    count of kind s+1 is below the budget.  A count never exceeds the
-    budget, at most `MAX_LEVEL` for the loops, so it never carries into
-    the next kind's bits.
+    One step of the move rule keeps the pairs (s, t) whose move is real;
+    the longer words are those pairs in (s, t) order, so their codes come
+    out sorted.  The prefix of a longer word s.t is the move of t, so its
+    move on a new oldest step s' is the rank of the kept pair
+    (s', moves[s, t]): one ranking pass and one gather per length, with
+    no search.  Every full-length array is walked in `_CHUNK` pieces, and
+    each is freed as soon as the next one is built.
     """
     codes = np.arange(3, dtype=np.uint64)
     # every two-step word's prefix is its oldest step
     moves = np.repeat(np.arange(3, dtype=np.int32), 3).reshape(3, 3)
     _block(moves, codes, 1, fset)
-    # one step of kind s+1 in the packed counts, and the counts of the
-    # one-step words
-    step = np.array([1, 1 << 5, 1 << 10], dtype=np.uint16)
-    counts = step
     for cur in range(1, length):
         n = codes.shape[0]
         kept = moves < n
-        if budget is not None:
-            # a word with oldest step s and suffix t has one more step s
-            for s in range(3):
-                kept[s] &= (counts & (31 * step[s])) < budget * step[s]
         size = int(np.count_nonzero(kept))
         # packed a bit a pair for the rest of the step: as bools it would
         # add 3n bytes to the peak, which comes when the longer codes are
@@ -273,43 +265,20 @@ def _grow(length: int, fset: ForbiddenSet,
                         mode="clip")
         moves = longer
         grown = np.empty(size, dtype=np.uint64)
-        if budget is not None:
-            grown_counts = np.empty(size, dtype=np.uint16)
         for s, cols, keep, at in _runs(kept, n):
             part = codes[cols][keep]
             part += np.uint64(s) * POW3[cur]
             grown[at:at + part.shape[0]] = part
-            if budget is not None:
-                np.add(counts[cols][keep], step[s],
-                       out=grown_counts[at:at + part.shape[0]])
         codes = grown
-        if budget is not None:
-            counts = grown_counts
         _block(moves, codes, cur + 1, fset)
     return codes, moves
 
 
-def enumerate_primitive_loops(k: int, lower: ForbiddenSet) -> np.ndarray:
-    """Sorted codes of the primitive loops of order k: length-3k words
-    with exactly k steps of each kind and no factor in `lower` (the
-    level k-1 set).
-
-    The words with at most k steps of each kind and no factor in `lower`
-    are closed under taking factors, so they grow by the move rule, less
-    the words over the kind budget; at length 3k only balanced ones stay.
-    """
-    check_level(k, 1)
-    if lower.level != k - 1:
-        raise ValueError(f"need the level {k - 1} forbidden set, got level {lower.level}")
-    return _grow(3 * k, lower, k)[0]
-
-
 def build_forbidden_set(n: int) -> ForbiddenSet:
-    """The forbidden set at level n: degenerate pair plus all primitive
-    loops of orders 1..n, built incrementally."""
+    """The forbidden set at level n: the degenerate pair 13, 31 and the
+    primitive loops of orders 1..n, each order k listed on min(F_{k-1})
+    of one `chain(n - 1)` (`list_loops`)."""
     check_level(n, 0)
-    fset = ForbiddenSet(0, {2: [2, 6]})  # 13 and 31
-    for k in range(1, n + 1):
-        loops = enumerate_primitive_loops(k, fset)
-        fset = ForbiddenSet(k, {**fset.codes_by_length, 3 * k: loops})
-    return fset
+    return ForbiddenSet(n, {2: [2, 6], **{
+        3 * k: list_loops(pred, start, k)
+        for k, (pred, _, start, _) in enumerate(chain(n - 1)[:n], 1)}})

@@ -6,15 +6,15 @@ factor.  Appending a step to a state drops its oldest step; the move is
 allowed only when the extended length-3n word contains no level-n
 pattern.
 
-The states and the moves come from the move rule of `patterns`, which
-also grows the loops: `_grow` carries the valid words and their moves
-from length to length, starting from single steps, and a `StateSpace`
-keeps the moves of its last growth step.  Every level-n pattern shorter
-than 3n is in the level-(n-1) set, which no state contains, so a move
-between two states is rejected exactly when its source is no state,
-which the growth has already recorded, or its 3n-step word is an
-order-n loop, which `build_transitions` blocks (`_block`) in the same
-array before the table takes it over.
+The states and the moves come from the move rule of `patterns`: `_grow`
+carries the valid words and their moves from length to length, starting
+from single steps, and a `StateSpace` keeps the moves of its last growth
+step.  Every level-n pattern shorter than 3n is in the level-(n-1) set,
+which no state contains, so a move between two states is rejected
+exactly when its source is no state, which the growth has already
+recorded, or its 3n-step word is an order-n loop, which
+`build_transitions` blocks (`_block`) in the same array before the table
+takes it over.
 
 The moves are stored once, in gather form: the sources of a state t are
 the up-to-three states that become t on dropping their oldest step, and

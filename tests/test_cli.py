@@ -98,14 +98,17 @@ def test_bound_degenerate_exits_two(capsys):
 
 def _no_build(monkeypatch):
     def no_build(*args):
-        raise AssertionError(f"built or grown from {args}")
+        raise AssertionError(f"built, chained or listed from {args}")
     monkeypatch.setattr(cli, "build_level", no_build)
-    monkeypatch.setattr(patterns, "_grow", no_build)
+    for module in (patterns, statespace):
+        monkeypatch.setattr(module, "chain", no_build)
+    monkeypatch.setattr(patterns, "list_loops", no_build)
 
 
 # no history table caps the CLI: every command stops at MAX_LEVEL = 11
 # with exit 3, and below its lowest level with exit 1; `loops` is refused
-# by `build_forbidden_set` itself, before any pattern is grown
+# by `build_forbidden_set` itself, before any level is chained or loop
+# listed
 LEVEL_REFUSALS = [
     (("bound", "--n", "12", "--p", "1.413"), 3, "1..11, got 12"),
     (("bound", "--n", "13", "--p", "1.413"), 3, "1..11, got 13"),
@@ -173,7 +176,7 @@ def test_no_state_space_built(capsys, monkeypatch, argv):
     monkeypatch.setattr(StateSpace, "__init__", record)
     for module in (patterns, cli):
         monkeypatch.setattr(module, "build_forbidden_set", no_pattern)
-    monkeypatch.setattr(patterns, "_grow", no_pattern)
+    monkeypatch.setattr(patterns, "list_loops", no_pattern)
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert built == []
@@ -258,7 +261,10 @@ BAD_SETTINGS = [
     (("bound", "--n", "7", "--p", "1.415", "--cache-dir", "x"), RETIRED),
     (("bound", "--n", "7", "--p", "1.415", "--deep"), RETIRED),
     (("table", "--n-max", "7", "--cache-dir", "x"), RETIRED),
-    (("table", "--n-max", "7", "--deep"), RETIRED)]
+    (("table", "--n-max", "7", "--deep"), RETIRED),
+    # p^2 would overflow in the step weights
+    (("bound", "--n", "1", "--p", "1e308"), "p must be"),
+    (("table", "--n-max", "1", "--p-max", "1e200"), "p must be")]
 
 
 @pytest.mark.parametrize("argv,named", BAD_SETTINGS,

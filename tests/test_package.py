@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import LEVELS
+
 import stavskaya
 
 
@@ -16,9 +18,9 @@ def test_public_names_resolve():
 
 
 def test_patterns_imports_no_later_layer():
-    # the layers run patterns -> automaton -> statespace -> spectral ->
-    # search, and the move rule lives in patterns, so it must not reach
-    # up the stack
+    # the layers run automaton -> patterns -> statespace -> spectral ->
+    # search: the loops are listed on the automaton, and the move rule
+    # lives in patterns, so it must not reach up the stack
     tree = ast.parse(Path(stavskaya.patterns.__file__).read_text())
     names = set()
     for node in ast.walk(tree):
@@ -27,7 +29,7 @@ def test_patterns_imports_no_later_layer():
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
-    for layer in ("automaton", "statespace", "spectral", "search"):
+    for layer in ("statespace", "spectral", "search"):
         assert not any(layer in name.split(".") for name in names), layer
 
 
@@ -48,8 +50,8 @@ def _package_imports(module):
 
 def test_automaton_imports_nothing_of_the_package():
     # the chain builds each level from the one below, so it reads no
-    # pattern, history table or solver
-    assert _package_imports(stavskaya.automaton) == set()
+    # pattern, history table or solver: only the package's errors
+    assert _package_imports(stavskaya.automaton) == {"errors"}
 
 
 def test_statespace_imports_no_solver():
@@ -91,6 +93,26 @@ def test_public_names_have_a_caller():
         used |= _references(ast.parse(path.read_text()))
     uncalled = set(stavskaya.__all__) - used
     assert not uncalled, sorted(uncalled)
+
+
+def test_readme_library_block_runs_as_its_comments_say(capsys):
+    # the README's `## Library` example runs as written, and its comments
+    # give level 3's counts, alpha_low to the 8 digits the table prints
+    # and a certificate below one
+    text = (Path(stavskaya.__file__).resolve().parents[2]
+            / "README.md").read_text()
+    block = text.split("## Library", 1)[1].split("```python", 1)[1]
+    block = block.split("```", 1)[0]
+    row = LEVELS[3]
+    assert f"# {row.patterns} patterns, {row.states:,} states" in block
+    assert f"# {row.bound:.8f}, < 1" in block
+    namespace = {}
+    exec(block, namespace)
+    alpha_low, certificate = map(float, capsys.readouterr().out.split())
+    assert (namespace["patterns"], namespace["states"]) == (row.patterns,
+                                                            row.states)
+    assert f"{alpha_low:.8f}" == f"{row.bound:.8f}"
+    assert certificate < 1
 
 
 def test_cold_start_leaves_numpy_ma_unimported():

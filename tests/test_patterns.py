@@ -4,13 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from bruteforce import code_word, pattern_words
-from conftest import LEVELS, LOOPS, forbidden_set
+from conftest import LEVELS, LOOPS, chain, forbidden_set
 
-from stavskaya import patterns
-from stavskaya.errors import ResourceLimitError
-from stavskaya.patterns import (MAX_LEVEL, POW3, ForbiddenSet, Parameters,
-                                _grow, build_forbidden_set,
-                                enumerate_primitive_loops)
+from stavskaya import automaton, patterns
+from stavskaya.automaton import list_loops
+from stavskaya.errors import ConsistencyError, ResourceLimitError
+from stavskaya.patterns import (_MAX, POW3, ForbiddenSet, Parameters,
+                                _grow, build_forbidden_set)
 
 DEGENERATE = {2: [2, 6]}  # the codes of 13 and 31
 
@@ -38,10 +38,29 @@ def test_parameters_refuse_non_finite_values(field, bad):
         Parameters(**values)
 
 
+@pytest.mark.parametrize("values,field", [
+    ((10**400, 1, 0), "p"),                          # no double holds it
+    ((1, 10**400, 0), "q"),
+    ((10**154, 10**300, 0), "q"),                    # 1/(pq) overflows
+    ((1e308, 1, 0), "p"),                            # p^2 overflows
+    ((np.nextafter(_MAX, np.inf), 1.0, 0.1), "p"),
+])
+def test_parameters_refuse_values_whose_weights_overflow(values, field):
+    with pytest.raises(ValueError, match=field):
+        Parameters(*values)
+
+
+def test_largest_p_and_q_have_finite_weights():
+    assert all(np.isfinite(Parameters(_MAX, _MAX, 1.0).step_weights()))
+
+
 def test_parameters_accept_numpy_scalars():
     params = Parameters(np.float64(1.5), np.int64(1), np.float32(0.25))
     assert params.step_weights() == Parameters(1.5, 1, 0.25).step_weights()
     Parameters(np.int32(2), np.float64(1.1), True)
+    # compared as Python numbers: numpy would cast the bounds to float32
+    # or float16, where they overflow
+    Parameters(np.float32(1.5), np.float16(1), 0.25)
     weights = Parameters(Fraction(3, 2), 1, 0.25).step_weights()
     assert [float(w) for w in weights] == list(params.step_weights())
 
@@ -93,9 +112,14 @@ def test_texts_match_base_repr(chunk, monkeypatch):
     assert list(ForbiddenSet(0, codes).texts()) == want
 
 
+def listed(k):
+    """`list_loops` of order k on the cached min(F_{k-1})."""
+    pred, _, start, _ = chain(k - 1)[k - 1]
+    return list_loops(pred, start, k)
+
+
 def loop_tuples(k):
-    codes = enumerate_primitive_loops(k, forbidden_set(k - 1))
-    return {code_word(int(c), 3 * k) for c in codes}
+    return {code_word(int(c), 3 * k) for c in listed(k)}
 
 
 def test_order_one_loops():
@@ -107,42 +131,43 @@ def test_order_two_loops():
 
 
 def test_order_three_count():
-    assert len(enumerate_primitive_loops(3, forbidden_set(2))) == LOOPS[3]
+    assert len(listed(3)) == LOOPS[3]
 
 
 def test_loops_are_strictly_increasing_codes():
     for k in range(1, 7):
-        codes = enumerate_primitive_loops(k, forbidden_set(k - 1))
+        codes = listed(k)
         assert codes.dtype == np.uint64
         assert (codes[1:] > codes[:-1]).all()
 
 
-@pytest.mark.parametrize("length", [13, 16])
-@pytest.mark.parametrize("budget", [13, 4])
-def test_kind_budget_keeps_exactly_the_words_within_it(length, budget):
-    # the budget path packs each word's three step counts 5 bits apart
-    # in one uint16; a count carrying into the next kind's bits would
-    # drop or keep the wrong words.  At length 13 one kind can fill a
-    # word, up to a budget of 13, past the largest the loops use
-    # (MAX_LEVEL), and at length 16 that budget binds
-    assert MAX_LEVEL <= 13
-    degenerate = ForbiddenSet(0, DEGENERATE)
-    every, _ = _grow(length, degenerate)
-    counts = np.zeros((3, every.shape[0]), dtype=np.int8)
-    for j in range(length):
-        digit = every // POW3[j] % np.uint64(3)
+@pytest.mark.parametrize("k", range(1, 7))
+def test_loops_are_the_balanced_words_of_the_move_rule(k):
+    # the move rule reads no automaton: the length-3k words that avoid
+    # the level-(k-1) set and have k steps of each kind are the order-k
+    # loops by definition.  Order 1 stands on 13 and 31 alone, and each
+    # order's set below was checked here one order before
+    words, _ = _grow(3 * k, forbidden_set(k - 1))
+    counts = np.zeros((3, words.shape[0]), dtype=np.int8)
+    for j in range(3 * k):
+        digit = words // POW3[j] % np.uint64(3)
         for d in range(3):
             counts[d] += digit == d
-    within = (counts <= budget).all(axis=0)
-    got, _ = _grow(length, degenerate, budget)
-    assert got.dtype == np.uint64
-    assert np.array_equal(got, every[within])
-    assert within.all() == (budget >= length)
+    balanced = words[(counts == k).all(axis=0)]
+    got = listed(k)
+    assert got.dtype == balanced.dtype == np.uint64
+    assert np.array_equal(got, balanced)
 
 
-def test_primitivity_needs_matching_level():
-    with pytest.raises(ValueError):
-        enumerate_primitive_loops(3, forbidden_set(1))
+def test_lister_checks_its_count_against_reach(monkeypatch):
+    reach = automaton._reach
+
+    def one_more(pred, n):
+        found, loops = reach(pred, n)
+        return found, loops + 1
+    monkeypatch.setattr(automaton, "_reach", one_more)
+    with pytest.raises(ConsistencyError, match="listed 6 order-3 loops"):
+        listed(3)
 
 
 @pytest.mark.parametrize("n,total", [(0, LOOPS[0])] + [
@@ -196,15 +221,14 @@ def test_canonical_order():
 
 def test_level_cap(monkeypatch):
     # MAX_LEVEL = 11 is measured, not the encoding limit 13: above it
-    # both builders refuse before any word is grown
-    def no_grow(*args):
-        raise AssertionError("a word was grown above the level cap")
-    monkeypatch.setattr(patterns, "_grow", no_grow)
+    # the set is refused before any level is chained or loop listed
+    def no_list(*args):
+        raise AssertionError("a level was chained above the level cap")
+    monkeypatch.setattr(patterns, "chain", no_list)
+    monkeypatch.setattr(patterns, "list_loops", no_list)
     for n in (12, 14):
         with pytest.raises(ResourceLimitError, match="largest level measured"):
             build_forbidden_set(n)
-    with pytest.raises(ResourceLimitError, match="largest level measured"):
-        enumerate_primitive_loops(12, ForbiddenSet(11, DEGENERATE))
     with pytest.raises(ValueError):
         build_forbidden_set(-1)
 

@@ -10,8 +10,7 @@ from conftest import (LEVELS, check_lift, forbidden_set, history, level,
 
 from stavskaya import automaton, patterns, statespace
 from stavskaya.errors import ConsistencyError, ResourceLimitError
-from stavskaya.patterns import (POW3, ForbiddenSet, Parameters,
-                                enumerate_primitive_loops)
+from stavskaya.patterns import POW3, ForbiddenSet, Parameters
 from stavskaya.search import alpha_sup, optimize_p
 from stavskaya.spectral import certified_upper_bound, power_iteration
 from stavskaya.statespace import (TransitionTable, build_state_space,
@@ -76,26 +75,22 @@ def test_edge_counts(n, edges):
 @pytest.mark.parametrize("chunk", [7, 64])
 def test_chunked_moves_match_one_chunk(monkeypatch, chunk):
     # the move rule's lookups and the mirror check run in chunks of
-    # _CHUNK targets; chunk boundaries must not change a loop, a state
-    # code, a predecessor or the mirror flag
+    # _CHUNK targets; chunk boundaries must not change a state code, a
+    # predecessor or the mirror flag
     def build():
-        loops = [enumerate_primitive_loops(k, forbidden_set(k - 1))
-                 for k in range(1, 6)]
         levels = []
         for n in range(1, 5):
             space = build_state_space(n, forbidden_set(n - 1))
             levels.append((space.codes, build_transitions(space, forbidden_set(n))))
-        return loops, levels
+        return levels
 
-    whole_loops, whole = build()
+    whole = build()
     whole_quotients = [(table.quotient, check_lift(table))
                        for _, table in whole]
     assert all(table.mirrored for _, table in whole)  # in one chunk
     for module in (patterns, statespace):
         monkeypatch.setattr(module, "_CHUNK", chunk)
-    loops, levels = build()
-    for got, want in zip(loops, whole_loops):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    levels = build()
     for (codes, table), (want_codes, want), want_quotient in zip(
             levels, whole, whole_quotients):
         assert np.array_equal(codes, want_codes)
